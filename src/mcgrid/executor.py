@@ -164,12 +164,21 @@ def _normalize_value(value):
     return float(arr) if arr.ndim == 0 else arr
 
 
+_DERIVE = object()
+
+
 def subjob(vidx: VirtualIndex, row_params: dict, base_args: dict, seed_spec: SeedSpec,
-           keep_seed: bool, study_fn, timer=None, monitor=None) -> SubJobRecord:
-    """Run one sub-job: seed, call through the harness, record."""
+           keep_seed: bool, study_fn, timer=None, monitor=None, *,
+           state=_DERIVE) -> SubJobRecord:
+    """Run one sub-job: seed, call through the harness, record.
+
+    ``state`` is ``seed_for(seed_spec, vidx.rep)`` when the caller has already
+    derived it; by default it is derived here.
+    """
     params = dict(row_params)
     params.update(base_args)
-    state = seed_for(seed_spec, vidx.rep)
+    if state is _DERIVE:
+        state = seed_for(seed_spec, vidx.rep)
     if state is None:
         rng = ambient_stream()
         seed_hex = rng.state.to_hex() if keep_seed and seed_spec.kind != "unseeded" else None
@@ -255,9 +264,12 @@ def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
         n_G, n_sim = grid.n_rows, vl.n_sim
         blocks = partition_blocks(n_G, n_sim, backend.block_size, rep_first)
         base_args = non_grid_args(vl)
+        # seed_for depends only on (seed, rep): derive each replication once
+        states = [seed_for(seed, rep) for rep in range(1, n_sim + 1)]
         ctx = _RunContext(grid=grid, n_G=n_G, n_sim=n_sim, rep_first=rep_first,
-                          base_args=base_args, seed=seed, keep_seed=keep_seed,
-                          study_fn=study_fn, timer=timer, monitor=monitor)
+                          base_args=base_args, seed=seed, states=states,
+                          keep_seed=keep_seed, study_fn=study_fn, timer=timer,
+                          monitor=monitor)
         if backend.kind == "sequential":
             records = _run_sequential(ctx, blocks)
         elif backend.kind == "threads":
@@ -282,6 +294,7 @@ class _RunContext:
     rep_first: bool
     base_args: dict
     seed: SeedSpec
+    states: list  # seed_for(seed, rep) at index rep - 1
     keep_seed: bool
     study_fn: object
     timer: object
@@ -293,7 +306,7 @@ def _run_block(ctx: _RunContext, block: Block) -> list[tuple[int, SubJobRecord]]
     row_params = ctx.grid.row_params(block.row)
     for vidx in block.indices(ctx.n_G, ctx.n_sim, ctx.rep_first):
         rec = subjob(vidx, row_params, ctx.base_args, ctx.seed, ctx.keep_seed,
-                     ctx.study_fn, ctx.timer, ctx.monitor)
+                     ctx.study_fn, ctx.timer, ctx.monitor, state=ctx.states[vidx.rep - 1])
         out.append((vidx.linear, rec))
     return out
 
@@ -388,11 +401,9 @@ def read_frame(stream) -> dict | None:
     return json.loads(payload.decode("utf-8"))
 
 
-def _task_doc(ctx: _RunContext, block: Block, study: str, monitor: bool) -> dict:
-    seeds = []
-    for rep in range(block.rep_start, block.rep_start + block.size):
-        st = seed_for(ctx.seed, rep)
-        seeds.append(None if st is None else st.to_hex())
+def _task_doc(ctx: _RunContext, block: Block, study: str, monitor: bool,
+              seed_hex: list) -> dict:
+    seeds = seed_hex[block.rep_start - 1:block.rep_start - 1 + block.size]
     return {
         "tag": "task",
         "study": study,
@@ -440,10 +451,26 @@ def run_task(task: dict) -> dict:
     return {"tag": "result", "block": task["block"], "records": records}
 
 
+def _claim_stdout():
+    """Move the frame channel off fd 1 and send everything else written to
+    standard output, by Python or native code, to standard error."""
+    sys.stdout.flush()
+    channel = os.fdopen(os.dup(1), "wb")
+    os.dup2(2, 1)
+    sys.stdout = sys.stderr
+    return channel
+
+
 def worker_main(stdin=None, stdout=None) -> int:
-    """Frame-serving loop for a spawned worker process."""
+    """Frame-serving loop for a spawned worker process.
+
+    With the default streams, frames go out on a duplicate of fd 1, and fd 1
+    and ``sys.stdout`` point at standard error before the first task resolves
+    its study, so neither importing nor running a study can write into the
+    frame channel.
+    """
     stdin = stdin if stdin is not None else sys.stdin.buffer
-    stdout = stdout if stdout is not None else sys.stdout.buffer
+    stdout = stdout if stdout is not None else _claim_stdout()
     while True:
         try:
             frame = read_frame(stdin)
@@ -489,6 +516,7 @@ def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec) 
         raise ExecutionError(
             f"the process backend needs JSON-serializable variables: {exc}") from exc
     monitor = ctx.monitor is not None
+    seed_hex = [None if st is None else st.to_hex() for st in ctx.states]
 
     slots: list[SubJobRecord | None] = [None] * (ctx.n_G * ctx.n_sim)
     slot_lock = threading.Lock()
@@ -537,7 +565,7 @@ def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec) 
                     proc.stdin.flush()
                     proc.stdin.close()
                     return
-                proc.stdin.write(encode_frame(_task_doc(ctx, b, study, monitor)))
+                proc.stdin.write(encode_frame(_task_doc(ctx, b, study, monitor, seed_hex)))
                 proc.stdin.flush()
                 resp = read_frame(proc.stdout)
                 if resp is None:

@@ -144,12 +144,18 @@ class RngStream:
     def uniforms(self, size) -> np.ndarray:
         n = int(np.prod(size)) if not np.isscalar(size) else int(size)
         raw = self._bg.random_raw(n)
-        u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+        raw >>= np.uint64(11)
+        u = raw.astype(np.float64)
+        u += 0.5
+        u *= 2.0 ** -53
         return u.reshape(size)
 
     def exponentials(self, size) -> np.ndarray:
         # -log1p(-u) maps the strict-open uniforms to strictly positive values
-        return -np.log1p(-self.uniforms(size))
+        u = self.uniforms(size)
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        return np.negative(u, out=u)
 
     def standard_gamma(self, shape: float, size) -> np.ndarray:
         return self._gen.standard_gamma(shape, size=size)

@@ -16,6 +16,10 @@ Gumbel: psi(t) = exp(-t^(1/theta)) with V positive stable of index 1/theta,
 drawn by the Kanter/Chambers-Mallows-Stuck representation).  All uniforms are
 strictly inside (0, 1).
 
+The kernels work in place on the (n, d) arrays and are bit-identical to the
+out-of-place expressions and to the AS 241 reference evaluation order
+(``np.polyval`` over each branch's coefficients, highest degree first).
+
 The module also provides the small statistics used to summarize such studies:
 type-7 empirical quantiles, the median absolute deviation, and the Huber
 robust mean.
@@ -75,40 +79,61 @@ _F = [2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468
       5.99832206555887937690e-1, 1.0]
 
 
+def _horner(coefs, x: np.ndarray) -> np.ndarray:
+    """``np.polyval(coefs, x)`` for finite ``x``, with the same two roundings
+    per step (``y = y * x + c``) but without its temporaries."""
+    y = x * coefs[0]
+    y += coefs[1]
+    for c in coefs[2:]:
+        y *= x
+        y += c
+    return y
+
+
 def std_normal_quantile(p):
     """Standard-normal quantile function (inverse CDF), vectorized.
 
     p = 0 and p = 1 map to -inf/+inf; values outside [0, 1] map to NaN.
+
+    The central AS 241 branch is evaluated over the whole array; a second
+    pass recomputes only the entries with |p - 0.5| > 0.425.  Entries outside
+    (0, 1) come out NaN from the tail pass's logarithm, and NaN inputs from
+    the central pass, before 0 and 1 are set to -inf/+inf.
     """
     arr = np.asarray(p, dtype=float)
-    scalar = arr.ndim == 0
-    pp = np.atleast_1d(arr).astype(float)
-    out = np.full(pp.shape, np.nan)
-
+    pp = arr.reshape(-1)
     q = pp - 0.5
-    central = np.abs(q) <= 0.425
-    if np.any(central):
-        r = 0.180625 - q[central] * q[central]
-        out[central] = q[central] * np.polyval(_A, r) / np.polyval(_B, r)
+    with np.errstate(all="ignore"):
+        r = q * q
+        np.subtract(0.180625, r, out=r)
+        out = _horner(_A, r)
+        out *= q
+        out /= _horner(_B, r)
 
-    tail = (~central) & (pp > 0.0) & (pp < 1.0)
-    if np.any(tail):
-        qt = q[tail]
-        r = np.where(qt < 0.0, pp[tail], 1.0 - pp[tail])
-        r = np.sqrt(-np.log(r))
-        near = r <= 5.0
-        val = np.empty_like(r)
-        if np.any(near):
-            rn = r[near] - 1.6
-            val[near] = np.polyval(_C, rn) / np.polyval(_D, rn)
-        if np.any(~near):
-            rf = r[~near] - 5.0
-            val[~near] = np.polyval(_E, rf) / np.polyval(_F, rf)
-        out[tail] = np.where(qt < 0.0, -val, val)
+        tail = np.flatnonzero(np.abs(q) > 0.425)
+        if tail.size:
+            qt, pt = q[tail], pp[tail]
+            lower = qt < 0.0
+            r = np.where(lower, pt, 1.0 - pt)
+            np.log(r, out=r)
+            np.negative(r, out=r)
+            np.sqrt(r, out=r)
+            near = r <= 5.0
+            val = np.empty_like(r)
+            i = np.flatnonzero(near)
+            if i.size:
+                rn = r[i] - 1.6
+                val[i] = _horner(_C, rn) / _horner(_D, rn)
+            i = np.flatnonzero(~near)
+            if i.size:
+                rf = r[i] - 5.0
+                val[i] = _horner(_E, rf) / _horner(_F, rf)
+            np.negative(val, out=val, where=lower)
+            out[tail] = val
 
     out[pp == 0.0] = -np.inf
     out[pp == 1.0] = np.inf
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def _positive_stable(alpha: float, rng: RngStream, n: int) -> np.ndarray:
@@ -136,36 +161,46 @@ def sample_copula(family: str, theta: float, n: int, d: int, rng: RngStream) -> 
         if theta <= 0.0:
             raise ValueError("Clayton requires theta > 0")
         v = rng.standard_gamma(1.0 / theta, n)
-        e = rng.exponentials((n, d))
-        u = (1.0 + e / v[:, None]) ** (-1.0 / theta)
+        u = rng.exponentials((n, d))
+        u /= v[:, None]
+        u += 1.0
+        u **= -1.0 / theta
     elif family == "Gumbel":
         if theta < 1.0:
             raise ValueError("Gumbel requires theta >= 1")
         if theta == 1.0:
             # psi(t) = exp(-t): independent uniforms
-            e = rng.exponentials((n, d))
-            u = np.exp(-e)
+            u = rng.exponentials((n, d))
         else:
             alpha = 1.0 / theta
             v = _positive_stable(alpha, rng, n)
-            e = rng.exponentials((n, d))
-            u = np.exp(-((e / v[:, None]) ** alpha))
+            u = rng.exponentials((n, d))
+            u /= v[:, None]
+            u **= alpha
+        np.negative(u, out=u)
+        np.exp(u, out=u)
     else:
         raise ValueError(f"unknown copula family {family!r}")
     lo = np.nextafter(0.0, 1.0)
     hi = np.nextafter(1.0, 0.0)
-    return np.clip(u, lo, hi)
+    return np.clip(u, lo, hi, out=u)
 
 
 def portfolio_loss(u: np.ndarray, weights, margin_quantile) -> np.ndarray:
     """Aggregate losses L_i = -sum_j w_j (exp(X_ij) - 1) with X = margin_quantile(U).
 
-    ``weights`` is recycled cyclically to the number of margins.
+    ``weights`` is recycled cyclically to the number of margins.  The margins'
+    array is overwritten; one that shares memory with ``u`` or is read-only
+    is copied first.
     """
     n, d = u.shape
     w = np.resize(np.asarray(weights, dtype=float), d)
-    x = margin_quantile(u)
-    return -(np.expm1(x) * w).sum(axis=1)
+    x = np.asarray(margin_quantile(u), dtype=float)
+    if not x.flags.writeable or np.may_share_memory(x, u):
+        x = x.copy()
+    np.expm1(x, out=x)
+    x *= w
+    return -x.sum(axis=1)
 
 
 def quantile_type7(sample, probs):

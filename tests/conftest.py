@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import random
 
 import numpy as np
@@ -49,6 +50,13 @@ def scalar_varlist(n_sim: int = 2) -> VarList:
 @register_study("square")
 def square_study(params, rng, warn):
     return float(params["x"]) ** 2
+
+
+def chatty_study(params, rng, warn):
+    """Writes to standard output at the Python and the file-descriptor level."""
+    print(f"chatty: x={params['x']}")
+    os.write(1, b"chatty: raw write on fd 1\n")
+    return float(params["x"]) + rng.uniform()
 
 
 def random_store(rng: random.Random, force_kind: str | None = None):

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import poly_study, scalar_varlist, square_study, tiny_varlist
+from conftest import (chatty_study, poly_noisy, poly_study, scalar_varlist,
+                      square_study, tiny_varlist)
 
 from mcgrid import (Block, ExecutionError, ProcessPool, ProtocolError,
                     RawFallback, SeedSpec, Sequential, ThreadPool, VirtualIndex,
                     do_call_we, do_res_equal, linear_of, partition_blocks,
-                    run_study, virtual_index)
+                    run_study, seed_for, virtual_index)
+from mcgrid import executor
 from mcgrid.executor import (WORKER_FLAG, encode_frame, read_frame, run_task,
                              subjob, worker_main)
 from mcgrid.seeding import RngStream
@@ -331,3 +333,51 @@ class TestProcessBackend:
 
     def test_worker_flag_constant(self):
         assert WORKER_FLAG == "--worker"
+
+    def test_printing_study_matches_sequential(self, capfd):
+        vl = scalar_varlist(n_sim=4)
+        base = run_study(vl, chatty_study, keep_seed=True)
+        res = run_study(vl, chatty_study, keep_seed=True, backend=ProcessPool(2))
+        cmp = do_res_equal(base, res)
+        assert cmp, cmp.report
+        assert "chatty: x=3" in capfd.readouterr().err  # workers' prints go to stderr
+
+
+def first_uniform(params, rng, warn):
+    return rng.uniform()
+
+
+class TestSeedMemo:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def counting(spec, rep):
+            seen.append(rep)
+            return seed_for(spec, rep)
+
+        monkeypatch.setattr(executor, "seed_for", counting)
+        return seen
+
+    @pytest.mark.parametrize("backend", [Sequential(), ThreadPool(2, block_size=2),
+                                         ProcessPool(2, block_size=2)])
+    def test_one_derivation_per_replication(self, calls, backend):
+        vl = tiny_varlist(n_sim=4)
+        res = run_study(vl, poly_noisy, keep_seed=True, backend=backend)
+        assert calls == [1, 2, 3, 4]
+        for row in range(4):
+            for rep in range(1, 5):
+                assert res.record(row, rep).seed == seed_for(SeedSpec.seq(), rep).to_hex()
+
+    @pytest.mark.parametrize("seed", [SeedSpec.seq(), SeedSpec.per_rep_integer([9, 8]),
+                                      SeedSpec.unseeded()])
+    def test_direct_subjob_derives_its_seed(self, seed):
+        vidx = VirtualIndex(linear=1, row=0, rep=2)
+        direct = subjob(vidx, {"x": 3}, {}, seed, True, first_uniform)
+        given = subjob(vidx, {"x": 3}, {}, seed, True, first_uniform,
+                       state=seed_for(seed, 2))
+        if seed.kind == "unseeded":
+            assert direct.seed is None and given.seed is None
+        else:
+            assert direct.seed == given.seed == seed_for(seed, 2).to_hex()
+            assert direct.value == given.value

@@ -10,6 +10,7 @@ import scipy.special
 import scipy.stats
 
 from mcgrid import RngStream, derive_state
+from mcgrid import var_copula as vc
 from mcgrid.var_copula import (huber_mean, itau, mad, portfolio_loss,
                                quantile_type7, sample_copula,
                                std_normal_quantile, _positive_stable)
@@ -247,3 +248,158 @@ class TestEndToEndCell:
             vals.append(quantile_type7(losses, 0.99))
         center = huber_mean(np.array(vals))
         assert 3.9 < center < 4.9
+
+
+# ---------------------------------------------------------------------------
+# bit identity of the in-place kernels against their out-of-place forms
+
+def ndtri_polyval(p):
+    """Reference AS 241 evaluation: np.polyval over masked copies per branch."""
+    arr = np.asarray(p, dtype=float)
+    scalar = arr.ndim == 0
+    pp = np.atleast_1d(arr).astype(float)
+    out = np.full(pp.shape, np.nan)
+    q = pp - 0.5
+    central = np.abs(q) <= 0.425
+    if np.any(central):
+        r = 0.180625 - q[central] * q[central]
+        out[central] = (q[central] * np.polyval(vc._A, r)
+                        / np.polyval(vc._B, r))
+    tail = (~central) & (pp > 0.0) & (pp < 1.0)
+    if np.any(tail):
+        qt = q[tail]
+        r = np.where(qt < 0.0, pp[tail], 1.0 - pp[tail])
+        r = np.sqrt(-np.log(r))
+        near = r <= 5.0
+        val = np.empty_like(r)
+        if np.any(near):
+            rn = r[near] - 1.6
+            val[near] = np.polyval(vc._C, rn) / np.polyval(vc._D, rn)
+        if np.any(~near):
+            rf = r[~near] - 5.0
+            val[~near] = np.polyval(vc._E, rf) / np.polyval(vc._F, rf)
+        out[tail] = np.where(qt < 0.0, -val, val)
+    out[pp == 0.0] = -np.inf
+    out[pp == 1.0] = np.inf
+    return float(out[0]) if scalar else out.reshape(arr.shape)
+
+
+def _around(x, k=3):
+    """x and its k nearest floats on either side."""
+    lo = hi = x
+    out = [x]
+    for _ in range(k):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out
+
+
+class OutOfPlaceStream:
+    """The same draws as an RngStream, computed with fresh temporaries."""
+
+    def __init__(self, rng: RngStream):
+        self._rng = rng
+
+    def uniforms(self, size):
+        n = int(np.prod(size)) if not np.isscalar(size) else int(size)
+        raw = self._rng._bg.random_raw(n)
+        return (((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53).reshape(size)
+
+    def exponentials(self, size):
+        return -np.log1p(-self.uniforms(size))
+
+    def standard_gamma(self, shape, size):
+        return self._rng.standard_gamma(shape, size)
+
+
+def copula_out_of_place(family, theta, n, d, rng):
+    if family == "Clayton":
+        v = rng.standard_gamma(1.0 / theta, n)
+        e = rng.exponentials((n, d))
+        u = (1.0 + e / v[:, None]) ** (-1.0 / theta)
+    elif theta == 1.0:
+        u = np.exp(-rng.exponentials((n, d)))
+    else:
+        alpha = 1.0 / theta
+        v = _positive_stable(alpha, rng, n)
+        e = rng.exponentials((n, d))
+        u = np.exp(-((e / v[:, None]) ** alpha))
+    return np.clip(u, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+
+
+class TestBitIdentity:
+    EDGES = [0.0, -0.0, 1.0, np.nan, -0.1, 1.1, np.inf, -np.inf, 1e300,
+             1e-300, 5e-324, 1 - 1e-16, *_around(0.075), *_around(0.925),
+             *_around(0.5), *_around(math.exp(-25.0)), *_around(1 - math.exp(-25.0))]
+
+    def test_quantile_dense_grid(self):
+        p = np.concatenate([np.linspace(0.0, 1.0, 200_001),
+                            np.random.default_rng(11).random(100_000),
+                            np.logspace(-320, -1, 5_000)])
+        assert np.array_equal(std_normal_quantile(p), ndtri_polyval(p), equal_nan=True)
+
+    def test_quantile_edges(self):
+        p = np.array(self.EDGES)
+        assert np.array_equal(std_normal_quantile(p), ndtri_polyval(p), equal_nan=True)
+
+    def test_quantile_edges_as_scalars(self):
+        for x in self.EDGES:
+            got, want = std_normal_quantile(x), ndtri_polyval(x)
+            assert isinstance(got, float)
+            assert got == want or (math.isnan(got) and math.isnan(want)), x
+
+    def test_quantile_shapes(self):
+        grid = np.random.default_rng(12).random((64, 37))
+        grid.flat[:len(self.EDGES)] = self.EDGES
+        for p in (0.3, np.array(0.97), grid, np.asfortranarray(grid), grid[:, ::3],
+                  np.array([]), [0.1, 0.9]):
+            got, want = std_normal_quantile(p), ndtri_polyval(p)
+            assert np.shape(got) == np.shape(want)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want, equal_nan=True)
+
+    def test_quantile_leaves_input_alone(self):
+        p = np.array([0.01, 0.5, 0.99])
+        std_normal_quantile(p)
+        assert p.tolist() == [0.01, 0.5, 0.99]
+
+    def test_uniforms_and_exponentials(self):
+        for size in (7, (33, 5)):
+            a, b = RngStream.from_integer(21), RngStream.from_integer(21)
+            assert np.array_equal(a.uniforms(size), OutOfPlaceStream(b).uniforms(size))
+            assert np.array_equal(a.exponentials(size),
+                                  OutOfPlaceStream(b).exponentials(size))
+
+    @pytest.mark.parametrize("family", ["Clayton", "Gumbel"])
+    @pytest.mark.parametrize("tau", [0.25, 0.5])
+    def test_sample_copula(self, family, tau):
+        theta = itau(family, tau)
+        for n, d in ((1, 1), (64, 5), (256, 500)):
+            got = sample_copula(family, theta, n, d, RngStream.from_integer(31))
+            want = copula_out_of_place(family, theta, n, d,
+                                       OutOfPlaceStream(RngStream.from_integer(31)))
+            assert np.array_equal(got, want)
+
+    def test_sample_copula_gumbel_independence(self):
+        got = sample_copula("Gumbel", 1.0, 128, 20, RngStream.from_integer(32))
+        want = copula_out_of_place("Gumbel", 1.0, 128, 20,
+                                   OutOfPlaceStream(RngStream.from_integer(32)))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("weights", [[1.0], [0.5, 1.5, 2.0], 3.0])
+    def test_portfolio_loss(self, weights):
+        u = sample_copula("Clayton", 2.0, 256, 100, RngStream.from_integer(33))
+        w = np.resize(np.asarray(weights, dtype=float), 100)
+        want = -(np.expm1(ndtri_polyval(u)) * w).sum(axis=1)
+        assert np.array_equal(portfolio_loss(u, weights, std_normal_quantile), want)
+
+    def test_portfolio_loss_does_not_write_shared_margins(self):
+        u = RngStream.from_integer(34).uniforms((16, 4))
+        before = u.copy()
+        got = portfolio_loss(u, [1.0], lambda x: x)
+        assert np.array_equal(u, before)
+        assert np.array_equal(got, -np.expm1(before).sum(axis=1))
+        frozen = np.full((16, 4), 0.25)
+        frozen.flags.writeable = False
+        portfolio_loss(u, [1.0], lambda x: frozen)
+        assert np.all(frozen == 0.25)
