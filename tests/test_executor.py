@@ -20,6 +20,7 @@ from mcgrid import executor
 from mcgrid.executor import (WORKER_FLAG, encode_frame, read_frame, run_task,
                              subjob, worker_main)
 from mcgrid.seeding import RngStream
+from mcgrid.var_copula import probe_first_uniform
 
 
 class TestDoCallWe:
@@ -343,10 +344,6 @@ class TestProcessBackend:
         assert "chatty: x=3" in capfd.readouterr().err  # workers' prints go to stderr
 
 
-def first_uniform(params, rng, warn):
-    return rng.uniform()
-
-
 class TestSeedMemo:
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -373,8 +370,8 @@ class TestSeedMemo:
                                       SeedSpec.unseeded()])
     def test_direct_subjob_derives_its_seed(self, seed):
         vidx = VirtualIndex(linear=1, row=0, rep=2)
-        direct = subjob(vidx, {"x": 3}, {}, seed, True, first_uniform)
-        given = subjob(vidx, {"x": 3}, {}, seed, True, first_uniform,
+        direct = subjob(vidx, {"x": 3}, {}, seed, True, probe_first_uniform)
+        given = subjob(vidx, {"x": 3}, {}, seed, True, probe_first_uniform,
                        state=seed_for(seed, 2))
         if seed.kind == "unseeded":
             assert direct.seed is None and given.seed is None
