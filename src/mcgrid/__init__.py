@@ -14,7 +14,7 @@ from .analysis import (FlatTable, LabeledArray, LongTable, array2df, collapse,
                        varlist_to_latex)
 from .executor import (BackendSpec, Block, ExecutionError, ProcessPool,
                        ProtocolError, Sequential, ThreadPool, VirtualIndex,
-                       default_timer, do_call_we, linear_of, partition_blocks,
+                       do_call_we, linear_of, partition_blocks,
                        run_study, stderr_monitor, virtual_index, worker_main)
 from .plot import BoxStats, PlotSpec, boxplot_stats, mayplot_svg
 from .registry import get_study, register_study, study_name
@@ -25,19 +25,19 @@ from .results import (CacheInvalidError, ErrorInfo, RawFallback, ResComparison,
 from .seeding import (RngStream, SeedSpec, StreamState, ambient_stream,
                       derive_state, derive_streams, seed_for)
 from .varlist import (PhysicalGrid, VarList, VarSpec, format_levels, mk_grid,
-                      non_grid_args, result_dims)
+                      non_grid_args)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "VarSpec", "VarList", "PhysicalGrid", "mk_grid", "result_dims",
+    "VarSpec", "VarList", "PhysicalGrid", "mk_grid",
     "non_grid_args", "format_levels",
     "StreamState", "RngStream", "SeedSpec", "seed_for", "derive_state",
     "derive_streams", "ambient_stream",
     "register_study", "get_study", "study_name",
     "run_study", "BackendSpec", "Sequential", "ThreadPool", "ProcessPool",
     "VirtualIndex", "virtual_index", "linear_of", "Block", "partition_blocks",
-    "do_call_we", "default_timer", "stderr_monitor", "worker_main",
+    "do_call_we", "stderr_monitor", "worker_main",
     "ExecutionError", "ProtocolError",
     "SubJobRecord", "ErrorInfo", "ResultStore", "RawFallback", "StoreMeta",
     "assemble", "save", "load", "maybe_read", "do_res_equal", "ResComparison",

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .results import RawFallback, ResultStore
-from .varlist import VarList
+from .varlist import VarList, unravel
 
 __all__ = ["LabeledArray", "get_array", "array2df", "LongTable", "ftable",
            "FlatTable", "to_latex_table", "varlist_to_latex", "to_csv",
@@ -105,15 +105,17 @@ def get_array(store: ResultStore, component: str = "value", map_fn=None,
     vl = store.meta.varlist
     store_sizes = tuple(len(labels) for _, labels in store.dims)
 
+    # records are in odometer order (first dimension fastest), which is
+    # Fortran order over the store dims
     if component == "value":
         inner = [(s.name, s.level_labels()) for s in vl.specs if s.vtype == "inner"]
         inner_shape = tuple(len(lab) for _, lab in inner)
-        data = np.full(inner_shape + store_sizes, float(err_value), dtype=float)
+        data = np.full(inner_shape + (len(store.records),), float(err_value), dtype=float)
         for i, rec in enumerate(store.records):
-            multi = _unravel_first_fastest(i, store_sizes)
             if rec.value is not None:
-                data[(Ellipsis,) + multi] = rec.value
-        return LabeledArray(dims=tuple(inner) + store.dims, data=data)
+                data[..., i] = rec.value
+        return LabeledArray(dims=tuple(inner) + store.dims,
+                            data=data.reshape(inner_shape + store_sizes, order="F"))
 
     if component == "error":
         cell = map_fn if map_fn is not None else (lambda r: r.error is not None)
@@ -125,18 +127,8 @@ def get_array(store: ResultStore, component: str = "value", map_fn=None,
         raise ValueError(f"unknown component {component!r}")
 
     cells = [cell(rec) for rec in store.records]
-    data = np.empty(store_sizes, dtype=np.asarray(cells[0]).dtype if cells else float)
-    for i, v in enumerate(cells):
-        data[_unravel_first_fastest(i, store_sizes)] = v
-    return LabeledArray(dims=store.dims, data=data)
-
-
-def _unravel_first_fastest(i: int, sizes: tuple[int, ...]) -> tuple[int, ...]:
-    multi = []
-    for size in sizes:
-        multi.append(i % size)
-        i //= size
-    return tuple(multi)
+    data = np.asarray(cells, dtype=np.asarray(cells[0]).dtype if cells else float)
+    return LabeledArray(dims=store.dims, data=data.reshape(store_sizes, order="F"))
 
 
 @dataclass
@@ -153,7 +145,7 @@ def array2df(arr: LabeledArray, value_name: str = "value") -> LongTable:
     total = int(np.prod(sizes)) if sizes else 1
     rows = []
     for i in range(total):
-        multi = _unravel_first_fastest(i, sizes)
+        multi = unravel(i, sizes)
         labels = tuple(arr.dims[k][1][multi[k]] for k in range(len(sizes)))
         cell = arr.data[multi]
         rows.append(labels + (cell.item() if isinstance(cell, np.generic) else cell,))
@@ -227,13 +219,9 @@ def ftable(arr: LabeledArray, row_vars, col_vars) -> FlatTable:
     n_cols = math.prod(col_sizes)
     nrv = len(row_vars)
 
-    def decode(i: int, sizes: list[int]) -> list[int]:
-        # last variable varies fastest
-        out = [0] * len(sizes)
-        for k in range(len(sizes) - 1, -1, -1):
-            out[k] = i % sizes[k]
-            i //= sizes[k]
-        return out
+    def decode(i: int, sizes: list[int]) -> tuple[int, ...]:
+        # last variable varies fastest: the odometer over the reversed sizes
+        return unravel(i, sizes[::-1])[::-1]
 
     # body: row labels with suppression, then data cells
     body: list[list[str]] = []

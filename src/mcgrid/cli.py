@@ -234,6 +234,16 @@ def _load_store(path: str):
     return res
 
 
+def _component_array(store, component: str, err_value: float = math.nan):
+    """The component ``analyze`` and ``plot`` report: values (errored cells
+    set to ``err_value``), error and warning counts, or milliseconds."""
+    if component == "error":
+        return get_array(store, "error", map_fn=lambda r: int(r.error is not None))
+    if component == "warning":
+        return get_array(store, "warning", map_fn=lambda r: len(r.warnings))
+    return get_array(store, component, err_value=err_value)
+
+
 def cmd_analyze(args) -> int:
     from .analysis import collapse
 
@@ -241,16 +251,7 @@ def cmd_analyze(args) -> int:
     rows, cols = _split_vars(args.rows), _split_vars(args.cols)
     rep_name = store.meta.varlist.n_sim_name
 
-    if args.component == "value":
-        arr = get_array(store, "value", err_value=args.err_value)
-    elif args.component in ("error", "warning"):
-        if args.component == "error":
-            arr = get_array(store, "error", map_fn=lambda r: int(r.error is not None))
-        else:
-            arr = get_array(store, "warning", map_fn=lambda r: len(r.warnings))
-    else:
-        arr = get_array(store, "time")
-
+    arr = _component_array(store, args.component, args.err_value)
     listed = set(rows) | set(cols)
     for name in [n for n in arr.dim_names if n not in listed]:
         if args.component == "value":
@@ -292,14 +293,7 @@ def _format_ms(arr):
 
 def cmd_plot(args) -> int:
     store = _load_store(args.results)
-    if args.component == "value":
-        arr = get_array(store, "value")
-    elif args.component == "error":
-        arr = get_array(store, "error", map_fn=lambda r: int(r.error is not None))
-    elif args.component == "warning":
-        arr = get_array(store, "warning", map_fn=lambda r: len(r.warnings))
-    else:
-        arr = get_array(store, "time")
+    arr = _component_array(store, args.component)
     for cut in args.slice:
         name, sep, label = cut.partition("=")
         if not sep:

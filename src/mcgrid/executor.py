@@ -6,25 +6,33 @@ grid row consecutively (linear = row * n_sim + rep - 1); ``rep_first=False``
 interleaves rows within a replication (linear = (rep - 1) * n_G + row).
 
 Work is partitioned into blocks of ``block_size`` consecutive replications of
-a single grid row (``block_size`` must divide ``n_sim``).  Three backends run
-the blocks: in-process sequentially, on a thread pool, or on spawned worker
-processes speaking a length-prefixed frame protocol over their standard pipes.
-With load balancing (default) blocks are pulled from a shared queue as workers
-become free; without it they are pre-assigned round-robin.  Either way the
-assembled results are identical for deterministic studies; only timing fields
-may differ.
+a single grid row (``block_size`` must divide ``n_sim``).  One scheduler hands
+the blocks to slots that each execute one block at a time: the calling thread
+(sequential), one thread per slot (thread pool), or one thread per spawned
+worker process, which runs the same block path behind a frame protocol on its
+standard pipes.  With load balancing (default) blocks are pulled from a shared
+queue as slots become free; without it they are pre-assigned round-robin.
+Either way the assembled results are identical for deterministic studies;
+only timing fields may differ.  Once any slot fails, no slot takes a new
+block.
 
 Frame protocol: 4-byte big-endian payload length, then the payload, a
 canonical-JSON document (the same text family as the result files).  Frames
-above 64 MiB are a protocol error.  A worker that dies mid-run aborts the run
-with a diagnostic; there is no mid-run respawn or retry.
+above 64 MiB are a protocol error.  The parent sends each worker one
+``setup`` frame (study name, grid names and levels, the common arguments,
+seed kind, flags, ``n_sim`` and the virtual order), from which the worker
+builds its run context once.  Then each ``task`` frame carries only a block's
+coordinates and its replications' seed states, and the worker answers with a
+``result`` frame holding the block's records in order.  A ``shutdown`` frame
+or end of input ends the worker cleanly.  A worker that dies mid-run aborts
+the run with a diagnostic; there is no mid-run respawn or retry.
 """
 
 from __future__ import annotations
 
 import json
+import functools
 import os
-import queue
 import struct
 import subprocess
 import sys
@@ -38,8 +46,8 @@ from . import registry
 from .results import (ErrorInfo, RawFallback, ResultStore, SubJobRecord,
                       assemble, canonical_json, maybe_read, save,
                       study_fingerprint)
-from .seeding import RngStream, SeedSpec, ambient_stream, seed_for
-from .varlist import VarList, mk_grid, non_grid_args
+from .seeding import RngStream, SeedSpec, StreamState, ambient_stream, seed_for
+from .varlist import VarList, VarSpec, mk_grid, non_grid_args, ravel, unravel
 
 MAX_FRAME = 64 * 1024 * 1024
 WORKER_FLAG = "--worker"
@@ -51,11 +59,6 @@ class ProtocolError(RuntimeError):
 
 class ExecutionError(RuntimeError):
     """A backend failed (worker death, unusable study for the backend, ...)."""
-
-
-def default_timer() -> float:
-    """Monotonic wall clock in milliseconds."""
-    return time.perf_counter_ns() / 1e6
 
 
 def stderr_monitor(vidx: "VirtualIndex", record: SubJobRecord) -> None:
@@ -76,8 +79,10 @@ def virtual_index(linear: int, n_G: int, n_sim: int, rep_first: bool) -> Virtual
     if not 0 <= linear < n_G * n_sim:
         raise IndexError(f"linear index {linear} out of range [0, {n_G * n_sim})")
     if rep_first:
-        return VirtualIndex(linear, linear // n_sim, linear % n_sim + 1)
-    return VirtualIndex(linear, linear % n_G, linear // n_G + 1)
+        rep, row = unravel(linear, (n_sim, n_G))
+    else:
+        row, rep = unravel(linear, (n_G, n_sim))
+    return VirtualIndex(linear, row, rep + 1)
 
 
 def linear_of(row: int, rep: int, n_G: int, n_sim: int, rep_first: bool) -> int:
@@ -85,7 +90,9 @@ def linear_of(row: int, rep: int, n_G: int, n_sim: int, rep_first: bool) -> int:
         raise IndexError(f"grid row {row} out of range [0, {n_G})")
     if not 1 <= rep <= n_sim:
         raise IndexError(f"replication {rep} out of range [1, {n_sim}]")
-    return row * n_sim + rep - 1 if rep_first else (rep - 1) * n_G + row
+    if rep_first:
+        return ravel((rep - 1, row), (n_sim, n_G))
+    return ravel((row, rep - 1), (n_G, n_sim))
 
 
 @dataclass(frozen=True)
@@ -116,38 +123,25 @@ def partition_blocks(n_G: int, n_sim: int, block_size: int, rep_first: bool) -> 
 # ---------------------------------------------------------------------------
 # harness
 
-def do_call_we(study_fn, params: dict, rng, timer=None):
+def do_call_we(study_fn, params: dict, rng):
     """Call the study function capturing value/error/warnings/time.
 
     Nothing escapes: exceptions become error records, warnings emitted through
     the sink are collected in order, and the timing covers exactly the call.
-    Faults in the harness itself are tagged "harness".
     """
-    timer = timer or default_timer
     warnings_list: list[str] = []
 
     def warn(message):
         warnings_list.append(str(message))
 
-    try:
-        t0 = timer()
-    except Exception as exc:
-        return None, ErrorInfo(f"timer failed: {exc}", "harness"), tuple(warnings_list), 0.0
-
     value = None
     error = None
+    t0 = time.perf_counter_ns()
     try:
         value = study_fn(params, rng, warn)
     except Exception as exc:
         error = ErrorInfo(str(exc) or type(exc).__name__, type(exc).__name__)
-
-    try:
-        t1 = timer()
-        time_ms = float(t1 - t0)
-        if not (time_ms >= 0.0 and np.isfinite(time_ms)):
-            time_ms = 0.0
-    except Exception as exc:
-        return None, ErrorInfo(f"timer failed: {exc}", "harness"), tuple(warnings_list), 0.0
+    time_ms = (time.perf_counter_ns() - t0) / 1e6
 
     if error is None:
         try:
@@ -168,8 +162,7 @@ _DERIVE = object()
 
 
 def subjob(vidx: VirtualIndex, row_params: dict, base_args: dict, seed_spec: SeedSpec,
-           keep_seed: bool, study_fn, timer=None, monitor=None, *,
-           state=_DERIVE) -> SubJobRecord:
+           keep_seed: bool, study_fn, monitor=None, *, state=_DERIVE) -> SubJobRecord:
     """Run one sub-job: seed, call through the harness, record.
 
     ``state`` is ``seed_for(seed_spec, vidx.rep)`` when the caller has already
@@ -185,12 +178,35 @@ def subjob(vidx: VirtualIndex, row_params: dict, base_args: dict, seed_spec: See
     else:
         rng = RngStream.from_state(state)
         seed_hex = state.to_hex() if keep_seed else None
-    value, error, warnings, time_ms = do_call_we(study_fn, params, rng, timer)
+    value, error, warnings, time_ms = do_call_we(study_fn, params, rng)
     rec = SubJobRecord(value=value, error=error, warnings=warnings,
                        time_ms=time_ms, seed=seed_hex)
     if monitor is not None:
         monitor(vidx, rec)
     return rec
+
+
+@dataclass
+class _RunContext:
+    """Everything a block needs, built once per run (or per worker process)."""
+
+    grid: object
+    n_G: int
+    n_sim: int
+    rep_first: bool
+    base_args: dict
+    seed: SeedSpec
+    states: list  # seed_for(seed, rep) at index rep - 1
+    keep_seed: bool
+    study_fn: object
+    monitor: object
+
+
+def _run_block(ctx: _RunContext, block: Block) -> list[tuple[int, SubJobRecord]]:
+    row_params = ctx.grid.row_params(block.row)
+    return [(vidx.linear, subjob(vidx, row_params, ctx.base_args, ctx.seed, ctx.keep_seed,
+                                 ctx.study_fn, ctx.monitor, state=ctx.states[vidx.rep - 1]))
+            for vidx in block.indices(ctx.n_G, ctx.n_sim, ctx.rep_first)]
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +247,8 @@ _run_active = threading.Lock()
 
 def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
               backend: BackendSpec | None = None, cache_path=None,
-              keep_seed: bool = False, monitor=None, rep_first: bool = True,
-              timer=None) -> ResultStore | RawFallback:
+              keep_seed: bool = False, monitor=None,
+              rep_first: bool = True) -> ResultStore | RawFallback:
     """Run the whole virtual grid and assemble (and optionally persist) results.
 
     When ``cache_path`` names an existing file whose fingerprint matches this
@@ -268,14 +284,13 @@ def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
         states = [seed_for(seed, rep) for rep in range(1, n_sim + 1)]
         ctx = _RunContext(grid=grid, n_G=n_G, n_sim=n_sim, rep_first=rep_first,
                           base_args=base_args, seed=seed, states=states,
-                          keep_seed=keep_seed, study_fn=study_fn, timer=timer,
-                          monitor=monitor)
-        if backend.kind == "sequential":
-            records = _run_sequential(ctx, blocks)
-        elif backend.kind == "threads":
-            records = _run_threads(ctx, blocks, backend)
-        else:
+                          keep_seed=keep_seed, study_fn=study_fn, monitor=monitor)
+        if backend.kind == "processes":
             records = _run_processes(ctx, blocks, backend)
+        else:
+            slots = 1 if backend.kind == "sequential" else backend.workers
+            records = _run_pool(n_G * n_sim, blocks, backend.load_balancing,
+                                [functools.partial(_run_block, ctx)] * slots)
     finally:
         _run_active.release()
 
@@ -286,94 +301,57 @@ def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
     return result
 
 
-@dataclass
-class _RunContext:
-    grid: object
-    n_G: int
-    n_sim: int
-    rep_first: bool
-    base_args: dict
-    seed: SeedSpec
-    states: list  # seed_for(seed, rep) at index rep - 1
-    keep_seed: bool
-    study_fn: object
-    timer: object
-    monitor: object
+def _run_pool(n_records: int, blocks: list[Block], load_balancing: bool,
+              slots: list) -> list[SubJobRecord]:
+    """Execute every block on ``slots``, callables that each run one block at
+    a time and return its ``(linear index, record)`` pairs.
 
-
-def _run_block(ctx: _RunContext, block: Block) -> list[tuple[int, SubJobRecord]]:
-    out = []
-    row_params = ctx.grid.row_params(block.row)
-    for vidx in block.indices(ctx.n_G, ctx.n_sim, ctx.rep_first):
-        rec = subjob(vidx, row_params, ctx.base_args, ctx.seed, ctx.keep_seed,
-                     ctx.study_fn, ctx.timer, ctx.monitor, state=ctx.states[vidx.rep - 1])
-        out.append((vidx.linear, rec))
-    return out
-
-
-def _run_sequential(ctx: _RunContext, blocks: list[Block]) -> list[SubJobRecord]:
-    slots: list[SubJobRecord | None] = [None] * (ctx.n_G * ctx.n_sim)
-    for block in blocks:
-        for linear, rec in _run_block(ctx, block):
-            slots[linear] = rec
-    return slots
-
-
-def _run_threads(ctx: _RunContext, blocks: list[Block], backend: BackendSpec) -> list[SubJobRecord]:
-    slots: list[SubJobRecord | None] = [None] * (ctx.n_G * ctx.n_sim)
-    slot_lock = threading.Lock()
+    A single slot runs on the calling thread, more run on one thread each.
+    ``next_block(slot)`` pulls from a shared queue with load balancing and
+    from the slot's round-robin share without.  Once any slot fails, no slot
+    takes a new block; the first failure is raised after every slot stopped.
+    """
+    records: list[SubJobRecord | None] = [None] * n_records
     failures: list[BaseException] = []
-
-    def consume(pulled: list[tuple[int, SubJobRecord]]):
-        with slot_lock:
-            for linear, rec in pulled:
-                slots[linear] = rec
-
-    if backend.load_balancing:
-        q: queue.Queue = queue.Queue()
-        for b in blocks:
-            q.put(b)
-
-        def work():
-            try:
-                while True:
-                    try:
-                        b = q.get_nowait()
-                    except queue.Empty:
-                        return
-                    consume(_run_block(ctx, b))
-            except BaseException as exc:  # harness bugs must not hang the run
-                failures.append(exc)
-
-        threads = [threading.Thread(target=work, name=f"mcgrid-worker-{i}")
-                   for i in range(backend.workers)]
+    lock = threading.Lock()
+    if load_balancing:
+        shared = iter(blocks)
+        queues = [shared] * len(slots)
     else:
-        assigned: list[list[Block]] = [[] for _ in range(backend.workers)]
-        for i, b in enumerate(blocks):
-            assigned[i % backend.workers].append(b)
+        queues = [iter(blocks[i::len(slots)]) for i in range(len(slots))]
 
-        def work_static(mine: list[Block]):
-            try:
-                for b in mine:
-                    consume(_run_block(ctx, b))
-            except BaseException as exc:
+    def next_block(slot: int) -> Block | None:
+        with lock:
+            return None if failures else next(queues[slot], None)
+
+    def drive(slot: int) -> None:
+        try:
+            while (block := next_block(slot)) is not None:
+                for linear, rec in slots[slot](block):
+                    records[linear] = rec
+        except BaseException as exc:  # re-raised below, once every slot stopped
+            with lock:
                 failures.append(exc)
 
-        threads = [threading.Thread(target=work_static, args=(mine,),
-                                    name=f"mcgrid-worker-{i}")
-                   for i, mine in enumerate(assigned)]
-
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    if len(slots) == 1:
+        drive(0)
+    else:
+        threads = [threading.Thread(target=drive, args=(i,), name=f"mcgrid-slot-{i}")
+                   for i in range(len(slots))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
     if failures:
-        raise ExecutionError(f"thread worker failed: {failures[0]!r}") from failures[0]
-    return slots
+        exc = failures[0]
+        if isinstance(exc, (ExecutionError, ProtocolError)) or not isinstance(exc, Exception):
+            raise exc
+        raise ExecutionError(f"backend slot failed: {exc!r}") from exc
+    return records
 
 
 # ---------------------------------------------------------------------------
-# frame protocol
+# frame protocol and process workers
 
 def encode_frame(doc: dict) -> bytes:
     payload = canonical_json(doc).encode("utf-8")
@@ -401,54 +379,37 @@ def read_frame(stream) -> dict | None:
     return json.loads(payload.decode("utf-8"))
 
 
-def _task_doc(ctx: _RunContext, block: Block, study: str, monitor: bool,
-              seed_hex: list) -> dict:
-    seeds = seed_hex[block.rep_start - 1:block.rep_start - 1 + block.size]
+def _setup_doc(ctx: _RunContext, study: str) -> dict:
+    grid = ctx.grid
     return {
-        "tag": "task",
+        "tag": "setup",
         "study": study,
-        "block": {"row": block.row, "rep_start": block.rep_start, "size": block.size},
-        "n_G": ctx.n_G,
-        "n_sim": ctx.n_sim,
-        "rep_first": ctx.rep_first,
-        "row_params": ctx.grid.row_params(block.row),
+        "grid": [[name, list(levels)] for name, levels in zip(grid.var_names, grid.level_values)],
         "base_args": ctx.base_args,
         "seed_kind": ctx.seed.kind,
-        "seeds": seeds,
         "keep_seed": ctx.keep_seed,
-        "monitor": monitor,
+        "monitor": ctx.monitor is not None,
+        "n_sim": ctx.n_sim,
+        "rep_first": ctx.rep_first,
     }
 
 
-def run_task(task: dict) -> dict:
-    """Execute one task frame (worker side) and build the result frame."""
-    from .seeding import StreamState
+def _worker_context(setup: dict) -> _RunContext:
+    """The run context a setup frame describes; task frames fill in ``states``."""
+    grid = mk_grid(VarList([VarSpec(name, "grid", levels) for name, levels in setup["grid"]]))
+    return _RunContext(grid=grid, n_G=grid.n_rows, n_sim=setup["n_sim"],
+                       rep_first=setup["rep_first"], base_args=setup["base_args"],
+                       seed=SeedSpec(setup["seed_kind"]), states=[None] * setup["n_sim"],
+                       keep_seed=setup["keep_seed"],
+                       study_fn=registry.get_study(setup["study"]),
+                       monitor=stderr_monitor if setup["monitor"] else None)
 
-    study_fn = registry.get_study(task["study"])
-    block = Block(task["block"]["row"], task["block"]["rep_start"], task["block"]["size"])
-    n_G, n_sim, rep_first = task["n_G"], task["n_sim"], task["rep_first"]
-    monitor = stderr_monitor if task.get("monitor") else None
-    keep_seed = task["keep_seed"]
-    unseeded = task.get("seed_kind") == "unseeded"
 
-    records = []
-    for vidx, seed_hex in zip(block.indices(n_G, n_sim, rep_first), task["seeds"]):
-        if seed_hex is None:
-            rng = ambient_stream()
-            seed_out = rng.state.to_hex() if keep_seed and not unseeded else None
-        else:
-            state = StreamState.from_hex(seed_hex)
-            rng = RngStream.from_state(state)
-            seed_out = seed_hex if keep_seed else None
-        params = dict(task["row_params"])
-        params.update(task["base_args"])
-        value, error, warnings, time_ms = do_call_we(study_fn, params, rng)
-        rec = SubJobRecord(value=value, error=error, warnings=warnings,
-                           time_ms=time_ms, seed=seed_out)
-        if monitor is not None:
-            monitor(vidx, rec)
-        records.append(rec.doc())
-    return {"tag": "result", "block": task["block"], "records": records}
+def _worker_result(ctx: _RunContext, task: dict) -> dict:
+    block = Block(**task["block"])
+    for rep, seed_hex in enumerate(task["seeds"], start=block.rep_start):
+        ctx.states[rep - 1] = None if seed_hex is None else StreamState.from_hex(seed_hex)
+    return {"tag": "result", "records": [rec.doc() for _, rec in _run_block(ctx, block)]}
 
 
 def _claim_stdout():
@@ -465,38 +426,32 @@ def worker_main(stdin=None, stdout=None) -> int:
     """Frame-serving loop for a spawned worker process.
 
     With the default streams, frames go out on a duplicate of fd 1, and fd 1
-    and ``sys.stdout`` point at standard error before the first task resolves
-    its study, so neither importing nor running a study can write into the
-    frame channel.
+    and ``sys.stdout`` point at standard error before the setup frame
+    resolves the study, so neither importing nor running a study can write
+    into the frame channel.
     """
     stdin = stdin if stdin is not None else sys.stdin.buffer
     stdout = stdout if stdout is not None else _claim_stdout()
+    ctx = None
     while True:
         try:
             frame = read_frame(stdin)
         except ProtocolError as exc:
             print(f"worker: protocol error: {exc}", file=sys.stderr)
             return 1
-        if frame is None:
+        if frame is None or frame.get("tag") == "shutdown":
             return 0
         tag = frame.get("tag")
-        if tag == "control":
-            op = frame.get("op")
-            if op == "shutdown":
-                return 0
-            if op == "ping":
-                stdout.write(encode_frame({"tag": "control", "op": "ping"}))
-                stdout.flush()
-                continue
-            print(f"worker: unknown control op {op!r}", file=sys.stderr)
-            return 1
-        if tag != "task":
-            print(f"worker: unexpected frame tag {tag!r}", file=sys.stderr)
-            return 1
         try:
-            result = run_task(frame)
+            if tag == "setup" and ctx is None:
+                ctx = _worker_context(frame)
+                continue
+            if tag != "task" or ctx is None:
+                print(f"worker: unexpected frame tag {tag!r}", file=sys.stderr)
+                return 1
+            result = _worker_result(ctx, frame)
         except Exception as exc:
-            print(f"worker: task failed: {exc}", file=sys.stderr)
+            print(f"worker: {tag} failed: {exc}", file=sys.stderr)
             return 1
         stdout.write(encode_frame(result))
         stdout.flush()
@@ -510,97 +465,53 @@ def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec) 
             "function (register_study, or a plain function addressable as "
             "module:name)")
     try:
-        canonical_json(ctx.base_args)
-        canonical_json(ctx.grid.row_params(0) if ctx.n_G else {})
+        setup = encode_frame(_setup_doc(ctx, study))
     except TypeError as exc:
         raise ExecutionError(
             f"the process backend needs JSON-serializable variables: {exc}") from exc
-    monitor = ctx.monitor is not None
     seed_hex = [None if st is None else st.to_hex() for st in ctx.states]
 
-    slots: list[SubJobRecord | None] = [None] * (ctx.n_G * ctx.n_sim)
-    slot_lock = threading.Lock()
-    failures: list[Exception] = []
-    done_blocks = [0]
+    def slot(i: int, proc: subprocess.Popen):
+        def execute(block: Block) -> list[tuple[int, SubJobRecord]]:
+            seeds = seed_hex[block.rep_start - 1:block.rep_start - 1 + block.size]
+            proc.stdin.write(encode_frame({
+                "tag": "task", "seeds": seeds,
+                "block": {"row": block.row, "rep_start": block.rep_start, "size": block.size}}))
+            proc.stdin.flush()
+            resp = read_frame(proc.stdout)
+            if resp is None:
+                raise ExecutionError(f"worker {i} died mid-run; aborting, no retry")
+            if resp.get("tag") != "result":
+                raise ProtocolError(f"worker {i}: expected result frame, "
+                                    f"got {resp.get('tag')!r}")
+            return [(vidx.linear, SubJobRecord.from_doc(doc)) for vidx, doc in
+                    zip(block.indices(ctx.n_G, ctx.n_sim, ctx.rep_first), resp["records"],
+                        strict=True)]
+        return execute
 
     cmd = [sys.executable, "-m", "mcgrid", WORKER_FLAG]
     # workers resolve module:attr study names, so they need the parent's
     # import path (same idea as multiprocessing's spawn preparation)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-    procs = [subprocess.Popen(cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                              env=env)
-             for _ in range(backend.workers)]
-
-    if backend.load_balancing:
-        shared: queue.Queue = queue.Queue()
-        for b in blocks:
-            shared.put(b)
-
-        def next_block(_i):
-            try:
-                return shared.get_nowait()
-            except queue.Empty:
-                return None
-    else:
-        assigned: list[list[Block]] = [[] for _ in range(backend.workers)]
-        for i, b in enumerate(blocks):
-            assigned[i % backend.workers].append(b)
-        cursors = [0] * backend.workers
-
-        def next_block(i):
-            mine = assigned[i]
-            if cursors[i] >= len(mine):
-                return None
-            b = mine[cursors[i]]
-            cursors[i] += 1
-            return b
-
-    def drive(i: int, proc: subprocess.Popen):
-        try:
-            while True:
-                b = next_block(i)
-                if b is None:
-                    proc.stdin.write(encode_frame({"tag": "control", "op": "shutdown"}))
-                    proc.stdin.flush()
-                    proc.stdin.close()
-                    return
-                proc.stdin.write(encode_frame(_task_doc(ctx, b, study, monitor, seed_hex)))
-                proc.stdin.flush()
-                resp = read_frame(proc.stdout)
-                if resp is None:
-                    raise ExecutionError(
-                        f"worker {i} died mid-run (after {done_blocks[0]} completed "
-                        f"blocks of {len(blocks)}); aborting, no retry")
-                if resp.get("tag") != "result":
-                    raise ProtocolError(f"worker {i}: expected result frame, "
-                                        f"got {resp.get('tag')!r}")
-                recs = [SubJobRecord.from_doc(d) for d in resp["records"]]
-                indices = Block(resp["block"]["row"], resp["block"]["rep_start"],
-                                resp["block"]["size"]).indices(ctx.n_G, ctx.n_sim,
-                                                               ctx.rep_first)
-                with slot_lock:
-                    for vidx, rec in zip(indices, recs):
-                        slots[vidx.linear] = rec
-                    done_blocks[0] += 1
-        except Exception as exc:
-            failures.append(exc)
-            try:
-                proc.kill()
-            except OSError:
-                pass
-
-    drivers = [threading.Thread(target=drive, args=(i, p), name=f"mcgrid-driver-{i}")
-               for i, p in enumerate(procs)]
-    for t in drivers:
-        t.start()
-    for t in drivers:
-        t.join()
-    for p in procs:
-        if failures:
-            p.kill()
-        p.wait()
-    if failures:
-        raise failures[0] if isinstance(failures[0], (ExecutionError, ProtocolError)) \
-            else ExecutionError(f"process backend failed: {failures[0]!r}")
-    return slots
+    procs: list[subprocess.Popen] = []
+    try:
+        for _ in range(backend.workers):
+            procs.append(subprocess.Popen(cmd, stdin=subprocess.PIPE,
+                                          stdout=subprocess.PIPE, env=env))
+        for proc in procs:
+            proc.stdin.write(setup)
+            proc.stdin.flush()
+        records = _run_pool(ctx.n_G * ctx.n_sim, blocks, backend.load_balancing,
+                            [slot(i, p) for i, p in enumerate(procs)])
+        for proc in procs:
+            proc.stdin.write(encode_frame({"tag": "shutdown"}))
+            proc.stdin.close()
+    except BaseException:
+        for proc in procs:
+            proc.kill()
+        raise
+    finally:
+        for proc in procs:
+            proc.wait()
+    return records

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .seeding import SeedSpec
-from .varlist import VarList, mk_grid
+from .varlist import VarList, mk_grid, ravel, unravel
 
 FORMAT_TAG = "mcgrid-result-v1"
 
@@ -218,15 +218,10 @@ class ResultStore:
 
     def record(self, row: int, rep: int) -> SubJobRecord:
         """Record of grid row ``row`` (0-based) and replication ``rep`` (1-based)."""
-        return self.records[row + self.n_grid_rows * (rep - 1)]
+        return self.records[ravel((row, rep - 1), (self.n_grid_rows, self.meta.varlist.n_sim))]
 
     def cell_labels(self, index: int) -> tuple[str, ...]:
-        multi = []
-        i = index
-        for size in self.sizes:
-            multi.append(i % size)
-            i //= size
-        return tuple(labels[k] for (_, labels), k in zip(self.dims, multi))
+        return tuple(labels[k] for (_, labels), k in zip(self.dims, unravel(index, self.sizes)))
 
     def error_count(self) -> int:
         return sum(1 for r in self.records if r.error is not None)
@@ -296,13 +291,9 @@ def assemble(vl: VarList, records_virtual: list[SubJobRecord], rep_first: bool,
                     f"the inner-dimension signature {expected}")
             return RawFallback(records=list(records_virtual), meta=meta, diagnostic=diag)
 
-    storage: list[SubJobRecord | None] = [None] * (n_G * n_sim)
-    for linear, rec in enumerate(records_virtual):
-        if rep_first:
-            row, rep = linear // n_sim, linear % n_sim + 1
-        else:
-            row, rep = linear % n_G, linear // n_G + 1
-        storage[row + n_G * (rep - 1)] = rec
+    storage = list(records_virtual)
+    if rep_first:  # the virtual order runs the replication fastest, the store the grid row
+        storage = [rec for rep in range(n_sim) for rec in storage[rep::n_sim]]
     return ResultStore(dims=store_dims(vl), records=storage, meta=meta)
 
 

@@ -157,12 +157,10 @@ class VarList:
     def names(self, vtype: str | None = None) -> list[str]:
         return [s.name for s in self.specs if vtype is None or s.vtype == vtype]
 
-    def get_el(self, vtype: str | None = None) -> dict:
-        """Mapping name -> values, preserving declaration order."""
-        return {s.name: s.values for s in self.specs if vtype is None or s.vtype == vtype}
-
     def validate(self) -> list[str]:
         """Return a list of problems; empty means the list is well formed."""
+        from .results import canonical_json  # results imports this module
+
         problems = []
         seen = set()
         n_count = 0
@@ -188,6 +186,10 @@ class VarList:
                     labels = s.level_labels()
                     if len(set(labels)) != len(labels):
                         problems.append(f"{s.name}: level display strings not distinct: {labels}")
+                    try:
+                        canonical_json(list(s.values))
+                    except TypeError as exc:
+                        problems.append(f"{s.name}: levels are not JSON-serializable ({exc})")
         if n_count > 1:
             problems.append("more than one replication-count variable")
         return problems
@@ -239,6 +241,24 @@ def _jsonable(obj) -> bool:
         return False
 
 
+def unravel(i: int, sizes) -> tuple[int, ...]:
+    """Flat index -> multi-index in odometer order, first dimension fastest."""
+    multi = []
+    for size in sizes:
+        multi.append(i % size)
+        i //= size
+    return tuple(multi)
+
+
+def ravel(multi, sizes) -> int:
+    """Multi-index -> flat index, first dimension fastest (inverse of unravel)."""
+    i, stride = 0, 1
+    for k, size in zip(multi, sizes):
+        i += k * stride
+        stride *= size
+    return i
+
+
 @dataclass(frozen=True)
 class PhysicalGrid:
     """Cartesian product of the grid variables' levels.
@@ -262,19 +282,13 @@ class PhysicalGrid:
         """Row number -> tuple of level indices (first variable fastest)."""
         if not 0 <= row < self.n_rows:
             raise IndexError(f"grid row {row} out of range [0, {self.n_rows})")
-        idx = []
-        for size in self.sizes:
-            idx.append(row % size)
-            row //= size
-        return tuple(idx)
+        return unravel(row, self.sizes)
 
     def encode(self, indices) -> int:
-        row = 0
-        for size, i in zip(reversed(self.sizes), reversed(tuple(indices))):
+        for size, i in zip(self.sizes, indices):
             if not 0 <= i < size:
                 raise IndexError(f"level index {i} out of range [0, {size})")
-            row = row * size + i
-        return row
+        return ravel(indices, self.sizes)
 
     def row_values(self, row: int) -> tuple:
         return tuple(vals[i] for vals, i in zip(self.level_values, self.decode(row)))
@@ -294,20 +308,6 @@ def mk_grid(vl: VarList) -> PhysicalGrid:
         level_values=tuple(s.values for s in grid_specs),
         level_labels=tuple(s.level_labels() for s in grid_specs),
     )
-
-
-def result_dims(vl: VarList) -> list[tuple[str, tuple[str, ...]]]:
-    """Dimensions of the study's full value array.
-
-    Inner variables first (declaration order), then grid variables
-    (declaration order), then the replication dimension when n_sim > 1,
-    labeled "1".."n_sim".
-    """
-    dims = [(s.name, s.level_labels()) for s in vl.specs if s.vtype == "inner"]
-    dims += [(s.name, s.level_labels()) for s in vl.specs if s.vtype == "grid"]
-    if vl.n_sim > 1:
-        dims.append((vl.n_sim_name, tuple(str(i) for i in range(1, vl.n_sim + 1))))
-    return dims
 
 
 def non_grid_args(vl: VarList) -> dict:

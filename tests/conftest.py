@@ -59,6 +59,19 @@ def chatty_study(params, rng, warn):
     return float(params["x"]) + rng.uniform()
 
 
+def dying_study(params, rng, warn):
+    """Logs each sub-job to ``paths["log"]``; the first sub-job to create
+    ``paths["marker"]`` kills its own process."""
+    paths = params["paths"]
+    with open(paths["log"], "a", encoding="utf-8") as fh:
+        fh.write(f"{params['x']}\n")
+    try:
+        os.close(os.open(paths["marker"], os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        return float(params["x"])
+    os._exit(3)
+
+
 def random_store(rng: random.Random, force_kind: str | None = None):
     """Randomized result store (or raw fallback) for round-trip tests.
 

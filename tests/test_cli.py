@@ -278,15 +278,23 @@ class TestWorkerMode:
     def test_worker_flag_with_other_args_rejected(self, capsys):
         assert main(["--worker", "run"]) == 1
 
-    def test_worker_subprocess_ping_and_eof(self):
+    def test_worker_subprocess_task_and_eof(self):
+        from mcgrid import RngStream, SeedSpec, seed_for
+        state = seed_for(SeedSpec.seq(), 1)
+        setup = {"tag": "setup", "study": "probe-first-uniform", "grid": [["x", [3, 4]]],
+                 "base_args": {}, "seed_kind": "seq", "keep_seed": False,
+                 "monitor": False, "n_sim": 1, "rep_first": True}
+        task = {"tag": "task", "block": {"row": 1, "rep_start": 1, "size": 1},
+                "seeds": [state.to_hex()]}
         proc = subprocess.run(
             [sys.executable, "-m", "mcgrid", "--worker"],
-            input=encode_frame({"tag": "control", "op": "ping"}),
+            input=encode_frame(setup) + encode_frame(task),
             capture_output=True, timeout=60)
-        assert proc.returncode == 0
+        assert proc.returncode == 0  # end of input is a clean exit
         import io
         frame = read_frame(io.BytesIO(proc.stdout))
-        assert frame == {"tag": "control", "op": "ping"}
+        assert frame["tag"] == "result"
+        assert frame["records"][0]["value"] == RngStream.from_state(state).uniform()
 
     def test_worker_subprocess_bad_bytes_exit_nonzero(self):
         proc = subprocess.run(

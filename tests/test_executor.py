@@ -3,22 +3,23 @@
 import io
 import json
 import struct
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (chatty_study, poly_noisy, poly_study, scalar_varlist,
-                      square_study, tiny_varlist)
+from conftest import (chatty_study, dying_study, poly_noisy, poly_study,
+                      scalar_varlist, square_study, tiny_varlist)
 
 from mcgrid import (Block, ExecutionError, ProcessPool, ProtocolError,
-                    RawFallback, SeedSpec, Sequential, ThreadPool, VirtualIndex,
-                    do_call_we, do_res_equal, linear_of, partition_blocks,
-                    run_study, seed_for, virtual_index)
+                    RawFallback, SeedSpec, Sequential, ThreadPool, VarList,
+                    VarSpec, VirtualIndex, do_call_we, do_res_equal, linear_of,
+                    partition_blocks, run_study, seed_for, virtual_index)
 from mcgrid import executor
-from mcgrid.executor import (WORKER_FLAG, encode_frame, read_frame, run_task,
-                             subjob, worker_main)
+from mcgrid.executor import (WORKER_FLAG, encode_frame, read_frame, subjob,
+                             worker_main)
 from mcgrid.seeding import RngStream
 from mcgrid.var_copula import probe_first_uniform
 
@@ -60,12 +61,6 @@ class TestDoCallWe:
     def test_non_numeric_return_is_invalid(self):
         value, error, _, _ = do_call_we(lambda p, r, w: "nope", {}, None)
         assert value is None and error.kind == "invalid-return"
-
-    def test_custom_timer_used(self):
-        ticks = iter([100.0, 250.0])
-        _, _, _, time_ms = do_call_we(lambda p, r, w: 1.0, {}, None,
-                                      timer=lambda: next(ticks))
-        assert time_ms == 150.0
 
     def test_scalar_array_return_unwrapped(self):
         value, error, _, _ = do_call_we(lambda p, r, w: np.float64(3.5), {}, None)
@@ -170,45 +165,52 @@ class TestFrames:
 
 
 class TestWorkerLoop:
-    # task frames built by hand: the schema is the wire contract
-    def _task(self, vl, study, block):
-        from mcgrid import seed_for
+    # setup and task frames built by hand: the schema is the wire contract
+    def _setup(self, vl, study, keep_seed=False):
         from mcgrid.varlist import mk_grid, non_grid_args
         grid = mk_grid(vl)
+        return {"tag": "setup", "study": study,
+                "grid": [[name, list(levels)]
+                         for name, levels in zip(grid.var_names, grid.level_values)],
+                "base_args": non_grid_args(vl), "seed_kind": "seq",
+                "keep_seed": keep_seed, "monitor": False,
+                "n_sim": vl.n_sim, "rep_first": True}
+
+    def _task(self, block):
         seeds = [seed_for(SeedSpec.seq(), rep).to_hex()
                  for rep in range(block.rep_start, block.rep_start + block.size)]
-        return {"tag": "task", "study": study,
+        return {"tag": "task", "seeds": seeds,
                 "block": {"row": block.row, "rep_start": block.rep_start,
-                          "size": block.size},
-                "n_G": grid.n_rows, "n_sim": vl.n_sim, "rep_first": True,
-                "row_params": grid.row_params(block.row),
-                "base_args": non_grid_args(vl),
-                "seed_kind": "seq", "seeds": seeds,
-                "keep_seed": False, "monitor": False}
+                          "size": block.size}}
 
-    def test_run_task_produces_records(self):
+    def _serve(self, *frames):
+        stdin = io.BytesIO(b"".join(encode_frame(f) for f in frames))
+        stdout = io.BytesIO()
+        code = worker_main(stdin, stdout)
+        stdout.seek(0)
+        return code, stdout
+
+    def test_task_frame_produces_records(self):
         vl = scalar_varlist(n_sim=2)
-        task = self._task(vl, "square", Block(row=1, rep_start=1, size=2))
-        result = run_task(task)
+        code, stdout = self._serve(self._setup(vl, "square", keep_seed=True),
+                                   self._task(Block(row=1, rep_start=1, size=2)))
+        assert code == 0
+        result = read_frame(stdout)
         assert result["tag"] == "result"
         assert [r["value"] for r in result["records"]] == [16.0, 16.0]
+        assert [r["seed"] for r in result["records"]] == \
+            [seed_for(SeedSpec.seq(), rep).to_hex() for rep in (1, 2)]
 
     def test_worker_main_frame_loop(self):
         vl = scalar_varlist(n_sim=1)
-        stdin = io.BytesIO()
-        stdin.write(encode_frame({"tag": "control", "op": "ping"}))
-        stdin.write(encode_frame(self._task(vl, "square", Block(0, 1, 1))))
-        stdin.write(encode_frame({"tag": "control", "op": "shutdown"}))
-        stdin.seek(0)
-        stdout = io.BytesIO()
-        code = worker_main(stdin, stdout)
+        code, stdout = self._serve(self._setup(vl, "square"),
+                                   self._task(Block(0, 1, 1)), self._task(Block(2, 1, 1)),
+                                   {"tag": "shutdown"}, self._task(Block(1, 1, 1)))
         assert code == 0
-        stdout.seek(0)
-        pong = read_frame(stdout)
-        assert pong == {"tag": "control", "op": "ping"}
-        result = read_frame(stdout)
-        assert result["tag"] == "result"
-        assert result["records"][0]["value"] == 9.0
+        for want in (9.0, 25.0):
+            result = read_frame(stdout)
+            assert result["tag"] == "result"
+            assert result["records"][0]["value"] == want
         assert read_frame(stdout) is None  # nothing after shutdown
 
     def test_worker_eof_is_clean_exit(self):
@@ -216,9 +218,7 @@ class TestWorkerLoop:
 
     def test_worker_rejects_unknown_study(self, capsys):
         vl = scalar_varlist(n_sim=1)
-        stdin = io.BytesIO(encode_frame(self._task(vl, "no-such-study",
-                                                   Block(0, 1, 1))))
-        code = worker_main(stdin, io.BytesIO())
+        code, _ = self._serve(self._setup(vl, "no-such-study"), self._task(Block(0, 1, 1)))
         assert code != 0
         assert "no-such-study" in capsys.readouterr().err
 
@@ -280,6 +280,17 @@ class TestRunStudySequential:
         assert "no four" in res.record(1, 2).error.message
         assert res.record(0, 1).value == 3.0
 
+    def test_unserializable_variables_rejected_up_front(self):
+        vl = VarList([VarSpec("n.sim", "N", 1), VarSpec("x", "grid", (3, np.int64(4)))])
+        with pytest.raises(ValueError, match="x: levels are not JSON-serializable"):
+            run_study(vl, square_study)
+        # frozen payloads may be any object in-process, but not in a worker
+        vl = VarList([VarSpec("n.sim", "N", 1), VarSpec("x", "grid", (3, 4)),
+                      VarSpec("f", "frozen", {"fn": len})])
+        assert run_study(vl, square_study).error_count() == 0
+        with pytest.raises(ExecutionError, match="needs JSON-serializable variables"):
+            run_study(vl, square_study, backend=ProcessPool(2))
+
     def test_rep_first_false_same_store(self):
         vl = tiny_varlist(n_sim=2)
         a = run_study(vl, poly_study, rep_first=True)
@@ -310,6 +321,22 @@ class TestThreadBackend:
         res = run_study(scalar_varlist(2), boom, backend=ThreadPool(2))
         assert res.error_count() == 6
 
+    def test_failed_slot_stops_the_pool(self):
+        calls = []
+        lock = threading.Lock()
+
+        def monitor(vidx, rec):
+            with lock:
+                calls.append(vidx.linear)
+                first = len(calls) == 1
+            if first:
+                raise RuntimeError("monitor broke")
+
+        vl = scalar_varlist(n_sim=200)
+        with pytest.raises(ExecutionError, match="monitor broke"):
+            run_study(vl, square_study, backend=ThreadPool(2), monitor=monitor)
+        assert len(calls) < 60  # of 600 sub-jobs
+
 
 class TestProcessBackend:
     def test_matches_sequential_registered_study(self):
@@ -331,6 +358,25 @@ class TestProcessBackend:
         vl = scalar_varlist(n_sim=1)
         with pytest.raises(ExecutionError):
             run_study(vl, lambda p, r, w: 1.0, backend=ProcessPool(2))
+
+    def test_dead_worker_stops_the_pool(self, tmp_path, monkeypatch):
+        spawned = []
+        popen = executor.subprocess.Popen
+
+        def spy(*args, **kwargs):
+            spawned.append(popen(*args, **kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr(executor.subprocess, "Popen", spy)
+        log = tmp_path / "subjobs.log"
+        vl = VarList([VarSpec("n.sim", "N", 200), VarSpec("x", "grid", (3, 4, 5)),
+                      VarSpec("paths", "frozen", {"log": str(log),
+                                                  "marker": str(tmp_path / "died")})])
+        with pytest.raises(ExecutionError, match="died mid-run"):
+            run_study(vl, dying_study, backend=ProcessPool(2))
+        assert len(log.read_text().splitlines()) < 60  # of 600 sub-jobs
+        assert len(spawned) == 2
+        assert all(p.returncode is not None for p in spawned)  # killed and reaped
 
     def test_worker_flag_constant(self):
         assert WORKER_FLAG == "--worker"

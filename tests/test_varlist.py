@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from mcgrid import VarList, VarSpec, format_levels, mk_grid, non_grid_args, result_dims
+from mcgrid import (ErrorInfo, SeedSpec, SubJobRecord, VarList, VarSpec, assemble,
+                    format_levels, get_array, mk_grid, non_grid_args)
+from mcgrid.results import store_dims
 from mcgrid.var_copula import example_varlist
 
 
@@ -97,9 +99,14 @@ class TestGridOrder:
 
 class TestResultDims:
     def test_example_dims_order_and_sizes(self):
-        dims = result_dims(example_varlist())
+        vl = example_varlist()
+        n = mk_grid(vl).n_rows * vl.n_sim
+        store = assemble(vl, [SubJobRecord(error=ErrorInfo("skipped", "test"))] * n,
+                         True, SeedSpec.seq(), False, "")
+        dims = get_array(store, "value").dims
         assert [(name, len(labels)) for name, labels in dims] == [
             ("alpha", 3), ("n", 2), ("d", 4), ("family", 2), ("tau", 2), ("n.sim", 32)]
+        assert dims[1:] == store_dims(vl)
         names = dict(dims)
         assert names["alpha"] == ("0.950", "0.990", "0.999")
         assert names["tau"] == ("0.25", "0.50")
@@ -107,7 +114,7 @@ class TestResultDims:
 
     def test_replication_dim_absent_when_single(self):
         vl = VarList([VarSpec("n.sim", "N", 1), VarSpec("x", "grid", (1, 2))])
-        assert [name for name, _ in result_dims(vl)] == ["x"]
+        assert [name for name, _ in store_dims(vl)] == ["x"]
 
 
 class TestNonGridArgs:
