@@ -102,33 +102,28 @@ def get_array(store: ResultStore, component: str = "value", map_fn=None,
     if isinstance(store, RawFallback):
         raise TypeError("raw fallback results have no dense arrays; "
                         f"diagnostic: {store.diagnostic}")
-    vl = store.meta.varlist
-    store_sizes = tuple(len(labels) for _, labels in store.dims)
-
-    # records are in odometer order (first dimension fastest), which is
+    # store cells are in odometer order (first dimension fastest), which is
     # Fortran order over the store dims
     if component == "value":
-        inner = [(s.name, s.level_labels()) for s in vl.specs if s.vtype == "inner"]
-        inner_shape = tuple(len(lab) for _, lab in inner)
-        data = np.full(inner_shape + (len(store.records),), float(err_value), dtype=float)
-        for i, rec in enumerate(store.records):
-            if rec.value is not None:
-                data[..., i] = rec.value
+        inner = [(s.name, s.level_labels()) for s in store.meta.varlist.specs
+                 if s.vtype == "inner"]
+        data = store.value.copy()
+        data[..., store.error_mask()] = float(err_value)
         return LabeledArray(dims=tuple(inner) + store.dims,
-                            data=data.reshape(inner_shape + store_sizes, order="F"))
+                            data=data.reshape(data.shape[:-1] + store.sizes, order="F"))
 
-    if component == "error":
-        cell = map_fn if map_fn is not None else (lambda r: r.error is not None)
-    elif component == "warning":
-        cell = map_fn if map_fn is not None else (lambda r: len(r.warnings) > 0)
-    elif component == "time":
-        cell = map_fn if map_fn is not None else (lambda r: float(r.time_ms))
-    else:
+    if component not in ("error", "warning", "time"):
         raise ValueError(f"unknown component {component!r}")
-
-    cells = [cell(rec) for rec in store.records]
-    data = np.asarray(cells, dtype=np.asarray(cells[0]).dtype if cells else float)
-    return LabeledArray(dims=store.dims, data=data.reshape(store_sizes, order="F"))
+    if map_fn is not None:
+        cells = [map_fn(rec) for rec in store.records]
+        data = np.asarray(cells, dtype=np.asarray(cells[0]).dtype if cells else float)
+    elif component == "error":
+        data = store.error_mask()
+    elif component == "warning":
+        data = store.warning_counts() > 0
+    else:
+        data = store.time_ms.copy()
+    return LabeledArray(dims=store.dims, data=data.reshape(store.sizes, order="F"))
 
 
 @dataclass

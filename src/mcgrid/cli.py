@@ -20,7 +20,8 @@ import sys
 import numpy as np
 
 from . import var_copula
-from .analysis import ftable, get_array, to_csv, to_latex_table, varlist_to_latex
+from .analysis import (LabeledArray, ftable, get_array, to_csv, to_latex_table,
+                       varlist_to_latex)
 from .executor import (BackendSpec, ExecutionError, ProtocolError, WORKER_FLAG,
                        run_study, stderr_monitor, worker_main)
 from .plot import PlotSpec, mayplot_svg
@@ -187,7 +188,7 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
-    n = len(result.records)
+    n = result.n_subjobs
     if result.from_cache:
         print(f"cache hit: reused {n} sub-job records from {args.out} "
               f"(fingerprint {result.meta.fingerprint})")
@@ -198,8 +199,7 @@ def cmd_run(args) -> int:
               f"on backend {args.backend}{pool}")
         if args.out:
             print(f"results written to {args.out}")
-    errors = sum(1 for r in result.records if r.error is not None)
-    warnings = sum(len(r.warnings) for r in result.records)
+    errors, warnings = result.error_count(), result.warning_count()
     print(f"errors: {errors}, warnings: {warnings}")
     if isinstance(result, RawFallback):
         print(f"dense assembly not possible: {result.diagnostic}", file=sys.stderr)
@@ -237,11 +237,10 @@ def _load_store(path: str):
 def _component_array(store, component: str, err_value: float = math.nan):
     """The component ``analyze`` and ``plot`` report: values (errored cells
     set to ``err_value``), error and warning counts, or milliseconds."""
-    if component == "error":
-        return get_array(store, "error", map_fn=lambda r: int(r.error is not None))
-    if component == "warning":
-        return get_array(store, "warning", map_fn=lambda r: len(r.warnings))
-    return get_array(store, component, err_value=err_value)
+    if component not in ("error", "warning"):
+        return get_array(store, component, err_value=err_value)
+    counts = store.error_mask().astype(int) if component == "error" else store.warning_counts()
+    return LabeledArray(dims=store.dims, data=counts.reshape(store.sizes, order="F"))
 
 
 def cmd_analyze(args) -> int:
@@ -281,8 +280,6 @@ def cmd_analyze(args) -> int:
 
 def _format_ms(arr):
     """Element-wise replacement of millisecond floats with %.0f strings."""
-    from .analysis import LabeledArray
-
     data = np.empty(arr.data.shape, dtype=object)
     flat_in = arr.data.ravel()
     flat_out = data.ravel()

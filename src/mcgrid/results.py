@@ -1,18 +1,32 @@
-"""Result records, dense result stores, persistence and comparison.
+"""Result records, columnar result stores, persistence and comparison.
 
 One sub-job yields one :class:`SubJobRecord` with exactly one of ``value`` /
 ``error`` populated, an ordered list of captured warnings, the wall time in
 milliseconds, and optionally the serialized stream state the sub-job started
-from.  A completed run is assembled into a :class:`ResultStore`: a dense array
-of records over the grid dimensions plus the replication dimension (records
-carry their inner-dimension value arrays internally).  When the study's return
+from.  A completed run is assembled into a :class:`ResultStore`: columns over
+the store cells, the grid dimensions plus the replication dimension in
+odometer order (first dimension fastest, replication last).  ``value`` holds
+the inner dimensions first and NaN where a sub-job errored; ``time_ms`` is a
+float column; errors, warnings are kept sparsely by cell; seeds only when a
+sub-job kept one.  Records are views built on demand.  When the study's return
 shapes are inconsistent the untouched record list is kept as a
 :class:`RawFallback` instead, so results are never lost.
 
-Persistence is a single self-describing text file (JSON family).  Doubles are
-written with 17 significant digits (exact round-trip); NaN and infinities are
-written as the tagged strings "NaN", "Inf", "-Inf".  File bytes are a pure
-function of the logical content.
+Persistence is a single self-describing text file (JSON family), tagged
+``mcgrid-result-v2``.  Doubles are written with 17 significant digits (exact
+round-trip), and always as JSON fractions: a whole number keeps a ``.0``
+(``1.0``, ``-0.0``, ``1e+20`` stays as is), so it reads back as a double with
+its sign; NaN and infinities are written as the tagged strings "NaN", "Inf",
+"-Inf".  A store file holds ``meta`` and ``dims``, then ``value`` (the value
+array flattened in odometer order over the inner dims followed by the store
+dims), ``time_ms`` (one number per cell), ``errors`` (``[cell, message,
+kind]`` per errored cell), ``warnings`` (``[cell, [messages]]`` per cell that
+warned) and ``seeds`` (one hex string or null per cell, or null when no
+sub-job kept its seed); cells count in store order from 0.  A raw fallback
+file holds ``meta``, ``diagnostic`` and ``records``, one record document per
+sub-job in virtual order.  File bytes are a pure function of the logical
+content.  Files tagged ``mcgrid-result-v1`` (one record document per cell,
+whole numbers written without ``.0``) are still read, never written.
 
 The study fingerprint is the first 8 bytes (16 hex characters) of SHA-256 over
 the canonical JSON of {"varlist": ..., "n_sim": ..., "rep_first": ...,
@@ -32,7 +46,8 @@ import numpy as np
 from .seeding import SeedSpec
 from .varlist import VarList, mk_grid, ravel, unravel
 
-FORMAT_TAG = "mcgrid-result-v1"
+FORMAT_TAG = "mcgrid-result-v2"
+_V1_TAG = "mcgrid-result-v1"
 
 
 class CacheInvalidError(RuntimeError):
@@ -47,7 +62,26 @@ def _fmt_float(x: float) -> str:
         return '"NaN"'
     if math.isinf(x):
         return '"Inf"' if x > 0 else '"-Inf"'
-    return "%.17g" % x
+    text = "%.17g" % x
+    # a bare integer would read back as a JSON integer and lose -0.0's sign
+    return text if "." in text or "e" in text else text + ".0"
+
+
+def _fmt_floats(x: np.ndarray) -> str:
+    """The ``_fmt_float`` texts of a 1-D float array, comma-joined."""
+    values = x.tolist()
+    formats = ["%.17g"] * len(values)
+    # NaN, infinities and whole numbers (with ±0) need more than "%.17g"
+    for i in np.flatnonzero(~np.isfinite(x) | (x == np.trunc(x))).tolist():
+        formats[i], values[i] = "%s", _fmt_float(values[i])
+    return ",".join(formats) % tuple(values)
+
+
+@dataclass(frozen=True)
+class _Encoded:
+    """JSON text that canonical_json writes verbatim."""
+
+    text: str
 
 
 def _emit(obj, out: list):
@@ -81,6 +115,8 @@ def _emit(obj, out: list):
             out.append(":")
             _emit(v, out)
         out.append("}")
+    elif isinstance(obj, _Encoded):
+        out.append(obj.text)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -197,14 +233,18 @@ class StoreMeta:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class ResultStore:
-    """Dense records over grid dims + replication dim (odometer order,
-    first dimension fastest; the replication dimension is last)."""
+    """Columns over the store cells: grid dims + replication dim in odometer
+    order (first dimension fastest; the replication dimension is last)."""
 
     dims: tuple[tuple[str, tuple[str, ...]], ...]
-    records: list[SubJobRecord]
     meta: StoreMeta
+    value: np.ndarray                     # inner dims ++ (cell,); NaN where errored
+    time_ms: np.ndarray                   # (cell,)
+    errors: dict[int, ErrorInfo]          # errored cells only
+    warnings: dict[int, tuple[str, ...]]  # cells that warned only
+    seeds: list[str | None] | None        # None when no sub-job kept its seed
     from_cache: bool = field(default=False, compare=False)
 
     @property
@@ -212,22 +252,52 @@ class ResultStore:
         return tuple(len(labels) for _, labels in self.dims)
 
     @property
+    def n_subjobs(self) -> int:
+        return self.time_ms.size
+
+    @property
     def n_grid_rows(self) -> int:
         n_sim = self.meta.varlist.n_sim
-        return len(self.records) // n_sim if n_sim else len(self.records)
+        return self.n_subjobs // n_sim if n_sim else self.n_subjobs
 
     def record(self, row: int, rep: int) -> SubJobRecord:
         """Record of grid row ``row`` (0-based) and replication ``rep`` (1-based)."""
-        return self.records[ravel((row, rep - 1), (self.n_grid_rows, self.meta.varlist.n_sim))]
+        return self._record(ravel((row, rep - 1), (self.n_grid_rows, self.meta.varlist.n_sim)))
+
+    @property
+    def records(self) -> list[SubJobRecord]:
+        """Every cell's record in store order, built on each access."""
+        return [self._record(i) for i in range(self.n_subjobs)]
+
+    def _record(self, cell: int) -> SubJobRecord:
+        error = self.errors.get(cell)
+        value = None
+        if error is None:
+            value = self.value[..., cell]
+            value = float(value) if value.ndim == 0 else value.copy()
+        return SubJobRecord(value=value, error=error, warnings=self.warnings.get(cell, ()),
+                            time_ms=float(self.time_ms[cell]),
+                            seed=None if self.seeds is None else self.seeds[cell])
 
     def cell_labels(self, index: int) -> tuple[str, ...]:
         return tuple(labels[k] for (_, labels), k in zip(self.dims, unravel(index, self.sizes)))
 
+    def error_mask(self) -> np.ndarray:
+        mask = np.zeros(self.n_subjobs, dtype=bool)
+        mask[list(self.errors)] = True
+        return mask
+
+    def warning_counts(self) -> np.ndarray:
+        counts = np.zeros(self.n_subjobs, dtype=int)
+        for cell, messages in self.warnings.items():
+            counts[cell] = len(messages)
+        return counts
+
     def error_count(self) -> int:
-        return sum(1 for r in self.records if r.error is not None)
+        return len(self.errors)
 
     def warning_count(self) -> int:
-        return sum(len(r.warnings) for r in self.records)
+        return sum(map(len, self.warnings.values()))
 
 
 @dataclass
@@ -239,6 +309,16 @@ class RawFallback:
     meta: StoreMeta
     diagnostic: str
     from_cache: bool = field(default=False, compare=False)
+
+    @property
+    def n_subjobs(self) -> int:
+        return len(self.records)
+
+    def error_count(self) -> int:
+        return sum(1 for r in self.records if r.error is not None)
+
+    def warning_count(self) -> int:
+        return sum(len(r.warnings) for r in self.records)
 
 
 def study_fingerprint(vl: VarList, rep_first: bool, seed_spec: SeedSpec) -> str:
@@ -265,6 +345,35 @@ def _inner_shape(vl: VarList) -> tuple[int, ...]:
     return tuple(len(s.values) for s in vl.specs if s.vtype == "inner")
 
 
+class _ShapeMismatch(ValueError):
+    pass
+
+
+def _columns(records: list[SubJobRecord], order, inner: tuple[int, ...]) -> dict:
+    """ResultStore columns; cell ``j`` holds ``records[order[j]]``.
+
+    Raises _ShapeMismatch naming the first record whose value does not have
+    the inner shape."""
+    cells = [records[k] for k in order]
+    missing = np.full(inner, math.nan)
+    values = [missing if r.error is not None or r.value is None else r.value for r in cells]
+    try:
+        value = np.array(values, dtype=float)
+    except ValueError:  # values of different shapes
+        value = None
+    if value is None or value.shape[1:] != inner:
+        for cell, v in enumerate(values):
+            if np.shape(v) != inner:
+                raise _ShapeMismatch(f"virtual record {order[cell]}: value shape {np.shape(v)} "
+                                     f"does not match the inner-dimension signature {inner}")
+    seeds = [r.seed for r in cells]
+    return {"value": np.moveaxis(value, 0, -1),
+            "time_ms": np.array([r.time_ms for r in cells], dtype=float),
+            "errors": {cell: r.error for cell, r in enumerate(cells) if r.error is not None},
+            "warnings": {cell: tuple(r.warnings) for cell, r in enumerate(cells) if r.warnings},
+            "seeds": None if seeds.count(None) == len(seeds) else seeds}
+
+
 def assemble(vl: VarList, records_virtual: list[SubJobRecord], rep_first: bool,
              seed_spec: SeedSpec, keep_seed: bool, created: str) -> ResultStore | RawFallback:
     """Dense store from records in virtual (execution) order.
@@ -281,20 +390,14 @@ def assemble(vl: VarList, records_virtual: list[SubJobRecord], rep_first: bool,
                      keep_seed=keep_seed, created=created,
                      fingerprint=study_fingerprint(vl, rep_first, seed_spec))
 
-    expected = _inner_shape(vl)
-    for i, rec in enumerate(records_virtual):
-        if rec.value is None:
-            continue
-        got = np.shape(rec.value)
-        if got != expected:
-            diag = (f"virtual record {i}: value shape {got} does not match "
-                    f"the inner-dimension signature {expected}")
-            return RawFallback(records=list(records_virtual), meta=meta, diagnostic=diag)
-
-    storage = list(records_virtual)
+    order = range(n_G * n_sim)
     if rep_first:  # the virtual order runs the replication fastest, the store the grid row
-        storage = [rec for rep in range(n_sim) for rec in storage[rep::n_sim]]
-    return ResultStore(dims=store_dims(vl), records=storage, meta=meta)
+        order = [row * n_sim + rep for rep in range(n_sim) for row in range(n_G)]
+    try:
+        columns = _columns(records_virtual, order, _inner_shape(vl))
+    except _ShapeMismatch as exc:
+        return RawFallback(records=list(records_virtual), meta=meta, diagnostic=str(exc))
+    return ResultStore(dims=store_dims(vl), meta=meta, **columns)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +410,11 @@ def _store_doc(res: ResultStore | RawFallback) -> dict:
             "kind": "store",
             "meta": res.meta.doc(),
             "dims": [[name, list(labels)] for name, labels in res.dims],
-            "records": [r.doc() for r in res.records],
+            "value": _Encoded(f"[{_fmt_floats(res.value.ravel(order='F'))}]"),
+            "time_ms": _Encoded(f"[{_fmt_floats(res.time_ms)}]"),
+            "errors": [[cell, e.message, e.kind] for cell, e in sorted(res.errors.items())],
+            "warnings": [[cell, list(w)] for cell, w in sorted(res.warnings.items())],
+            "seeds": res.seeds,
         }
     return {
         "format": FORMAT_TAG,
@@ -330,14 +437,26 @@ def save(res: ResultStore | RawFallback, path: str | os.PathLike) -> None:
 def load(path: str | os.PathLike) -> ResultStore | RawFallback:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT_TAG:
+    if not isinstance(doc, dict) or doc.get("format") not in (FORMAT_TAG, _V1_TAG):
         raise ValueError(f"{path}: not a result file (format tag missing)")
     meta = StoreMeta.from_doc(doc["meta"])
-    records = [SubJobRecord.from_doc(d) for d in doc["records"]]
     if doc["kind"] == "raw":
+        records = [SubJobRecord.from_doc(d) for d in doc["records"]]
         return RawFallback(records=records, meta=meta, diagnostic=doc["diagnostic"])
     dims = tuple((name, tuple(labels)) for name, labels in doc["dims"])
-    return ResultStore(dims=dims, records=records, meta=meta)
+    inner = _inner_shape(meta.varlist)
+    if doc["format"] == _V1_TAG:
+        records = [SubJobRecord.from_doc(d) for d in doc["records"]]
+        return ResultStore(dims=dims, meta=meta,
+                           **_columns(records, range(len(records)), inner))
+    n = math.prod(len(labels) for _, labels in dims)
+    return ResultStore(
+        dims=dims, meta=meta,
+        value=np.array(doc["value"], dtype=float).reshape(inner + (n,), order="F"),
+        time_ms=np.array(doc["time_ms"], dtype=float).reshape(n),
+        errors={cell: ErrorInfo(message, kind) for cell, message, kind in doc["errors"]},
+        warnings={cell: tuple(w) for cell, w in doc["warnings"]},
+        seeds=doc["seeds"])
 
 
 def maybe_read(path: str | os.PathLike,
@@ -383,6 +502,38 @@ def _values_equal(a, b) -> bool:
     return aa.shape == bb.shape and bool(np.array_equal(aa, bb, equal_nan=True))
 
 
+def _record_difference(ra: SubJobRecord, rb: SubJobRecord) -> str | None:
+    if ra.error != rb.error:
+        return f"error differs: {ra.error!r} vs {rb.error!r}"
+    if not _values_equal(ra.value, rb.value):
+        return f"value differs: {ra.value!r} vs {rb.value!r}"
+    if ra.warnings != rb.warnings:
+        return f"warnings differ: {ra.warnings!r} vs {rb.warnings!r}"
+    if ra.seed != rb.seed:
+        return "seed differs"
+    return None
+
+
+def _first_differing_cell(a: ResultStore, b: ResultStore) -> int | None:
+    """The first cell where errors, values, warnings or seeds differ."""
+    n = a.n_subjobs
+    firsts = [
+        min((i for i in a.errors.keys() | b.errors.keys()
+             if a.errors.get(i) != b.errors.get(i)), default=n),
+        min((i for i in a.warnings.keys() | b.warnings.keys()
+             if a.warnings.get(i) != b.warnings.get(i)), default=n),
+    ]
+    # equal fingerprints mean equal variable lists, so the value shapes agree
+    same = (a.value == b.value) | (np.isnan(a.value) & np.isnan(b.value))
+    differ = np.flatnonzero(~same.reshape(-1, n).all(axis=0))
+    firsts.append(int(differ[0]) if differ.size else n)
+    if a.seeds is not None or b.seeds is not None:
+        sa, sb = a.seeds or [None] * n, b.seeds or [None] * n
+        firsts.append(next((i for i, (x, y) in enumerate(zip(sa, sb)) if x != y), n))
+    first = min(firsts)
+    return None if first == n else first
+
+
 def do_res_equal(a: ResultStore | RawFallback, b: ResultStore | RawFallback) -> ResComparison:
     """Compare two results: dims, values (exact), errors, warnings, seeds.
 
@@ -396,21 +547,18 @@ def do_res_equal(a: ResultStore | RawFallback, b: ResultStore | RawFallback) -> 
     if a.meta.fingerprint != b.meta.fingerprint:
         return ResComparison(
             f"fingerprint differs: {a.meta.fingerprint} vs {b.meta.fingerprint}")
-    if len(a.records) != len(b.records):
-        return ResComparison(f"record count differs: {len(a.records)} vs {len(b.records)}")
+    if a.n_subjobs != b.n_subjobs:
+        return ResComparison(f"record count differs: {a.n_subjobs} vs {b.n_subjobs}")
 
-    for i, (ra, rb) in enumerate(zip(a.records, b.records)):
-        if isinstance(a, ResultStore):
-            where = "cell (" + ", ".join(
-                f"{name}={lab}" for (name, _), lab in zip(a.dims, a.cell_labels(i))) + ")"
-        else:
-            where = f"virtual record {i}"
-        if ra.error != rb.error:
-            return ResComparison(f"{where}: error differs: {ra.error!r} vs {rb.error!r}")
-        if not _values_equal(ra.value, rb.value):
-            return ResComparison(f"{where}: value differs: {ra.value!r} vs {rb.value!r}")
-        if ra.warnings != rb.warnings:
-            return ResComparison(f"{where}: warnings differ: {ra.warnings!r} vs {rb.warnings!r}")
-        if ra.seed != rb.seed:
-            return ResComparison(f"{where}: seed differs")
-    return ResComparison(None)
+    if isinstance(a, RawFallback):
+        for i, (ra, rb) in enumerate(zip(a.records, b.records)):
+            difference = _record_difference(ra, rb)
+            if difference is not None:
+                return ResComparison(f"virtual record {i}: {difference}")
+        return ResComparison(None)
+    i = _first_differing_cell(a, b)
+    if i is None:
+        return ResComparison(None)
+    where = "cell (" + ", ".join(
+        f"{name}={lab}" for (name, _), lab in zip(a.dims, a.cell_labels(i))) + ")"
+    return ResComparison(f"{where}: {_record_difference(a._record(i), b._record(i))}")

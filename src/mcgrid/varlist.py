@@ -19,7 +19,6 @@ the first-declared grid variable varying fastest.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -234,10 +233,14 @@ class VarList:
 
 
 def _jsonable(obj) -> bool:
+    """Whether ``canonical_json`` (stricter than ``json.dumps``: string keys
+    only) can encode ``obj``."""
+    from .results import canonical_json  # results imports this module
+
     try:
-        json.dumps(obj)
+        canonical_json(obj)
         return True
-    except (TypeError, ValueError):
+    except (TypeError, RecursionError):  # RecursionError: a payload that contains itself
         return False
 
 

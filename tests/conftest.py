@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mcgrid import (RngStream, SeedSpec, StreamState, SubJobRecord, VarList,
-                    VarSpec, assemble, register_study)
+                    VarSpec, assemble, register_study, seed_for)
 from mcgrid.results import ErrorInfo
 
 
@@ -57,6 +57,11 @@ def chatty_study(params, rng, warn):
     print(f"chatty: x={params['x']}")
     os.write(1, b"chatty: raw write on fd 1\n")
     return float(params["x"]) + rng.uniform()
+
+
+def float_type_study(params, rng, warn):
+    """1.0 when the grid level and the frozen value both arrive as floats."""
+    return float(isinstance(params["x"], float) and isinstance(params["f"], float))
 
 
 def dying_study(params, rng, warn):
@@ -117,6 +122,68 @@ def random_store(rng: random.Random, force_kind: str | None = None):
     return assemble(vl, records, rep_first=bool(rng.getrandbits(1)),
                     seed_spec=seed_spec, keep_seed=keep_seed,
                     created="2026-01-01T00:00:00Z")
+
+
+def v1_stores() -> dict:
+    """Small fixed stores whose format-v1 files ``tests/data/v1-<name>.json``
+    were written by the last v1 ``save`` (commit 0e812d0); the tests load
+    those files and compare them with these stores.
+
+    * ``store``: inner dim, rep-first, errors, ordered warnings, NaN/±Inf and
+      whole-number values, kept seeds;
+    * ``scalar``: no inner dim, row-first, a frozen payload, no seeds;
+    * ``raw``: a value of the wrong shape, kept as a RawFallback;
+    * ``float_levels``: float grid levels 1.0 and 2.5, whose fingerprint the
+      v2 number format changes.
+    """
+    def rec(i, value=None, error=None, warnings=(), seed=None):
+        return SubJobRecord(value=value, error=error, warnings=warnings,
+                            time_ms=0.125 * i + 1 / 3, seed=seed)
+
+    spec = SeedSpec.seq()
+    vl = VarList([
+        VarSpec("n.sim", "N", 3),
+        VarSpec("a", "grid", (1, 2)),
+        VarSpec("b", "grid", ("x", "y")),
+        VarSpec("q", "inner", (0.25, 0.5)),
+    ])
+    odd = [np.array([math.nan, 1.0]), np.array([math.inf, -math.inf]),
+           np.array([100.0, -2.5])]
+    records = []
+    for i in range(12):
+        seed = seed_for(spec, i % 3 + 1).to_hex()
+        if i in (4, 9):
+            records.append(rec(i, error=ErrorInfo(f"boom {i}", "ValueError"),
+                               warnings=("first", "second"), seed=seed))
+        else:
+            value = odd[i // 4] if i % 4 == 2 else np.array([0.1 * i, 1 / (i + 3)])
+            records.append(rec(i, value=value, warnings=("w",) if i == 7 else (),
+                               seed=seed))
+    out = {"store": assemble(vl, records, rep_first=True, seed_spec=spec,
+                             keep_seed=True, created="2026-01-01T00:00:00Z")}
+
+    vl = VarList([
+        VarSpec("n.sim", "N", 2),
+        VarSpec("x", "grid", (3, 4, 5)),
+        VarSpec("cfg", "frozen", {"mode": "fast", "k": [1, 2]}),
+    ])
+    records = [rec(i, value=[math.nan, 7.0, -0.5, 1e300, 2.0, -math.inf][i])
+               for i in range(6)]
+    records[3] = rec(3, error=ErrorInfo("no value", "invalid-return"))
+    out["scalar"] = assemble(vl, records, rep_first=False, seed_spec=spec,
+                             keep_seed=False, created="2026-01-02T00:00:00Z")
+
+    records = [rec(i, value=1.5 * i) for i in range(6)]
+    records[2] = rec(2, value=np.array([1.0, 2.0]), warnings=("odd shape",))
+    records[4] = rec(4, error=ErrorInfo("boom", "RuntimeError"))
+    out["raw"] = assemble(vl, records, rep_first=True, seed_spec=spec,
+                          keep_seed=False, created="2026-01-03T00:00:00Z")
+
+    vl = VarList([VarSpec("n.sim", "N", 2), VarSpec("x", "grid", (1.0, 2.5))])
+    records = [rec(i, value=float(i)) for i in range(4)]
+    out["float_levels"] = assemble(vl, records, rep_first=True, seed_spec=spec,
+                                   keep_seed=False, created="2026-01-04T00:00:00Z")
+    return out
 
 
 @pytest.fixture

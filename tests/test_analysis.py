@@ -4,11 +4,12 @@ import csv
 import io
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
-from conftest import poly_study, tiny_varlist
+from conftest import poly_study, random_store, tiny_varlist
 
 from mcgrid import (LabeledArray, array2df, collapse, ftable, get_array,
                     latex_escape, run_study, to_csv, to_latex_table)
@@ -117,6 +118,33 @@ class TestGetArray:
         t = get_array(self.store, "time")
         assert t.data.dtype == float
         assert (t.data >= 0).all() and np.isfinite(t.data).all()
+
+
+def get_array_by_records(store, component, err_value, cell):
+    """Reference for get_array: one loop over the store's records."""
+    recs = store.records
+    if component == "value":
+        inner = store.value.shape[:-1]
+        data = np.full(inner + (len(recs),), err_value)
+        for i, rec in enumerate(recs):
+            if rec.value is not None:
+                data[..., i] = rec.value
+        return data.reshape(inner + store.sizes, order="F")
+    return np.array([cell(r) for r in recs]).reshape(store.sizes, order="F")
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_get_array_matches_record_loop(seed):
+    store = random_store(random.Random(seed))
+    cases = [("value", None, None), ("error", None, lambda r: r.error is not None),
+             ("warning", None, lambda r: len(r.warnings) > 0),
+             ("warning", lambda r: len(r.warnings), lambda r: len(r.warnings)),
+             ("time", None, lambda r: r.time_ms)]
+    for component, map_fn, cell in cases:
+        got = get_array(store, component, map_fn=map_fn, err_value=-2.5)
+        want = get_array_by_records(store, component, -2.5, cell)
+        assert got.data.dtype == want.dtype
+        assert np.array_equal(got.data, want, equal_nan=True), component
 
 
 class TestArray2df:

@@ -4,11 +4,15 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from mcgrid import load, save
 from mcgrid.cli import main
 from mcgrid.executor import encode_frame, read_frame
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_config(path, n_sim=2, study="test_cli:cli_probe_study"):
@@ -226,6 +230,18 @@ class TestAnalyze:
                      "--out", str(dest), "--caption", "C", "--tag", "t"]) == 0
         text = dest.read_text()
         assert "\\caption{C}" in text and "\\label{t}" in text
+
+    def test_v1_file_and_its_v2_resave_give_identical_tables(self, capsys, tmp_path):
+        v1, v2 = DATA / "v1-store.json", tmp_path / "v2.json"
+        save(load(v1), v2)
+        for argv in (["--rows", "a,b", "--cols", "q", "--format", "latex"],
+                     ["--component", "time", "--rows", "a", "--cols", "b,n.sim",
+                      "--format", "csv"]):
+            texts = []
+            for path in (v1, v2):
+                assert main(["analyze", str(path), *argv]) == 0
+                texts.append(capsys.readouterr().out)
+            assert texts[0] == texts[1] and texts[0].count("\n") > 4
 
     def test_missing_results_file(self, capsys, tmp_path):
         assert main(["analyze", str(tmp_path / "no.json"), "--rows", "x",

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (chatty_study, dying_study, poly_noisy, poly_study,
-                      scalar_varlist, square_study, tiny_varlist)
+from conftest import (chatty_study, dying_study, float_type_study, poly_noisy,
+                      poly_study, scalar_varlist, square_study, tiny_varlist)
 
 from mcgrid import (Block, ExecutionError, ProcessPool, ProtocolError,
                     RawFallback, SeedSpec, Sequential, ThreadPool, VarList,
@@ -284,12 +284,21 @@ class TestRunStudySequential:
         vl = VarList([VarSpec("n.sim", "N", 1), VarSpec("x", "grid", (3, np.int64(4)))])
         with pytest.raises(ValueError, match="x: levels are not JSON-serializable"):
             run_study(vl, square_study)
-        # frozen payloads may be any object in-process, but not in a worker
-        vl = VarList([VarSpec("n.sim", "N", 1), VarSpec("x", "grid", (3, 4)),
-                      VarSpec("f", "frozen", {"fn": len})])
-        assert run_study(vl, square_study).error_count() == 0
-        with pytest.raises(ExecutionError, match="needs JSON-serializable variables"):
-            run_study(vl, square_study, backend=ProcessPool(2))
+        # frozen payloads may be any object in-process, but not in a worker;
+        # JSON objects need string keys
+        for payload in ({"fn": len}, {1: 2}):
+            vl = VarList([VarSpec("n.sim", "N", 1), VarSpec("x", "grid", (3, 4)),
+                          VarSpec("f", "frozen", payload)])
+            assert run_study(vl, square_study).error_count() == 0
+            with pytest.raises(ExecutionError, match="needs JSON-serializable variables"):
+                run_study(vl, square_study, backend=ProcessPool(2))
+
+    def test_whole_float_values_stay_floats_on_every_backend(self):
+        vl = VarList([VarSpec("n.sim", "N", 2), VarSpec("x", "grid", (1.0, 2.5)),
+                      VarSpec("f", "frozen", 3.0)])
+        for backend in (Sequential(), ThreadPool(2), ProcessPool(2)):
+            res = run_study(vl, float_type_study, backend=backend)
+            assert [r.value for r in res.records] == [1.0] * 4, backend
 
     def test_rep_first_false_same_store(self):
         vl = tiny_varlist(n_sim=2)

@@ -1,21 +1,28 @@
 """Canonical JSON, dense stores, persistence, and result comparison."""
 
+import dataclasses
 import json
 import math
+import os
 import random
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_store, scalar_varlist, square_study, tiny_varlist
+from conftest import random_store, scalar_varlist, square_study, tiny_varlist, v1_stores
 
 from mcgrid import (CacheInvalidError, RawFallback, ResultStore, SeedSpec,
                     SubJobRecord, VarList, VarSpec, assemble, canonical_json,
                     do_res_equal, load, maybe_read, run_study, save,
                     study_fingerprint)
-from mcgrid.results import ErrorInfo, _parse_value
+from mcgrid.results import ErrorInfo, _fmt_floats, _parse_value
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestCanonicalJson:
@@ -36,8 +43,20 @@ class TestCanonicalJson:
     @given(st.floats(allow_nan=False, allow_infinity=False))
     @settings(max_examples=200, deadline=None)
     def test_float_roundtrip_exact(self, x):
-        text = canonical_json({"v": x})
-        assert json.loads(text)["v"] == x
+        back = json.loads(canonical_json({"v": x}))["v"]
+        assert back == x and type(back) is float
+        assert math.copysign(1.0, back) == math.copysign(1.0, x)
+
+    def test_whole_doubles_keep_a_fraction(self):
+        text = canonical_json([1.0, -0.0, 0.0, -3.0, 1e16, 1e17, 2.5, 1])
+        assert text == "[1.0,-0.0,0.0,-3.0,10000000000000000.0,1e+17,2.5,1]"
+
+    @given(st.lists(st.one_of(st.floats(), st.integers(-10**6, 10**6).map(float),
+                              st.sampled_from([0.0, -0.0, 1e16, -1e300]))))
+    @settings(max_examples=200, deadline=None)
+    def test_column_text_matches_canonical_json(self, xs):
+        expected = ",".join(canonical_json(x) for x in xs)
+        assert _fmt_floats(np.array(xs, dtype=float)) == expected
 
     def test_seventeen_digit_floats_roundtrip(self):
         for x in (0.1, 1/3, 2**-52, 1e300, -1.2345678901234567e-8):
@@ -141,6 +160,33 @@ class TestPersistence:
         assert back.diagnostic == res.diagnostic
         assert do_res_equal(res, back)
 
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_v2_roundtrip_random_store(self, seed, raw):
+        res = random_store(random.Random(seed), force_kind="raw" if raw else None)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.json")
+            save(res, path)
+            with open(path, encoding="utf-8") as fh:
+                assert json.load(fh)["format"] == "mcgrid-result-v2"
+            back = load(path)
+        cmp = do_res_equal(res, back)
+        assert cmp, cmp.report
+        for a, b in zip(res.records, back.records):
+            assert a.time_ms == b.time_ms
+            if a.value is not None:
+                assert np.array_equal(np.signbit(a.value), np.signbit(b.value))
+
+    def test_negative_zero_and_whole_values_survive(self, tmp_path):
+        vl = scalar_varlist(1)
+        recs = [SubJobRecord(value=v, time_ms=t) for v, t in ((-0.0, 1.0), (0.0, -0.0), (2.0, 3.5))]
+        res = assemble(vl, recs, True, SeedSpec.seq(), False, "t")
+        save(res, tmp_path / "z.json")
+        back = load(tmp_path / "z.json")
+        assert np.signbit(back.value).tolist() == [True, False, False]
+        assert np.signbit(back.time_ms).tolist() == [False, True, False]
+        assert back.value.tolist() == [0.0, 0.0, 2.0]
+
     def test_file_bytes_are_stable(self, tmp_path):
         res = random_store(random.Random(3))
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -179,7 +225,88 @@ class TestPersistence:
             run_study(vl.with_n_sim(3), square_study, cache_path=path)
 
 
+class TestFormatV1:
+    """Files written by the v1 writer still load, and still hit the cache."""
+
+    @pytest.mark.parametrize("name", ["store", "scalar", "raw"])
+    def test_v1_file_equals_store_and_resaves_as_v2(self, name, tmp_path):
+        want = v1_stores()[name]
+        back = load(DATA / f"v1-{name}.json")
+        assert type(back) is type(want)
+        cmp = do_res_equal(want, back)
+        assert cmp, cmp.report
+        assert [r.time_ms for r in back.records] == [r.time_ms for r in want.records]
+        assert (back.meta.created, back.meta.fingerprint) == (want.meta.created,
+                                                              want.meta.fingerprint)
+        if isinstance(want, RawFallback):
+            assert back.diagnostic == want.diagnostic
+        save(back, tmp_path / "v2.json")
+        assert json.loads((tmp_path / "v2.json").read_text())["format"] == "mcgrid-result-v2"
+        cmp = do_res_equal(want, load(tmp_path / "v2.json"))
+        assert cmp, cmp.report
+
+    def test_matching_v1_file_is_a_cache_hit(self, tmp_path):
+        want = v1_stores()["store"]
+        path = tmp_path / "cache.json"
+        shutil.copy(DATA / "v1-store.json", path)
+
+        def never(params, rng, warn):
+            raise AssertionError("a cache hit runs nothing")
+
+        res = run_study(want.meta.varlist, never, cache_path=path, keep_seed=True)
+        assert res.from_cache
+        assert do_res_equal(want, res)
+
+    def test_whole_float_levels_invalidate_a_v1_cache(self):
+        # v1 wrote the level 1.0 as 1, so its fingerprint hashed other text
+        want = v1_stores()["float_levels"]
+        with pytest.raises(CacheInvalidError):
+            maybe_read(DATA / "v1-float_levels.json", want.meta.fingerprint)
+        assert load(DATA / "v1-float_levels.json").value.tolist() == want.value.tolist()
+
+
+def first_difference_by_records(a, b):
+    """Reference for do_res_equal: the per-record loop, first differing cell."""
+    for i, (ra, rb) in enumerate(zip(a.records, b.records)):
+        same_value = (ra.value is None) == (rb.value is None) and (
+            ra.value is None or np.array_equal(ra.value, rb.value, equal_nan=True))
+        if (ra.error, ra.warnings, ra.seed) != (rb.error, rb.warnings, rb.seed) \
+                or not same_value:
+            return i
+    return None
+
+
 class TestComparison:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_first_difference_matches_record_loop(self, seed):
+        rng = random.Random(seed)
+        a = random_store(rng)
+        n = a.n_subjobs
+        value, errors = a.value.copy(), dict(a.errors)
+        warnings, seeds = dict(a.warnings), None if a.seeds is None else list(a.seeds)
+        for _ in range(rng.choice([1, 2])):
+            cell = rng.randrange(n)
+            kind = rng.choice(["value", "error", "warning", "seed"])
+            if kind == "value" and cell not in errors:
+                value[..., cell] = 123.25
+            elif kind == "error":
+                errors[cell] = ErrorInfo("changed", "test")
+            elif kind == "warning":
+                warnings[cell] = warnings.get(cell, ()) + ("extra",)
+            else:
+                seeds = seeds or [None] * n
+                seeds[cell] = "f" * 208
+        b = dataclasses.replace(a, value=value, errors=errors, warnings=warnings, seeds=seeds)
+        want = first_difference_by_records(a, b)
+        cmp = do_res_equal(a, b)
+        if want is None:
+            assert cmp, cmp.report
+        else:
+            labels = ", ".join(f"{name}={lab}"
+                               for (name, _), lab in zip(a.dims, a.cell_labels(want)))
+            assert not cmp and cmp.report.startswith(f"cell ({labels}): ")
+
+
     def _pair(self):
         rng = random.Random(11)
         res = random_store(rng)
