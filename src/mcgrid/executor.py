@@ -6,33 +6,42 @@ grid row consecutively (linear = row * n_sim + rep - 1); ``rep_first=False``
 interleaves rows within a replication (linear = (rep - 1) * n_G + row).
 
 Work is partitioned into blocks of ``block_size`` consecutive replications of
-a single grid row (``block_size`` must divide ``n_sim``).  One scheduler hands
-the blocks to slots that each execute one block at a time: the calling thread
+a single grid row (``block_size`` must divide ``n_sim``), and the blocks into
+tasks, runs of consecutive blocks (guided self-scheduling: each task takes
+``ceil(remaining / (2 * slots))`` blocks, at most 8, so the tail is single
+blocks).  Task composition depends only on the block list and the slot count,
+never on timing.  One scheduler hands the tasks to slots: the calling thread
 (sequential), one thread per slot (thread pool), or one thread per spawned
 worker process, which runs the same block path behind a frame protocol on its
-standard pipes.  With load balancing (default) blocks are pulled from a shared
+standard pipes.  With load balancing (default) tasks are pulled from a shared
 queue as slots become free; without it they are pre-assigned round-robin.
 Either way the assembled results are identical for deterministic studies;
-only timing fields may differ.  Once any slot fails, no slot takes a new
-block.
+only timing fields may differ.  Once any slot fails, or the calling thread is
+interrupted, no slot starts another block.
 
 Frame protocol: 4-byte big-endian payload length, then the payload, a
 canonical-JSON document (the same text family as the result files).  Frames
 above 64 MiB are a protocol error.  The parent sends each worker one
 ``setup`` frame (study name, grid names and levels, the common arguments,
 seed kind, flags, ``n_sim`` and the virtual order), from which the worker
-builds its run context once.  Then each ``task`` frame carries only a block's
-coordinates and its replications' seed states, and the worker answers with a
-``result`` frame holding the block's records in order.  A ``shutdown`` frame
-or end of input ends the worker cleanly.  A worker that dies mid-run aborts
-the run with a diagnostic; there is no mid-run respawn or retry.
+builds its run context once.  Then each ``task`` frame carries a list of
+blocks, each as its coordinates and its replications' seed states, and is
+written with one flush; the parent keeps up to two task frames in flight per
+worker, so a worker finds its next task waiting.  The worker answers each
+block with its own ``result`` frame holding the block's records in order, and
+flushes once per task.  It reads its input on a separate thread, so a parent
+writing the next task never waits on a worker that waits for the parent to
+read results.  A ``shutdown`` frame or end of input ends the worker cleanly.  A worker that dies mid-run aborts the run with a
+diagnostic; there is no mid-run respawn or retry.
 """
 
 from __future__ import annotations
 
+import collections
 import json
 import functools
 import os
+import queue
 import struct
 import subprocess
 import sys
@@ -51,6 +60,8 @@ from .varlist import VarList, VarSpec, mk_grid, non_grid_args, ravel, unravel
 
 MAX_FRAME = 64 * 1024 * 1024
 WORKER_FLAG = "--worker"
+TASK_BLOCKS = 8   # most blocks in one task
+IN_FLIGHT = 2     # task frames a process slot keeps sent but not yet answered
 
 
 class ProtocolError(RuntimeError):
@@ -118,6 +129,21 @@ def partition_blocks(n_G: int, n_sim: int, block_size: int, rep_first: bool) -> 
                 for row in range(n_G) for c in range(chunks)]
     return [Block(row, 1 + c * block_size, block_size)
             for c in range(chunks) for row in range(n_G)]
+
+
+def partition_tasks(blocks: list[Block], slots: int) -> list[list[Block]]:
+    """Split ``blocks`` into tasks of consecutive blocks, in order.
+
+    Guided self-scheduling: each task takes ``ceil(remaining / (2 * slots))``
+    blocks, at most ``TASK_BLOCKS``, so tasks are large while much work
+    remains and single blocks at the tail, where they keep slots balanced.
+    """
+    tasks, start = [], 0
+    while start < len(blocks):
+        size = min(TASK_BLOCKS, -(-(len(blocks) - start) // (2 * slots)))
+        tasks.append(blocks[start:start + size])
+        start += size
+    return tasks
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +235,13 @@ def _run_block(ctx: _RunContext, block: Block) -> list[tuple[int, SubJobRecord]]
             for vidx in block.indices(ctx.n_G, ctx.n_sim, ctx.rep_first)]
 
 
+def _run_tasks(ctx: _RunContext, take):
+    """In-process slot: the tasks ``take()`` hands out, block by block."""
+    while (task := take()) is not None:
+        for block in task:
+            yield _run_block(ctx, block)
+
+
 # ---------------------------------------------------------------------------
 # backends
 
@@ -290,7 +323,7 @@ def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
         else:
             slots = 1 if backend.kind == "sequential" else backend.workers
             records = _run_pool(n_G * n_sim, blocks, backend.load_balancing,
-                                [functools.partial(_run_block, ctx)] * slots)
+                                [functools.partial(_run_tasks, ctx)] * slots)
     finally:
         _run_active.release()
 
@@ -303,35 +336,44 @@ def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
 
 def _run_pool(n_records: int, blocks: list[Block], load_balancing: bool,
               slots: list) -> list[SubJobRecord]:
-    """Execute every block on ``slots``, callables that each run one block at
-    a time and return its ``(linear index, record)`` pairs.
+    """Execute every block on ``slots``, callables that each take a ``take``
+    function and yield the ``(linear index, record)`` pairs of one block at a
+    time, for the tasks ``take()`` hands out until it returns None.
 
     A single slot runs on the calling thread, more run on one thread each.
-    ``next_block(slot)`` pulls from a shared queue with load balancing and
-    from the slot's round-robin share without.  Once any slot fails, no slot
-    takes a new block; the first failure is raised after every slot stopped.
+    ``take()`` pulls from a shared task queue with load balancing and from the
+    slot's round-robin share without.  Once any slot fails, or the calling
+    thread is interrupted while it waits, ``take()`` hands out nothing more
+    and every slot stops after its current block; the first failure (or the
+    interrupt) is raised after every slot stopped.
     """
     records: list[SubJobRecord | None] = [None] * n_records
     failures: list[BaseException] = []
     lock = threading.Lock()
+    tasks = partition_tasks(blocks, len(slots))
     if load_balancing:
-        shared = iter(blocks)
+        shared = iter(tasks)
         queues = [shared] * len(slots)
     else:
-        queues = [iter(blocks[i::len(slots)]) for i in range(len(slots))]
+        queues = [iter(tasks[i::len(slots)]) for i in range(len(slots))]
 
-    def next_block(slot: int) -> Block | None:
+    def fail(exc: BaseException) -> None:
         with lock:
-            return None if failures else next(queues[slot], None)
+            failures.append(exc)
 
     def drive(slot: int) -> None:
-        try:
-            while (block := next_block(slot)) is not None:
-                for linear, rec in slots[slot](block):
-                    records[linear] = rec
-        except BaseException as exc:  # re-raised below, once every slot stopped
+        def take() -> list[Block] | None:
             with lock:
-                failures.append(exc)
+                return None if failures else next(queues[slot], None)
+
+        try:
+            for pairs in slots[slot](take):
+                for linear, rec in pairs:
+                    records[linear] = rec
+                if failures:
+                    break
+        except BaseException as exc:  # re-raised below, once every slot stopped
+            fail(exc)
 
     if len(slots) == 1:
         drive(0)
@@ -340,8 +382,14 @@ def _run_pool(n_records: int, blocks: list[Block], load_balancing: bool,
                    for i in range(len(slots))]
         for t in threads:
             t.start()
-        for t in threads:
-            t.join()
+        try:
+            for t in threads:
+                t.join()
+        except BaseException as exc:  # Ctrl-C: stop the slots, then re-raise
+            fail(exc)
+            for t in threads:
+                t.join()
+            raise
     if failures:
         exc = failures[0]
         if isinstance(exc, (ExecutionError, ProtocolError)) or not isinstance(exc, Exception):
@@ -405,11 +453,33 @@ def _worker_context(setup: dict) -> _RunContext:
                        monitor=stderr_monitor if setup["monitor"] else None)
 
 
-def _worker_result(ctx: _RunContext, task: dict) -> dict:
-    block = Block(**task["block"])
-    for rep, seed_hex in enumerate(task["seeds"], start=block.rep_start):
-        ctx.states[rep - 1] = None if seed_hex is None else StreamState.from_hex(seed_hex)
-    return {"tag": "result", "records": [rec.doc() for _, rec in _run_block(ctx, block)]}
+def _task_doc(blocks: list[Block], seed_hex: list) -> dict:
+    return {"tag": "task", "blocks": [
+        {"row": b.row, "rep_start": b.rep_start, "size": b.size,
+         "seeds": seed_hex[b.rep_start - 1:b.rep_start - 1 + b.size]} for b in blocks]}
+
+
+def _worker_results(ctx: _RunContext, task: dict):
+    """One ``result`` frame document per block of a task frame, in order."""
+    for doc in task["blocks"]:
+        block = Block(doc["row"], doc["rep_start"], doc["size"])
+        for rep, seed_hex in enumerate(doc["seeds"], start=block.rep_start):
+            ctx.states[rep - 1] = None if seed_hex is None else StreamState.from_hex(seed_hex)
+        yield {"tag": "result", "records": [rec.doc() for _, rec in _run_block(ctx, block)]}
+
+
+def _read_ahead(stdin, frames: queue.SimpleQueue) -> None:
+    """Move frames from ``stdin`` to ``frames`` as they arrive, up to end of
+    input or a ``shutdown`` frame; a read error is passed on in their place."""
+    while True:
+        try:
+            frame = read_frame(stdin)
+        except Exception as exc:
+            frames.put(exc)
+            return
+        frames.put(frame)
+        if not isinstance(frame, dict) or frame.get("tag") == "shutdown":
+            return
 
 
 def _claim_stdout():
@@ -428,20 +498,22 @@ def worker_main(stdin=None, stdout=None) -> int:
     With the default streams, frames go out on a duplicate of fd 1, and fd 1
     and ``sys.stdout`` point at standard error before the setup frame
     resolves the study, so neither importing nor running a study can write
-    into the frame channel.
+    into the frame channel.  Input is read ahead on a daemon thread.
     """
     stdin = stdin if stdin is not None else sys.stdin.buffer
     stdout = stdout if stdout is not None else _claim_stdout()
+    frames: queue.SimpleQueue = queue.SimpleQueue()
+    threading.Thread(target=_read_ahead, args=(stdin, frames), daemon=True,
+                     name="mcgrid-worker-reader").start()
     ctx = None
     while True:
-        try:
-            frame = read_frame(stdin)
-        except ProtocolError as exc:
-            print(f"worker: protocol error: {exc}", file=sys.stderr)
+        frame = frames.get()
+        if isinstance(frame, Exception):
+            print(f"worker: protocol error: {frame}", file=sys.stderr)
             return 1
-        if frame is None or frame.get("tag") == "shutdown":
+        tag = frame.get("tag") if isinstance(frame, dict) else None
+        if frame is None or tag == "shutdown":
             return 0
-        tag = frame.get("tag")
         try:
             if tag == "setup" and ctx is None:
                 ctx = _worker_context(frame)
@@ -449,11 +521,11 @@ def worker_main(stdin=None, stdout=None) -> int:
             if tag != "task" or ctx is None:
                 print(f"worker: unexpected frame tag {tag!r}", file=sys.stderr)
                 return 1
-            result = _worker_result(ctx, frame)
+            for result in _worker_results(ctx, frame):
+                stdout.write(encode_frame(result))
         except Exception as exc:
             print(f"worker: {tag} failed: {exc}", file=sys.stderr)
             return 1
-        stdout.write(encode_frame(result))
         stdout.flush()
 
 
@@ -472,21 +544,25 @@ def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec) 
     seed_hex = [None if st is None else st.to_hex() for st in ctx.states]
 
     def slot(i: int, proc: subprocess.Popen):
-        def execute(block: Block) -> list[tuple[int, SubJobRecord]]:
-            seeds = seed_hex[block.rep_start - 1:block.rep_start - 1 + block.size]
-            proc.stdin.write(encode_frame({
-                "tag": "task", "seeds": seeds,
-                "block": {"row": block.row, "rep_start": block.rep_start, "size": block.size}}))
-            proc.stdin.flush()
-            resp = read_frame(proc.stdout)
-            if resp is None:
-                raise ExecutionError(f"worker {i} died mid-run; aborting, no retry")
-            if resp.get("tag") != "result":
-                raise ProtocolError(f"worker {i}: expected result frame, "
-                                    f"got {resp.get('tag')!r}")
-            return [(vidx.linear, SubJobRecord.from_doc(doc)) for vidx, doc in
-                    zip(block.indices(ctx.n_G, ctx.n_sim, ctx.rep_first), resp["records"],
-                        strict=True)]
+        def execute(take):
+            sent: collections.deque[list[Block]] = collections.deque()
+            while True:
+                while len(sent) < IN_FLIGHT and (task := take()) is not None:
+                    proc.stdin.write(encode_frame(_task_doc(task, seed_hex)))
+                    proc.stdin.flush()
+                    sent.append(task)
+                if not sent:
+                    return
+                for block in sent.popleft():
+                    resp = read_frame(proc.stdout)
+                    if resp is None:
+                        raise ExecutionError(f"worker {i} died mid-run; aborting, no retry")
+                    if resp.get("tag") != "result":
+                        raise ProtocolError(f"worker {i}: expected result frame, "
+                                            f"got {resp.get('tag')!r}")
+                    yield [(vidx.linear, SubJobRecord.from_doc(doc)) for vidx, doc in
+                           zip(block.indices(ctx.n_G, ctx.n_sim, ctx.rep_first),
+                               resp["records"], strict=True)]
         return execute
 
     cmd = [sys.executable, "-m", "mcgrid", WORKER_FLAG]

@@ -40,6 +40,8 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
+# the text of json.dumps(s, ensure_ascii=False), without building an encoder per call
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -96,7 +98,7 @@ def _emit(obj, out: list):
     elif isinstance(obj, float):
         out.append(_fmt_float(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
+        out.append(encode_basestring(obj))
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, v in enumerate(obj):
@@ -111,7 +113,7 @@ def _emit(obj, out: list):
                 raise TypeError(f"non-string key {k!r}")
             if i:
                 out.append(",")
-            out.append(json.dumps(k, ensure_ascii=False))
+            out.append(encode_basestring(k))
             out.append(":")
             _emit(v, out)
         out.append("}")

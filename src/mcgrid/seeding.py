@@ -36,6 +36,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 _M64 = (1 << 64) - 1
 _SM64_GAMMA = 0x9E3779B97F4A7C15
@@ -105,6 +106,20 @@ class StreamState:
                    uinteger=int(st["uinteger"]))
 
 
+class _ZeroSeed(ISeedSequence):
+    """Seeds a bit generator whose whole state is set right after.
+
+    Without a seed, numpy draws OS entropy for the throwaway initial state,
+    which costs most of a ``from_state`` call.
+    """
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype=dtype)
+
+
+_ZERO_SEED = _ZeroSeed()
+
+
 class RngStream:
     """A live stream: scalar/vector draws plus byte-exact state snapshots.
 
@@ -118,7 +133,7 @@ class RngStream:
 
     @classmethod
     def from_state(cls, state: StreamState) -> "RngStream":
-        bg = np.random.Philox(key=0)
+        bg = np.random.Philox(_ZERO_SEED)
         bg.state = state._philox_state()
         return cls(bg)
 

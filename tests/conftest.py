@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 import os
 import random
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -75,6 +77,30 @@ def dying_study(params, rng, warn):
     except FileExistsError:
         return float(params["x"])
     os._exit(3)
+
+
+def wide_study(params, rng, warn):
+    """A 200,000-element value, so every result frame outgrows a pipe buffer."""
+    value = np.arange(200_000) + 0.5
+    value[0] = rng.uniform()
+    return value
+
+
+def interrupting_study(params, rng, warn):
+    """Logs each sub-job as one byte to ``ctl["log"]``, takes ~2 ms, and the
+    sub-job that logs the 20th byte sends SIGINT to process ``ctl["pid"]``."""
+    ctl = params["ctl"]
+    with open(ctl["log"], "ab") as fh:
+        fh.write(b".")
+    if os.path.getsize(ctl["log"]) >= 20:
+        try:
+            os.close(os.open(ctl["marker"], os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            pass
+        else:
+            os.kill(ctl["pid"], signal.SIGINT)
+    time.sleep(0.002)
+    return float(params["x"])
 
 
 def random_store(rng: random.Random, force_kind: str | None = None):

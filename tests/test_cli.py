@@ -296,21 +296,26 @@ class TestWorkerMode:
 
     def test_worker_subprocess_task_and_eof(self):
         from mcgrid import RngStream, SeedSpec, seed_for
-        state = seed_for(SeedSpec.seq(), 1)
+        states = [seed_for(SeedSpec.seq(), rep) for rep in (1, 2)]
         setup = {"tag": "setup", "study": "probe-first-uniform", "grid": [["x", [3, 4]]],
                  "base_args": {}, "seed_kind": "seq", "keep_seed": False,
-                 "monitor": False, "n_sim": 1, "rep_first": True}
-        task = {"tag": "task", "block": {"row": 1, "rep_start": 1, "size": 1},
-                "seeds": [state.to_hex()]}
+                 "monitor": False, "n_sim": 2, "rep_first": True}
+        task = {"tag": "task", "blocks": [
+            {"row": 1, "rep_start": 1, "size": 2, "seeds": [st.to_hex() for st in states]},
+            {"row": 0, "rep_start": 2, "size": 1, "seeds": [states[1].to_hex()]}]}
         proc = subprocess.run(
             [sys.executable, "-m", "mcgrid", "--worker"],
             input=encode_frame(setup) + encode_frame(task),
             capture_output=True, timeout=60)
         assert proc.returncode == 0  # end of input is a clean exit
         import io
-        frame = read_frame(io.BytesIO(proc.stdout))
-        assert frame["tag"] == "result"
-        assert frame["records"][0]["value"] == RngStream.from_state(state).uniform()
+        out = io.BytesIO(proc.stdout)
+        for want in (states, states[1:]):  # one result frame per block
+            frame = read_frame(out)
+            assert frame["tag"] == "result"
+            assert [r["value"] for r in frame["records"]] == \
+                [RngStream.from_state(st).uniform() for st in want]
+        assert read_frame(out) is None
 
     def test_worker_subprocess_bad_bytes_exit_nonzero(self):
         proc = subprocess.run(

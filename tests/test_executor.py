@@ -2,24 +2,28 @@
 
 import io
 import json
+import os
+import signal
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (chatty_study, dying_study, float_type_study, poly_noisy,
-                      poly_study, scalar_varlist, square_study, tiny_varlist)
+from conftest import (chatty_study, dying_study, float_type_study, interrupting_study,
+                      poly_noisy, poly_study, scalar_varlist, square_study, tiny_varlist,
+                      wide_study)
 
 from mcgrid import (Block, ExecutionError, ProcessPool, ProtocolError,
                     RawFallback, SeedSpec, Sequential, ThreadPool, VarList,
                     VarSpec, VirtualIndex, do_call_we, do_res_equal, linear_of,
                     partition_blocks, run_study, seed_for, virtual_index)
 from mcgrid import executor
-from mcgrid.executor import (WORKER_FLAG, encode_frame, read_frame, subjob,
-                             worker_main)
+from mcgrid.executor import (TASK_BLOCKS, WORKER_FLAG, encode_frame, partition_tasks,
+                             read_frame, subjob, worker_main)
 from mcgrid.seeding import RngStream
 from mcgrid.var_copula import probe_first_uniform
 
@@ -125,6 +129,30 @@ class TestBlocks:
             partition_blocks(2, 6, 4, True)
 
 
+class TestTasks:
+    @given(st.integers(0, 400), st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_guided_partition(self, n_blocks, slots):
+        blocks = partition_blocks(n_blocks, 1, 1, True)
+        tasks = partition_tasks(blocks, slots)
+        assert [b for task in tasks for b in task] == blocks  # each once, in order
+        sizes = [len(task) for task in tasks]
+        assert all(1 <= k <= TASK_BLOCKS for k in sizes)
+        assert sizes == sorted(sizes, reverse=True)
+        remaining = n_blocks
+        for k in sizes:  # the tail is single blocks
+            assert k == 1 or remaining > 2 * slots
+            remaining -= k
+        # composition depends on (n_blocks, slots) only
+        other = partition_blocks(1, n_blocks, 1, False)
+        assert [len(task) for task in partition_tasks(other, slots)] == sizes
+
+    def test_sizes_for_two_slots(self):
+        sizes = [len(t) for t in partition_tasks(partition_blocks(10_000, 1, 1, True), 2)]
+        assert sizes[-12:] == [8, 8, 8, 6, 5, 4, 3, 2, 1, 1, 1, 1]
+        assert len(sizes) == 1256
+
+
 class TestFrames:
     def test_roundtrip(self):
         doc = {"tag": "task", "payload": [1, 2.5, "x", None]}
@@ -176,12 +204,12 @@ class TestWorkerLoop:
                 "keep_seed": keep_seed, "monitor": False,
                 "n_sim": vl.n_sim, "rep_first": True}
 
-    def _task(self, block):
-        seeds = [seed_for(SeedSpec.seq(), rep).to_hex()
-                 for rep in range(block.rep_start, block.rep_start + block.size)]
-        return {"tag": "task", "seeds": seeds,
-                "block": {"row": block.row, "rep_start": block.rep_start,
-                          "size": block.size}}
+    def _task(self, *blocks):
+        return {"tag": "task", "blocks": [
+            {"row": b.row, "rep_start": b.rep_start, "size": b.size,
+             "seeds": [seed_for(SeedSpec.seq(), rep).to_hex()
+                       for rep in range(b.rep_start, b.rep_start + b.size)]}
+            for b in blocks]}
 
     def _serve(self, *frames):
         stdin = io.BytesIO(b"".join(encode_frame(f) for f in frames))
@@ -191,23 +219,27 @@ class TestWorkerLoop:
         return code, stdout
 
     def test_task_frame_produces_records(self):
-        vl = scalar_varlist(n_sim=2)
+        vl = scalar_varlist(n_sim=4)
         code, stdout = self._serve(self._setup(vl, "square", keep_seed=True),
-                                   self._task(Block(row=1, rep_start=1, size=2)))
+                                   self._task(Block(row=1, rep_start=1, size=2),
+                                              Block(row=2, rep_start=3, size=2)))
         assert code == 0
-        result = read_frame(stdout)
-        assert result["tag"] == "result"
-        assert [r["value"] for r in result["records"]] == [16.0, 16.0]
-        assert [r["seed"] for r in result["records"]] == \
-            [seed_for(SeedSpec.seq(), rep).to_hex() for rep in (1, 2)]
+        for want, reps in ((16.0, (1, 2)), (25.0, (3, 4))):  # one result frame per block
+            result = read_frame(stdout)
+            assert result["tag"] == "result"
+            assert [r["value"] for r in result["records"]] == [want, want]
+            assert [r["seed"] for r in result["records"]] == \
+                [seed_for(SeedSpec.seq(), rep).to_hex() for rep in reps]
+        assert read_frame(stdout) is None
 
     def test_worker_main_frame_loop(self):
         vl = scalar_varlist(n_sim=1)
         code, stdout = self._serve(self._setup(vl, "square"),
-                                   self._task(Block(0, 1, 1)), self._task(Block(2, 1, 1)),
+                                   self._task(Block(0, 1, 1), Block(1, 1, 1)),
+                                   self._task(Block(2, 1, 1)),
                                    {"tag": "shutdown"}, self._task(Block(1, 1, 1)))
         assert code == 0
-        for want in (9.0, 25.0):
+        for want in (9.0, 16.0, 25.0):
             result = read_frame(stdout)
             assert result["tag"] == "result"
             assert result["records"][0]["value"] == want
@@ -218,7 +250,8 @@ class TestWorkerLoop:
 
     def test_worker_rejects_unknown_study(self, capsys):
         vl = scalar_varlist(n_sim=1)
-        code, _ = self._serve(self._setup(vl, "no-such-study"), self._task(Block(0, 1, 1)))
+        code, _ = self._serve(self._setup(vl, "no-such-study"),
+                              self._task(Block(0, 1, 1), Block(1, 1, 1)))
         assert code != 0
         assert "no-such-study" in capsys.readouterr().err
 
@@ -363,6 +396,31 @@ class TestProcessBackend:
                         backend=ProcessPool(3, block_size=1, load_balancing=False))
         assert do_res_equal(base, res)
 
+    def test_multi_block_tasks_match_sequential(self):
+        vl = tiny_varlist(n_sim=25)  # 100 blocks: tasks of 8 and a ragged tail
+        base = run_study(vl, poly_noisy, keep_seed=True)
+        res = run_study(vl, poly_noisy, keep_seed=True,
+                        backend=ProcessPool(2, load_balancing=False))
+        cmp = do_res_equal(base, res)
+        assert cmp, cmp.report
+
+    def test_result_frames_beyond_the_pipe_buffer(self):
+        vl = scalar_varlist(n_sim=2)
+        base = run_study(vl, wide_study)
+        res = run_study(vl, wide_study, backend=ProcessPool(2))
+        cmp = do_res_equal(base, res)
+        assert cmp, cmp.report
+
+    def test_task_frames_beyond_the_pipe_buffer(self):
+        # slot 0 sends two ~85 kB task frames while its worker writes ~110 kB
+        # of results for the first: the worker must keep reading its input
+        vl = scalar_varlist(n_sim=400)
+        base = run_study(vl, square_study, keep_seed=True)
+        res = run_study(vl, square_study, keep_seed=True,
+                        backend=ProcessPool(2, block_size=400, load_balancing=False))
+        cmp = do_res_equal(base, res)
+        assert cmp, cmp.report
+
     def test_unregistered_lambda_rejected(self):
         vl = scalar_varlist(n_sim=1)
         with pytest.raises(ExecutionError):
@@ -397,6 +455,33 @@ class TestProcessBackend:
         cmp = do_res_equal(base, res)
         assert cmp, cmp.report
         assert "chatty: x=3" in capfd.readouterr().err  # workers' prints go to stderr
+
+
+@pytest.mark.parametrize("backend", [ThreadPool(2), ProcessPool(2)])
+def test_interrupt_stops_every_slot(tmp_path, monkeypatch, backend):
+    spawned = []
+    popen = executor.subprocess.Popen
+
+    def spy(*args, **kwargs):
+        spawned.append(popen(*args, **kwargs))
+        return spawned[-1]
+
+    monkeypatch.setattr(executor.subprocess, "Popen", spy)
+    log = tmp_path / "subjobs.log"
+    vl = VarList([VarSpec("n.sim", "N", 500), VarSpec("x", "grid", (3, 4)),
+                  VarSpec("ctl", "frozen", {"log": str(log), "pid": os.getpid(),
+                                            "marker": str(tmp_path / "sent")})])
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_study(vl, interrupting_study, backend=backend)
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    done = log.stat().st_size
+    time.sleep(0.3)
+    assert log.stat().st_size == done < 200  # of 1,000 sub-jobs
+    assert not [t for t in threading.enumerate() if t.name.startswith("mcgrid-slot")]
+    assert all(p.returncode is not None for p in spawned)  # killed and reaped
 
 
 class TestSeedMemo:

@@ -47,6 +47,12 @@ class TestCanonicalJson:
         assert back == x and type(back) is float
         assert math.copysign(1.0, back) == math.copysign(1.0, x)
 
+    @given(st.text(), st.text())
+    @settings(max_examples=200, deadline=None)
+    def test_strings_match_json_dumps(self, key, value):
+        assert canonical_json({key: value}) == \
+            json.dumps({key: value}, ensure_ascii=False, separators=(",", ":"))
+
     def test_whole_doubles_keep_a_fraction(self):
         text = canonical_json([1.0, -0.0, 0.0, -3.0, 1e16, 1e17, 2.5, 1])
         assert text == "[1.0,-0.0,0.0,-3.0,10000000000000000.0,1e+17,2.5,1]"

@@ -39,6 +39,26 @@ class TestStreamState:
         b = RngStream.from_state(mid)
         assert np.array_equal(b.uniforms(100), rest_a)
 
+    def test_from_state_matches_entropy_seeded_construction(self):
+        # mid-buffer states: the buffer position and the 32-bit leftover vary
+        bg = np.random.Philox(key=np.array((3, 5), dtype=np.uint64))
+        gen = np.random.Generator(bg)
+        states = []
+        for i in range(50):
+            bg.random_raw(i % 5)
+            if i % 3:
+                gen.integers(0, 2**32, dtype=np.uint32)
+            states.append(StreamState._from_philox(bg.state))
+        assert len({(s.buffer_pos, s.has_uint32) for s in states}) > 4
+        for st in states:
+            old = RngStream(np.random.Philox(key=0))
+            old.state = st
+            new = RngStream.from_state(st)
+            assert new.state == st
+            assert np.array_equal(new.uniforms(7), old.uniforms(7))
+            assert np.array_equal(new.standard_gamma(0.7, 5), old.standard_gamma(0.7, 5))
+            assert new.state == old.state
+
 
 class TestDerivation:
     def test_derive_is_deterministic(self):
