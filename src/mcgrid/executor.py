@@ -31,8 +31,11 @@ worker, so a worker finds its next task waiting.  The worker answers each
 block with its own ``result`` frame holding the block's records in order, and
 flushes once per task.  It reads its input on a separate thread, so a parent
 writing the next task never waits on a worker that waits for the parent to
-read results.  A ``shutdown`` frame or end of input ends the worker cleanly.  A worker that dies mid-run aborts the run with a
-diagnostic; there is no mid-run respawn or retry.
+read results.  A ``shutdown`` frame or end of input ends the worker cleanly.
+A worker that dies mid-run (its pipe gives end of input, or refuses a task
+frame) aborts the run with a diagnostic; there is no mid-run respawn or retry.
+On any failure or interrupt the parent kills every worker at once, so no slot
+waits for the tasks it has in flight.
 """
 
 from __future__ import annotations
@@ -335,7 +338,7 @@ def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
 
 
 def _run_pool(n_records: int, blocks: list[Block], load_balancing: bool,
-              slots: list) -> list[SubJobRecord]:
+              slots: list, stop=None) -> list[SubJobRecord]:
     """Execute every block on ``slots``, callables that each take a ``take``
     function and yield the ``(linear index, record)`` pairs of one block at a
     time, for the tasks ``take()`` hands out until it returns None.
@@ -343,9 +346,10 @@ def _run_pool(n_records: int, blocks: list[Block], load_balancing: bool,
     A single slot runs on the calling thread, more run on one thread each.
     ``take()`` pulls from a shared task queue with load balancing and from the
     slot's round-robin share without.  Once any slot fails, or the calling
-    thread is interrupted while it waits, ``take()`` hands out nothing more
-    and every slot stops after its current block; the first failure (or the
-    interrupt) is raised after every slot stopped.
+    thread is interrupted while it waits, ``take()`` hands out nothing more,
+    ``stop()`` (if given) is called once so that slots waiting on work in
+    flight return at once, and every slot stops after its current block; the
+    first failure (or the interrupt) is raised after every slot stopped.
     """
     records: list[SubJobRecord | None] = [None] * n_records
     failures: list[BaseException] = []
@@ -360,6 +364,9 @@ def _run_pool(n_records: int, blocks: list[Block], load_balancing: bool,
     def fail(exc: BaseException) -> None:
         with lock:
             failures.append(exc)
+            first = len(failures) == 1
+        if first and stop is not None:
+            stop()
 
     def drive(slot: int) -> None:
         def take() -> list[Block] | None:
@@ -543,20 +550,29 @@ def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec) 
             f"the process backend needs JSON-serializable variables: {exc}") from exc
     seed_hex = [None if st is None else st.to_hex() for st in ctx.states]
 
+    def died(i: int) -> ExecutionError:
+        return ExecutionError(f"worker {i} died mid-run; aborting, no retry")
+
+    def send(i: int, proc: subprocess.Popen, frame: bytes) -> None:
+        try:
+            proc.stdin.write(frame)
+            proc.stdin.flush()
+        except OSError as exc:  # the worker closed its end: it is gone
+            raise died(i) from exc
+
     def slot(i: int, proc: subprocess.Popen):
         def execute(take):
             sent: collections.deque[list[Block]] = collections.deque()
             while True:
                 while len(sent) < IN_FLIGHT and (task := take()) is not None:
-                    proc.stdin.write(encode_frame(_task_doc(task, seed_hex)))
-                    proc.stdin.flush()
+                    send(i, proc, encode_frame(_task_doc(task, seed_hex)))
                     sent.append(task)
                 if not sent:
                     return
                 for block in sent.popleft():
                     resp = read_frame(proc.stdout)
                     if resp is None:
-                        raise ExecutionError(f"worker {i} died mid-run; aborting, no retry")
+                        raise died(i)
                     if resp.get("tag") != "result":
                         raise ProtocolError(f"worker {i}: expected result frame, "
                                             f"got {resp.get('tag')!r}")
@@ -571,21 +587,27 @@ def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec) 
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
     procs: list[subprocess.Popen] = []
+
+    def kill_all() -> None:
+        for proc in procs:
+            proc.kill()
+
     try:
         for _ in range(backend.workers):
             procs.append(subprocess.Popen(cmd, stdin=subprocess.PIPE,
                                           stdout=subprocess.PIPE, env=env))
-        for proc in procs:
-            proc.stdin.write(setup)
-            proc.stdin.flush()
+        for i, proc in enumerate(procs):
+            send(i, proc, setup)
+        # on a failure or an interrupt, killed workers end every slot's wait
+        # for results at once instead of after the tasks in flight
         records = _run_pool(ctx.n_G * ctx.n_sim, blocks, backend.load_balancing,
-                            [slot(i, p) for i, p in enumerate(procs)])
+                            [slot(i, p) for i, p in enumerate(procs)],
+                            stop=kill_all)
         for proc in procs:
             proc.stdin.write(encode_frame({"tag": "shutdown"}))
             proc.stdin.close()
     except BaseException:
-        for proc in procs:
-            proc.kill()
+        kill_all()
         raise
     finally:
         for proc in procs:

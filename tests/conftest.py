@@ -87,19 +87,23 @@ def wide_study(params, rng, warn):
 
 
 def interrupting_study(params, rng, warn):
-    """Logs each sub-job as one byte to ``ctl["log"]``, takes ~2 ms, and the
-    sub-job that logs the 20th byte sends SIGINT to process ``ctl["pid"]``."""
+    """Logs each sub-job as one byte to ``ctl["log"]`` and takes
+    ``ctl["sleep"]`` seconds (default 2 ms).  The sub-job that logs byte
+    ``ctl["at"]`` (default 20) writes the time into ``ctl["marker"]`` and
+    sends SIGINT to process ``ctl["pid"]``."""
     ctl = params["ctl"]
     with open(ctl["log"], "ab") as fh:
         fh.write(b".")
-    if os.path.getsize(ctl["log"]) >= 20:
+    if os.path.getsize(ctl["log"]) >= ctl.get("at", 20):
         try:
-            os.close(os.open(ctl["marker"], os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            fd = os.open(ctl["marker"], os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
             pass
         else:
+            os.write(fd, repr(time.time()).encode())
+            os.close(fd)
             os.kill(ctl["pid"], signal.SIGINT)
-    time.sleep(0.002)
+    time.sleep(ctl.get("sleep", 0.002))
     return float(params["x"])
 
 

@@ -445,6 +445,32 @@ class TestProcessBackend:
         assert len(spawned) == 2
         assert all(p.returncode is not None for p in spawned)  # killed and reaped
 
+    def test_refused_task_frame_reads_as_a_dead_worker(self, monkeypatch):
+        # a worker that dies while the parent writes its next task shows up
+        # as a broken pipe on the write, not as end of input on a read
+        class GonePipe(io.BytesIO):
+            def write(self, data):
+                if self.writes == 2:  # the setup frame and one task went through
+                    raise BrokenPipeError(32, "Broken pipe")
+                self.writes += 1
+                return super().write(data)
+
+        class DeadWorker:
+            def __init__(self, *args, **kwargs):
+                self.stdin, self.stdout = GonePipe(), io.BytesIO()
+                self.stdin.writes = 0
+                self.returncode = None
+
+            def kill(self):
+                self.returncode = -9
+
+            def wait(self):
+                return self.returncode
+
+        monkeypatch.setattr(executor.subprocess, "Popen", DeadWorker)
+        with pytest.raises(ExecutionError, match=r"worker \d died mid-run"):
+            run_study(tiny_varlist(n_sim=40), poly_study, backend=ProcessPool(2))
+
     def test_worker_flag_constant(self):
         assert WORKER_FLAG == "--worker"
 
@@ -482,6 +508,25 @@ def test_interrupt_stops_every_slot(tmp_path, monkeypatch, backend):
     assert log.stat().st_size == done < 200  # of 1,000 sub-jobs
     assert not [t for t in threading.enumerate() if t.name.startswith("mcgrid-slot")]
     assert all(p.returncode is not None for p in spawned)  # killed and reaped
+
+
+def test_interrupt_does_not_wait_for_tasks_in_flight(tmp_path):
+    # sub-jobs of 0.3 s: the interrupted worker's task of 8 blocks would run
+    # for 2 s more, but the parent kills the workers instead of waiting
+    log, marker = tmp_path / "subjobs.log", tmp_path / "sent"
+    vl = VarList([VarSpec("n.sim", "N", 100), VarSpec("x", "grid", (3, 4)),
+                  VarSpec("ctl", "frozen", {"log": str(log), "pid": os.getpid(),
+                                            "marker": str(marker), "at": 2,
+                                            "sleep": 0.3})])
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_study(vl, interrupting_study, backend=ProcessPool(2))
+        stopped = time.time()
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    assert stopped - float(marker.read_text()) < 1.0
+    assert log.stat().st_size < 10  # of 200 sub-jobs
 
 
 class TestSeedMemo:
