@@ -22,25 +22,30 @@ interrupted, no slot starts another block.
 Frame protocol: 4-byte big-endian payload length, then the payload, a
 canonical-JSON document (the same text family as the result files).  Frames
 above 64 MiB are a protocol error.  The parent sends each worker one
-``setup`` frame (study name, grid names and levels, the common arguments,
-seed kind, flags, ``n_sim`` and the virtual order), from which the worker
-builds its run context once.  Then each ``task`` frame carries a list of
-blocks, each as its coordinates and its replications' seed states, and is
-written with one flush; the parent keeps up to two task frames in flight per
-worker, so a worker finds its next task waiting.  The worker answers each
-block with its own ``result`` frame holding the block's records in order, and
-flushes once per task.  It reads its input on a separate thread, so a parent
-writing the next task never waits on a worker that waits for the parent to
-read results.  A ``shutdown`` frame or end of input ends the worker cleanly.
-A worker that dies mid-run (its pipe gives end of input, or refuses a task
-frame) aborts the run with a diagnostic; there is no mid-run respawn or retry.
-On any failure or interrupt the parent kills every worker at once, so no slot
-waits for the tasks it has in flight.
+``setup`` frame (study name, grid names and levels, the common arguments, the
+canonical seeding spec, ``keep_seed``, ``n_sim`` and the virtual order), from
+which the worker builds its run context as the parent does, deriving each
+replication's seed state once.  (A ``per-rep-stream`` spec carries its states
+in this frame, ~211 bytes each, so the frame limit bounds it at ~318k
+replications; such a run fails before any worker is spawned.)  Each ``task``
+frame then carries only block coordinates, ``[[row, rep_start, size], ...]``,
+and is written with one flush; the parent keeps up to two in flight per
+worker.  The worker runs the thread slot's own task loop: it answers each
+block with a ``result`` frame of its records in order, and flushes once per
+task.  It reads its input on a separate thread, so a parent writing the next
+task never waits on a worker that waits for the parent to read results.  A
+``shutdown`` frame or end of input ends the worker cleanly.  A worker that
+dies mid-run (its pipe gives end of input, or refuses a task frame) aborts the
+run with a diagnostic; there is no mid-run respawn or retry.  On any failure
+or interrupt the parent kills every worker at once, so no slot waits for the
+tasks it has in flight.  The monitor runs in the calling process on every
+backend (see ``run_study``).
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
 import json
 import functools
 import os
@@ -50,7 +55,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,7 +63,7 @@ from . import registry
 from .results import (ErrorInfo, RawFallback, ResultStore, SubJobRecord,
                       assemble, canonical_json, maybe_read, save,
                       study_fingerprint)
-from .seeding import RngStream, SeedSpec, StreamState, ambient_stream, seed_for
+from .seeding import RngStream, SeedSpec, ambient_stream, seed_for
 from .varlist import VarList, VarSpec, mk_grid, non_grid_args, ravel, unravel
 
 MAX_FRAME = 64 * 1024 * 1024
@@ -187,59 +192,52 @@ def _normalize_value(value):
     return float(arr) if arr.ndim == 0 else arr
 
 
-_DERIVE = object()
-
-
-def subjob(vidx: VirtualIndex, row_params: dict, base_args: dict, seed_spec: SeedSpec,
-           keep_seed: bool, study_fn, monitor=None, *, state=_DERIVE) -> SubJobRecord:
-    """Run one sub-job: seed, call through the harness, record.
-
-    ``state`` is ``seed_for(seed_spec, vidx.rep)`` when the caller has already
-    derived it; by default it is derived here.
-    """
-    params = dict(row_params)
-    params.update(base_args)
-    if state is _DERIVE:
-        state = seed_for(seed_spec, vidx.rep)
-    if state is None:
-        rng = ambient_stream()
-        seed_hex = rng.state.to_hex() if keep_seed and seed_spec.kind != "unseeded" else None
-    else:
-        rng = RngStream.from_state(state)
-        seed_hex = state.to_hex() if keep_seed else None
-    value, error, warnings, time_ms = do_call_we(study_fn, params, rng)
-    rec = SubJobRecord(value=value, error=error, warnings=warnings,
-                       time_ms=time_ms, seed=seed_hex)
-    if monitor is not None:
-        monitor(vidx, rec)
-    return rec
-
-
 @dataclass
 class _RunContext:
-    """Everything a block needs, built once per run (or per worker process)."""
+    """Everything a block needs, built once per run: in the calling process
+    from ``run_study``'s arguments, in a worker from its setup frame."""
 
     grid: object
-    n_G: int
     n_sim: int
     rep_first: bool
     base_args: dict
     seed: SeedSpec
-    states: list  # seed_for(seed, rep) at index rep - 1
     keep_seed: bool
     study_fn: object
-    monitor: object
+    n_G: int = field(init=False)
+    states: list = field(init=False)  # seed_for(seed, rep) at index rep - 1
+
+    def __post_init__(self):
+        self.n_G = self.grid.n_rows
+        # seed_for depends only on (seed, rep): derive each replication once
+        self.states = [seed_for(self.seed, rep) for rep in range(1, self.n_sim + 1)]
 
 
-def _run_block(ctx: _RunContext, block: Block) -> list[tuple[int, SubJobRecord]]:
+def subjob(ctx: _RunContext, rep: int, row_params: dict) -> SubJobRecord:
+    """Run one sub-job of replication ``rep``: seed, call through the
+    harness, record."""
+    params = dict(row_params)
+    params.update(ctx.base_args)
+    state = ctx.states[rep - 1]
+    if state is None:
+        rng = ambient_stream()
+        seed_hex = rng.state.to_hex() if ctx.keep_seed and ctx.seed.kind != "unseeded" else None
+    else:
+        rng = RngStream.from_state(state)
+        seed_hex = state.to_hex() if ctx.keep_seed else None
+    value, error, warnings, time_ms = do_call_we(ctx.study_fn, params, rng)
+    return SubJobRecord(value=value, error=error, warnings=warnings,
+                        time_ms=time_ms, seed=seed_hex)
+
+
+def _run_block(ctx: _RunContext, block: Block) -> list[tuple[VirtualIndex, SubJobRecord]]:
     row_params = ctx.grid.row_params(block.row)
-    return [(vidx.linear, subjob(vidx, row_params, ctx.base_args, ctx.seed, ctx.keep_seed,
-                                 ctx.study_fn, ctx.monitor, state=ctx.states[vidx.rep - 1]))
+    return [(vidx, subjob(ctx, vidx.rep, row_params))
             for vidx in block.indices(ctx.n_G, ctx.n_sim, ctx.rep_first)]
 
 
 def _run_tasks(ctx: _RunContext, take):
-    """In-process slot: the tasks ``take()`` hands out, block by block."""
+    """A slot: the tasks ``take()`` hands out, block by block."""
     while (task := take()) is not None:
         for block in task:
             yield _run_block(ctx, block)
@@ -293,6 +291,11 @@ def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
     fingerprint raises CacheInvalidError.  Fresh results are saved to
     ``cache_path`` when given.  Nested calls are rejected: one live backend
     per process.
+
+    ``monitor(vidx, record)`` is called once per sub-job, in the calling
+    process on every backend, after each block and from the thread that
+    drives its slot (so from several threads on the pools).  A monitor that
+    raises stops the run with ``ExecutionError``.
     """
     seed = seed if seed is not None else SeedSpec.seq()
     backend = backend if backend is not None else Sequential()
@@ -312,21 +315,16 @@ def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
         raise RuntimeError("nested run_study calls are not supported "
                            "(one live backend per process)")
     try:
-        grid = mk_grid(vl)
-        n_G, n_sim = grid.n_rows, vl.n_sim
-        blocks = partition_blocks(n_G, n_sim, backend.block_size, rep_first)
-        base_args = non_grid_args(vl)
-        # seed_for depends only on (seed, rep): derive each replication once
-        states = [seed_for(seed, rep) for rep in range(1, n_sim + 1)]
-        ctx = _RunContext(grid=grid, n_G=n_G, n_sim=n_sim, rep_first=rep_first,
-                          base_args=base_args, seed=seed, states=states,
-                          keep_seed=keep_seed, study_fn=study_fn, monitor=monitor)
+        ctx = _RunContext(grid=mk_grid(vl), n_sim=vl.n_sim, rep_first=rep_first,
+                          base_args=non_grid_args(vl), seed=seed, keep_seed=keep_seed,
+                          study_fn=study_fn)
+        blocks = partition_blocks(ctx.n_G, ctx.n_sim, backend.block_size, rep_first)
         if backend.kind == "processes":
-            records = _run_processes(ctx, blocks, backend)
+            records = _run_processes(ctx, blocks, backend, monitor)
         else:
             slots = 1 if backend.kind == "sequential" else backend.workers
-            records = _run_pool(n_G * n_sim, blocks, backend.load_balancing,
-                                [functools.partial(_run_tasks, ctx)] * slots)
+            records = _run_pool(ctx.n_G * ctx.n_sim, blocks, backend.load_balancing,
+                                [functools.partial(_run_tasks, ctx)] * slots, monitor)
     finally:
         _run_active.release()
 
@@ -338,10 +336,11 @@ def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
 
 
 def _run_pool(n_records: int, blocks: list[Block], load_balancing: bool,
-              slots: list, stop=None) -> list[SubJobRecord]:
+              slots: list, monitor=None, stop=None) -> list[SubJobRecord]:
     """Execute every block on ``slots``, callables that each take a ``take``
-    function and yield the ``(linear index, record)`` pairs of one block at a
-    time, for the tasks ``take()`` hands out until it returns None.
+    function and yield the ``(VirtualIndex, record)`` pairs of one block at a
+    time, for the tasks ``take()`` hands out until it returns None; each pair
+    is placed and passed to ``monitor`` (if given) as it arrives.
 
     A single slot runs on the calling thread, more run on one thread each.
     ``take()`` pulls from a shared task queue with load balancing and from the
@@ -375,8 +374,10 @@ def _run_pool(n_records: int, blocks: list[Block], load_balancing: bool,
 
         try:
             for pairs in slots[slot](take):
-                for linear, rec in pairs:
-                    records[linear] = rec
+                for vidx, rec in pairs:
+                    records[vidx.linear] = rec
+                    if monitor is not None:
+                        monitor(vidx, rec)
                 if failures:
                     break
         except BaseException as exc:  # re-raised below, once every slot stopped
@@ -441,38 +442,21 @@ def _setup_doc(ctx: _RunContext, study: str) -> dict:
         "study": study,
         "grid": [[name, list(levels)] for name, levels in zip(grid.var_names, grid.level_values)],
         "base_args": ctx.base_args,
-        "seed_kind": ctx.seed.kind,
+        "seed": ctx.seed.canonical(),
         "keep_seed": ctx.keep_seed,
-        "monitor": ctx.monitor is not None,
         "n_sim": ctx.n_sim,
         "rep_first": ctx.rep_first,
     }
 
 
 def _worker_context(setup: dict) -> _RunContext:
-    """The run context a setup frame describes; task frames fill in ``states``."""
+    """The run context a setup frame describes, built as the parent built its own."""
     grid = mk_grid(VarList([VarSpec(name, "grid", levels) for name, levels in setup["grid"]]))
-    return _RunContext(grid=grid, n_G=grid.n_rows, n_sim=setup["n_sim"],
-                       rep_first=setup["rep_first"], base_args=setup["base_args"],
-                       seed=SeedSpec(setup["seed_kind"]), states=[None] * setup["n_sim"],
+    return _RunContext(grid=grid, n_sim=setup["n_sim"], rep_first=setup["rep_first"],
+                       base_args=setup["base_args"],
+                       seed=SeedSpec.from_canonical(setup["seed"]),
                        keep_seed=setup["keep_seed"],
-                       study_fn=registry.get_study(setup["study"]),
-                       monitor=stderr_monitor if setup["monitor"] else None)
-
-
-def _task_doc(blocks: list[Block], seed_hex: list) -> dict:
-    return {"tag": "task", "blocks": [
-        {"row": b.row, "rep_start": b.rep_start, "size": b.size,
-         "seeds": seed_hex[b.rep_start - 1:b.rep_start - 1 + b.size]} for b in blocks]}
-
-
-def _worker_results(ctx: _RunContext, task: dict):
-    """One ``result`` frame document per block of a task frame, in order."""
-    for doc in task["blocks"]:
-        block = Block(doc["row"], doc["rep_start"], doc["size"])
-        for rep, seed_hex in enumerate(doc["seeds"], start=block.rep_start):
-            ctx.states[rep - 1] = None if seed_hex is None else StreamState.from_hex(seed_hex)
-        yield {"tag": "result", "records": [rec.doc() for _, rec in _run_block(ctx, block)]}
+                       study_fn=registry.get_study(setup["study"]))
 
 
 def _read_ahead(stdin, frames: queue.SimpleQueue) -> None:
@@ -512,31 +496,38 @@ def worker_main(stdin=None, stdout=None) -> int:
     frames: queue.SimpleQueue = queue.SimpleQueue()
     threading.Thread(target=_read_ahead, args=(stdin, frames), daemon=True,
                      name="mcgrid-worker-reader").start()
-    ctx = None
-    while True:
+
+    def next_frame(tag: str) -> dict | None:  # None at end of input or shutdown
         frame = frames.get()
         if isinstance(frame, Exception):
-            print(f"worker: protocol error: {frame}", file=sys.stderr)
-            return 1
-        tag = frame.get("tag") if isinstance(frame, dict) else None
-        if frame is None or tag == "shutdown":
+            raise ProtocolError(f"protocol error: {frame}")
+        got = frame.get("tag") if isinstance(frame, dict) else None
+        if frame is None or got == "shutdown":
+            return None
+        if got != tag:
+            raise ProtocolError(f"unexpected frame tag {got!r}")
+        return frame
+
+    def take() -> list[Block] | None:
+        stdout.flush()  # the previous task's results
+        task = next_frame("task")
+        return None if task is None else [Block(*b) for b in task["blocks"]]
+
+    try:
+        setup = next_frame("setup")
+        if setup is None:
             return 0
-        try:
-            if tag == "setup" and ctx is None:
-                ctx = _worker_context(frame)
-                continue
-            if tag != "task" or ctx is None:
-                print(f"worker: unexpected frame tag {tag!r}", file=sys.stderr)
-                return 1
-            for result in _worker_results(ctx, frame):
-                stdout.write(encode_frame(result))
-        except Exception as exc:
-            print(f"worker: {tag} failed: {exc}", file=sys.stderr)
-            return 1
-        stdout.flush()
+        for pairs in _run_tasks(_worker_context(setup), take):
+            stdout.write(encode_frame({"tag": "result",
+                                       "records": [rec.doc() for _, rec in pairs]}))
+    except Exception as exc:
+        print(f"worker: {exc!r}", file=sys.stderr)
+        return 1
+    return 0
 
 
-def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec) -> list[SubJobRecord]:
+def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec,
+                   monitor) -> list[SubJobRecord]:
     study = registry.study_name(ctx.study_fn)
     if study is None:
         raise ExecutionError(
@@ -548,7 +539,6 @@ def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec) 
     except TypeError as exc:
         raise ExecutionError(
             f"the process backend needs JSON-serializable variables: {exc}") from exc
-    seed_hex = [None if st is None else st.to_hex() for st in ctx.states]
 
     def died(i: int) -> ExecutionError:
         return ExecutionError(f"worker {i} died mid-run; aborting, no retry")
@@ -565,7 +555,8 @@ def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec) 
             sent: collections.deque[list[Block]] = collections.deque()
             while True:
                 while len(sent) < IN_FLIGHT and (task := take()) is not None:
-                    send(i, proc, encode_frame(_task_doc(task, seed_hex)))
+                    send(i, proc, encode_frame({"tag": "task", "blocks": [
+                        [b.row, b.rep_start, b.size] for b in task]}))
                     sent.append(task)
                 if not sent:
                     return
@@ -576,7 +567,7 @@ def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec) 
                     if resp.get("tag") != "result":
                         raise ProtocolError(f"worker {i}: expected result frame, "
                                             f"got {resp.get('tag')!r}")
-                    yield [(vidx.linear, SubJobRecord.from_doc(doc)) for vidx, doc in
+                    yield [(vidx, SubJobRecord.from_doc(doc)) for vidx, doc in
                            zip(block.indices(ctx.n_G, ctx.n_sim, ctx.rep_first),
                                resp["records"], strict=True)]
         return execute
@@ -601,7 +592,7 @@ def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec) 
         # on a failure or an interrupt, killed workers end every slot's wait
         # for results at once instead of after the tasks in flight
         records = _run_pool(ctx.n_G * ctx.n_sim, blocks, backend.load_balancing,
-                            [slot(i, p) for i, p in enumerate(procs)],
+                            [slot(i, p) for i, p in enumerate(procs)], monitor,
                             stop=kill_all)
         for proc in procs:
             proc.stdin.write(encode_frame({"tag": "shutdown"}))
@@ -612,4 +603,7 @@ def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec) 
     finally:
         for proc in procs:
             proc.wait()
+            proc.stdout.close()
+            with contextlib.suppress(OSError):  # bytes a dead worker never took
+                proc.stdin.close()
     return records

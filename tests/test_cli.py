@@ -298,11 +298,9 @@ class TestWorkerMode:
         from mcgrid import RngStream, SeedSpec, seed_for
         states = [seed_for(SeedSpec.seq(), rep) for rep in (1, 2)]
         setup = {"tag": "setup", "study": "probe-first-uniform", "grid": [["x", [3, 4]]],
-                 "base_args": {}, "seed_kind": "seq", "keep_seed": False,
-                 "monitor": False, "n_sim": 2, "rep_first": True}
-        task = {"tag": "task", "blocks": [
-            {"row": 1, "rep_start": 1, "size": 2, "seeds": [st.to_hex() for st in states]},
-            {"row": 0, "rep_start": 2, "size": 1, "seeds": [states[1].to_hex()]}]}
+                 "base_args": {}, "seed": {"kind": "seq"}, "keep_seed": False,
+                 "n_sim": 2, "rep_first": True}
+        task = {"tag": "task", "blocks": [[1, 1, 2], [0, 2, 1]]}  # [row, rep_start, size]
         proc = subprocess.run(
             [sys.executable, "-m", "mcgrid", "--worker"],
             input=encode_frame(setup) + encode_frame(task),

@@ -1,5 +1,6 @@
 """Harness capture, virtual indexing, blocks, frames, and backends."""
 
+import gc
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import signal
 import struct
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -19,13 +21,12 @@ from conftest import (chatty_study, dying_study, float_type_study, interrupting_
 
 from mcgrid import (Block, ExecutionError, ProcessPool, ProtocolError,
                     RawFallback, SeedSpec, Sequential, ThreadPool, VarList,
-                    VarSpec, VirtualIndex, do_call_we, do_res_equal, linear_of,
+                    VarSpec, do_call_we, do_res_equal, linear_of,
                     partition_blocks, run_study, seed_for, virtual_index)
 from mcgrid import executor
 from mcgrid.executor import (TASK_BLOCKS, WORKER_FLAG, encode_frame, partition_tasks,
-                             read_frame, subjob, worker_main)
-from mcgrid.seeding import RngStream
-from mcgrid.var_copula import probe_first_uniform
+                             read_frame, worker_main)
+from mcgrid.seeding import derive_streams
 
 
 class TestDoCallWe:
@@ -200,16 +201,11 @@ class TestWorkerLoop:
         return {"tag": "setup", "study": study,
                 "grid": [[name, list(levels)]
                          for name, levels in zip(grid.var_names, grid.level_values)],
-                "base_args": non_grid_args(vl), "seed_kind": "seq",
-                "keep_seed": keep_seed, "monitor": False,
-                "n_sim": vl.n_sim, "rep_first": True}
+                "base_args": non_grid_args(vl), "seed": {"kind": "seq"},
+                "keep_seed": keep_seed, "n_sim": vl.n_sim, "rep_first": True}
 
     def _task(self, *blocks):
-        return {"tag": "task", "blocks": [
-            {"row": b.row, "rep_start": b.rep_start, "size": b.size,
-             "seeds": [seed_for(SeedSpec.seq(), rep).to_hex()
-                       for rep in range(b.rep_start, b.rep_start + b.size)]}
-            for b in blocks]}
+        return {"tag": "task", "blocks": [[b.row, b.rep_start, b.size] for b in blocks]}
 
     def _serve(self, *frames):
         stdin = io.BytesIO(b"".join(encode_frame(f) for f in frames))
@@ -363,22 +359,6 @@ class TestThreadBackend:
         res = run_study(scalar_varlist(2), boom, backend=ThreadPool(2))
         assert res.error_count() == 6
 
-    def test_failed_slot_stops_the_pool(self):
-        calls = []
-        lock = threading.Lock()
-
-        def monitor(vidx, rec):
-            with lock:
-                calls.append(vidx.linear)
-                first = len(calls) == 1
-            if first:
-                raise RuntimeError("monitor broke")
-
-        vl = scalar_varlist(n_sim=200)
-        with pytest.raises(ExecutionError, match="monitor broke"):
-            run_study(vl, square_study, backend=ThreadPool(2), monitor=monitor)
-        assert len(calls) < 60  # of 600 sub-jobs
-
 
 class TestProcessBackend:
     def test_matches_sequential_registered_study(self):
@@ -444,6 +424,27 @@ class TestProcessBackend:
         assert len(log.read_text().splitlines()) < 60  # of 600 sub-jobs
         assert len(spawned) == 2
         assert all(p.returncode is not None for p in spawned)  # killed and reaped
+
+    def test_worker_pipes_are_closed(self, tmp_path):
+        vl = VarList([VarSpec("n.sim", "N", 200), VarSpec("x", "grid", (3, 4, 5)),
+                      VarSpec("paths", "frozen", {"log": str(tmp_path / "subjobs.log"),
+                                                  "marker": str(tmp_path / "died")})])
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            run_study(scalar_varlist(n_sim=2), square_study, backend=ProcessPool(2))
+            with pytest.raises(ExecutionError, match="died mid-run"):
+                run_study(vl, dying_study, backend=ProcessPool(2))
+            gc.collect()  # a pipe left open warns when its file object is freed
+        assert [str(w.message) for w in seen if issubclass(w.category, ResourceWarning)] == []
+
+    def test_oversized_setup_frame_fails_before_spawning(self, monkeypatch):
+        # a per-rep-stream spec travels in the setup frame, ~211 bytes a state
+        monkeypatch.setattr(executor, "MAX_FRAME", 10_000)
+        monkeypatch.setattr(executor.subprocess, "Popen", None)  # never called
+        seed = SeedSpec.per_rep_stream(derive_streams(100, [1]))
+        with pytest.raises(ProtocolError, match="exceeds"):
+            run_study(scalar_varlist(n_sim=100), square_study, seed=seed,
+                      backend=ProcessPool(2))
 
     def test_refused_task_frame_reads_as_a_dead_worker(self, monkeypatch):
         # a worker that dies while the parent writes its next task shows up
@@ -551,15 +552,56 @@ class TestSeedMemo:
             for rep in range(1, 5):
                 assert res.record(row, rep).seed == seed_for(SeedSpec.seq(), rep).to_hex()
 
-    @pytest.mark.parametrize("seed", [SeedSpec.seq(), SeedSpec.per_rep_integer([9, 8]),
-                                      SeedSpec.unseeded()])
-    def test_direct_subjob_derives_its_seed(self, seed):
-        vidx = VirtualIndex(linear=1, row=0, rep=2)
-        direct = subjob(vidx, {"x": 3}, {}, seed, True, probe_first_uniform)
-        given = subjob(vidx, {"x": 3}, {}, seed, True, probe_first_uniform,
-                       state=seed_for(seed, 2))
-        if seed.kind == "unseeded":
-            assert direct.seed is None and given.seed is None
-        else:
-            assert direct.seed == given.seed == seed_for(seed, 2).to_hex()
-            assert direct.value == given.value
+
+@pytest.mark.parametrize("backend", [ThreadPool(2), ProcessPool(2)])
+def test_monitor_sees_every_subjob_in_the_calling_process(backend):
+    def watch(calls):
+        return lambda vidx, rec: calls.append((vidx.linear, rec.value, os.getpid()))
+
+    vl = scalar_varlist(n_sim=4)
+    want, got = [], []
+    run_study(vl, square_study, monitor=watch(want))
+    run_study(vl, square_study, backend=backend, monitor=watch(got))
+    assert len(got) == 12  # one call per sub-job
+    assert sorted(got) == sorted(want)
+
+
+@pytest.mark.parametrize("backend", [ThreadPool(2), ProcessPool(2)])
+def test_failed_slot_stops_the_pool(monkeypatch, backend):
+    spawned = []
+    popen = executor.subprocess.Popen
+
+    def spy(*args, **kwargs):
+        spawned.append(popen(*args, **kwargs))
+        return spawned[-1]
+
+    monkeypatch.setattr(executor.subprocess, "Popen", spy)
+    calls = []
+    lock = threading.Lock()
+
+    def monitor(vidx, rec):
+        with lock:
+            calls.append(vidx.linear)
+            first = len(calls) == 1
+        if first:
+            raise RuntimeError("monitor broke")
+
+    vl = scalar_varlist(n_sim=200)
+    with pytest.raises(ExecutionError, match="monitor broke"):
+        run_study(vl, square_study, backend=backend, monitor=monitor)
+    assert len(calls) < 60  # of 600 sub-jobs
+    assert len(spawned) == (2 if backend.kind == "processes" else 0)
+    assert all(p.returncode is not None for p in spawned)  # killed and reaped
+
+
+@pytest.mark.parametrize("seed", [SeedSpec.per_rep_integer([9, 8, 7, 6]),
+                                  SeedSpec.per_rep_stream(derive_streams(4, [5, 6]))])
+@pytest.mark.parametrize("backend", [ThreadPool(2), ProcessPool(2)])
+def test_seed_kinds_match_sequential(seed, backend):
+    # workers derive every replication's state from the setup frame's spec
+    vl = tiny_varlist(n_sim=4)
+    base = run_study(vl, poly_noisy, seed=seed, keep_seed=True)
+    res = run_study(vl, poly_noisy, seed=seed, keep_seed=True, backend=backend)
+    assert res.record(1, 3).seed == seed_for(seed, 3).to_hex()
+    cmp = do_res_equal(base, res)
+    assert cmp, cmp.report
