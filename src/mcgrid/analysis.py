@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .results import RawFallback, ResultStore
-from .varlist import VarList, unravel
+from .varlist import VarList
 
 __all__ = ["LabeledArray", "get_array", "array2df", "LongTable", "ftable",
            "FlatTable", "to_latex_table", "varlist_to_latex", "to_csv",
@@ -136,14 +137,11 @@ class LongTable:
 
 def array2df(arr: LabeledArray, value_name: str = "value") -> LongTable:
     """Long-format view of a labeled array, first dim varying fastest down rows."""
-    sizes = tuple(len(labels) for _, labels in arr.dims)
-    total = int(np.prod(sizes)) if sizes else 1
-    rows = []
-    for i in range(total):
-        multi = unravel(i, sizes)
-        labels = tuple(arr.dims[k][1][multi[k]] for k in range(len(sizes)))
-        cell = arr.data[multi]
-        rows.append(labels + (cell.item() if isinstance(cell, np.generic) else cell,))
+    # Fortran order runs the first dim fastest; so does the product over the
+    # reversed labels once each combination is turned back round
+    combos = itertools.product(*(labels for _, labels in reversed(arr.dims)))
+    rows = [combo[::-1] + (cell,)
+            for combo, cell in zip(combos, arr.data.ravel(order="F").tolist())]
     return LongTable(columns=arr.dim_names + (value_name,), rows=rows)
 
 
@@ -179,6 +177,8 @@ def _cell_str(v) -> str:
         f = float(v)
         if math.isnan(f):
             return "NaN"
+        if math.isinf(f):
+            return "Inf" if f > 0 else "-Inf"
         if f == int(f) and abs(f) < 1e15:
             return str(int(f))
         return repr(f)
@@ -192,8 +192,7 @@ def ftable(arr: LabeledArray, row_vars, col_vars) -> FlatTable:
 
     ``row_vars`` and ``col_vars`` must be disjoint and together name every
     dimension.  Rows iterate ``row_vars`` with the last one varying fastest;
-    columns likewise.  Body cell (i, j) is the array cell addressed by
-    decoding i and j.
+    columns likewise.
     """
     row_vars, col_vars = tuple(row_vars), tuple(col_vars)
     names = arr.dim_names
@@ -208,44 +207,29 @@ def ftable(arr: LabeledArray, row_vars, col_vars) -> FlatTable:
 
     row_axes = [arr.axis(v) for v in row_vars]
     col_axes = [arr.axis(v) for v in col_vars]
-    row_sizes = [len(arr.dims[a][1]) for a in row_axes]
+    row_labels = [arr.dims[a][1] for a in row_axes]
     col_sizes = [len(arr.dims[a][1]) for a in col_axes]
-    n_rows = math.prod(row_sizes)
     n_cols = math.prod(col_sizes)
     nrv = len(row_vars)
 
-    def decode(i: int, sizes: list[int]) -> tuple[int, ...]:
-        # last variable varies fastest: the odometer over the reversed sizes
-        return unravel(i, sizes[::-1])[::-1]
+    # with the row axes, then the column axes, moved to the front, C order is
+    # the layout order: the last row variable fastest down, the last column
+    # variable fastest across
+    cells = np.transpose(arr.data, row_axes + col_axes).reshape(-1, n_cols)
 
     # body: row labels with suppression, then data cells
     body: list[list[str]] = []
-    prev_levels: list[int] | None = None
     breaks: list[tuple[int, int]] = []
-    for i in range(n_rows):
-        levels = decode(i, row_sizes)
-        labels = []
-        show_rest = prev_levels is None
-        for k in range(nrv):
-            show_rest = show_rest or levels[k] != prev_levels[k]
-            labels.append(arr.dims[row_axes[k]][1][levels[k]] if show_rest else "")
-        if prev_levels is not None:
-            for k in range(nrv):
-                if levels[k] != prev_levels[k]:
-                    if k < nrv - 1:  # innermost changes draw no separator
-                        breaks.append((i - 1, k + 1))
-                    break
-        cells = []
-        for j in range(n_cols):
-            cidx = decode(j, col_sizes)
-            full = [0] * len(names)
-            for k, a in enumerate(row_axes):
-                full[a] = levels[k]
-            for k, a in enumerate(col_axes):
-                full[a] = cidx[k]
-            cells.append(_cell_str(arr.data[tuple(full)]))
-        body.append(labels + cells)
-        prev_levels = levels
+    levels = itertools.product(*(range(len(labels)) for labels in row_labels))
+    prev: tuple[int, ...] = ()
+    for i, (level, row) in enumerate(zip(levels, cells)):
+        # the outermost changed level; labels show from there inwards
+        k = 0 if i == 0 else next(j for j in range(nrv) if level[j] != prev[j])
+        if i and k < nrv - 1:  # innermost changes draw no separator
+            breaks.append((i - 1, k + 1))
+        body.append([""] * k + [row_labels[j][level[j]] for j in range(k, nrv)]
+                    + [_cell_str(v) for v in row.tolist()])
+        prev = level
 
     # headers: one row per column variable; group labels sit at span starts
     width = nrv + n_cols

@@ -20,8 +20,7 @@ import sys
 import numpy as np
 
 from . import var_copula
-from .analysis import (LabeledArray, ftable, get_array, to_csv, to_latex_table,
-                       varlist_to_latex)
+from .analysis import LabeledArray, ftable, get_array, to_csv, to_latex_table
 from .executor import (BackendSpec, ExecutionError, ProtocolError, WORKER_FLAG,
                        run_study, stderr_monitor, worker_main)
 from .plot import PlotSpec, mayplot_svg
@@ -244,6 +243,7 @@ def _component_array(store, component: str, err_value: float = math.nan):
 
 
 def cmd_analyze(args) -> int:
+    # imported per call: perfbench/layers.py times analysis.collapse by patching it
     from .analysis import collapse
 
     store = _load_store(args.results)
@@ -280,12 +280,8 @@ def cmd_analyze(args) -> int:
 
 def _format_ms(arr):
     """Element-wise replacement of millisecond floats with %.0f strings."""
-    data = np.empty(arr.data.shape, dtype=object)
-    flat_in = arr.data.ravel()
-    flat_out = data.ravel()
-    for i in range(flat_in.size):
-        flat_out[i] = f"{float(flat_in[i]):.0f}"
-    return LabeledArray(dims=arr.dims, data=data)
+    data = np.array([f"{v:.0f}" for v in arr.data.ravel().tolist()], dtype=object)
+    return LabeledArray(dims=arr.dims, data=data.reshape(arr.data.shape))
 
 
 def cmd_plot(args) -> int:

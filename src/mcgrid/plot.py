@@ -182,6 +182,7 @@ def mayplot_svg(arr: LabeledArray, spec: PlotSpec) -> str:
     series_labels = list(arr.labels(spec.series)) if spec.series else [None]
     n_rows, n_cols = len(row_labels), len(col_labels)
     nx, ns = len(x_labels), len(series_labels)
+    n_rep = len(arr.labels(rep_name)) if rep_name else 1
 
     dropped = [0]
 
@@ -195,23 +196,16 @@ def mayplot_svg(arr: LabeledArray, spec: PlotSpec) -> str:
             return np.log10(pos)
         return finite
 
-    def cell_values(r, c, xi, si) -> np.ndarray:
-        sub = arr
-        if spec.rows:
-            sub = sub.slice(spec.rows, row_labels[r])
-        if spec.cols:
-            sub = sub.slice(spec.cols, col_labels[c])
-        sub = sub.slice(spec.x, x_labels[xi])
-        if spec.series:
-            sub = sub.slice(spec.series, series_labels[si])
-        return transform(sub.data)
+    # rows, cols, x, series, replications: C order over the moved axes is the
+    # panel layout, and the reshape puts a length-1 axis where a role is unset
+    roles = (spec.rows, spec.cols, spec.x, spec.series, rep_name)
+    data = np.transpose(arr.data, [arr.axis(v) for v in roles if v is not None])
+    data = data.reshape(n_rows, n_cols, nx, ns, n_rep)
 
     # precompute panel cell data and the y ranges
-    cells: dict[tuple[int, int], list[list[np.ndarray]]] = {}
-    for r in range(n_rows):
-        for c in range(n_cols):
-            cells[(r, c)] = [[cell_values(r, c, xi, si) for si in range(ns)]
-                             for xi in range(nx)]
+    cells = {(r, c): [[transform(data[r, c, xi, si]) for si in range(ns)]
+                      for xi in range(nx)]
+             for r in range(n_rows) for c in range(n_cols)}
 
     def y_range(values: list[np.ndarray]) -> tuple[float, float]:
         allv = np.concatenate([v for v in values if v.size]) if values else np.array([])
@@ -361,7 +355,6 @@ def mayplot_svg(arr: LabeledArray, spec: PlotSpec) -> str:
     if has_rep_strip:
         sx = MARGIN_L + grid_w + (STRIP if has_row_strip else 0.0) + 2
         svg.rect(sx, top, STRIP - 2, grid_h, STRIP_BG)
-        n_rep = len(arr.labels(rep_name))
         svg.text(sx + STRIP / 2 - 2, top + grid_h / 2,
                  f"{rep_name} = {n_rep}", size=11, rotate=90)
 

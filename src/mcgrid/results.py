@@ -516,26 +516,6 @@ def _record_difference(ra: SubJobRecord, rb: SubJobRecord) -> str | None:
     return None
 
 
-def _first_differing_cell(a: ResultStore, b: ResultStore) -> int | None:
-    """The first cell where errors, values, warnings or seeds differ."""
-    n = a.n_subjobs
-    firsts = [
-        min((i for i in a.errors.keys() | b.errors.keys()
-             if a.errors.get(i) != b.errors.get(i)), default=n),
-        min((i for i in a.warnings.keys() | b.warnings.keys()
-             if a.warnings.get(i) != b.warnings.get(i)), default=n),
-    ]
-    # equal fingerprints mean equal variable lists, so the value shapes agree
-    same = (a.value == b.value) | (np.isnan(a.value) & np.isnan(b.value))
-    differ = np.flatnonzero(~same.reshape(-1, n).all(axis=0))
-    firsts.append(int(differ[0]) if differ.size else n)
-    if a.seeds is not None or b.seeds is not None:
-        sa, sb = a.seeds or [None] * n, b.seeds or [None] * n
-        firsts.append(next((i for i, (x, y) in enumerate(zip(sa, sb)) if x != y), n))
-    first = min(firsts)
-    return None if first == n else first
-
-
 def do_res_equal(a: ResultStore | RawFallback, b: ResultStore | RawFallback) -> ResComparison:
     """Compare two results: dims, values (exact), errors, warnings, seeds.
 
@@ -552,15 +532,15 @@ def do_res_equal(a: ResultStore | RawFallback, b: ResultStore | RawFallback) -> 
     if a.n_subjobs != b.n_subjobs:
         return ResComparison(f"record count differs: {a.n_subjobs} vs {b.n_subjobs}")
 
-    if isinstance(a, RawFallback):
-        for i, (ra, rb) in enumerate(zip(a.records, b.records)):
-            difference = _record_difference(ra, rb)
-            if difference is not None:
+    if (isinstance(a, ResultStore) and a.errors == b.errors and a.warnings == b.warnings
+            and a.seeds == b.seeds and np.array_equal(a.value, b.value, equal_nan=True)):
+        return ResComparison(None)
+    for i, (ra, rb) in enumerate(zip(a.records, b.records)):
+        difference = _record_difference(ra, rb)
+        if difference is not None:
+            if isinstance(a, RawFallback):
                 return ResComparison(f"virtual record {i}: {difference}")
-        return ResComparison(None)
-    i = _first_differing_cell(a, b)
-    if i is None:
-        return ResComparison(None)
-    where = "cell (" + ", ".join(
-        f"{name}={lab}" for (name, _), lab in zip(a.dims, a.cell_labels(i))) + ")"
-    return ResComparison(f"{where}: {_record_difference(a._record(i), b._record(i))}")
+            where = ", ".join(f"{name}={lab}"
+                              for (name, _), lab in zip(a.dims, a.cell_labels(i)))
+            return ResComparison(f"cell ({where}): {difference}")
+    return ResComparison(None)

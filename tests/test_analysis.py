@@ -156,6 +156,21 @@ class TestArray2df:
             ("L0", "L0"), ("L1", "L0"), ("L0", "L1"), ("L1", "L1")]
         assert [r[2] for r in df.rows] == [0.0, 2.0, 1.0, 3.0]
 
+    @pytest.mark.parametrize("arr", [
+        mk_arr([2, 3, 4]),
+        LabeledArray(dims=(("p", ("a", "b")), ("q", ("x", "y", "z"))),
+                     data=np.array([[p + q for q in "xyz"] for p in "ab"], dtype=object)),
+    ], ids=["3d", "strings"])
+    def test_rows_match_indices_sorted_first_dim_fastest(self, arr):
+        want = []
+        for idx in sorted(np.ndindex(arr.data.shape), key=lambda t: t[::-1]):
+            cell = arr.data[idx]
+            want.append(tuple(arr.dims[k][1][i] for k, i in enumerate(idx))
+                        + (cell.item() if isinstance(cell, np.generic) else cell,))
+        rows = array2df(arr).rows
+        assert rows == want
+        assert [type(r[-1]) for r in rows] == [type(w[-1]) for w in want]
+
     def test_full_study_row_count(self):
         arr = get_array(run_study(tiny_varlist(3), poly_study))
         df = array2df(arr)
@@ -262,6 +277,12 @@ class TestCellStr:
 
     def test_nan(self):
         assert _cell_str(float("nan")) == "NaN"
+
+    def test_infinities_use_the_store_tags(self):
+        assert _cell_str(math.inf) == "Inf"
+        assert _cell_str(-math.inf) == "-Inf"
+        assert _cell_str(np.float64(-np.inf)) == "-Inf"
+        assert _cell_str(np.float32(np.inf)) == "Inf"
 
     def test_strings_pass(self):
         assert _cell_str("3.9 (0.2)") == "3.9 (0.2)"

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, caching, outputs, worker mode."""
 
 import json
+import math
 import re
 import subprocess
 import sys
@@ -38,6 +39,10 @@ def cli_erroring_study(params, rng, warn):
     if params["x"] == 5:
         warn("five is suspicious")
     return float(params["x"])
+
+
+def cli_infinite_study(params, rng, warn):
+    return {3: 3.0, 4: math.inf, 5: -math.inf}[params["x"]]
 
 
 class TestUsageErrors:
@@ -215,6 +220,25 @@ class TestAnalyze:
         text = capsys.readouterr().out
         # x=5 warns once per replication
         assert text.splitlines()[2].split(",")[3] == "1"
+
+    def test_infinite_values_render_as_tags(self, capsys, tmp_path):
+        p = write_config(tmp_path / "c.json", study="test_cli:cli_infinite_study")
+        out = tmp_path / "res.json"
+        assert main(["run", str(p), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(out), "--rows", "x", "--cols", "n.sim",
+                     "--format", "csv"]) == 0
+        rows = [l.split(",") for l in capsys.readouterr().out.strip().splitlines()]
+        assert rows[2:] == [["3", "3", "3"], ["4", "Inf", "Inf"], ["5", "-Inf", "-Inf"]]
+
+    def test_infinite_err_value(self, capsys, tmp_path):
+        p = write_config(tmp_path / "c.json", study="test_cli:cli_erroring_study")
+        out = tmp_path / "res.json"
+        assert main(["run", str(p), "--out", str(out)]) == 2
+        capsys.readouterr()
+        assert main(["analyze", str(out), "--rows", "x", "--cols", "n.sim",
+                     "--err-value=-inf"]) == 0
+        assert "4 & -Inf & -Inf \\\\" in capsys.readouterr().out
 
     def test_time_component_formats_whole_ms(self, results, capsys):
         assert main(["analyze", str(results), "--component", "time",

@@ -1,8 +1,10 @@
 """Box statistics and the SVG conditioning-plot renderer."""
 
+import itertools
 import math
 import re
 import xml.dom.minidom
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,9 @@ from conftest import poly_study, tiny_varlist
 
 from mcgrid import (LabeledArray, PlotSpec, boxplot_stats, get_array,
                     mayplot_svg, run_study)
+from mcgrid.plot import GAP, MARGIN_L, PALETTE, PANEL_W
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestBoxplotStats:
@@ -168,3 +173,93 @@ class TestMayplotSvg:
         svg = mayplot_svg(study_array, PlotSpec(x="p", series="a", rows="b"))
         m = re.search(r'<rect x="([-0-9.]+)"', svg)
         assert m and re.fullmatch(r"-?\d+\.\d\d", m.group(1))
+
+
+def permuted(arr, order):
+    """The same labeled array with its dims stored in ``order``."""
+    return LabeledArray(dims=tuple(arr.dims[k] for k in order),
+                        data=np.transpose(arr.data, order))
+
+
+def role_assignments(names):
+    """Every way to put ``names`` on distinct plot roles with x among them."""
+    for roles in itertools.permutations(ROLES, len(names)):
+        if "x" in roles:
+            yield dict(zip(roles, names))
+
+
+ROLES = ("rows", "cols", "x", "series")
+GRID = (("a", ("a0", "a1")), ("b", ("b0", "b1", "b2")), ("c", ("c0", "c1", "c2", "c3")))
+REP = ("rep", ("1", "2", "3"))
+
+
+def data_boxes(svg):
+    """(panel, box centre x, fill) of every box body, by its clip group."""
+    boxes = []
+    for panel, group in re.findall(r'<g clip-path="url\(#panel-(\d+-\d+)\)">(.*?)</g>',
+                                   svg, flags=re.S):
+        for x, w, fill in re.findall(r'<rect x="([-0-9.]+)" y="[-0-9.]+" '
+                                     r'width="([-0-9.]+)" height="[-0-9.]+" '
+                                     r'fill="(#[0-9A-F]+)" fill-opacity="0.4"', group):
+            boxes.append((panel, float(x) + float(w) / 2, fill))
+    return boxes
+
+
+class TestPlacement:
+    def test_one_finite_cell_lands_in_its_panel_slot_and_series(self):
+        sizes = [len(labels) for _, labels in GRID]
+        n_checked = 0
+        for cell in itertools.product(*map(range, sizes)):
+            data = np.full(sizes + [3], np.nan)
+            data[cell] = [1.0, 2.0, 4.0]
+            arr = LabeledArray(dims=GRID + (REP,), data=data)
+            level = dict(zip(["a", "b", "c"], cell))
+            for assign in role_assignments(["a", "b", "c"]):
+                svg = mayplot_svg(arr, PlotSpec(**assign))
+                r = level[assign["rows"]] if "rows" in assign else 0
+                c = level[assign["cols"]] if "cols" in assign else 0
+                s = level[assign["series"]] if "series" in assign else 0
+                xi, nx = level[assign["x"]], sizes["abc".index(assign["x"])]
+                (panel, centre, fill), = data_boxes(svg)
+                assert panel == f"{r}-{c}" and fill == PALETTE[s], (cell, assign)
+                slot_w = PANEL_W / nx
+                left = MARGIN_L + c * (PANEL_W + GAP) + xi * slot_w
+                assert left < centre < left + slot_w, (cell, assign)
+                n_checked += 1
+        assert n_checked == 24 * 18
+
+
+class TestLayoutInvariance:
+    @pytest.mark.parametrize("spec", [
+        PlotSpec(x="c", series="a", rows="b"),
+        PlotSpec(x="b", cols="c", rows="a", ylim="local", log_y=True),
+        PlotSpec(x="a", series="rep", cols="b", rows="c"),
+    ])
+    def test_same_bytes_for_every_dim_order(self, spec):
+        rng = np.random.default_rng(17)
+        data = rng.integers(1, 60, size=(2, 3, 4, 3)).astype(float)
+        data[1, 2, 0, 1] = np.nan
+        arr = LabeledArray(dims=GRID + (REP,), data=data)
+        want = mayplot_svg(arr, spec)
+        for order in itertools.permutations(range(4)):
+            assert mayplot_svg(permuted(arr, order), spec) == want, order
+
+
+def golden_array():
+    """Small integer data: 2 n x 2 tau panels, 3 d slots, 2 families, 5 reps."""
+    dims = (("d", ("5", "20", "100")), ("family", ("Clayton", "Gumbel")),
+            ("n", ("64", "256")), ("tau", ("0.25", "0.5")),
+            ("rep", ("1", "2", "3", "4", "5")))
+    data = ((np.arange(120) * 37) % 41).astype(float).reshape(3, 2, 2, 2, 5)
+    data[0, 1, 1, 0, 4] = 95.0      # an outlier
+    data[2, 0, 0, 1, 2] = np.nan    # a dropped value
+    return LabeledArray(dims=dims, data=data)
+
+
+def test_golden_svg():
+    """``tests/data/golden-plot.svg`` was written by the per-cell slicing
+    renderer of commit 0c91073 from :func:`golden_array`; integer data on a
+    linear scale keeps libm rounding out of the bytes."""
+    spec = PlotSpec(x="d", series="family", rows="n", cols="tau")
+    golden = (DATA / "golden-plot.svg").read_bytes().decode("utf-8")
+    assert mayplot_svg(golden_array(), spec) == golden
