@@ -323,6 +323,9 @@ def _write_out(text: str, path: str | None) -> None:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    for i in reversed(range(len(argv) - 1)):  # argparse reads a lone -inf as an option
+        if argv[i] == "--err-value" and argv[i + 1].lower() == "-inf":
+            argv[i:i + 2] = [f"--err-value={argv[i + 1]}"]
     if WORKER_FLAG in argv:
         if argv != [WORKER_FLAG]:
             print(f"mcgrid: {WORKER_FLAG} takes no other arguments", file=sys.stderr)

@@ -31,15 +31,17 @@ replications; such a run fails before any worker is spawned.)  Each ``task``
 frame then carries only block coordinates, ``[[row, rep_start, size], ...]``,
 and is written with one flush; the parent keeps up to two in flight per
 worker.  The worker runs the thread slot's own task loop: it answers each
-block with a ``result`` frame of its records in order, and flushes once per
-task.  It reads its input on a separate thread, so a parent writing the next
-task never waits on a worker that waits for the parent to read results.  A
-``shutdown`` frame or end of input ends the worker cleanly.  A worker that
-dies mid-run (its pipe gives end of input, or refuses a task frame) aborts the
-run with a diagnostic; there is no mid-run respawn or retry.  On any failure
-or interrupt the parent kills every worker at once, so no slot waits for the
-tasks it has in flight.  The monitor runs in the calling process on every
-backend (see ``run_study``).
+block with a ``result`` frame of its records in rep order, and flushes once
+per task.  It reads its input on its only thread: unread input, at most
+``IN_FLIGHT`` task frames of at most ``TASK_BLOCKS`` coordinate triples, is a
+few hundred bytes and never fills a pipe (4,096 bytes at least), so the
+parent never waits to write a task while its worker waits to write results.
+End of input ends the worker; an unexpected frame tag is a protocol error.
+A worker that dies mid-run (its pipe gives end of input, or refuses a task
+frame) aborts the run with a diagnostic; there is no mid-run respawn or
+retry.  On any failure or interrupt the parent kills every worker at once,
+so no slot waits for the tasks it has in flight.  The monitor runs in the
+calling process on every backend (see ``run_study``).
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ import contextlib
 import json
 import functools
 import os
-import queue
 import struct
 import subprocess
 import sys
@@ -230,17 +231,18 @@ def subjob(ctx: _RunContext, rep: int, row_params: dict) -> SubJobRecord:
                         time_ms=time_ms, seed=seed_hex)
 
 
-def _run_block(ctx: _RunContext, block: Block) -> list[tuple[VirtualIndex, SubJobRecord]]:
+def _run_block(ctx: _RunContext, block: Block) -> list[SubJobRecord]:
+    """The records of ``block``, in rep order."""
     row_params = ctx.grid.row_params(block.row)
-    return [(vidx, subjob(ctx, vidx.rep, row_params))
-            for vidx in block.indices(ctx.n_G, ctx.n_sim, ctx.rep_first)]
+    return [subjob(ctx, rep, row_params)
+            for rep in range(block.rep_start, block.rep_start + block.size)]
 
 
 def _run_tasks(ctx: _RunContext, take):
-    """A slot: the tasks ``take()`` hands out, block by block."""
+    """A slot: the tasks ``take()`` hands out, as ``(block, records)``."""
     while (task := take()) is not None:
         for block in task:
-            yield _run_block(ctx, block)
+            yield block, _run_block(ctx, block)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +325,7 @@ def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
             records = _run_processes(ctx, blocks, backend, monitor)
         else:
             slots = 1 if backend.kind == "sequential" else backend.workers
-            records = _run_pool(ctx.n_G * ctx.n_sim, blocks, backend.load_balancing,
+            records = _run_pool(ctx, blocks, backend.load_balancing,
                                 [functools.partial(_run_tasks, ctx)] * slots, monitor)
     finally:
         _run_active.release()
@@ -335,12 +337,13 @@ def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
     return result
 
 
-def _run_pool(n_records: int, blocks: list[Block], load_balancing: bool,
+def _run_pool(ctx: _RunContext, blocks: list[Block], load_balancing: bool,
               slots: list, monitor=None, stop=None) -> list[SubJobRecord]:
     """Execute every block on ``slots``, callables that each take a ``take``
-    function and yield the ``(VirtualIndex, record)`` pairs of one block at a
-    time, for the tasks ``take()`` hands out until it returns None; each pair
-    is placed and passed to ``monitor`` (if given) as it arrives.
+    function and yield ``(block, records)``, a block and its records in rep
+    order, for the tasks ``take()`` hands out until it returns None; each
+    record is placed in its cell and passed to ``monitor`` (if given) as its
+    block arrives.
 
     A single slot runs on the calling thread, more run on one thread each.
     ``take()`` pulls from a shared task queue with load balancing and from the
@@ -350,7 +353,7 @@ def _run_pool(n_records: int, blocks: list[Block], load_balancing: bool,
     flight return at once, and every slot stops after its current block; the
     first failure (or the interrupt) is raised after every slot stopped.
     """
-    records: list[SubJobRecord | None] = [None] * n_records
+    records: list[SubJobRecord | None] = [None] * (ctx.n_G * ctx.n_sim)
     failures: list[BaseException] = []
     lock = threading.Lock()
     tasks = partition_tasks(blocks, len(slots))
@@ -373,8 +376,9 @@ def _run_pool(n_records: int, blocks: list[Block], load_balancing: bool,
                 return None if failures else next(queues[slot], None)
 
         try:
-            for pairs in slots[slot](take):
-                for vidx, rec in pairs:
+            for block, recs in slots[slot](take):
+                for vidx, rec in zip(block.indices(ctx.n_G, ctx.n_sim, ctx.rep_first),
+                                     recs, strict=True):
                     records[vidx.linear] = rec
                     if monitor is not None:
                         monitor(vidx, rec)
@@ -459,20 +463,6 @@ def _worker_context(setup: dict) -> _RunContext:
                        study_fn=registry.get_study(setup["study"]))
 
 
-def _read_ahead(stdin, frames: queue.SimpleQueue) -> None:
-    """Move frames from ``stdin`` to ``frames`` as they arrive, up to end of
-    input or a ``shutdown`` frame; a read error is passed on in their place."""
-    while True:
-        try:
-            frame = read_frame(stdin)
-        except Exception as exc:
-            frames.put(exc)
-            return
-        frames.put(frame)
-        if not isinstance(frame, dict) or frame.get("tag") == "shutdown":
-            return
-
-
 def _claim_stdout():
     """Move the frame channel off fd 1 and send everything else written to
     standard output, by Python or native code, to standard error."""
@@ -489,22 +479,15 @@ def worker_main(stdin=None, stdout=None) -> int:
     With the default streams, frames go out on a duplicate of fd 1, and fd 1
     and ``sys.stdout`` point at standard error before the setup frame
     resolves the study, so neither importing nor running a study can write
-    into the frame channel.  Input is read ahead on a daemon thread.
+    into the frame channel.  The worker ends at end of input.
     """
     stdin = stdin if stdin is not None else sys.stdin.buffer
     stdout = stdout if stdout is not None else _claim_stdout()
-    frames: queue.SimpleQueue = queue.SimpleQueue()
-    threading.Thread(target=_read_ahead, args=(stdin, frames), daemon=True,
-                     name="mcgrid-worker-reader").start()
 
-    def next_frame(tag: str) -> dict | None:  # None at end of input or shutdown
-        frame = frames.get()
-        if isinstance(frame, Exception):
-            raise ProtocolError(f"protocol error: {frame}")
+    def next_frame(tag: str) -> dict | None:  # None at end of input
+        frame = read_frame(stdin)
         got = frame.get("tag") if isinstance(frame, dict) else None
-        if frame is None or got == "shutdown":
-            return None
-        if got != tag:
+        if frame is not None and got != tag:
             raise ProtocolError(f"unexpected frame tag {got!r}")
         return frame
 
@@ -517,9 +500,9 @@ def worker_main(stdin=None, stdout=None) -> int:
         setup = next_frame("setup")
         if setup is None:
             return 0
-        for pairs in _run_tasks(_worker_context(setup), take):
+        for _, recs in _run_tasks(_worker_context(setup), take):
             stdout.write(encode_frame({"tag": "result",
-                                       "records": [rec.doc() for _, rec in pairs]}))
+                                       "records": [r.doc() for r in recs]}))
     except Exception as exc:
         print(f"worker: {exc!r}", file=sys.stderr)
         return 1
@@ -567,9 +550,7 @@ def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec,
                     if resp.get("tag") != "result":
                         raise ProtocolError(f"worker {i}: expected result frame, "
                                             f"got {resp.get('tag')!r}")
-                    yield [(vidx, SubJobRecord.from_doc(doc)) for vidx, doc in
-                           zip(block.indices(ctx.n_G, ctx.n_sim, ctx.rep_first),
-                               resp["records"], strict=True)]
+                    yield block, [SubJobRecord.from_doc(doc) for doc in resp["records"]]
         return execute
 
     cmd = [sys.executable, "-m", "mcgrid", WORKER_FLAG]
@@ -591,12 +572,11 @@ def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec,
             send(i, proc, setup)
         # on a failure or an interrupt, killed workers end every slot's wait
         # for results at once instead of after the tasks in flight
-        records = _run_pool(ctx.n_G * ctx.n_sim, blocks, backend.load_balancing,
+        records = _run_pool(ctx, blocks, backend.load_balancing,
                             [slot(i, p) for i, p in enumerate(procs)], monitor,
                             stop=kill_all)
         for proc in procs:
-            proc.stdin.write(encode_frame({"tag": "shutdown"}))
-            proc.stdin.close()
+            proc.stdin.close()  # end of input ends the worker
     except BaseException:
         kill_all()
         raise

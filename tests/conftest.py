@@ -68,13 +68,15 @@ def float_type_study(params, rng, warn):
 
 def dying_study(params, rng, warn):
     """Logs each sub-job to ``paths["log"]``; the first sub-job to create
-    ``paths["marker"]`` kills its own process."""
+    ``paths["marker"]`` kills its own process, the others take
+    ``paths["sleep"]`` seconds (default 0)."""
     paths = params["paths"]
     with open(paths["log"], "a", encoding="utf-8") as fh:
         fh.write(f"{params['x']}\n")
     try:
         os.close(os.open(paths["marker"], os.O_CREAT | os.O_EXCL | os.O_WRONLY))
     except FileExistsError:
+        time.sleep(paths.get("sleep", 0))
         return float(params["x"])
     os._exit(3)
 

@@ -236,9 +236,9 @@ class TestAnalyze:
         out = tmp_path / "res.json"
         assert main(["run", str(p), "--out", str(out)]) == 2
         capsys.readouterr()
-        assert main(["analyze", str(out), "--rows", "x", "--cols", "n.sim",
-                     "--err-value=-inf"]) == 0
-        assert "4 & -Inf & -Inf \\\\" in capsys.readouterr().out
+        for fill in (["--err-value=-inf"], ["--err-value", "-inf"], ["--err-value", "-Inf"]):
+            assert main(["analyze", str(out), "--rows", "x", "--cols", "n.sim", *fill]) == 0
+            assert "4 & -Inf & -Inf \\\\" in capsys.readouterr().out
 
     def test_time_component_formats_whole_ms(self, results, capsys):
         assert main(["analyze", str(results), "--component", "time",

@@ -28,6 +28,11 @@ from mcgrid.executor import (TASK_BLOCKS, WORKER_FLAG, encode_frame, partition_t
                              read_frame, worker_main)
 from mcgrid.seeding import derive_streams
 
+try:
+    import fcntl
+except ImportError:  # not a POSIX system: test_minimum_pipe_capacity skips
+    fcntl = None
+
 
 class TestDoCallWe:
     def test_value_and_time_captured(self):
@@ -232,14 +237,21 @@ class TestWorkerLoop:
         vl = scalar_varlist(n_sim=1)
         code, stdout = self._serve(self._setup(vl, "square"),
                                    self._task(Block(0, 1, 1), Block(1, 1, 1)),
-                                   self._task(Block(2, 1, 1)),
-                                   {"tag": "shutdown"}, self._task(Block(1, 1, 1)))
-        assert code == 0
+                                   self._task(Block(2, 1, 1)))
+        assert code == 0  # end of input ends the worker
         for want in (9.0, 16.0, 25.0):
             result = read_frame(stdout)
             assert result["tag"] == "result"
             assert result["records"][0]["value"] == want
-        assert read_frame(stdout) is None  # nothing after shutdown
+        assert read_frame(stdout) is None
+
+    def test_shutdown_frame_is_protocol_error(self, capsys):
+        vl = scalar_varlist(n_sim=1)
+        code, stdout = self._serve(self._setup(vl, "square"), {"tag": "shutdown"},
+                                   self._task(Block(1, 1, 1)))
+        assert code == 1
+        assert "unexpected frame tag 'shutdown'" in capsys.readouterr().err
+        assert read_frame(stdout) is None
 
     def test_worker_eof_is_clean_exit(self):
         assert worker_main(io.BytesIO(b""), io.BytesIO()) == 0
@@ -391,13 +403,32 @@ class TestProcessBackend:
         cmp = do_res_equal(base, res)
         assert cmp, cmp.report
 
-    def test_task_frames_beyond_the_pipe_buffer(self):
-        # slot 0 sends two ~85 kB task frames while its worker writes ~110 kB
-        # of results for the first: the worker must keep reading its input
+    @pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"),
+                        reason="pipe capacity cannot be set here")
+    def test_minimum_pipe_capacity(self, monkeypatch):
+        # the worker reads its input only between tasks: with every pipe at
+        # the 4,096-byte minimum, the unread task frames in flight must still
+        # fit while the worker writes results larger than its stdout pipe
+        popen = executor.subprocess.Popen
+
+        def shrunk(*args, **kwargs):
+            proc = popen(*args, **kwargs)
+            for pipe in (proc.stdin, proc.stdout):
+                fcntl.fcntl(pipe.fileno(), fcntl.F_SETPIPE_SZ, 4096)
+            return proc
+
+        monkeypatch.setattr(executor.subprocess, "Popen", shrunk)
+        # ~110 kB of results per block, with a second task in flight
         vl = scalar_varlist(n_sim=400)
         base = run_study(vl, square_study, keep_seed=True)
         res = run_study(vl, square_study, keep_seed=True,
                         backend=ProcessPool(2, block_size=400, load_balancing=False))
+        cmp = do_res_equal(base, res)
+        assert cmp, cmp.report
+        # 100 blocks: many tasks of up to 8 blocks
+        vl = tiny_varlist(n_sim=25)
+        base = run_study(vl, poly_noisy, keep_seed=True)
+        res = run_study(vl, poly_noisy, keep_seed=True, backend=ProcessPool(2))
         cmp = do_res_equal(base, res)
         assert cmp, cmp.report
 
@@ -417,11 +448,13 @@ class TestProcessBackend:
         monkeypatch.setattr(executor.subprocess, "Popen", spy)
         log = tmp_path / "subjobs.log"
         vl = VarList([VarSpec("n.sim", "N", 200), VarSpec("x", "grid", (3, 4, 5)),
-                      VarSpec("paths", "frozen", {"log": str(log),
+                      VarSpec("paths", "frozen", {"log": str(log), "sleep": 0.01,
                                                   "marker": str(tmp_path / "died")})])
         with pytest.raises(ExecutionError, match="died mid-run"):
             run_study(vl, dying_study, backend=ProcessPool(2))
-        assert len(log.read_text().splitlines()) < 60  # of 600 sub-jobs
+        # 60 sub-jobs of the surviving worker take 0.6 s; a pool that does
+        # not stop logs all 600
+        assert len(log.read_text().splitlines()) < 60
         assert len(spawned) == 2
         assert all(p.returncode is not None for p in spawned)  # killed and reaped
 
