@@ -61,11 +61,8 @@ class LabeledArray:
             k = labels.index(label)
         except ValueError:
             raise KeyError(f"{name!r} has no level {label!r}; have {labels}") from None
-        data = np.take(self.data, k, axis=ax)
-        if not isinstance(data, np.ndarray):  # np.take collapsed to a scalar
-            boxed = np.empty((), dtype=self.data.dtype)
-            boxed[()] = data
-            data = boxed
+        # the trailing Ellipsis makes a 1-d array's slice 0-d, not a scalar
+        data = self.data[(slice(None),) * ax + (k, ...)].copy()
         dims = self.dims[:ax] + self.dims[ax + 1:]
         return LabeledArray(dims=dims, data=data)
 
@@ -169,8 +166,6 @@ class FlatTable:
 def _cell_str(v) -> str:
     if isinstance(v, str):
         return v
-    if isinstance(v, np.str_):
-        return str(v)
     if isinstance(v, (bool, np.bool_)):
         return "TRUE" if v else "FALSE"
     if isinstance(v, (float, np.floating)):
@@ -282,6 +277,23 @@ def _break_space(tier: int) -> str:
     return f"{pt:g}pt"
 
 
+def _latex_table(colspec: str, head: list[str], body: list[str], caption: str | None,
+                 tag: str | None, fontsize: str | None = None) -> str:
+    """A booktabs ``table`` environment around the head and body lines."""
+    lines = ["\\begin{table}[htbp]", "  \\centering" + (f"\\{fontsize}" if fontsize else ""),
+             f"  \\begin{{tabular}}{{{colspec}}}", "    \\toprule"]
+    lines += ["    " + line for line in head]
+    lines.append("    \\midrule")
+    lines += ["    " + line for line in body]
+    lines += ["    \\bottomrule", "  \\end{tabular}"]
+    if caption:
+        lines.append(f"  \\caption{{{caption}}}")
+    if tag:
+        lines.append(f"  \\label{{{tag}}}")
+    lines.append("\\end{table}")
+    return "\n".join(lines) + "\n"
+
+
 def to_latex_table(ft: FlatTable, labels: dict | None = None, caption: str | None = None,
                    tag: str | None = None, fontsize: str | None = None) -> str:
     """Booktabs LaTeX rendering of a flat table.
@@ -300,73 +312,43 @@ def to_latex_table(ft: FlatTable, labels: dict | None = None, caption: str | Non
     n_data = len(ft.body[0]) - nrv if ft.body else len(ft.header_rows[0]) - nrv
     n_cv = len(ft.col_vars)
 
-    lines = ["\\begin{table}[htbp]", "  \\centering"]
-    if fontsize:
-        lines[-1] += f"\\{fontsize}"
-    lines.append(f"  \\begin{{tabular}}{{*{{{nrv}}}{{l}}*{{{n_data}}}{{r}}}}")
-    lines.append("    \\toprule")
-
+    head = []
     for c in range(n_cv - 1):
         cells = [""] * (nrv - 1) + [var_label(ft.col_vars[c])]
         row_spans = [s for s in ft.spans if s[0] == c]
         for _, start, end in row_spans:
             lab = latex_escape(ft.header_rows[c][start])
             cells.append(f"\\multicolumn{{{end - start + 1}}}{{c}}{{{lab}}}")
-        lines.append("    " + " & ".join(cells) + " \\\\")
-        rules = " ".join(f"\\cmidrule(lr){{{start + 1}-{end + 1}}}"
-                         for _, start, end in row_spans)
-        lines.append("    " + rules)
+        head.append(" & ".join(cells) + " \\\\")
+        head.append(" ".join(f"\\cmidrule(lr){{{start + 1}-{end + 1}}}"
+                             for _, start, end in row_spans))
 
     last = n_cv - 1
-    head = [var_label(v) for v in ft.row_vars[:-1]]
-    head.append(var_label(ft.row_vars[-1]) + " \\textbar\\ " + var_label(ft.col_vars[last]))
+    cells = [var_label(v) for v in ft.row_vars[:-1]]
+    cells.append(var_label(ft.row_vars[-1]) + " \\textbar\\ " + var_label(ft.col_vars[last]))
     for j in range(n_data):
         lab = latex_escape(ft.header_rows[last][nrv + j])
-        head.append(f"\\multicolumn{{1}}{{c}}{{{lab}}}")
-    lines.append("    " + " & ".join(head) + " \\\\")
-    lines.append("    \\midrule")
+        cells.append(f"\\multicolumn{{1}}{{c}}{{{lab}}}")
+    head.append(" & ".join(cells) + " \\\\")
 
     breaks = {after: tier for after, tier in ft.row_group_breaks}
+    body = []
     for i, row in enumerate(ft.body):
-        text = "    " + " & ".join(latex_escape(c) for c in row) + " \\\\"
+        text = " & ".join(latex_escape(c) for c in row) + " \\\\"
         if i in breaks:
             text += f" \\addlinespace[{_break_space(breaks[i])}]"
-        lines.append(text)
-
-    lines.append("    \\bottomrule")
-    lines.append("  \\end{tabular}")
-    if caption:
-        lines.append(f"  \\caption{{{caption}}}")
-    if tag:
-        lines.append(f"  \\label{{{tag}}}")
-    lines.append("\\end{table}")
-    return "\n".join(lines) + "\n"
+        body.append(text)
+    return _latex_table(f"*{{{nrv}}}{{l}}*{{{n_data}}}{{r}}", head, body,
+                        caption, tag, fontsize)
 
 
 def varlist_to_latex(vl: VarList, caption: str | None = None, tag: str | None = None) -> str:
     """Summary table of a variable list: name, display label, role, value(s)."""
-    lines = [
-        "\\begin{table}[htbp]",
-        "  \\centering",
-        "  \\begin{tabular}{l*{2}{c}r}",
-        "    \\toprule",
-        "    \\multicolumn{1}{c}{Variable} & \\multicolumn{1}{c}{expression} & "
-        "\\multicolumn{1}{c}{type} & \\multicolumn{1}{c}{value} \\\\",
-        "    \\midrule",
-    ]
-    for s in vl.specs:
-        name = f"\\texttt{{{latex_escape(s.name)}}}"
-        label = _latex_label(s.label)
-        value = latex_escape(s.value_display())
-        lines.append(f"    {name} & {label} & {s.vtype} & {value} \\\\")
-    lines.append("    \\bottomrule")
-    lines.append("  \\end{tabular}")
-    if caption:
-        lines.append(f"  \\caption{{{caption}}}")
-    if tag:
-        lines.append(f"  \\label{{{tag}}}")
-    lines.append("\\end{table}")
-    return "\n".join(lines) + "\n"
+    head = ["\\multicolumn{1}{c}{Variable} & \\multicolumn{1}{c}{expression} & "
+            "\\multicolumn{1}{c}{type} & \\multicolumn{1}{c}{value} \\\\"]
+    body = [f"\\texttt{{{latex_escape(s.name)}}} & {_latex_label(s.label)} & {s.vtype} & "
+            f"{latex_escape(s.value_display())} \\\\" for s in vl.specs]
+    return _latex_table("l*{2}{c}r", head, body, caption, tag)
 
 
 # ---------------------------------------------------------------------------

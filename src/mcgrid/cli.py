@@ -162,6 +162,8 @@ def _worker_cap(requested: int) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise _UsageError(f"--out {args.out!r}: its directory does not exist")
     study_name, vl = _load_config(args.config)
     if args.n_sim is not None:
         vl = vl.with_n_sim(args.n_sim)
@@ -346,6 +348,9 @@ def main(argv=None) -> int:
         return 1
     except (ExecutionError, ProtocolError) as exc:
         print(f"mcgrid: run aborted: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"mcgrid: {exc}", file=sys.stderr)
         return 1
 
 

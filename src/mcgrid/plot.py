@@ -5,7 +5,9 @@ across rows, one across columns), with one variable on the x axis and one as
 colored series inside each panel.  When a replication dimension remains, each
 (x, series) cell shows a Tukey box-and-whisker summary of the replications;
 otherwise the series are drawn as lines.  The y scale can be shared globally
-(envelope over all panels) or per panel row, linear or log.
+(envelope over all panels) or per panel row, linear or log.  A value that
+cannot be drawn (non-finite, or non-positive on a log scale) is dropped, and
+the number dropped is printed in the top right corner.
 
 The output is pure SVG with a fixed geometry (240x180 px panels): the bytes
 are a deterministic function of the input, no external resources are
@@ -184,34 +186,22 @@ def mayplot_svg(arr: LabeledArray, spec: PlotSpec) -> str:
     nx, ns = len(x_labels), len(series_labels)
     n_rep = len(arr.labels(rep_name)) if rep_name else 1
 
-    dropped = [0]
-
-    def transform(vals: np.ndarray) -> np.ndarray:
-        v = np.asarray(vals, dtype=float).ravel()
-        finite = v[np.isfinite(v)]
-        dropped[0] += v.size - finite.size
-        if spec.log_y:
-            pos = finite[finite > 0]
-            dropped[0] += finite.size - pos.size
-            return np.log10(pos)
-        return finite
-
     # rows, cols, x, series, replications: C order over the moved axes is the
     # panel layout, and the reshape puts a length-1 axis where a role is unset
     roles = (spec.rows, spec.cols, spec.x, spec.series, rep_name)
     data = np.transpose(arr.data, [arr.axis(v) for v in roles if v is not None])
-    data = data.reshape(n_rows, n_cols, nx, ns, n_rep)
+    data = data.reshape(n_rows, n_cols, nx, ns, n_rep).astype(float)
+    # plotted values, with NaN for every value that cannot be drawn
+    if spec.log_y:
+        data[data <= 0] = np.nan
+        np.log10(data, out=data)
+    data[~np.isfinite(data)] = np.nan
+    dropped = int(np.isnan(data).sum())
 
-    # precompute panel cell data and the y ranges
-    cells = {(r, c): [[transform(data[r, c, xi, si]) for si in range(ns)]
-                      for xi in range(nx)]
-             for r in range(n_rows) for c in range(n_cols)}
-
-    def y_range(values: list[np.ndarray]) -> tuple[float, float]:
-        allv = np.concatenate([v for v in values if v.size]) if values else np.array([])
-        if allv.size == 0:
+    def y_range(values: np.ndarray) -> tuple[float, float]:
+        if np.isnan(values).all():
             return (0.0, 1.0)
-        lo, hi = float(allv.min()), float(allv.max())
+        lo, hi = float(np.nanmin(values)), float(np.nanmax(values))
         if lo == hi:
             pad = max(abs(lo) * 0.04, 0.5)
         else:
@@ -219,12 +209,9 @@ def mayplot_svg(arr: LabeledArray, spec: PlotSpec) -> str:
         return lo - pad, hi + pad
 
     if spec.ylim == "global":
-        rng = y_range([v for panel in cells.values() for col in panel for v in col])
-        row_ranges = [rng] * n_rows
+        row_ranges = [y_range(data)] * n_rows
     else:
-        row_ranges = [y_range([v for c in range(n_cols)
-                               for col in cells[(r, c)] for v in col])
-                      for r in range(n_rows)]
+        row_ranges = [y_range(data[r]) for r in range(n_rows)]
 
     has_col_strip = spec.cols is not None
     has_row_strip = spec.rows is not None
@@ -281,15 +268,15 @@ def mayplot_svg(arr: LabeledArray, spec: PlotSpec) -> str:
                          GRID_COL, 0.5)
 
             svg.add(f'<g clip-path="url(#panel-{r}-{c})">')
-            panel = cells[(r, c)]
+            panel = data[r, c]
             if kind == "box":
                 slot_w = PANEL_W / nx
                 group_w = slot_w * 0.8
                 bw = group_w / ns * 0.85
                 for xi in range(nx):
                     for si in range(ns):
-                        vals = panel[xi][si]
-                        if vals.size == 0:
+                        vals = panel[xi, si]
+                        if np.isnan(vals).all():
                             continue
                         st = boxplot_stats(vals)
                         color = PALETTE[si % len(PALETTE)]
@@ -323,9 +310,10 @@ def mayplot_svg(arr: LabeledArray, spec: PlotSpec) -> str:
                     color = PALETTE[si % len(PALETTE)]
                     pts = []
                     for xi in range(nx):
-                        vals = panel[xi][si]
-                        if vals.size:
-                            pts.append((px + x_px(xi), py + y_px(r, float(vals[0]))))
+                        vals = panel[xi, si]
+                        kept = vals[~np.isnan(vals)]
+                        if kept.size:
+                            pts.append((px + x_px(xi), py + y_px(r, float(kept[0]))))
                     if len(pts) > 1:
                         path = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in pts)
                         svg.add(f'<polyline points="{path}" fill="none" '
@@ -373,8 +361,8 @@ def mayplot_svg(arr: LabeledArray, spec: PlotSpec) -> str:
             svg.rect(bx, ly - 5, 12, 10, color)
             svg.text(bx + 18, ly + 4, series_labels[si], size=11, anchor="start")
 
-    if dropped[0]:
-        svg.text(width - MARGIN_R, 10, f"dropped: {dropped[0]}", size=9, anchor="end")
+    if dropped:
+        svg.text(width - MARGIN_R, 10, f"dropped: {dropped}", size=9, anchor="end")
 
     svg.add("</svg>")
     return "\n".join(svg.parts) + "\n"

@@ -184,9 +184,10 @@ def derive_state(seed: int) -> StreamState:
     return _fresh_state((k0, k1))
 
 
-def _fresh_state(key: tuple[int, int]) -> StreamState:
-    bg = np.random.Philox(key=np.array(key, dtype=np.uint64))
-    return StreamState._from_philox(bg.state)
+def _fresh_state(key: tuple[int, int], jumps: int = 0) -> StreamState:
+    """Unused stream at counter ``jumps * 2**128`` (numpy's ``jumped(jumps)``)."""
+    return StreamState(counter=(0, 0, jumps & _M64, jumps >> 64), key=key,
+                       buffer=(0,) * 4, buffer_pos=4, has_uint32=0, uinteger=0)
 
 
 def derive_streams(n_sim: int, master_seed) -> list[StreamState]:
@@ -202,12 +203,7 @@ def derive_streams(n_sim: int, master_seed) -> list[StreamState]:
         st ^= out
     st, k0 = _splitmix64(st)
     st, k1 = _splitmix64(st)
-    base = np.random.Philox(key=np.array((k0, k1), dtype=np.uint64))
-    states = []
-    for i in range(n_sim):
-        states.append(StreamState._from_philox(base.jumped(i).state) if i else
-                      StreamState._from_philox(base.state))
-    return states
+    return [_fresh_state((k0, k1), i) for i in range(n_sim)]
 
 
 @dataclass(frozen=True)

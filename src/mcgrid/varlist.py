@@ -296,9 +296,6 @@ class PhysicalGrid:
     def row_values(self, row: int) -> tuple:
         return tuple(vals[i] for vals, i in zip(self.level_values, self.decode(row)))
 
-    def row_labels(self, row: int) -> tuple[str, ...]:
-        return tuple(labs[i] for labs, i in zip(self.level_labels, self.decode(row)))
-
     def row_params(self, row: int) -> dict:
         return dict(zip(self.var_names, self.row_values(row)))
 

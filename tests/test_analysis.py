@@ -12,7 +12,8 @@ import pytest
 from conftest import poly_study, random_store, tiny_varlist
 
 from mcgrid import (LabeledArray, array2df, collapse, ftable, get_array,
-                    latex_escape, run_study, to_csv, to_latex_table)
+                    latex_escape, run_study, to_csv, to_latex_table,
+                    varlist_to_latex)
 from mcgrid.analysis import _cell_str
 
 
@@ -43,6 +44,11 @@ class TestLabeledArray:
         s = arr.slice("v0", "L1")
         assert s.dims == ()
         assert s.data[()] == 1.0
+        words = LabeledArray(dims=(("v0", ("L0", "L1")),),
+                             data=np.array(["a", "bc"], dtype=object))
+        s = words.slice("v0", "L1")
+        assert s.dims == () and s.data.shape == () and s.data.dtype == object
+        assert s.data[()] == "bc"
 
     def test_slice_unknown_label(self):
         with pytest.raises(KeyError):
@@ -305,6 +311,12 @@ class TestLatex:
         assert "\\caption{Cap}" in text and "\\label{tab:x}" in text
         assert "\\centering\\scriptsize" in text
         assert "\\addlinespace[6pt]" in text  # after the f-group boundary
+
+    def test_varlist_caption_and_label_close_the_table(self):
+        lines = varlist_to_latex(tiny_varlist(), caption="Variables", tag="tab:vars").splitlines()
+        assert lines[-3:] == ["  \\caption{Variables}", "  \\label{tab:vars}",
+                              "\\end{table}"]
+        assert lines[-5:-3] == ["    \\bottomrule", "  \\end{tabular}"]
 
     def test_addlinespace_tiers(self):
         arr = mk_arr([2, 2, 2, 2], names=["o", "m", "i", "c"])

@@ -45,6 +45,14 @@ def cli_infinite_study(params, rng, warn):
     return {3: 3.0, 4: math.inf, 5: -math.inf}[params["x"]]
 
 
+CALLS = []
+
+
+def cli_counting_study(params, rng, warn):
+    CALLS.append(params["x"])
+    return float(params["x"])
+
+
 class TestUsageErrors:
     def test_no_command_exits_1(self, capsys):
         assert main([]) == 1
@@ -132,6 +140,20 @@ class TestRun:
         lines = [l for l in err.splitlines() if l.startswith("i=")]
         assert len(lines) == 6
         assert all(re.fullmatch(r"i=\d+, time=\d+ms", l) for l in lines)
+
+    def test_out_in_missing_directory_runs_nothing(self, capsys, tmp_path):
+        p = write_config(tmp_path / "c.json", study="test_cli:cli_counting_study")
+        CALLS.clear()
+        assert main(["run", str(p), "--out", str(tmp_path / "absent" / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mcgrid: ") and "absent" in err
+        assert err.count("\n") == 1 and CALLS == []
+
+    def test_out_is_a_directory_exits_1(self, capsys, tmp_path):
+        p = write_config(tmp_path / "c.json")
+        assert main(["run", str(p), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mcgrid: ") and err.count("\n") == 1
 
     def test_n_sim_override(self, capsys, tmp_path):
         p = write_config(tmp_path / "c.json", n_sim=2)
@@ -266,6 +288,14 @@ class TestAnalyze:
                 assert main(["analyze", str(path), *argv]) == 0
                 texts.append(capsys.readouterr().out)
             assert texts[0] == texts[1] and texts[0].count("\n") > 4
+
+    def test_output_in_missing_directory_exits_1(self, results, tmp_path, capsys):
+        dest = tmp_path / "absent" / "table.tex"
+        assert main(["analyze", str(results), "--rows", "x", "--cols", "n.sim",
+                     "--out", str(dest)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mcgrid: ") and "absent" in err
+        assert err.count("\n") == 1
 
     def test_missing_results_file(self, capsys, tmp_path):
         assert main(["analyze", str(tmp_path / "no.json"), "--rows", "x",

@@ -17,6 +17,13 @@ from mcgrid.plot import GAP, MARGIN_L, PALETTE, PANEL_W
 
 DATA = Path(__file__).parent / "data"
 
+# facet rows b, x levels, replications; the first cell of b=1 has no positive
+# value and the first cell of b=2 has no finite one
+MIXED = LabeledArray(
+    dims=(("b", ("1", "2")), ("x", ("1", "2")), ("rep", ("1", "2", "3", "4"))),
+    data=np.array([[[math.nan, math.inf, 0.0, -1.0], [2.0, -math.inf, 3.0, 5.0]],
+                   [[math.nan, math.nan, -math.inf, math.inf], [0.0, -2.0, 4.0, 1.0]]]))
+
 
 class TestBoxplotStats:
     def test_simple_case_no_outliers(self):
@@ -144,6 +151,10 @@ class TestMayplotSvg:
         arr = LabeledArray(dims=dims, data=data)
         svg = mayplot_svg(arr, PlotSpec(x="x"))
         assert "dropped: 2" in svg
+        for ylim in ("global", "local"):
+            svg = mayplot_svg(MIXED, PlotSpec(x="x", rows="b", ylim=ylim))
+            assert "dropped: 7" in svg
+            assert svg.count('fill-opacity="0.4"') == 3  # boxes of the kept cells
 
     def test_log_y_drops_nonpositive(self):
         dims = (("x", ("1",)), ("rep", ("1", "2", "3", "4")))
@@ -151,6 +162,10 @@ class TestMayplotSvg:
         arr = LabeledArray(dims=dims, data=data)
         svg = mayplot_svg(arr, PlotSpec(x="x", log_y=True))
         assert "dropped: 2" in svg
+        for ylim in ("global", "local"):
+            svg = mayplot_svg(MIXED, PlotSpec(x="x", rows="b", ylim=ylim, log_y=True))
+            assert "dropped: 11" in svg
+            assert svg.count('fill-opacity="0.4"') == 2
 
     def test_local_ylim_differs_from_global(self, study_array):
         g = mayplot_svg(study_array, PlotSpec(x="p", series="a", rows="b",

@@ -61,6 +61,13 @@ class TestStreamState:
 
 
 class TestDerivation:
+    @given(st.integers(min_value=0, max_value=2**64 - 1))
+    @settings(max_examples=1000, deadline=None)
+    def test_fresh_state_is_numpy_philox_from_the_key(self, seed):
+        s = derive_state(seed)
+        bg = np.random.Philox(key=np.array(s.key, dtype=np.uint64))
+        assert StreamState._from_philox(bg.state) == s
+
     def test_derive_is_deterministic(self):
         assert derive_state(5) == derive_state(5)
         assert derive_state(5) != derive_state(6)
@@ -95,6 +102,14 @@ class TestMasterSeedStreams:
         # no pairwise overlap anywhere in the sampled window
         all_vals = np.concatenate(draws)
         assert len(np.unique(all_vals)) == all_vals.size
+
+    @given(st.lists(st.integers(min_value=-2**70, max_value=2**70), max_size=6))
+    @settings(max_examples=20, deadline=None)
+    def test_stream_i_is_numpy_base_jumped_i_times(self, master):
+        states = derive_streams(64, master)
+        base = np.random.Philox(key=np.array(states[0].key, dtype=np.uint64))
+        for i, s in enumerate(states):
+            assert StreamState._from_philox(base.jumped(i).state) == s
 
     def test_order_of_master_integers_matters(self):
         a = derive_streams(1, [1, 2])[0]
