@@ -268,7 +268,7 @@ def cmd_analyze(args) -> int:
     try:
         ft = ftable(arr, rows, cols)
     except (KeyError, ValueError) as exc:
-        raise _UsageError(str(exc)) from exc
+        raise _UsageError(exc.args[0]) from exc
 
     if args.format == "latex":
         labels = {s.name: s.label for s in store.meta.varlist.specs}
@@ -296,14 +296,14 @@ def cmd_plot(args) -> int:
         try:
             arr = arr.slice(name.strip(), label.strip())
         except KeyError as exc:
-            raise _UsageError(str(exc)) from exc
+            raise _UsageError(exc.args[0]) from exc
     spec = PlotSpec(x=args.x, series=args.series, rows=args.rows, cols=args.cols,
                     ylim=args.ylim, log_y=args.log_y, panel_kind=args.kind,
                     ylab=args.ylab)
     try:
         svg = mayplot_svg(arr, spec)
     except (KeyError, ValueError) as exc:
-        raise _UsageError(str(exc)) from exc
+        raise _UsageError(exc.args[0]) from exc
     _write_out(svg, args.out)
     print(f"plot written to {args.out}")
     return 0

@@ -12,36 +12,37 @@ tasks, runs of consecutive blocks (guided self-scheduling: each task takes
 blocks).  Task composition depends only on the block list and the slot count,
 never on timing.  One scheduler hands the tasks to slots: the calling thread
 (sequential), one thread per slot (thread pool), or one thread per spawned
-worker process, which runs the same block path behind a frame protocol on its
-standard pipes.  With load balancing (default) tasks are pulled from a shared
-queue as slots become free; without it they are pre-assigned round-robin.
-Either way the assembled results are identical for deterministic studies;
-only timing fields may differ.  Once any slot fails, or the calling thread is
-interrupted, no slot starts another block.
+worker process, whose main thread runs the same slot behind a frame protocol
+on its standard pipes.  With load balancing (default) tasks are pulled from a
+shared queue as slots become free; without it they are pre-assigned
+round-robin.  Either way the assembled results are identical for
+deterministic studies; only timing fields may differ.  Once any slot fails,
+or the calling thread is interrupted, no slot starts another block.
+
+A slot that runs sub-jobs owns one random stream and resets it to the
+replication's state before each call, so a study's ``rng`` is valid only
+during that call.  A block's outcomes are columns (values, times, sparse
+errors and warnings, seeds) that the scheduler writes straight into the run's
+store-order columns; records are built only for a monitor.
 
 Frame protocol: 4-byte big-endian payload length, then the payload, a
 canonical-JSON document (the same text family as the result files).  Frames
 above 64 MiB are a protocol error.  The parent sends each worker one
 ``setup`` frame (study name, grid names and levels, the common arguments, the
 canonical seeding spec, ``keep_seed``, ``n_sim`` and the virtual order), from
-which the worker builds its run context as the parent does, deriving each
-replication's seed state once.  (A ``per-rep-stream`` spec carries its states
-in this frame, ~211 bytes each, so the frame limit bounds it at ~318k
-replications; such a run fails before any worker is spawned.)  Each ``task``
-frame then carries only block coordinates, ``[[row, rep_start, size], ...]``,
-and is written with one flush; the parent keeps up to two in flight per
-worker.  The worker runs the thread slot's own task loop: it answers each
-block with a ``result`` frame of its records in rep order, and flushes once
-per task.  It reads its input on its only thread: unread input, at most
-``IN_FLIGHT`` task frames of at most ``TASK_BLOCKS`` coordinate triples, is a
-few hundred bytes and never fills a pipe (4,096 bytes at least), so the
-parent never waits to write a task while its worker waits to write results.
-End of input ends the worker; an unexpected frame tag is a protocol error.
-A worker that dies mid-run (its pipe gives end of input, or refuses a task
-frame) aborts the run with a diagnostic; there is no mid-run respawn or
-retry.  On any failure or interrupt the parent kills every worker at once,
-so no slot waits for the tasks it has in flight.  The monitor runs in the
-calling process on every backend (see ``run_study``).
+which the worker builds its run context as the parent does.  (A
+``per-rep-stream`` spec carries ~211 bytes per replication in this frame, so
+the frame limit bounds it at ~318k replications; such a run fails before any
+worker is spawned.)  Each ``task`` frame carries only block coordinates,
+``[[row, rep_start, size], ...]``; the parent keeps up to two in flight per
+worker.  The worker answers each block with one ``result`` frame of that
+block's columns and flushes once per task.  Its unread input, at most
+``IN_FLIGHT`` small task frames, never fills a pipe, so the parent never
+waits to write a task while its worker waits to write results.  End of input
+ends the worker; an unexpected frame tag is a protocol error.  A worker that
+dies mid-run aborts the run with a diagnostic (no respawn or retry), and on
+any failure or interrupt the parent kills every worker at once.  The monitor
+runs in the calling process on every backend (see ``run_study``).
 """
 
 from __future__ import annotations
@@ -56,12 +57,13 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import registry
-from .results import (ErrorInfo, RawFallback, ResultStore, SubJobRecord,
+from .results import (Columns, ErrorInfo, RawFallback, ResultStore, SubJobRecord,
                       assemble, canonical_json, maybe_read, save,
                       study_fingerprint)
 from .seeding import RngStream, SeedSpec, ambient_stream, seed_for
@@ -193,6 +195,22 @@ def _normalize_value(value):
     return float(arr) if arr.ndim == 0 else arr
 
 
+def _freeze(arg):
+    """A read-only copy of a common argument, level by level: lists and
+    tuples become tuples, sets frozensets, dicts read-only mappings, arrays
+    read-only views; anything else passes through."""
+    if type(arg) in (list, tuple):
+        return tuple(map(_freeze, arg))
+    if isinstance(arg, set):
+        return frozenset(arg)
+    if isinstance(arg, dict):
+        return types.MappingProxyType({k: _freeze(v) for k, v in arg.items()})
+    if isinstance(arg, np.ndarray):
+        arg = arg.view()
+        arg.flags.writeable = False
+    return arg
+
+
 @dataclass
 class _RunContext:
     """Everything a block needs, built once per run: in the calling process
@@ -201,48 +219,66 @@ class _RunContext:
     grid: object
     n_sim: int
     rep_first: bool
-    base_args: dict
+    base_args: dict  # as declared; the setup frame carries them
     seed: SeedSpec
     keep_seed: bool
     study_fn: object
     n_G: int = field(init=False)
+    args: dict = field(init=False)    # base_args, each one read-only
     states: list = field(init=False)  # seed_for(seed, rep) at index rep - 1
+    philox: list = field(init=False)  # their Philox states; None: the ambient stream
+    seeds: list | None = field(init=False)  # their hex texts, kept under keep_seed
 
     def __post_init__(self):
         self.n_G = self.grid.n_rows
+        self.args = {name: _freeze(arg) for name, arg in self.base_args.items()}
         # seed_for depends only on (seed, rep): derive each replication once
         self.states = [seed_for(self.seed, rep) for rep in range(1, self.n_sim + 1)]
+        seeded = self.states[0] is not None
+        self.philox = [s.philox_state() if seeded else None for s in self.states]
+        self.seeds = [s.to_hex() for s in self.states] if seeded and self.keep_seed else None
 
 
-def subjob(ctx: _RunContext, rep: int, row_params: dict) -> SubJobRecord:
-    """Run one sub-job of replication ``rep``: seed, call through the
-    harness, record."""
-    params = dict(row_params)
-    params.update(ctx.base_args)
-    state = ctx.states[rep - 1]
+def subjob(ctx: _RunContext, rng: RngStream | None, rep: int, params: dict) -> tuple:
+    """Run one sub-job of replication ``rep`` through the harness, on the
+    slot's stream ``rng`` reset to the replication's state (on the ambient
+    stream under ``none``/``unseeded``); returns the harness outcome."""
+    state = ctx.philox[rep - 1]
     if state is None:
         rng = ambient_stream()
-        seed_hex = rng.state.to_hex() if ctx.keep_seed and ctx.seed.kind != "unseeded" else None
     else:
-        rng = RngStream.from_state(state)
-        seed_hex = state.to_hex() if ctx.keep_seed else None
-    value, error, warnings, time_ms = do_call_we(ctx.study_fn, params, rng)
-    return SubJobRecord(value=value, error=error, warnings=warnings,
-                        time_ms=time_ms, seed=seed_hex)
+        rng.reset(state)
+    return do_call_we(ctx.study_fn, dict(params), rng)
 
 
-def _run_block(ctx: _RunContext, block: Block) -> list[SubJobRecord]:
-    """The records of ``block``, in rep order."""
-    row_params = ctx.grid.row_params(block.row)
-    return [subjob(ctx, rep, row_params)
-            for rep in range(block.rep_start, block.rep_start + block.size)]
+def _run_block(ctx: _RunContext, rng: RngStream | None, block: Block) -> Columns:
+    """The outcomes of ``block``, as columns in rep order."""
+    params = ctx.grid.row_params(block.row)
+    params.update(ctx.args)
+    first = block.rep_start - 1
+    ambient = ctx.keep_seed and ctx.seed.kind == "none"
+    seeds = [] if ambient else ctx.seeds and ctx.seeds[first:first + block.size]
+    values, times, errors, warns = [], [], {}, {}
+    for k in range(block.size):
+        if ambient:  # the state the sub-job starts from
+            seeds.append(ambient_stream().state.to_hex())
+        value, error, warnings, time_ms = subjob(ctx, rng, block.rep_start + k, params)
+        values.append(value)
+        times.append(time_ms)
+        if error is not None:
+            errors[k] = error
+        if warnings:
+            warns[k] = warnings
+    return Columns(values, times, errors, warns, seeds)
 
 
 def _run_tasks(ctx: _RunContext, take):
-    """A slot: the tasks ``take()`` hands out, as ``(block, records)``."""
+    """A slot: the tasks ``take()`` hands out, as ``(block, columns)``.  The
+    slot owns one stream, reset before every sub-job."""
+    rng = None if ctx.states[0] is None else RngStream.from_state(ctx.states[0])
     while (task := take()) is not None:
         for block in task:
-            yield block, _run_block(ctx, block)
+            yield block, _run_block(ctx, rng, block)
 
 
 # ---------------------------------------------------------------------------
@@ -322,28 +358,27 @@ def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
                           study_fn=study_fn)
         blocks = partition_blocks(ctx.n_G, ctx.n_sim, backend.block_size, rep_first)
         if backend.kind == "processes":
-            records = _run_processes(ctx, blocks, backend, monitor)
+            outcomes = _run_processes(ctx, blocks, backend, monitor)
         else:
             slots = 1 if backend.kind == "sequential" else backend.workers
-            records = _run_pool(ctx, blocks, backend.load_balancing,
-                                [functools.partial(_run_tasks, ctx)] * slots, monitor)
+            outcomes = _run_pool(ctx, blocks, backend.load_balancing,
+                                 [functools.partial(_run_tasks, ctx)] * slots, monitor)
     finally:
         _run_active.release()
 
     created = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    result = assemble(vl, records, rep_first, seed, keep_seed, created)
+    result = assemble(vl, outcomes, rep_first, seed, keep_seed, created)
     if cache_path is not None:
         save(result, cache_path)
     return result
 
 
 def _run_pool(ctx: _RunContext, blocks: list[Block], load_balancing: bool,
-              slots: list, monitor=None, stop=None) -> list[SubJobRecord]:
-    """Execute every block on ``slots``, callables that each take a ``take``
-    function and yield ``(block, records)``, a block and its records in rep
-    order, for the tasks ``take()`` hands out until it returns None; each
-    record is placed in its cell and passed to ``monitor`` (if given) as its
-    block arrives.
+              slots: list, monitor=None, stop=None) -> Columns:
+    """The run's columns in store order, from every block run on ``slots``:
+    callables that take a ``take`` function and yield ``(block, columns)`` for
+    the tasks ``take()`` hands out until it returns None.  Each block's
+    columns, and its sub-jobs to ``monitor`` (if given), go out on arrival.
 
     A single slot runs on the calling thread, more run on one thread each.
     ``take()`` pulls from a shared task queue with load balancing and from the
@@ -353,7 +388,9 @@ def _run_pool(ctx: _RunContext, blocks: list[Block], load_balancing: bool,
     flight return at once, and every slot stops after its current block; the
     first failure (or the interrupt) is raised after every slot stopped.
     """
-    records: list[SubJobRecord | None] = [None] * (ctx.n_G * ctx.n_sim)
+    n_G, n = ctx.n_G, ctx.n_G * ctx.n_sim
+    kept = ctx.keep_seed and ctx.seed.kind != "unseeded"
+    out = Columns([None] * n, [0.0] * n, {}, {}, [None] * n if kept else None)
     failures: list[BaseException] = []
     lock = threading.Lock()
     tasks = partition_tasks(blocks, len(slots))
@@ -376,12 +413,12 @@ def _run_pool(ctx: _RunContext, blocks: list[Block], load_balancing: bool,
                 return None if failures else next(queues[slot], None)
 
         try:
-            for block, recs in slots[slot](take):
-                for vidx, rec in zip(block.indices(ctx.n_G, ctx.n_sim, ctx.rep_first),
-                                     recs, strict=True):
-                    records[vidx.linear] = rec
-                    if monitor is not None:
-                        monitor(vidx, rec)
+            for block, cols in slots[slot](take):
+                # cells row + n_G * (rep - 1) of the block's reps, whatever rep_first is
+                out.put(block.row + n_G * (block.rep_start - 1), n_G, cols)
+                if monitor is not None:
+                    for k, vidx in enumerate(block.indices(n_G, ctx.n_sim, ctx.rep_first)):
+                        monitor(vidx, cols.record(k))
                 if failures:
                     break
         except BaseException as exc:  # re-raised below, once every slot stopped
@@ -407,7 +444,7 @@ def _run_pool(ctx: _RunContext, blocks: list[Block], load_balancing: bool,
         if isinstance(exc, (ExecutionError, ProtocolError)) or not isinstance(exc, Exception):
             raise exc
         raise ExecutionError(f"backend slot failed: {exc!r}") from exc
-    return records
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +537,8 @@ def worker_main(stdin=None, stdout=None) -> int:
         setup = next_frame("setup")
         if setup is None:
             return 0
-        for _, recs in _run_tasks(_worker_context(setup), take):
-            stdout.write(encode_frame({"tag": "result",
-                                       "records": [r.doc() for r in recs]}))
+        for _, cols in _run_tasks(_worker_context(setup), take):
+            stdout.write(encode_frame({"tag": "result", **cols.doc()}))
     except Exception as exc:
         print(f"worker: {exc!r}", file=sys.stderr)
         return 1
@@ -510,7 +546,7 @@ def worker_main(stdin=None, stdout=None) -> int:
 
 
 def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec,
-                   monitor) -> list[SubJobRecord]:
+                   monitor) -> Columns:
     study = registry.study_name(ctx.study_fn)
     if study is None:
         raise ExecutionError(
@@ -550,7 +586,7 @@ def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec,
                     if resp.get("tag") != "result":
                         raise ProtocolError(f"worker {i}: expected result frame, "
                                             f"got {resp.get('tag')!r}")
-                    yield block, [SubJobRecord.from_doc(doc) for doc in resp["records"]]
+                    yield block, Columns.from_doc(resp)
         return execute
 
     cmd = [sys.executable, "-m", "mcgrid", WORKER_FLAG]
@@ -572,9 +608,9 @@ def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec,
             send(i, proc, setup)
         # on a failure or an interrupt, killed workers end every slot's wait
         # for results at once instead of after the tasks in flight
-        records = _run_pool(ctx, blocks, backend.load_balancing,
-                            [slot(i, p) for i, p in enumerate(procs)], monitor,
-                            stop=kill_all)
+        outcomes = _run_pool(ctx, blocks, backend.load_balancing,
+                             [slot(i, p) for i, p in enumerate(procs)], monitor,
+                             stop=kill_all)
         for proc in procs:
             proc.stdin.close()  # end of input ends the worker
     except BaseException:
@@ -586,4 +622,4 @@ def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec,
             proc.stdout.close()
             with contextlib.suppress(OSError):  # bytes a dead worker never took
                 proc.stdin.close()
-    return records
+    return outcomes

@@ -1,16 +1,17 @@
 """Result records, columnar result stores, persistence and comparison.
 
-One sub-job yields one :class:`SubJobRecord` with exactly one of ``value`` /
-``error`` populated, an ordered list of captured warnings, the wall time in
-milliseconds, and optionally the serialized stream state the sub-job started
-from.  A completed run is assembled into a :class:`ResultStore`: columns over
-the store cells, the grid dimensions plus the replication dimension in
-odometer order (first dimension fastest, replication last).  ``value`` holds
-the inner dimensions first and NaN where a sub-job errored; ``time_ms`` is a
-float column; errors, warnings are kept sparsely by cell; seeds only when a
-sub-job kept one.  Records are views built on demand.  When the study's return
-shapes are inconsistent the untouched record list is kept as a
-:class:`RawFallback` instead, so results are never lost.
+One sub-job yields exactly one of a value or an error, an ordered list of
+captured warnings, the wall time in milliseconds, and optionally the
+serialized stream state the sub-job started from.  A run gathers these as
+:class:`Columns` in store order, block by block, and assembles them into a
+:class:`ResultStore`: columns over the store cells, the grid dimensions plus
+the replication dimension in odometer order (first dimension fastest,
+replication last).  ``value`` holds the inner dimensions first and NaN where a
+sub-job errored; ``time_ms`` is a float column; errors, warnings are kept
+sparsely by cell; seeds only when a sub-job kept one.  A
+:class:`SubJobRecord` is a view of one sub-job, built on demand.  When the
+study's return shapes are inconsistent the records are kept, in virtual order,
+as a :class:`RawFallback` instead, so results are never lost.
 
 Persistence is a single self-describing text file (JSON family), tagged
 ``mcgrid-result-v2``.  Doubles are written with 17 significant digits (exact
@@ -347,18 +348,65 @@ def _inner_shape(vl: VarList) -> tuple[int, ...]:
     return tuple(len(s.values) for s in vl.specs if s.vtype == "inner")
 
 
-class _ShapeMismatch(ValueError):
-    pass
+@dataclass
+class Columns:
+    """Outcomes of sub-jobs as columns, one entry per sub-job: ``value`` (None
+    where it errored), ``time_ms``, errors and warnings kept sparsely by
+    position, and ``seeds`` (None when no sub-job kept its seed).  A block's
+    columns run in rep order, a run's in store order."""
+
+    value: list
+    time_ms: list
+    errors: dict[int, ErrorInfo]
+    warnings: dict[int, tuple[str, ...]]
+    seeds: list[str | None] | None
+
+    @classmethod
+    def from_records(cls, records: list[SubJobRecord]) -> "Columns":
+        seeds = [r.seed for r in records]
+        return cls(value=[None if r.error is not None else r.value for r in records],
+                   time_ms=[r.time_ms for r in records],
+                   errors={k: r.error for k, r in enumerate(records) if r.error is not None},
+                   warnings={k: tuple(r.warnings) for k, r in enumerate(records) if r.warnings},
+                   seeds=None if seeds.count(None) == len(seeds) else seeds)
+
+    def record(self, k: int) -> SubJobRecord:
+        return SubJobRecord(value=self.value[k], error=self.errors.get(k),
+                            warnings=self.warnings.get(k, ()), time_ms=float(self.time_ms[k]),
+                            seed=None if self.seeds is None else self.seeds[k])
+
+    def put(self, start: int, step: int, block: "Columns") -> None:
+        """Write ``block``'s entries at positions ``start, start + step, ...``."""
+        at = slice(start, start + step * len(block.value), step)
+        self.value[at] = block.value
+        self.time_ms[at] = block.time_ms
+        if block.seeds is not None:
+            self.seeds[at] = block.seeds
+        for k, e in block.errors.items():
+            self.errors[start + step * k] = e
+        for k, w in block.warnings.items():
+            self.warnings[start + step * k] = w
+
+    def doc(self) -> dict:
+        return {"value": [_value_doc(v) for v in self.value], "time_ms": self.time_ms,
+                "errors": [[k, e.message, e.kind] for k, e in self.errors.items()],
+                "warnings": [[k, list(w)] for k, w in self.warnings.items()],
+                "seeds": self.seeds}
+
+    @classmethod
+    def from_doc(cls, d: dict) -> "Columns":
+        return cls(value=[_parse_value(v) for v in d["value"]], time_ms=d["time_ms"],
+                   errors={k: ErrorInfo(message, kind) for k, message, kind in d["errors"]},
+                   warnings={k: tuple(w) for k, w in d["warnings"]}, seeds=d["seeds"])
 
 
-def _columns(records: list[SubJobRecord], order, inner: tuple[int, ...]) -> dict:
-    """ResultStore columns; cell ``j`` holds ``records[order[j]]``.
+def _dense(cols: Columns, inner: tuple[int, ...], virtual) -> dict:
+    """ResultStore fields of store-order columns.
 
-    Raises _ShapeMismatch naming the first record whose value does not have
-    the inner shape."""
-    cells = [records[k] for k in order]
+    Raises ValueError naming, by its virtual index ``virtual(cell)``, the
+    first cell whose value does not have the inner shape."""
     missing = np.full(inner, math.nan)
-    values = [missing if r.error is not None or r.value is None else r.value for r in cells]
+    values = [missing if v is None else v for v in cols.value]
     try:
         value = np.array(values, dtype=float)
     except ValueError:  # values of different shapes
@@ -366,39 +414,45 @@ def _columns(records: list[SubJobRecord], order, inner: tuple[int, ...]) -> dict
     if value is None or value.shape[1:] != inner:
         for cell, v in enumerate(values):
             if np.shape(v) != inner:
-                raise _ShapeMismatch(f"virtual record {order[cell]}: value shape {np.shape(v)} "
-                                     f"does not match the inner-dimension signature {inner}")
-    seeds = [r.seed for r in cells]
+                raise ValueError(f"virtual record {virtual(cell)}: value shape {np.shape(v)} "
+                                 f"does not match the inner-dimension signature {inner}")
     return {"value": np.moveaxis(value, 0, -1),
-            "time_ms": np.array([r.time_ms for r in cells], dtype=float),
-            "errors": {cell: r.error for cell, r in enumerate(cells) if r.error is not None},
-            "warnings": {cell: tuple(r.warnings) for cell, r in enumerate(cells) if r.warnings},
-            "seeds": None if seeds.count(None) == len(seeds) else seeds}
+            "time_ms": np.array(cols.time_ms, dtype=float),
+            "errors": dict(sorted(cols.errors.items())),
+            "warnings": dict(sorted(cols.warnings.items())),
+            "seeds": cols.seeds}
 
 
-def assemble(vl: VarList, records_virtual: list[SubJobRecord], rep_first: bool,
+def assemble(vl: VarList, outcomes: Columns | list[SubJobRecord], rep_first: bool,
              seed_spec: SeedSpec, keep_seed: bool, created: str) -> ResultStore | RawFallback:
-    """Dense store from records in virtual (execution) order.
+    """Dense store from a run's outcomes: columns in store order, or records
+    in virtual (execution) order.
 
-    Every successful record's value must match the inner-dimension signature of
-    the variable list (scalar when there are no inner variables); otherwise the
-    untouched list is returned as a RawFallback.
+    Every successful value must match the inner-dimension signature of the
+    variable list (scalar when there are no inner variables); otherwise the
+    records are kept, in virtual order, as a RawFallback.
     """
     grid = mk_grid(vl)
     n_G, n_sim = grid.n_rows, vl.n_sim
-    if len(records_virtual) != n_G * n_sim:
-        raise ValueError(f"expected {n_G * n_sim} records, got {len(records_virtual)}")
+    n = n_G * n_sim
+    count = len(outcomes.value) if isinstance(outcomes, Columns) else len(outcomes)
+    if count != n:
+        raise ValueError(f"expected {n} records, got {count}")
     meta = StoreMeta(varlist=vl, rep_first=rep_first, seed_spec=seed_spec,
                      keep_seed=keep_seed, created=created,
                      fingerprint=study_fingerprint(vl, rep_first, seed_spec))
 
-    order = range(n_G * n_sim)
-    if rep_first:  # the virtual order runs the replication fastest, the store the grid row
-        order = [row * n_sim + rep for rep in range(n_sim) for row in range(n_G)]
+    def virtual(cell: int) -> int:
+        # the virtual order runs the replication fastest, the store the grid row
+        return cell % n_G * n_sim + cell // n_G if rep_first else cell
+
+    if not isinstance(outcomes, Columns):
+        outcomes = Columns.from_records([outcomes[virtual(cell)] for cell in range(n)])
     try:
-        columns = _columns(records_virtual, order, _inner_shape(vl))
-    except _ShapeMismatch as exc:
-        return RawFallback(records=list(records_virtual), meta=meta, diagnostic=str(exc))
+        columns = _dense(outcomes, _inner_shape(vl), virtual)
+    except ValueError as exc:
+        records = [outcomes.record(cell) for cell in sorted(range(n), key=virtual)]
+        return RawFallback(records=records, meta=meta, diagnostic=str(exc))
     return ResultStore(dims=store_dims(vl), meta=meta, **columns)
 
 
@@ -450,7 +504,7 @@ def load(path: str | os.PathLike) -> ResultStore | RawFallback:
     if doc["format"] == _V1_TAG:
         records = [SubJobRecord.from_doc(d) for d in doc["records"]]
         return ResultStore(dims=dims, meta=meta,
-                           **_columns(records, range(len(records)), inner))
+                           **_dense(Columns.from_records(records), inner, lambda cell: cell))
     n = math.prod(len(labels) for _, labels in dims)
     return ResultStore(
         dims=dims, meta=meta,

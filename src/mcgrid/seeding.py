@@ -85,7 +85,8 @@ class StreamState:
                    buffer=tuple(words[6:10]), buffer_pos=words[10],
                    has_uint32=words[11], uinteger=words[12])
 
-    def _philox_state(self) -> dict:
+    def philox_state(self) -> dict:
+        """This state as numpy's ``Philox.state`` document."""
         return {
             "bit_generator": "Philox",
             "state": {"counter": np.array(self.counter, dtype=np.uint64),
@@ -134,7 +135,7 @@ class RngStream:
     @classmethod
     def from_state(cls, state: StreamState) -> "RngStream":
         bg = np.random.Philox(_ZERO_SEED)
-        bg.state = state._philox_state()
+        bg.state = state.philox_state()
         return cls(bg)
 
     @classmethod
@@ -151,7 +152,13 @@ class RngStream:
 
     @state.setter
     def state(self, st: StreamState):
-        self._bg.state = st._philox_state()
+        self.reset(st.philox_state())
+
+    def reset(self, philox_state: dict) -> None:
+        """Set the whole state from a :meth:`StreamState.philox_state`
+        document, buffer position and 32-bit leftover included, so that no
+        earlier draw carries over."""
+        self._bg.state = philox_state
 
     def uniform(self) -> float:
         return float((int(self._bg.random_raw()) >> 11) + 0.5) * 2.0 ** -53

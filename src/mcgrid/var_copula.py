@@ -27,6 +27,8 @@ robust mean.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 
 from .registry import register_study
@@ -258,7 +260,7 @@ def _resolve_margin(spec):
         return std_normal_quantile
     if callable(spec):
         return spec
-    if isinstance(spec, dict):
+    if isinstance(spec, Mapping):
         spec = next(iter(spec.values()))
     if callable(spec):
         return spec
@@ -282,7 +284,7 @@ def do_one_var(params: dict, rng: RngStream, warn) -> np.ndarray | float:
     family, tau = params["family"], float(params["tau"])
     alpha = params["alpha"]
     wspec = params.get("varWgts", 1.0)
-    if isinstance(wspec, dict):
+    if isinstance(wspec, Mapping):
         wspec = wspec[str(d)]
     margin = _resolve_margin(params.get("qF"))
 

@@ -109,6 +109,43 @@ def interrupting_study(params, rng, warn):
     return float(params["x"])
 
 
+def mid_buffer_study(params, rng, warn):
+    """Returns its first uniform, then leaves the stream mid-buffer: a gamma
+    draw and a 32-bit draw, which keeps half of a 64-bit word for later."""
+    u = rng.uniform()
+    rng.standard_gamma(0.5, 3)
+    rng._gen.integers(0, 1000, dtype=np.uint32)
+    return u
+
+
+def coin_study(params, rng, warn):
+    """Fails when its first uniform is below 1/2 and warns when it is above
+    3/4; returns ``x`` plus that uniform."""
+    u = rng.uniform()
+    if u < 0.5:
+        raise RuntimeError("low draw")
+    if u > 0.75:
+        warn("high draw")
+    return params["x"] + u
+
+
+def ragged_study(params, rng, warn):
+    """``x`` plus the first uniform, but the pair ``[x, u]`` on x=4 and an
+    error on x=5, so that the store falls back to raw records."""
+    u = rng.uniform()
+    if params["x"] == 3:
+        warn("three")
+    if params["x"] == 5:
+        raise ValueError("five")
+    return [params["x"], u] if params["x"] == 4 else params["x"] + u
+
+
+def appending_study(params, rng, warn):
+    """Appends to the frozen list ``p``."""
+    params["p"].append(7)
+    return float(len(params["p"]))
+
+
 def random_store(rng: random.Random, force_kind: str | None = None):
     """Randomized result store (or raw fallback) for round-trip tests.
 

@@ -301,6 +301,10 @@ class TestAnalyze:
         assert main(["analyze", str(tmp_path / "no.json"), "--rows", "x",
                      "--cols", "y"]) == 1
 
+    def test_table_error_is_one_bare_line(self, results, capsys):
+        assert main(["analyze", str(results), "--rows", "x,x", "--cols", "n.sim"]) == 1
+        assert capsys.readouterr().err == "mcgrid: duplicate variable\n"
+
 
 class TestPlot:
     def test_plot_svg_written(self, capsys, tmp_path):
@@ -321,6 +325,19 @@ class TestPlot:
                      "--out", str(dest)]) == 1
         assert main(["plot", str(out), "--x", "x", "--slice", "x=99",
                      "--out", str(dest)]) == 1
+
+    def test_unknown_dimension_is_one_bare_line(self, capsys, tmp_path):
+        p = write_config(tmp_path / "c.json", n_sim=2)
+        out = tmp_path / "res.json"
+        assert main(["run", str(p), "--out", str(out)]) == 0
+        capsys.readouterr()
+        dest = str(tmp_path / "fig.svg")
+        for argv, message in (
+                (["--slice", "alpha=0.990"], "no dimension 'alpha'; have ('x', 'n.sim')"),
+                (["--slice", "x=9"], "'x' has no level '9'; have ('3', '4', '5')"),
+                (["--series", "zz"], "series variable 'zz' not among dims ('x', 'n.sim')")):
+            assert main(["plot", str(out), "--x", "x", *argv, "--out", dest]) == 1
+            assert capsys.readouterr().err == f"mcgrid: {message}\n"
 
 
 class TestExampleConfig:
@@ -365,8 +382,8 @@ class TestWorkerMode:
         for want in (states, states[1:]):  # one result frame per block
             frame = read_frame(out)
             assert frame["tag"] == "result"
-            assert [r["value"] for r in frame["records"]] == \
-                [RngStream.from_state(st).uniform() for st in want]
+            assert frame["value"] == [RngStream.from_state(st).uniform() for st in want]
+            assert len(frame["time_ms"]) == len(want)
         assert read_frame(out) is None
 
     def test_worker_subprocess_bad_bytes_exit_nonzero(self):

@@ -6,6 +6,7 @@ import json
 import os
 import signal
 import struct
+import sys
 import threading
 import time
 import warnings
@@ -15,13 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (chatty_study, dying_study, float_type_study, interrupting_study,
-                      poly_noisy, poly_study, scalar_varlist, square_study, tiny_varlist,
+from conftest import (appending_study, chatty_study, coin_study, dying_study,
+                      float_type_study, interrupting_study, mid_buffer_study, poly_noisy,
+                      poly_study, ragged_study, scalar_varlist, square_study, tiny_varlist,
                       wide_study)
 
-from mcgrid import (Block, ExecutionError, ProcessPool, ProtocolError,
-                    RawFallback, SeedSpec, Sequential, ThreadPool, VarList,
-                    VarSpec, do_call_we, do_res_equal, linear_of,
+from mcgrid import (Block, ErrorInfo, ExecutionError, ProcessPool, ProtocolError,
+                    RawFallback, ResultStore, RngStream, SeedSpec, Sequential,
+                    ThreadPool, VarList, VarSpec, do_call_we, do_res_equal, linear_of,
                     partition_blocks, run_study, seed_for, virtual_index)
 from mcgrid import executor
 from mcgrid.executor import (TASK_BLOCKS, WORKER_FLAG, encode_frame, partition_tasks,
@@ -226,11 +228,28 @@ class TestWorkerLoop:
                                               Block(row=2, rep_start=3, size=2)))
         assert code == 0
         for want, reps in ((16.0, (1, 2)), (25.0, (3, 4))):  # one result frame per block
-            result = read_frame(stdout)
+            result = read_frame(stdout)  # the block's columns, in rep order
+            assert set(result) == {"tag", "value", "time_ms", "errors", "warnings", "seeds"}
             assert result["tag"] == "result"
-            assert [r["value"] for r in result["records"]] == [want, want]
-            assert [r["seed"] for r in result["records"]] == \
-                [seed_for(SeedSpec.seq(), rep).to_hex() for rep in reps]
+            assert result["value"] == [want, want]
+            assert len(result["time_ms"]) == 2
+            assert all(isinstance(t, float) for t in result["time_ms"])
+            assert result["errors"] == [] and result["warnings"] == []
+            assert result["seeds"] == [seed_for(SeedSpec.seq(), rep).to_hex() for rep in reps]
+        assert read_frame(stdout) is None
+
+    def test_result_frame_keeps_errors_and_warnings_by_offset(self):
+        vl = VarList([VarSpec("n.sim", "N", 4), VarSpec("x", "grid", (3, 4, 5))])
+        code, stdout = self._serve(self._setup(vl, "conftest:coin_study"),
+                                   self._task(Block(row=1, rep_start=1, size=4)))
+        assert code == 0
+        result = read_frame(stdout)
+        u = [RngStream.from_state(seed_for(SeedSpec.seq(), rep)).uniform() for rep in (1, 4)]
+        assert result["value"] == [4 + u[0], None, None, 4 + u[1]]
+        assert result["errors"] == [[1, "low draw", "RuntimeError"],
+                                    [2, "low draw", "RuntimeError"]]
+        assert result["warnings"] == [[3, ["high draw"]]]
+        assert result["seeds"] is None
         assert read_frame(stdout) is None
 
     def test_worker_main_frame_loop(self):
@@ -242,7 +261,8 @@ class TestWorkerLoop:
         for want in (9.0, 16.0, 25.0):
             result = read_frame(stdout)
             assert result["tag"] == "result"
-            assert result["records"][0]["value"] == want
+            assert result["value"] == [want]
+            assert result["seeds"] is None
         assert read_frame(stdout) is None
 
     def test_shutdown_frame_is_protocol_error(self, capsys):
@@ -637,4 +657,158 @@ def test_seed_kinds_match_sequential(seed, backend):
     res = run_study(vl, poly_noisy, seed=seed, keep_seed=True, backend=backend)
     assert res.record(1, 3).seed == seed_for(seed, 3).to_hex()
     cmp = do_res_equal(base, res)
+    assert cmp, cmp.report
+
+
+EVERY_BACKEND = [Sequential(), Sequential(2), ThreadPool(2), ThreadPool(2, load_balancing=False),
+                 ProcessPool(2), ProcessPool(2, block_size=2, load_balancing=False)]
+
+
+@pytest.mark.parametrize("rep_first", [True, False])
+@pytest.mark.parametrize("backend", [Sequential(1), Sequential(2), ThreadPool(2),
+                                     ThreadPool(2, load_balancing=False), ProcessPool(2),
+                                     ProcessPool(2, load_balancing=False)])
+def test_slot_stream_is_reset_before_every_subjob(backend, rep_first):
+    # a sub-job that stops mid-buffer must not leak into the next one on its slot
+    vl = VarList([VarSpec("n.sim", "N", 4), VarSpec("x", "grid", (1, 2, 3))])
+    spec = SeedSpec.seq()
+    res = run_study(vl, mid_buffer_study, seed=spec, keep_seed=True, backend=backend,
+                    rep_first=rep_first)
+    for row in range(3):
+        for rep in range(1, 5):
+            rec = res.record(row, rep)
+            assert rec.value == RngStream.from_state(seed_for(spec, rep)).uniform()
+            assert rec.seed == seed_for(spec, rep).to_hex()
+
+
+def noisy_x_study(params, rng, warn):
+    return params["x"] + rng.uniform()
+
+
+class TestOneStreamPerSlot:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        original = RngStream.from_state
+
+        def counting(state):
+            calls.append(state)
+            return original(state)
+
+        monkeypatch.setattr(RngStream, "from_state", staticmethod(counting))
+        return calls
+
+    VL = VarList([VarSpec("n.sim", "N", 8), VarSpec("x", "grid", tuple(range(10)))])
+
+    @pytest.mark.parametrize("backend, slots", [(Sequential(), 1), (ThreadPool(2), 2)])
+    def test_in_process_slots(self, built, backend, slots):
+        res = run_study(self.VL, noisy_x_study, backend=backend)
+        assert res.error_count() == 0
+        assert 1 <= len(built) <= slots  # not one per sub-job (80)
+
+    def test_worker(self, built):
+        loop = TestWorkerLoop()
+        code, stdout = loop._serve(loop._setup(self.VL, "probe-first-uniform"),
+                                   loop._task(Block(0, 1, 8), Block(1, 1, 8)),
+                                   loop._task(Block(2, 1, 4), Block(2, 5, 4)))
+        assert code == 0
+        assert len(built) == 1
+        for want in (range(1, 9), range(1, 9), range(1, 5), range(5, 9)):
+            assert read_frame(stdout)["value"] == \
+                [RngStream.from_state(seed_for(SeedSpec.seq(), rep)).uniform() for rep in want]
+
+
+@pytest.mark.parametrize("rep_first", [True, False])
+def test_raw_fallback_is_the_same_on_every_backend(rep_first):
+    vl = VarList([VarSpec("n.sim", "N", 4), VarSpec("x", "grid", (3, 4, 5))])
+    spec = SeedSpec.seq()
+    first_ragged = 1 * 4 if rep_first else 1  # x=4 (row 1), rep 1
+    stores = [run_study(vl, ragged_study, seed=spec, keep_seed=True, backend=backend,
+                        rep_first=rep_first) for backend in EVERY_BACKEND]
+    for res in stores:
+        assert isinstance(res, RawFallback)
+        assert res.diagnostic == (f"virtual record {first_ragged}: value shape (2,) does "
+                                  "not match the inner-dimension signature ()")
+        assert res.n_subjobs == 12
+        for linear, rec in enumerate(res.records):  # in virtual order
+            vidx = virtual_index(linear, 3, 4, rep_first)
+            x = (3, 4, 5)[vidx.row]
+            u = RngStream.from_state(seed_for(spec, vidx.rep)).uniform()
+            assert rec.seed == seed_for(spec, vidx.rep).to_hex()
+            assert rec.warnings == (("three",) if x == 3 else ())
+            if x == 5:
+                assert rec.error == ErrorInfo("five", "ValueError") and rec.value is None
+            else:
+                assert rec.error is None
+                assert np.array_equal(rec.value, [4, u] if x == 4 else 3 + u)
+        cmp = do_res_equal(stores[0], res)
+        assert cmp, cmp.report
+
+
+@pytest.mark.parametrize("backend", EVERY_BACKEND)
+def test_monitor_records_equal_the_stored_ones(backend):
+    vl = VarList([VarSpec("n.sim", "N", 8), VarSpec("x", "grid", (3, 4, 5))])
+    seen = []
+    lock = threading.Lock()
+
+    def monitor(vidx, rec):
+        with lock:
+            seen.append((vidx, rec))
+
+    res = run_study(vl, coin_study, keep_seed=True, backend=backend, monitor=monitor,
+                    rep_first=False)
+    assert isinstance(res, ResultStore) and res.error_count() and res.warning_count()
+    assert sorted(v.linear for v, _ in seen) == list(range(24))
+    for vidx, rec in seen:
+        assert vidx == virtual_index(vidx.linear, 3, 8, False)
+        stored = res.record(vidx.row, vidx.rep)
+        assert (rec.error, rec.warnings, rec.seed, rec.time_ms) == \
+            (stored.error, stored.warnings, stored.seed, stored.time_ms)
+        assert rec.value == stored.value
+
+
+def test_common_arguments_are_read_only_on_every_backend():
+    vl = VarList([VarSpec("n.sim", "N", 3), VarSpec("x", "grid", (1, 2)),
+                  VarSpec("p", "frozen", [1])])
+    want = ErrorInfo("'tuple' object has no attribute 'append'", "AttributeError")
+    stores = [run_study(vl, appending_study, backend=backend)
+              for backend in (Sequential(), ThreadPool(2), ProcessPool(2))]
+    for res in stores:
+        assert res.errors == {cell: want for cell in range(6)}
+        assert do_res_equal(stores[0], res)
+    assert vl["p"].payload == [1]
+
+
+def test_frozen_arguments_are_read_only_copies():
+    array = np.arange(3.0)
+    declared = {"levels": [1, 2], "cfg": {"k": [3, {"deep": [4]}], "a": array}, "t": (5,),
+                "s": {6}}
+    frozen = executor._freeze(declared)
+    assert frozen["levels"] == (1, 2) and frozen["t"] == (5,)
+    assert frozen["s"] == frozenset({6})
+    assert frozen["cfg"]["k"] == (3, {"deep": (4,)})
+    assert np.array_equal(frozen["cfg"]["a"], array)
+    with pytest.raises(TypeError):
+        frozen["cfg"]["k"] = 0
+    with pytest.raises(TypeError):
+        frozen["cfg"]["k"][1]["deep"] = 0
+    with pytest.raises(ValueError):
+        frozen["cfg"]["a"][0] = 7.0
+    array[0] = 7.0  # a view: the declaration itself stays writeable
+    assert frozen["cfg"]["a"][0] == 7.0
+
+
+def test_thread_slots_fill_every_cell_under_frequent_switches():
+    # more slots than cores and a short switch interval: a write into the
+    # shared run columns that got lost would leave a cell empty or wrong
+    vl = VarList([VarSpec("n.sim", "N", 40), VarSpec("x", "grid", tuple(range(25)))])
+    want = run_study(vl, coin_study, keep_seed=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run_study(vl, coin_study, keep_seed=True, backend=ThreadPool(8))
+    finally:
+        sys.setswitchinterval(interval)
+    assert want.error_count() and want.warning_count()
+    cmp = do_res_equal(want, got)
     assert cmp, cmp.report
