@@ -14,7 +14,7 @@ from .analysis import (FlatTable, LabeledArray, LongTable, array2df, collapse,
                        varlist_to_latex)
 from .executor import (BackendSpec, Block, ExecutionError, ProcessPool,
                        ProtocolError, Sequential, ThreadPool, VirtualIndex,
-                       do_call_we, linear_of, partition_blocks,
+                       do_call_we, partition_blocks,
                        run_study, stderr_monitor, virtual_index, worker_main)
 from .plot import BoxStats, PlotSpec, boxplot_stats, mayplot_svg
 from .registry import get_study, register_study, study_name
@@ -24,8 +24,8 @@ from .results import (CacheInvalidError, ErrorInfo, RawFallback, ResComparison,
                       study_fingerprint)
 from .seeding import (RngStream, SeedSpec, StreamState, ambient_stream,
                       derive_state, derive_streams, seed_for)
-from .varlist import (PhysicalGrid, VarList, VarSpec, format_levels, mk_grid,
-                      non_grid_args)
+from .varlist import (PhysicalGrid, VarList, VarSpec, format_levels, linear_of,
+                      mk_grid, non_grid_args)
 
 __version__ = "0.1.0"
 

@@ -86,6 +86,9 @@ def collapse(arr: LabeledArray, name: str, fn) -> LabeledArray:
     return LabeledArray(dims=dims, data=data.reshape(lead_shape))
 
 
+COMPONENTS = ("value", "error", "warning", "time")  # what get_array extracts
+
+
 def get_array(store: ResultStore, component: str = "value", map_fn=None,
               err_value: float = math.nan) -> LabeledArray:
     """Extract a component of a result store as a labeled array.
@@ -100,6 +103,8 @@ def get_array(store: ResultStore, component: str = "value", map_fn=None,
     if isinstance(store, RawFallback):
         raise TypeError("raw fallback results have no dense arrays; "
                         f"diagnostic: {store.diagnostic}")
+    if component not in COMPONENTS:
+        raise ValueError(f"unknown component {component!r}")
     # store cells are in odometer order (first dimension fastest), which is
     # Fortran order over the store dims
     if component == "value":
@@ -110,8 +115,6 @@ def get_array(store: ResultStore, component: str = "value", map_fn=None,
         return LabeledArray(dims=tuple(inner) + store.dims,
                             data=data.reshape(data.shape[:-1] + store.sizes, order="F"))
 
-    if component not in ("error", "warning", "time"):
-        raise ValueError(f"unknown component {component!r}")
     if map_fn is not None:
         cells = [map_fn(rec) for rec in store.records]
         data = np.asarray(cells, dtype=np.asarray(cells[0]).dtype if cells else float)

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import var_copula
-from .analysis import LabeledArray, ftable, get_array, to_csv, to_latex_table
+from .analysis import COMPONENTS, LabeledArray, ftable, get_array, to_csv, to_latex_table
 from .executor import (BackendSpec, ExecutionError, ProtocolError, WORKER_FLAG,
                        run_study, stderr_monitor, worker_main)
 from .plot import PlotSpec, mayplot_svg
@@ -76,10 +76,11 @@ def _build_parser() -> _Parser:
     run.add_argument("--monitor", action="store_true",
                      help="progress lines on stderr, one per sub-job")
 
-    an = sub.add_parser("analyze", help="tabulate a result file")
-    an.add_argument("results", help="result file written by 'run'")
-    an.add_argument("--component", choices=["value", "error", "warning", "time"],
-                    default="value")
+    report = argparse.ArgumentParser(add_help=False)  # what analyze and plot share
+    report.add_argument("results", help="result file written by 'run'")
+    report.add_argument("--component", choices=COMPONENTS, default="value")
+
+    an = sub.add_parser("analyze", help="tabulate a result file", parents=[report])
     an.add_argument("--rows", required=True,
                     help="comma-separated row variables (last varies fastest)")
     an.add_argument("--cols", required=True,
@@ -92,10 +93,8 @@ def _build_parser() -> _Parser:
     an.add_argument("--err-value", type=float, default=math.nan,
                     help="fill value for errored cells in value tables")
 
-    pl = sub.add_parser("plot", help="render a result file as an SVG panel grid")
-    pl.add_argument("results", help="result file written by 'run'")
-    pl.add_argument("--component", choices=["value", "error", "warning", "time"],
-                    default="value")
+    pl = sub.add_parser("plot", help="render a result file as an SVG panel grid",
+                        parents=[report])
     pl.add_argument("--x", required=True, help="variable on the x axis")
     pl.add_argument("--series", help="variable drawn as colored series")
     pl.add_argument("--rows", help="facet variable across panel rows")

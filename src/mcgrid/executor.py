@@ -28,9 +28,11 @@ store-order columns; records are built only for a monitor.
 Frame protocol: 4-byte big-endian payload length, then the payload, a
 canonical-JSON document (the same text family as the result files).  Frames
 above 64 MiB are a protocol error.  The parent sends each worker one
-``setup`` frame (study name, grid names and levels, the common arguments, the
-canonical seeding spec, ``keep_seed``, ``n_sim`` and the virtual order), from
-which the worker builds its run context as the parent does.  (A
+``setup`` frame (study name, the declaration's canonical form, the canonical
+seeding spec, ``keep_seed`` and the virtual order), from which the worker
+builds its run context as the parent does.  A declaration that this form
+cannot carry faithfully (a payload that is not JSON, a non-finite float) is
+refused before any worker is spawned.  (A
 ``per-rep-stream`` spec carries ~211 bytes per replication in this frame, so
 the frame limit bounds it at ~318k replications; such a run fails before any
 worker is spawned.)  Each ``task`` frame carries only block coordinates,
@@ -67,7 +69,7 @@ from .results import (Columns, ErrorInfo, RawFallback, ResultStore, SubJobRecord
                       assemble, canonical_json, maybe_read, save,
                       study_fingerprint)
 from .seeding import RngStream, SeedSpec, ambient_stream, seed_for
-from .varlist import VarList, VarSpec, mk_grid, non_grid_args, ravel, unravel
+from .varlist import VarList, linear_of, mk_grid, non_grid_args, unravel
 
 MAX_FRAME = 64 * 1024 * 1024
 WORKER_FLAG = "--worker"
@@ -105,16 +107,6 @@ def virtual_index(linear: int, n_G: int, n_sim: int, rep_first: bool) -> Virtual
     else:
         row, rep = unravel(linear, (n_G, n_sim))
     return VirtualIndex(linear, row, rep + 1)
-
-
-def linear_of(row: int, rep: int, n_G: int, n_sim: int, rep_first: bool) -> int:
-    if not 0 <= row < n_G:
-        raise IndexError(f"grid row {row} out of range [0, {n_G})")
-    if not 1 <= rep <= n_sim:
-        raise IndexError(f"replication {rep} out of range [1, {n_sim}]")
-    if rep_first:
-        return ravel((rep - 1, row), (n_sim, n_G))
-    return ravel((row, rep - 1), (n_G, n_sim))
 
 
 @dataclass(frozen=True)
@@ -213,25 +205,28 @@ def _freeze(arg):
 
 @dataclass
 class _RunContext:
-    """Everything a block needs, built once per run: in the calling process
-    from ``run_study``'s arguments, in a worker from its setup frame."""
+    """Everything a block needs, built once per run from the declaration: in
+    the calling process from ``run_study``'s arguments, in a worker from its
+    setup frame."""
 
-    grid: object
-    n_sim: int
+    vl: VarList
     rep_first: bool
-    base_args: dict  # as declared; the setup frame carries them
     seed: SeedSpec
     keep_seed: bool
     study_fn: object
+    grid: object = field(init=False)
     n_G: int = field(init=False)
-    args: dict = field(init=False)    # base_args, each one read-only
+    n_sim: int = field(init=False)
+    args: dict = field(init=False)    # non_grid_args(vl), each one read-only
     states: list = field(init=False)  # seed_for(seed, rep) at index rep - 1
     philox: list = field(init=False)  # their Philox states; None: the ambient stream
     seeds: list | None = field(init=False)  # their hex texts, kept under keep_seed
 
     def __post_init__(self):
+        self.grid = mk_grid(self.vl)
         self.n_G = self.grid.n_rows
-        self.args = {name: _freeze(arg) for name, arg in self.base_args.items()}
+        self.n_sim = self.vl.n_sim
+        self.args = {name: _freeze(arg) for name, arg in non_grid_args(self.vl).items()}
         # seed_for depends only on (seed, rep): derive each replication once
         self.states = [seed_for(self.seed, rep) for rep in range(1, self.n_sim + 1)]
         seeded = self.states[0] is not None
@@ -353,9 +348,7 @@ def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
         raise RuntimeError("nested run_study calls are not supported "
                            "(one live backend per process)")
     try:
-        ctx = _RunContext(grid=mk_grid(vl), n_sim=vl.n_sim, rep_first=rep_first,
-                          base_args=non_grid_args(vl), seed=seed, keep_seed=keep_seed,
-                          study_fn=study_fn)
+        ctx = _RunContext(vl, rep_first, seed, keep_seed, study_fn)
         blocks = partition_blocks(ctx.n_G, ctx.n_sim, backend.block_size, rep_first)
         if backend.kind == "processes":
             outcomes = _run_processes(ctx, blocks, backend, monitor)
@@ -476,28 +469,11 @@ def read_frame(stream) -> dict | None:
     return json.loads(payload.decode("utf-8"))
 
 
-def _setup_doc(ctx: _RunContext, study: str) -> dict:
-    grid = ctx.grid
-    return {
-        "tag": "setup",
-        "study": study,
-        "grid": [[name, list(levels)] for name, levels in zip(grid.var_names, grid.level_values)],
-        "base_args": ctx.base_args,
-        "seed": ctx.seed.canonical(),
-        "keep_seed": ctx.keep_seed,
-        "n_sim": ctx.n_sim,
-        "rep_first": ctx.rep_first,
-    }
-
-
 def _worker_context(setup: dict) -> _RunContext:
     """The run context a setup frame describes, built as the parent built its own."""
-    grid = mk_grid(VarList([VarSpec(name, "grid", levels) for name, levels in setup["grid"]]))
-    return _RunContext(grid=grid, n_sim=setup["n_sim"], rep_first=setup["rep_first"],
-                       base_args=setup["base_args"],
-                       seed=SeedSpec.from_canonical(setup["seed"]),
-                       keep_seed=setup["keep_seed"],
-                       study_fn=registry.get_study(setup["study"]))
+    return _RunContext(VarList.from_canonical(setup["varlist"]), setup["rep_first"],
+                       SeedSpec.from_canonical(setup["seed"]), setup["keep_seed"],
+                       registry.get_study(setup["study"]))
 
 
 def _claim_stdout():
@@ -553,11 +529,18 @@ def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec,
             "the process backend needs a registered or module-level study "
             "function (register_study, or a plain function addressable as "
             "module:name)")
-    try:
-        setup = encode_frame(_setup_doc(ctx, study))
-    except TypeError as exc:
-        raise ExecutionError(
-            f"the process backend needs JSON-serializable variables: {exc}") from exc
+    for spec in ctx.vl:
+        # the canonical form writes an unencodable payload as its display text
+        # and a non-finite float as a tagged string: a worker would get both
+        try:
+            json.dumps(spec.values, allow_nan=False)  # also refuses cycles
+            canonical_json(spec.values)  # also refuses non-string keys
+        except (TypeError, ValueError) as exc:
+            raise ExecutionError("the process backend needs JSON-serializable "
+                                 f"variables: {spec.name}: {exc}") from exc
+    setup = encode_frame({"tag": "setup", "study": study, "varlist": ctx.vl.canonical(),
+                          "seed": ctx.seed.canonical(), "keep_seed": ctx.keep_seed,
+                          "rep_first": ctx.rep_first})
 
     def died(i: int) -> ExecutionError:
         return ExecutionError(f"worker {i} died mid-run; aborting, no retry")

@@ -47,7 +47,7 @@ from json.encoder import encode_basestring
 import numpy as np
 
 from .seeding import SeedSpec
-from .varlist import VarList, mk_grid, ravel, unravel
+from .varlist import VarList, linear_of, mk_grid, unravel
 
 FORMAT_TAG = "mcgrid-result-v2"
 _V1_TAG = "mcgrid-result-v1"
@@ -265,7 +265,8 @@ class ResultStore:
 
     def record(self, row: int, rep: int) -> SubJobRecord:
         """Record of grid row ``row`` (0-based) and replication ``rep`` (1-based)."""
-        return self._record(ravel((row, rep - 1), (self.n_grid_rows, self.meta.varlist.n_sim)))
+        # store cells are in row-first order, whatever the run's virtual order
+        return self._record(linear_of(row, rep, self.n_grid_rows, self.meta.varlist.n_sim, False))
 
     @property
     def records(self) -> list[SubJobRecord]:

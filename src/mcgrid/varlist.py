@@ -262,6 +262,18 @@ def ravel(multi, sizes) -> int:
     return i
 
 
+def linear_of(row: int, rep: int, n_G: int, n_sim: int, rep_first: bool) -> int:
+    """Virtual-grid index of grid row ``row`` (0-based) and replication
+    ``rep`` (1-based); ``rep_first=False`` is also the store's cell order."""
+    if not 0 <= row < n_G:
+        raise IndexError(f"grid row {row} out of range [0, {n_G})")
+    if not 1 <= rep <= n_sim:
+        raise IndexError(f"replication {rep} out of range [1, {n_sim}]")
+    if rep_first:
+        return ravel((rep - 1, row), (n_sim, n_G))
+    return ravel((row, rep - 1), (n_G, n_sim))
+
+
 @dataclass(frozen=True)
 class PhysicalGrid:
     """Cartesian product of the grid variables' levels.

@@ -7,6 +7,7 @@ import os
 import random
 import signal
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -64,6 +65,11 @@ def chatty_study(params, rng, warn):
 def float_type_study(params, rng, warn):
     """1.0 when the grid level and the frozen value both arrive as floats."""
     return float(isinstance(params["x"], float) and isinstance(params["f"], float))
+
+
+def params_probe_study(params, rng, warn):
+    """A checksum of the params a sub-job receives, their types included."""
+    return float(zlib.crc32(repr(sorted(params.items())).encode()))
 
 
 def dying_study(params, rng, warn):

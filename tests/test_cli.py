@@ -368,9 +368,11 @@ class TestWorkerMode:
     def test_worker_subprocess_task_and_eof(self):
         from mcgrid import RngStream, SeedSpec, seed_for
         states = [seed_for(SeedSpec.seq(), rep) for rep in (1, 2)]
-        setup = {"tag": "setup", "study": "probe-first-uniform", "grid": [["x", [3, 4]]],
-                 "base_args": {}, "seed": {"kind": "seq"}, "keep_seed": False,
-                 "n_sim": 2, "rep_first": True}
+        varlist = {"n_sim": 2, "variables": [
+            {"name": "n.sim", "type": "N", "label": "$n.sim$", "value": 2},
+            {"name": "x", "type": "grid", "label": "$x$", "value": [3, 4]}]}
+        setup = {"tag": "setup", "study": "probe-first-uniform", "varlist": varlist,
+                 "seed": {"kind": "seq"}, "keep_seed": False, "rep_first": True}
         task = {"tag": "task", "blocks": [[1, 1, 2], [0, 2, 1]]}  # [row, rep_start, size]
         proc = subprocess.run(
             [sys.executable, "-m", "mcgrid", "--worker"],

@@ -3,6 +3,7 @@
 import gc
 import io
 import json
+import math
 import os
 import signal
 import struct
@@ -17,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (appending_study, chatty_study, coin_study, dying_study,
-                      float_type_study, interrupting_study, mid_buffer_study, poly_noisy,
-                      poly_study, ragged_study, scalar_varlist, square_study, tiny_varlist,
-                      wide_study)
+                      float_type_study, interrupting_study, mid_buffer_study,
+                      params_probe_study, poly_noisy, poly_study, ragged_study,
+                      scalar_varlist, square_study, tiny_varlist, wide_study)
 
 from mcgrid import (Block, ErrorInfo, ExecutionError, ProcessPool, ProtocolError,
                     RawFallback, ResultStore, RngStream, SeedSpec, Sequential,
@@ -203,13 +204,8 @@ class TestFrames:
 class TestWorkerLoop:
     # setup and task frames built by hand: the schema is the wire contract
     def _setup(self, vl, study, keep_seed=False):
-        from mcgrid.varlist import mk_grid, non_grid_args
-        grid = mk_grid(vl)
-        return {"tag": "setup", "study": study,
-                "grid": [[name, list(levels)]
-                         for name, levels in zip(grid.var_names, grid.level_values)],
-                "base_args": non_grid_args(vl), "seed": {"kind": "seq"},
-                "keep_seed": keep_seed, "n_sim": vl.n_sim, "rep_first": True}
+        return {"tag": "setup", "study": study, "varlist": vl.canonical(),
+                "seed": {"kind": "seq"}, "keep_seed": keep_seed, "rep_first": True}
 
     def _task(self, *blocks):
         return {"tag": "task", "blocks": [[b.row, b.rep_start, b.size] for b in blocks]}
@@ -353,6 +349,17 @@ class TestRunStudySequential:
             assert run_study(vl, square_study).error_count() == 0
             with pytest.raises(ExecutionError, match="needs JSON-serializable variables"):
                 run_study(vl, square_study, backend=ProcessPool(2))
+        # the canonical form writes non-finite floats as the strings "NaN",
+        # "Inf" and "-Inf", so a worker would receive strings
+        x = VarSpec("x", "grid", (3, 4))
+        for name, specs in (("x", [VarSpec("x", "grid", (3, math.inf))]),
+                            ("p", [x, VarSpec("p", "inner", (0.5, math.nan))]),
+                            ("f", [x, VarSpec("f", "frozen", {"a": {"b": [1.0, math.nan]}})])):
+            vl = VarList([VarSpec("n.sim", "N", 1), *specs])
+            assert run_study(vl, square_study).error_count() == 0
+            with pytest.raises(ExecutionError,
+                               match=f"needs JSON-serializable variables: {name}: "):
+                run_study(vl, square_study, backend=ProcessPool(2))
 
     def test_whole_float_values_stay_floats_on_every_backend(self):
         vl = VarList([VarSpec("n.sim", "N", 2), VarSpec("x", "grid", (1.0, 2.5)),
@@ -360,6 +367,28 @@ class TestRunStudySequential:
         for backend in (Sequential(), ThreadPool(2), ProcessPool(2)):
             res = run_study(vl, float_type_study, backend=backend)
             assert [r.value for r in res.records] == [1.0] * 4, backend
+
+    def test_every_backend_hands_a_study_the_same_params(self):
+        vl = VarList([
+            VarSpec("n.sim", "N", 2),
+            VarSpec("i", "grid", (1, 2)),
+            VarSpec("w", "grid", (1.0, 2.0)),
+            VarSpec("s", "grid", ("a", "b")),
+            VarSpec("b", "grid", (True, False)),
+            VarSpec("q", "inner", (0.25, 0.5)),
+            VarSpec("d", "frozen", {"k": 1, "v": 0.5}),
+            VarSpec("l", "frozen", [1, 2.0, "x"]),
+            VarSpec("t", "frozen", "NaN"),  # the text that tags a float NaN on the wire
+            VarSpec("z", "frozen", None),
+            VarSpec("n", "frozen", {"outer": {"inner": [1, {"deep": True}]}}),
+        ])
+        # the probe returns a scalar despite the inner variable: raw records
+        seq = run_study(vl, params_probe_study)
+        assert isinstance(seq, RawFallback) and seq.error_count() == 0
+        assert len({r.value for r in seq.records}) == 16  # one checksum per grid row
+        for backend in (ThreadPool(2), ProcessPool(2)):
+            res = run_study(vl, params_probe_study, backend=backend)
+            assert do_res_equal(seq, res), (backend, do_res_equal(seq, res).report)
 
     def test_rep_first_false_same_store(self):
         vl = tiny_varlist(n_sim=2)

@@ -97,6 +97,20 @@ class TestAssemble:
         assert store.record(1, 1).value == 1.0
         assert store.record(0, 2).value == 3.0
 
+    def test_record_rejects_out_of_range_cells(self):
+        vl = VarList([VarSpec("n.sim", "N", 3), VarSpec("x", "grid", (1, 2))])
+        recs = [SubJobRecord(value=float(i), error=None, warnings=(),
+                             time_ms=1.0, seed=None) for i in range(6)]
+        store = assemble(vl, recs, rep_first=True, seed_spec=SeedSpec.seq(),
+                         keep_seed=False, created="t")
+        for row, rep, message in ((2, 1, r"grid row 2 out of range \[0, 2\)"),
+                                  (-1, 1, r"grid row -1 out of range \[0, 2\)"),
+                                  (0, 0, r"replication 0 out of range \[1, 3\]"),
+                                  (0, 4, r"replication 4 out of range \[1, 3\]")):
+            with pytest.raises(IndexError, match=message):
+                store.record(row, rep)
+        assert store.record(1, 3).value == 5.0
+
     def test_shape_mismatch_falls_back_to_raw(self):
         vl = scalar_varlist(n_sim=1)
         recs = [SubJobRecord(value=np.array([1.0, 2.0]), error=None, warnings=(),
