@@ -183,8 +183,7 @@ def cmd_run(args) -> int:
                            monitor=monitor,
                            rep_first=args.virtual_order == "rep-first")
     except CacheInvalidError as exc:
-        raise _UsageError(f"--out {args.out!r}: {exc}; delete the file or "
-                          "write elsewhere") from exc
+        raise _UsageError(f"--out {args.out!r}: {exc}") from exc
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
@@ -226,7 +225,7 @@ def _load_store(path: str):
         res = load(path)
     except OSError as exc:
         raise _UsageError(f"cannot read results {path!r}: {exc}") from exc
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise _UsageError(f"results {path!r} are not a result file: {exc}") from exc
     if isinstance(res, RawFallback):
         raise _UsageError(f"results {path!r} hold raw fallback records "

@@ -19,11 +19,12 @@ round-robin.  Either way the assembled results are identical for
 deterministic studies; only timing fields may differ.  Once any slot fails,
 or the calling thread is interrupted, no slot starts another block.
 
-A slot that runs sub-jobs owns one random stream and resets it to the
-replication's state before each call, so a study's ``rng`` is valid only
-during that call.  A block's outcomes are columns (values, times, sparse
-errors and warnings, seeds) that the scheduler writes straight into the run's
-store-order columns; records are built only for a monitor.
+A slot that runs sub-jobs owns one random stream: under a seeded discipline
+it resets it to the replication's state before each call, under ``none``/
+``unseeded`` it carries on its thread's ambient stream.  A study's ``rng`` is
+valid only during its call.  A block's outcomes are columns (values, times,
+sparse errors and warnings, seeds) that the scheduler writes straight into the
+run's store-order columns; records are built only for a monitor.
 
 Frame protocol: 4-byte big-endian payload length, then the payload, a
 canonical-JSON document (the same text family as the result files).  Frames
@@ -60,7 +61,7 @@ import sys
 import threading
 import time
 import types
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -188,7 +189,7 @@ def _normalize_value(value):
 
 
 def _freeze(arg):
-    """A read-only copy of a common argument, level by level: lists and
+    """A read-only copy of a study argument, level by level: lists and
     tuples become tuples, sets frozensets, dicts read-only mappings, arrays
     read-only views; anything else passes through."""
     if type(arg) in (list, tuple):
@@ -214,39 +215,37 @@ class _RunContext:
     seed: SeedSpec
     keep_seed: bool
     study_fn: object
-    grid: object = field(init=False)
+    grid: object = field(init=False)  # mk_grid(vl), with read-only levels
     n_G: int = field(init=False)
     n_sim: int = field(init=False)
     args: dict = field(init=False)    # non_grid_args(vl), each one read-only
     states: list = field(init=False)  # seed_for(seed, rep) at index rep - 1
-    philox: list = field(init=False)  # their Philox states; None: the ambient stream
+    philox: list = field(init=False)  # their Philox states; None: never reset
     seeds: list | None = field(init=False)  # their hex texts, kept under keep_seed
 
     def __post_init__(self):
-        self.grid = mk_grid(self.vl)
+        grid = mk_grid(self.vl)  # its labels, so the store dims, stay the declared ones
+        self.grid = replace(grid, level_values=_freeze(grid.level_values))
         self.n_G = self.grid.n_rows
         self.n_sim = self.vl.n_sim
         self.args = {name: _freeze(arg) for name, arg in non_grid_args(self.vl).items()}
         # seed_for depends only on (seed, rep): derive each replication once
         self.states = [seed_for(self.seed, rep) for rep in range(1, self.n_sim + 1)]
-        seeded = self.states[0] is not None
-        self.philox = [s.philox_state() if seeded else None for s in self.states]
-        self.seeds = [s.to_hex() for s in self.states] if seeded and self.keep_seed else None
+        self.philox = [s and s.philox_state() for s in self.states]
+        self.seeds = ([s.to_hex() for s in self.states]
+                      if self.keep_seed and self.states[0] else None)
 
 
-def subjob(ctx: _RunContext, rng: RngStream | None, rep: int, params: dict) -> tuple:
+def subjob(ctx: _RunContext, rng: RngStream, rep: int, params: dict) -> tuple:
     """Run one sub-job of replication ``rep`` through the harness, on the
-    slot's stream ``rng`` reset to the replication's state (on the ambient
-    stream under ``none``/``unseeded``); returns the harness outcome."""
-    state = ctx.philox[rep - 1]
-    if state is None:
-        rng = ambient_stream()
-    else:
+    slot's stream ``rng`` reset to the replication's state (left as it is
+    under ``none``/``unseeded``); returns the harness outcome."""
+    if (state := ctx.philox[rep - 1]) is not None:
         rng.reset(state)
     return do_call_we(ctx.study_fn, dict(params), rng)
 
 
-def _run_block(ctx: _RunContext, rng: RngStream | None, block: Block) -> Columns:
+def _run_block(ctx: _RunContext, rng: RngStream, block: Block) -> Columns:
     """The outcomes of ``block``, as columns in rep order."""
     params = ctx.grid.row_params(block.row)
     params.update(ctx.args)
@@ -256,7 +255,7 @@ def _run_block(ctx: _RunContext, rng: RngStream | None, block: Block) -> Columns
     values, times, errors, warns = [], [], {}, {}
     for k in range(block.size):
         if ambient:  # the state the sub-job starts from
-            seeds.append(ambient_stream().state.to_hex())
+            seeds.append(rng.state.to_hex())
         value, error, warnings, time_ms = subjob(ctx, rng, block.rep_start + k, params)
         values.append(value)
         times.append(time_ms)
@@ -269,8 +268,9 @@ def _run_block(ctx: _RunContext, rng: RngStream | None, block: Block) -> Columns
 
 def _run_tasks(ctx: _RunContext, take):
     """A slot: the tasks ``take()`` hands out, as ``(block, columns)``.  The
-    slot owns one stream, reset before every sub-job."""
-    rng = None if ctx.states[0] is None else RngStream.from_state(ctx.states[0])
+    slot owns one stream: reset before every sub-job, or under ``none``/
+    ``unseeded`` its thread's ambient stream, carried on between sub-jobs."""
+    rng = RngStream.from_state(ctx.states[0]) if ctx.states[0] else ambient_stream()
     while (task := take()) is not None:
         for block in task:
             yield block, _run_block(ctx, rng, block)

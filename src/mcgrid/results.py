@@ -496,24 +496,27 @@ def load(path: str | os.PathLike) -> ResultStore | RawFallback:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") not in (FORMAT_TAG, _V1_TAG):
         raise ValueError(f"{path}: not a result file (format tag missing)")
-    meta = StoreMeta.from_doc(doc["meta"])
-    if doc["kind"] == "raw":
-        records = [SubJobRecord.from_doc(d) for d in doc["records"]]
-        return RawFallback(records=records, meta=meta, diagnostic=doc["diagnostic"])
-    dims = tuple((name, tuple(labels)) for name, labels in doc["dims"])
-    inner = _inner_shape(meta.varlist)
-    if doc["format"] == _V1_TAG:
-        records = [SubJobRecord.from_doc(d) for d in doc["records"]]
-        return ResultStore(dims=dims, meta=meta,
-                           **_dense(Columns.from_records(records), inner, lambda cell: cell))
-    n = math.prod(len(labels) for _, labels in dims)
-    return ResultStore(
-        dims=dims, meta=meta,
-        value=np.array(doc["value"], dtype=float).reshape(inner + (n,), order="F"),
-        time_ms=np.array(doc["time_ms"], dtype=float).reshape(n),
-        errors={cell: ErrorInfo(message, kind) for cell, message, kind in doc["errors"]},
-        warnings={cell: tuple(w) for cell, w in doc["warnings"]},
-        seeds=doc["seeds"])
+    try:
+        meta = StoreMeta.from_doc(doc["meta"])
+        if doc["kind"] == "raw":
+            records = [SubJobRecord.from_doc(d) for d in doc["records"]]
+            return RawFallback(records=records, meta=meta, diagnostic=doc["diagnostic"])
+        dims = tuple((name, tuple(labels)) for name, labels in doc["dims"])
+        inner = _inner_shape(meta.varlist)
+        if doc["format"] == _V1_TAG:
+            records = [SubJobRecord.from_doc(d) for d in doc["records"]]
+            return ResultStore(dims=dims, meta=meta,
+                               **_dense(Columns.from_records(records), inner, lambda cell: cell))
+        n = math.prod(len(labels) for _, labels in dims)
+        return ResultStore(
+            dims=dims, meta=meta,
+            value=np.array(doc["value"], dtype=float).reshape(inner + (n,), order="F"),
+            time_ms=np.array(doc["time_ms"], dtype=float).reshape(n),
+            errors={cell: ErrorInfo(message, kind) for cell, message, kind in doc["errors"]},
+            warnings={cell: tuple(w) for cell, w in doc["warnings"]},
+            seeds=doc["seeds"])
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed result file ({exc!r})") from exc
 
 
 def maybe_read(path: str | os.PathLike,

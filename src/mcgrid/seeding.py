@@ -1,11 +1,12 @@
 """Replication seeding.
 
-Every sub-job of a run draws from a private stream of a counter-based,
-splittable generator (Philox4x64).  The stream assigned to a sub-job depends
-only on the seeding discipline and the replication index, never on the grid
-row, worker, backend or execution order.  Consequently all grid rows of one
-replication consume identical random numbers (common random numbers), and a
-persisted stream state can be re-hydrated byte-exactly anywhere.
+Every sub-job of a run draws from its slot's stream of a counter-based,
+splittable generator (Philox4x64).  A seeded discipline resets that stream to
+a state that depends only on the discipline and the replication index, never
+on the grid row, worker, backend or execution order.  Consequently all grid
+rows of one replication consume identical random numbers (common random
+numbers), and a persisted stream state can be re-hydrated byte-exactly
+anywhere.
 
 Integer-to-state derivation contract (stable across versions, part of the
 persistence format): the 128-bit Philox key is produced by two steps of
@@ -24,7 +25,7 @@ Seeding disciplines
                          ``i``-th integer of a user list.
 * ``per-rep-stream``  -- replication ``i`` uses the ``i``-th of a list of
                          explicit stream states.
-* ``none``            -- no reseeding: sub-jobs draw from an ambient
+* ``none``            -- no reseeding: a slot carries on its thread's ambient
                          OS-entropy stream, so results are not reproducible.
 * ``unseeded``        -- like ``none``, but the ambient state is never
                          recorded; result records carry no seed component.
@@ -36,7 +37,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 _M64 = (1 << 64) - 1
 _SM64_GAMMA = 0x9E3779B97F4A7C15
@@ -107,20 +107,6 @@ class StreamState:
                    uinteger=int(st["uinteger"]))
 
 
-class _ZeroSeed(ISeedSequence):
-    """Seeds a bit generator whose whole state is set right after.
-
-    Without a seed, numpy draws OS entropy for the throwaway initial state,
-    which costs most of a ``from_state`` call.
-    """
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return np.zeros(n_words, dtype=dtype)
-
-
-_ZERO_SEED = _ZeroSeed()
-
-
 class RngStream:
     """A live stream: scalar/vector draws plus byte-exact state snapshots.
 
@@ -134,7 +120,7 @@ class RngStream:
 
     @classmethod
     def from_state(cls, state: StreamState) -> "RngStream":
-        bg = np.random.Philox(_ZERO_SEED)
+        bg = np.random.Philox()
         bg.state = state.philox_state()
         return cls(bg)
 
@@ -294,10 +280,10 @@ _ambient = threading.local()
 
 
 def ambient_stream() -> RngStream:
-    """Per-thread OS-entropy stream used by the nondeterministic disciplines.
+    """Per-thread OS-entropy stream: a slot's stream under ``none``/``unseeded``.
 
-    Created lazily on first use and left untouched between sub-jobs, so
-    repeated runs differ with probability ~1.
+    Created lazily on first use and never reset: each sub-job carries on
+    where the last one stopped, so repeated runs differ with probability ~1.
     """
     stream = getattr(_ambient, "stream", None)
     if stream is None:

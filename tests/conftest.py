@@ -152,6 +152,12 @@ def appending_study(params, rng, warn):
     return float(len(params["p"]))
 
 
+def appending_level_study(params, rng, warn):
+    """Appends to the list-valued grid level ``g``."""
+    params["g"].append(9)
+    return float(len(params["g"]))
+
+
 def random_store(rng: random.Random, force_kind: str | None = None):
     """Randomized result store (or raw fallback) for round-trip tests.
 

@@ -106,7 +106,7 @@ class TestRun:
         assert main(["run", str(p), "--out", str(out)]) == 0
         p2 = write_config(tmp_path / "c2.json", n_sim=3)
         assert main(["run", str(p2), "--out", str(out)]) == 1
-        assert "delete the file" in capsys.readouterr().err
+        assert capsys.readouterr().err.count("delete the file") == 1
 
     def test_run_with_errors_exits_2(self, capsys, tmp_path):
         p = write_config(tmp_path / "c.json", study="test_cli:cli_erroring_study")
@@ -300,6 +300,17 @@ class TestAnalyze:
     def test_missing_results_file(self, capsys, tmp_path):
         assert main(["analyze", str(tmp_path / "no.json"), "--rows", "x",
                      "--cols", "y"]) == 1
+
+    def test_malformed_result_file_is_one_line(self, capsys, tmp_path):
+        p = write_config(tmp_path / "c.json")
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"format": "mcgrid-result-v2", "meta": 5}')
+        for argv in (["run", str(p), "--out", str(bad)],
+                     ["analyze", str(bad), "--rows", "x", "--cols", "n.sim"]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("mcgrid: ") and err.count("\n") == 1
+            assert "malformed result file" in err
 
     def test_table_error_is_one_bare_line(self, results, capsys):
         assert main(["analyze", str(results), "--rows", "x,x", "--cols", "n.sim"]) == 1

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (appending_study, chatty_study, coin_study, dying_study,
-                      float_type_study, interrupting_study, mid_buffer_study,
+from conftest import (appending_level_study, appending_study, chatty_study, coin_study,
+                      dying_study, float_type_study, interrupting_study, mid_buffer_study,
                       params_probe_study, poly_noisy, poly_study, ragged_study,
                       scalar_varlist, square_study, tiny_varlist, wide_study)
 
@@ -29,7 +29,8 @@ from mcgrid import (Block, ErrorInfo, ExecutionError, ProcessPool, ProtocolError
 from mcgrid import executor
 from mcgrid.executor import (TASK_BLOCKS, WORKER_FLAG, encode_frame, partition_tasks,
                              read_frame, worker_main)
-from mcgrid.seeding import derive_streams
+from mcgrid.seeding import StreamState, derive_streams
+from mcgrid.var_copula import probe_first_uniform
 
 try:
     import fcntl
@@ -375,6 +376,7 @@ class TestRunStudySequential:
             VarSpec("w", "grid", (1.0, 2.0)),
             VarSpec("s", "grid", ("a", "b")),
             VarSpec("b", "grid", (True, False)),
+            VarSpec("g", "grid", ((1, 2), (3, 4))),  # a worker reads JSON lists
             VarSpec("q", "inner", (0.25, 0.5)),
             VarSpec("d", "frozen", {"k": 1, "v": 0.5}),
             VarSpec("l", "frozen", [1, 2.0, "x"]),
@@ -385,7 +387,7 @@ class TestRunStudySequential:
         # the probe returns a scalar despite the inner variable: raw records
         seq = run_study(vl, params_probe_study)
         assert isinstance(seq, RawFallback) and seq.error_count() == 0
-        assert len({r.value for r in seq.records}) == 16  # one checksum per grid row
+        assert len({r.value for r in seq.records}) == 32  # one checksum per grid row
         for backend in (ThreadPool(2), ProcessPool(2)):
             res = run_study(vl, params_probe_study, backend=backend)
             assert do_res_equal(seq, res), (backend, do_res_equal(seq, res).report)
@@ -710,6 +712,20 @@ def test_slot_stream_is_reset_before_every_subjob(backend, rep_first):
             assert rec.seed == seed_for(spec, rep).to_hex()
 
 
+@pytest.mark.parametrize("backend", [Sequential(), Sequential(2), ThreadPool(2),
+                                     ProcessPool(2)])
+def test_kept_ambient_state_reproduces_its_subjob(backend):
+    # under none the slot's stream carries on, and keep_seed records where
+    # each sub-job started
+    vl = VarList([VarSpec("n.sim", "N", 4), VarSpec("x", "grid", (1, 2, 3))])
+    res = run_study(vl, probe_first_uniform, seed=SeedSpec.none_reseed(), keep_seed=True,
+                    backend=backend)
+    seeds = [r.seed for r in res.records]
+    assert None not in seeds and len(set(seeds)) == len(seeds)
+    for rec in res.records:
+        assert RngStream.from_state(StreamState.from_hex(rec.seed)).uniform() == rec.value
+
+
 def noisy_x_study(params, rng, warn):
     return params["x"] + rng.uniform()
 
@@ -797,15 +813,18 @@ def test_monitor_records_equal_the_stored_ones(backend):
 
 
 def test_common_arguments_are_read_only_on_every_backend():
-    vl = VarList([VarSpec("n.sim", "N", 3), VarSpec("x", "grid", (1, 2)),
-                  VarSpec("p", "frozen", [1])])
+    frozen = VarList([VarSpec("n.sim", "N", 3), VarSpec("x", "grid", (1, 2)),
+                      VarSpec("p", "frozen", [1])])
+    level = VarList([VarSpec("n.sim", "N", 3), VarSpec("g", "grid", ([1], [2]))])
     want = ErrorInfo("'tuple' object has no attribute 'append'", "AttributeError")
-    stores = [run_study(vl, appending_study, backend=backend)
-              for backend in (Sequential(), ThreadPool(2), ProcessPool(2))]
-    for res in stores:
-        assert res.errors == {cell: want for cell in range(6)}
-        assert do_res_equal(stores[0], res)
-    assert vl["p"].payload == [1]
+    for vl, study in ((frozen, appending_study), (level, appending_level_study)):
+        stores = [run_study(vl, study, backend=backend)
+                  for backend in (Sequential(), ThreadPool(2), ProcessPool(2))]
+        for res in stores:
+            assert res.errors == {cell: want for cell in range(6)}
+            assert do_res_equal(stores[0], res)
+    assert frozen["p"].payload == [1]
+    assert level["g"].values == ([1], [2])
 
 
 def test_frozen_arguments_are_read_only_copies():

@@ -207,6 +207,18 @@ class TestPersistence:
         assert np.signbit(back.time_ms).tolist() == [False, True, False]
         assert back.value.tolist() == [0.0, 0.0, 2.0]
 
+    def test_malformed_tagged_documents_are_value_errors(self, tmp_path):
+        path = tmp_path / "raw.json"
+        save(random_store(random.Random(7), force_kind="raw"), path)
+        raw = json.loads(path.read_text())
+        raw["records"][0] = 5
+        for doc in ({"format": "mcgrid-result-v2"}, {"format": "mcgrid-result-v2", "meta": 5},
+                    raw):
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match="malformed result file") as info:
+                load(path)
+            assert isinstance(info.value.__cause__, (KeyError, TypeError, AttributeError))
+
     def test_file_bytes_are_stable(self, tmp_path):
         res = random_store(random.Random(3))
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
