@@ -25,7 +25,7 @@ from .varlist import VarList
 
 __all__ = ["LabeledArray", "get_array", "array2df", "LongTable", "ftable",
            "FlatTable", "to_latex_table", "varlist_to_latex", "to_csv",
-           "latex_escape", "collapse"]
+           "latex_escape", "collapse", "finite_groups"]
 
 
 @dataclass
@@ -68,22 +68,28 @@ class LabeledArray:
 
 
 def collapse(arr: LabeledArray, name: str, fn) -> LabeledArray:
-    """Collapse one dimension by applying ``fn`` along it (cell-wise).
-
-    String-valued ``fn`` results produce an object array (no numpy string
-    truncation)."""
+    """Collapse one dimension with one call ``fn(matrix, axis=-1)``: each row
+    of ``matrix`` holds one cell's values along ``name``, and ``fn`` returns
+    one value per row, as ``np.mean`` or ``var_copula.huber_mean`` do.
+    String results produce an object array (no numpy string truncation)."""
     ax = arr.axis(name)
     moved = np.moveaxis(arr.data, ax, -1)
-    lead_shape = moved.shape[:-1]
-    flat = moved.reshape(-1, moved.shape[-1])
-    out = [fn(flat[i]) for i in range(flat.shape[0])]
-    if out and isinstance(out[0], str):
-        data = np.empty(len(out), dtype=object)
-        data[:] = out
-    else:
-        data = np.asarray(out)
+    data = np.asarray(fn(np.ascontiguousarray(moved.reshape(-1, moved.shape[-1])), axis=-1))
+    if data.dtype.kind == "U":
+        data = data.astype(object)
     dims = arr.dims[:ax] + arr.dims[ax + 1:]
-    return LabeledArray(dims=dims, data=data.reshape(lead_shape))
+    return LabeledArray(dims=dims, data=data.reshape(moved.shape[:-1]))
+
+
+def finite_groups(matrix: np.ndarray):
+    """Yields ``(rows, values)`` per count of finite values in a row of a 2-D
+    array: ``values`` holds those rows' finite values, in order, as a
+    (len(rows), count) array.  Rows with no finite value are left out."""
+    finite = np.isfinite(matrix)
+    counts = finite.sum(axis=1)
+    for n in np.unique(counts[counts > 0]).tolist():
+        rows = np.flatnonzero(counts == n)
+        yield rows, matrix[rows][finite[rows]].reshape(rows.size, n)
 
 
 COMPONENTS = ("value", "error", "warning", "time")  # what get_array extracts

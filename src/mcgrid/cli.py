@@ -20,7 +20,8 @@ import sys
 import numpy as np
 
 from . import var_copula
-from .analysis import COMPONENTS, LabeledArray, ftable, get_array, to_csv, to_latex_table
+from .analysis import (COMPONENTS, LabeledArray, finite_groups, ftable, get_array, to_csv,
+                       to_latex_table)
 from .executor import (BackendSpec, ExecutionError, ProtocolError, WORKER_FLAG,
                        run_study, stderr_monitor, worker_main)
 from .plot import PlotSpec, mayplot_svg
@@ -213,20 +214,22 @@ def _split_vars(text: str) -> list[str]:
     return out
 
 
-def _hub_mad_cell(values: np.ndarray) -> str:
-    finite = values[np.isfinite(values)]
-    if finite.size == 0:
-        return "NA"
-    return f"{huber_mean(finite):.1f} ({mad(finite):.1f})"
+def _hub_mad(values: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``huber (mad)`` of each row's finite values; ``NA`` for a row with none."""
+    out = np.full(len(values), "NA", dtype=object)
+    for rows, finite in finite_groups(values):
+        out[rows] = [f"{c:.1f} ({m:.1f})" for c, m in
+                     zip(huber_mean(finite).tolist(), mad(finite).tolist())]
+    return out
 
 
 def _load_store(path: str):
     try:
         res = load(path)
     except OSError as exc:
-        raise _UsageError(f"cannot read results {path!r}: {exc}") from exc
+        raise _UsageError(f"cannot read results: {exc}") from exc  # exc names the path
     except ValueError as exc:
-        raise _UsageError(f"results {path!r} are not a result file: {exc}") from exc
+        raise _UsageError(exc.args[0]) from exc
     if isinstance(res, RawFallback):
         raise _UsageError(f"results {path!r} hold raw fallback records "
                           f"({res.diagnostic}); no dense analysis available")
@@ -257,9 +260,9 @@ def cmd_analyze(args) -> int:
             if name != rep_name:
                 raise _UsageError(f"value tables must place every variable; "
                                   f"{name!r} is neither a row nor a column")
-            arr = collapse(arr, name, _hub_mad_cell)
+            arr = collapse(arr, name, _hub_mad)
         else:
-            arr = collapse(arr, name, lambda v: v.sum())
+            arr = collapse(arr, name, np.sum)
     if args.component == "time":
         arr = _format_ms(arr)
 

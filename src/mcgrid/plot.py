@@ -22,7 +22,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .analysis import LabeledArray
+from .analysis import LabeledArray, finite_groups
 
 __all__ = ["PlotSpec", "BoxStats", "boxplot_stats", "mayplot_svg"]
 
@@ -59,18 +59,26 @@ class BoxStats:
     outliers: tuple[float, ...]
 
 
-def boxplot_stats(values) -> BoxStats:
+def boxplot_stats(values):
+    """Box summary of a sample's finite values; a 2-D argument gives a list
+    with one ``BoxStats`` per row, None for a row with no finite value."""
     x = np.asarray(values, dtype=float)
-    x = x[np.isfinite(x)]
-    if x.size == 0:
+    out: list[BoxStats | None] = [None] * len(np.atleast_2d(x))
+    for rows, v in finite_groups(np.atleast_2d(x)):
+        q1, med, q3 = np.quantile(v, [0.25, 0.5, 0.75], axis=1)  # numpy default = type 7
+        iqr = q3 - q1
+        inside = (v >= (q1 - 1.5 * iqr)[:, None]) & (v <= (q3 + 1.5 * iqr)[:, None])
+        wlo = np.where(inside, v, np.inf).min(axis=1)
+        whi = np.where(inside, v, -np.inf).max(axis=1)
+        v = np.sort(v, axis=1)
+        outer = (v < wlo[:, None]) | (v > whi[:, None])
+        outliers = np.split(v[outer], np.cumsum(outer.sum(axis=1))[:-1])
+        for i, *st, o in zip(rows.tolist(), med.tolist(), q1.tolist(), q3.tolist(),
+                             wlo.tolist(), whi.tolist(), outliers):
+            out[i] = BoxStats(*st, tuple(o.tolist()))
+    if x.ndim == 1 and out[0] is None:
         raise ValueError("no finite values")
-    q1, med, q3 = np.quantile(x, [0.25, 0.5, 0.75])  # numpy default = type 7
-    iqr = q3 - q1
-    lo_fence, hi_fence = q1 - 1.5 * iqr, q3 + 1.5 * iqr
-    inside = x[(x >= lo_fence) & (x <= hi_fence)]
-    wlo, whi = float(inside.min()), float(inside.max())
-    outliers = tuple(sorted(float(v) for v in x[(x < wlo) | (x > whi)]))
-    return BoxStats(float(med), float(q1), float(q3), wlo, whi, outliers)
+    return out if x.ndim > 1 else out[0]
 
 
 @dataclass(frozen=True)
@@ -273,12 +281,12 @@ def mayplot_svg(arr: LabeledArray, spec: PlotSpec) -> str:
                 slot_w = PANEL_W / nx
                 group_w = slot_w * 0.8
                 bw = group_w / ns * 0.85
+                boxes = boxplot_stats(panel.reshape(nx * ns, n_rep))
                 for xi in range(nx):
                     for si in range(ns):
-                        vals = panel[xi, si]
-                        if np.isnan(vals).all():
+                        st = boxes[xi * ns + si]
+                        if st is None:
                             continue
-                        st = boxplot_stats(vals)
                         color = PALETTE[si % len(PALETTE)]
                         cx = (px + slot_w * xi + slot_w * 0.1
                               + group_w * (si + 0.5) / ns)

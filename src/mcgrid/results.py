@@ -493,7 +493,10 @@ def save(res: ResultStore | RawFallback, path: str | os.PathLike) -> None:
 
 def load(path: str | os.PathLike) -> ResultStore | RawFallback:
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{path}: not a result file ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") not in (FORMAT_TAG, _V1_TAG):
         raise ValueError(f"{path}: not a result file (format tag missing)")
     try:

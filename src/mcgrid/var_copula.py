@@ -225,31 +225,39 @@ def quantile_type7(sample, probs):
     return float(q[0]) if scalar else q
 
 
-def mad(sample, constant: float = 1.4826) -> float:
-    """Median absolute deviation about the median, scaled by ``constant``."""
-    x = np.asarray(sample, dtype=float)
-    return constant * float(np.median(np.abs(x - np.median(x))))
+def _rows(sample, axis: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``sample`` as C-contiguous rows along ``axis``, and the result shape."""
+    x = np.moveaxis(np.asarray(sample, dtype=float), axis, -1)
+    if x.shape[-1] == 0:
+        raise ValueError("empty sample")
+    return np.ascontiguousarray(x.reshape(-1, x.shape[-1])), x.shape[:-1]
 
 
-def huber_mean(sample, k: float = 1.5, tol: float = 1e-6, max_iter: int = 50) -> float:
+def mad(sample, constant: float = 1.4826, axis: int = -1):
+    """Median absolute deviation about the median, scaled by ``constant``.
+    Reduces ``axis`` of any array; a 1-D sample gives a float."""
+    x, shape = _rows(sample, axis)
+    s = constant * np.median(np.abs(x - np.median(x, axis=1)[:, None]), axis=1)
+    return float(s[0]) if shape == () else s.reshape(shape)
+
+
+def huber_mean(sample, k: float = 1.5, tol: float = 1e-6, max_iter: int = 50,
+               axis: int = -1):
     """Huber robust location: winsorized-mean iteration with fixed scale s = MAD.
 
     mu starts at the median; mu <- mean(clip(x, mu-k*s, mu+k*s)) until
-    |delta mu| < tol*s.  A zero MAD returns the median.
-    """
-    x = np.asarray(sample, dtype=float)
-    if x.size == 0:
-        raise ValueError("empty sample")
-    mu = float(np.median(x))
-    s = mad(x)
-    if s == 0.0:
-        return mu
+    |delta mu| < tol*s.  A zero MAD returns the median.  Reduces ``axis`` of
+    any array, each row until it converges; a 1-D sample gives a float."""
+    x, shape = _rows(sample, axis)
+    mu, s = np.median(x, axis=1), mad(x)
+    live = np.flatnonzero(s != 0.0)      # rows still iterating
     for _ in range(max_iter):
-        mu1 = float(np.clip(x, mu - k * s, mu + k * s).mean())
-        if abs(mu1 - mu) < tol * s:
-            return mu1
-        mu = mu1
-    return mu
+        if not live.size:
+            break
+        m, ks = mu[live], k * s[live]
+        mu[live] = np.clip(x[live], (m - ks)[:, None], (m + ks)[:, None]).mean(axis=1)
+        live = live[~(np.abs(mu[live] - m) < tol * s[live])]
+    return float(mu[0]) if shape == () else mu.reshape(shape)
 
 
 _MARGINS = {"std-normal": std_normal_quantile}

@@ -11,6 +11,7 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from mcgrid import (RngStream, SeedSpec, StreamState, SubJobRecord, VarList,
                     VarSpec, assemble, register_study, seed_for)
@@ -156,6 +157,70 @@ def appending_level_study(params, rng, warn):
     """Appends to the list-valued grid level ``g``."""
     params["g"].append(9)
     return float(len(params["g"]))
+
+
+# ---------------------------------------------------------------------------
+# the report statistics one cell at a time: the oracles of the whole-table code
+
+def mad_cell(sample, constant: float = 1.4826) -> float:
+    x = np.asarray(sample, dtype=float)
+    return constant * float(np.median(np.abs(x - np.median(x))))
+
+
+def huber_mean_cell(sample, k: float = 1.5, tol: float = 1e-6, max_iter: int = 50) -> float:
+    x = np.asarray(sample, dtype=float)
+    mu = float(np.median(x))
+    s = mad_cell(x)
+    if s == 0.0:
+        return mu
+    for _ in range(max_iter):
+        mu1 = float(np.clip(x, mu - k * s, mu + k * s).mean())
+        if abs(mu1 - mu) < tol * s:
+            return mu1
+        mu = mu1
+    return mu
+
+
+def boxplot_stats_cell(values) -> tuple[float, ...] | None:
+    """(median, q1, q3, whisker_lo, whisker_hi, *outliers) of the finite
+    values, None when there are none."""
+    x = np.asarray(values, dtype=float)
+    x = x[np.isfinite(x)]
+    if x.size == 0:
+        return None
+    q1, med, q3 = np.quantile(x, [0.25, 0.5, 0.75])
+    iqr = q3 - q1
+    inside = x[(x >= q1 - 1.5 * iqr) & (x <= q3 + 1.5 * iqr)]
+    wlo, whi = float(inside.min()), float(inside.max())
+    outliers = sorted(float(v) for v in x[(x < wlo) | (x > whi)])
+    return (float(med), float(q1), float(q3), wlo, whi, *outliers)
+
+
+def float_bits(values) -> list[str]:
+    """Exact text of each float: tells -0.0 from 0.0, and every NaN reads 'nan'."""
+    return [float.hex(float(v)) for v in values]
+
+
+_FINITE = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1.0, 2.0, 2.5])
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def report_matrices(draw) -> np.ndarray:
+    """(cells, replications) arrays as reports meet them: rows of one
+    repeated value (zero MAD), of a few tied values, of spread values, with
+    NaN and ±inf among them, and with no finite value at all."""
+    n_reps = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["constant", "ties", "spread", "mixed", "none"]))
+        if kind == "constant":
+            rows.append([draw(_FINITE)] * n_reps)
+            continue
+        values = {"ties": st.sampled_from([1.0, 2.0, 3.0]), "spread": _FINITE,
+                  "mixed": _FINITE | _NON_FINITE, "none": _NON_FINITE}[kind]
+        rows.append(draw(st.lists(values, min_size=n_reps, max_size=n_reps)))
+    return np.array(rows, dtype=float)
 
 
 def random_store(rng: random.Random, force_kind: str | None = None):

@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import poly_study, random_store, tiny_varlist
+from conftest import float_bits, poly_study, random_store, tiny_varlist
 
 from mcgrid import (LabeledArray, array2df, collapse, ftable, get_array,
                     latex_escape, run_study, to_csv, to_latex_table,
@@ -68,9 +68,21 @@ class TestCollapse:
 
     def test_string_cells_not_truncated(self):
         arr = mk_arr([2, 3])
-        out = collapse(arr, "v1", lambda v: f"{v.mean():.1f} ({v.std():.1f})" * 3)
+        out = collapse(arr, "v1", lambda m, axis: [f"{v.mean():.1f} ({v.std():.1f})" * 3
+                                                   for v in m])
         assert out.data.dtype == object
         assert all(len(s) > 20 for s in out.data.ravel())
+
+    def test_float_sums_are_each_cells_own_sum(self):
+        # collapsing a leading dim sees each cell's values strided; a row
+        # must still be summed as its own 1-D array is (pairwise)
+        arr = mk_arr([40, 6, 12])
+        arr.data = np.random.default_rng(4).random((40, 6, 12)) * 1000
+        for name in ("v0", "v1", "v2"):
+            ax = arr.axis(name)
+            cells = np.moveaxis(arr.data, ax, -1).reshape(-1, arr.data.shape[ax])
+            got = collapse(arr, name, np.sum).data
+            assert float_bits(got.ravel()) == float_bits([v.sum() for v in cells])
 
     def test_collapse_last_remaining_dim(self):
         arr = mk_arr([4])

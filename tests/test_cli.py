@@ -7,10 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import huber_mean_cell, mad_cell, report_matrices
 from mcgrid import load, save
-from mcgrid.cli import main
+from mcgrid.cli import _hub_mad, main
 from mcgrid.executor import encode_frame, read_frame
 
 DATA = Path(__file__).parent / "data"
@@ -43,6 +46,43 @@ def cli_erroring_study(params, rng, warn):
 
 def cli_infinite_study(params, rng, warn):
     return {3: 3.0, 4: math.inf, 5: -math.inf}[params["x"]]
+
+
+def cli_report_study(params, rng, warn):
+    """Every kind of cell a report meets: row x=3, g=b always errors; x=2
+    warns and errors on its low draws; x=1, g=a is constant; the rest mix
+    the draw with NaN, inf and outlying replications."""
+    x, g, u = params["x"], params["g"], rng.uniform()
+    if x == 3 and g == "b":
+        raise RuntimeError("row 3b always fails")
+    if x == 2:
+        warn("x is two")
+        if u < 0.3:
+            raise ValueError("low draw")
+    if x == 1 and g == "a":
+        return [4.0, 4.0]
+    value = [10.0 * x + 8.0 * u, 10.0 * x - 16.0 * u]
+    if u > 0.8:
+        value[1] = math.nan
+    if g == "b" and 0.25 < u < 0.4:
+        value[0] = math.inf
+    if 0.45 < u < 0.55:
+        value[0] = 100.0 * x
+    return value
+
+
+def write_report_config(path):
+    doc = {
+        "study": "test_cli:cli_report_study",
+        "variables": [
+            {"name": "n.sim", "type": "N", "label": None, "value": 9},
+            {"name": "x", "type": "grid", "label": "$x$", "value": [1, 2, 3]},
+            {"name": "g", "type": "grid", "label": None, "value": ["a", "b"]},
+            {"name": "q", "type": "inner", "label": "$q$", "value": [0.5, 2.0]},
+        ],
+    }
+    path.write_text(json.dumps(doc))
+    return path
 
 
 CALLS = []
@@ -298,23 +338,62 @@ class TestAnalyze:
         assert err.count("\n") == 1
 
     def test_missing_results_file(self, capsys, tmp_path):
-        assert main(["analyze", str(tmp_path / "no.json"), "--rows", "x",
-                     "--cols", "y"]) == 1
+        for path in (tmp_path / "no.json", tmp_path):
+            assert main(["analyze", str(path), "--rows", "x", "--cols", "y"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("mcgrid: cannot read results: ") and err.count(str(path)) == 1
 
     def test_malformed_result_file_is_one_line(self, capsys, tmp_path):
         p = write_config(tmp_path / "c.json")
         bad = tmp_path / "bad.json"
-        bad.write_text('{"format": "mcgrid-result-v2", "meta": 5}')
-        for argv in (["run", str(p), "--out", str(bad)],
-                     ["analyze", str(bad), "--rows", "x", "--cols", "n.sim"]):
-            assert main(argv) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("mcgrid: ") and err.count("\n") == 1
-            assert "malformed result file" in err
+        for text, why in (('{"format": "mcgrid-result-v2", "meta": 5}', "malformed result file"),
+                          ("garbage", "not a result file")):
+            bad.write_text(text)
+            for argv in (["run", str(p), "--out", str(bad)],
+                         ["analyze", str(bad), "--rows", "x", "--cols", "n.sim"]):
+                assert main(argv) == 1
+                err = capsys.readouterr().err
+                assert err.startswith(f"mcgrid: {bad}: {why} (") and err.count("\n") == 1
+                assert err.count(str(bad)) == 1
+
+    @given(report_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_value_cells_match_the_one_cell_code(self, x):
+        def cell(values):
+            finite = values[np.isfinite(values)]
+            if finite.size == 0:
+                return "NA"
+            return f"{huber_mean_cell(finite):.1f} ({mad_cell(finite):.1f})"
+
+        assert _hub_mad(x).tolist() == [cell(v) for v in x]
 
     def test_table_error_is_one_bare_line(self, results, capsys):
         assert main(["analyze", str(results), "--rows", "x,x", "--cols", "n.sim"]) == 1
         assert capsys.readouterr().err == "mcgrid: duplicate variable\n"
+
+
+# the report files of cli_report_study's store, and the commands that write them
+GOLDEN_REPORTS = {
+    "golden-report-value.tex": ["analyze", "--rows", "x,g", "--cols", "q",
+                                "--format", "latex"],
+    "golden-report-error.csv": ["analyze", "--component", "error", "--rows", "x",
+                                "--cols", "g", "--format", "csv"],
+    "golden-report-box.svg": ["plot", "--x", "x", "--series", "g", "--cols", "q"],
+}
+
+
+def test_golden_reports(capsys, tmp_path):
+    """``tests/data/golden-report-*`` were written by the per-cell report
+    code of commit af10cbd, before the statistics were computed for whole
+    tables: a Huber (MAD) value table with NA, constant and partly
+    non-finite cells, a summed error table and a box plot with an empty box."""
+    store = tmp_path / "res.json"
+    assert main(["run", str(write_report_config(tmp_path / "c.json")),
+                 "--out", str(store)]) == 2
+    for name, (command, *argv) in GOLDEN_REPORTS.items():
+        dest = tmp_path / name
+        assert main([command, str(store), *argv, "--out", str(dest)]) == 0
+        assert dest.read_bytes() == (DATA / name).read_bytes(), name
 
 
 class TestPlot:

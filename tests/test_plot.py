@@ -8,8 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import poly_study, tiny_varlist
+from conftest import (boxplot_stats_cell, float_bits, poly_study, report_matrices,
+                      tiny_varlist)
 
 from mcgrid import (LabeledArray, PlotSpec, boxplot_stats, get_array,
                     mayplot_svg, run_study)
@@ -55,6 +57,25 @@ class TestBoxplotStats:
     def test_all_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             boxplot_stats([math.nan])
+
+    @given(report_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_the_one_cell_code(self, x):
+        def fields(st):
+            return st and (st.median, st.q1, st.q3, st.whisker_lo, st.whisker_hi,
+                           *st.outliers)
+
+        boxes = [fields(st) for st in boxplot_stats(x)]
+        # equal, not bit for bit: which of -0.0 and 0.0 numpy's min and max
+        # return as a whisker depends on where the zeros sit in the array
+        assert boxes == [boxplot_stats_cell(v) for v in x]
+        got = [st and float_bits(st) for st in boxes]
+        for v, want in zip(x, got):
+            if want is None:
+                with pytest.raises(ValueError, match="no finite values"):
+                    boxplot_stats(v)
+            else:
+                assert float_bits(fields(boxplot_stats(v))) == want
 
     def test_matches_numpy_quartiles(self):
         rng = np.random.default_rng(3)

@@ -219,6 +219,15 @@ class TestPersistence:
                 load(path)
             assert isinstance(info.value.__cause__, (KeyError, TypeError, AttributeError))
 
+    def test_files_that_are_not_json_are_value_errors(self, tmp_path):
+        path = tmp_path / "bad.json"
+        for data in (b"garbage", b"\xff\xfe{}"):
+            path.write_bytes(data)
+            with pytest.raises(ValueError) as info:
+                load(path)
+            assert str(info.value).startswith(f"{path}: not a result file (")
+            assert isinstance(info.value.__cause__, ValueError)
+
     def test_file_bytes_are_stable(self, tmp_path):
         res = random_store(random.Random(3))
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

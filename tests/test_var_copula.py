@@ -8,6 +8,10 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import float_bits, huber_mean_cell, mad_cell, report_matrices
 
 from mcgrid import RngStream, derive_state
 from mcgrid import var_copula as vc
@@ -148,6 +152,37 @@ class TestRobustSummaries:
     def test_huber_zero_mad_falls_back_to_median(self):
         x = np.array([5.0, 5.0, 5.0, 9.0])
         assert huber_mean(x) == 5.0
+
+
+class TestWholeArraySummaries:
+    """``huber_mean`` and ``mad`` reduce every row of an array at once, and
+    each row's result is the one-cell computation's, bit for bit."""
+
+    @given(report_matrices(), st.sampled_from([0, 1, 2, 50]))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_the_one_cell_code(self, x, max_iter):
+        with np.errstate(invalid="ignore"):  # inf - inf in rows without a finite median
+            centers, spreads = huber_mean(x, max_iter=max_iter), mad(x)
+            for got, cell, one_row in (
+                    (centers, [huber_mean_cell(v, max_iter=max_iter) for v in x],
+                     [huber_mean(v, max_iter=max_iter) for v in x]),
+                    (spreads, [mad_cell(v) for v in x], [mad(v) for v in x])):
+                assert float_bits(got) == float_bits(cell) == float_bits(one_row)
+                assert all(type(v) is float for v in one_row)
+
+    def test_any_axis_of_any_shape(self):
+        x = np.random.default_rng(8).standard_t(3, size=(3, 7, 4))
+        cells = [x[i, :, j] for i in range(3) for j in range(4)]
+        for fn, cell_fn in ((huber_mean, huber_mean_cell), (mad, mad_cell)):
+            got = fn(x, axis=1)
+            assert got.shape == (3, 4)
+            assert float_bits(got.ravel()) == float_bits(cell_fn(v) for v in cells)
+
+    @pytest.mark.parametrize("fn", [huber_mean, mad])
+    def test_empty_sample_rejected(self, fn):
+        for empty in ([], np.zeros((3, 0))):
+            with pytest.raises(ValueError, match="empty sample"):
+                fn(empty)
 
 
 class TestPositiveStable:
