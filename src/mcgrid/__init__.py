@@ -8,15 +8,13 @@ dense labeled stores that persist byte-stably to JSON and flatten to LaTeX,
 CSV, or SVG.
 """
 
+import importlib
+
 from . import var_copula  # noqa: F401  (registers the packaged studies)
-from .analysis import (FlatTable, LabeledArray, LongTable, array2df, collapse,
-                       ftable, get_array, latex_escape, to_csv, to_latex_table,
-                       varlist_to_latex)
 from .executor import (BackendSpec, Block, ExecutionError, ProcessPool,
                        ProtocolError, Sequential, ThreadPool, VirtualIndex,
                        do_call_we, partition_blocks,
                        run_study, stderr_monitor, virtual_index, worker_main)
-from .plot import BoxStats, PlotSpec, boxplot_stats, mayplot_svg
 from .registry import get_study, register_study, study_name
 from .results import (CacheInvalidError, ErrorInfo, RawFallback, ResComparison,
                       ResultStore, StoreMeta, SubJobRecord, assemble,
@@ -28,6 +26,28 @@ from .varlist import (PhysicalGrid, VarList, VarSpec, format_levels, linear_of,
                       mk_grid, non_grid_args)
 
 __version__ = "0.1.0"
+
+# the report modules load on first use, so a process worker starts without them
+_LAZY = {name: module for module, names in (
+    ("analysis", ("FlatTable", "LabeledArray", "LongTable", "array2df", "collapse",
+                  "ftable", "get_array", "latex_escape", "to_csv", "to_latex_table",
+                  "varlist_to_latex")),
+    ("plot", ("BoxStats", "PlotSpec", "boxplot_stats", "mayplot_svg")),
+) for name in names}
+
+
+def __getattr__(name: str):
+    if name in ("analysis", "plot"):
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
 
 __all__ = [
     "VarSpec", "VarList", "PhysicalGrid", "mk_grid",

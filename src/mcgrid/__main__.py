@@ -1,5 +1,9 @@
 import sys
 
-from .cli import main
+from .executor import WORKER_FLAG, worker_main
 
-sys.exit(main())
+if __name__ == "__main__":
+    if sys.argv[1:] == [WORKER_FLAG]:  # a process worker needs none of the report modules
+        sys.exit(worker_main())
+    from .cli import main
+    sys.exit(main())

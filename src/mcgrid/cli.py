@@ -23,7 +23,7 @@ from . import var_copula
 from .analysis import (COMPONENTS, LabeledArray, finite_groups, ftable, get_array, to_csv,
                        to_latex_table)
 from .executor import (BackendSpec, ExecutionError, ProtocolError, WORKER_FLAG,
-                       run_study, stderr_monitor, worker_main)
+                       run_study, stderr_monitor)
 from .plot import PlotSpec, mayplot_svg
 from .registry import get_study
 from .results import CacheInvalidError, RawFallback, load
@@ -119,7 +119,7 @@ def _load_config(path: str) -> tuple[str, VarList]:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise _UsageError(f"cannot read config {path!r}: {exc}") from exc
+        raise _UsageError(f"cannot read config: {exc}") from exc  # exc names the path
     except json.JSONDecodeError as exc:
         raise _UsageError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "study" not in doc or "variables" not in doc:
@@ -329,11 +329,10 @@ def main(argv=None) -> int:
     for i in reversed(range(len(argv) - 1)):  # argparse reads a lone -inf as an option
         if argv[i] == "--err-value" and argv[i + 1].lower() == "-inf":
             argv[i:i + 2] = [f"--err-value={argv[i + 1]}"]
-    if WORKER_FLAG in argv:
-        if argv != [WORKER_FLAG]:
-            print(f"mcgrid: {WORKER_FLAG} takes no other arguments", file=sys.stderr)
-            return 1
-        return worker_main()
+    if WORKER_FLAG in argv:  # the worker's one entry is python -m mcgrid --worker
+        print(f"mcgrid: {WORKER_FLAG} is only for a process worker, started as "
+              f"'python -m mcgrid {WORKER_FLAG}' with no other arguments", file=sys.stderr)
+        return 1
 
     parser = _build_parser()
     try:

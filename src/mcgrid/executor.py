@@ -38,11 +38,19 @@ refused before any worker is spawned.  (A
 the frame limit bounds it at ~318k replications; such a run fails before any
 worker is spawned.)  Each ``task`` frame carries only block coordinates,
 ``[[row, rep_start, size], ...]``; the parent keeps up to two in flight per
-worker.  The worker answers each block with one ``result`` frame of that
-block's columns and flushes once per task.  Its unread input, at most
-``IN_FLIGHT`` small task frames, never fills a pipe, so the parent never
-waits to write a task while its worker waits to write results.  End of input
-ends the worker; an unexpected frame tag is a protocol error.  A worker that
+worker.  The worker answers each task with one ``result`` frame of its
+blocks' columns in block order, and the parent reads it once and writes each
+block into the store.  The worker encodes each block's columns once, as the
+block finishes, and writes a frame as soon as the next block would take it
+over the limit, so a task over the limit is answered in several frames, each
+of whole blocks; the parent reads frames until the task's block sizes are
+covered.  Only a single block over the limit is a protocol error.  A worker's unread input, at most ``IN_FLIGHT`` small task
+frames, never fills a pipe, so the parent never waits to write a task while
+its worker waits to write results.  End of input ends the worker; an
+unexpected frame tag, or a result frame that ends inside a block, is a
+protocol error.  ``python -m mcgrid --worker`` starts the worker before the
+command line module, and the package loads the report modules only on first
+use, so a worker imports none of them.  A worker that
 dies mid-run aborts the run with a diagnostic (no respawn or retry), and on
 any failure or interrupt the parent kills every worker at once.  The monitor
 runs in the calling process on every backend (see ``run_study``).
@@ -54,6 +62,7 @@ import collections
 import contextlib
 import json
 import functools
+import itertools
 import os
 import struct
 import subprocess
@@ -67,7 +76,7 @@ import numpy as np
 
 from . import registry
 from .results import (Columns, ErrorInfo, RawFallback, ResultStore, SubJobRecord,
-                      assemble, canonical_json, maybe_read, save,
+                      _Encoded, assemble, canonical_json, maybe_read, save,
                       study_fingerprint)
 from .seeding import RngStream, SeedSpec, ambient_stream, seed_for
 from .varlist import VarList, linear_of, mk_grid, non_grid_args, unravel
@@ -245,10 +254,9 @@ def subjob(ctx: _RunContext, rng: RngStream, rep: int, params: dict) -> tuple:
     return do_call_we(ctx.study_fn, dict(params), rng)
 
 
-def _run_block(ctx: _RunContext, rng: RngStream, block: Block) -> Columns:
-    """The outcomes of ``block``, as columns in rep order."""
-    params = ctx.grid.row_params(block.row)
-    params.update(ctx.args)
+def _run_block(ctx: _RunContext, rng: RngStream, block: Block, params: dict) -> Columns:
+    """The outcomes of ``block``, whose row's study arguments are ``params``,
+    as columns in rep order."""
     first = block.rep_start - 1
     ambient = ctx.keep_seed and ctx.seed.kind == "none"
     seeds = [] if ambient else ctx.seeds and ctx.seeds[first:first + block.size]
@@ -272,8 +280,12 @@ def _run_tasks(ctx: _RunContext, take):
     ``unseeded`` its thread's ambient stream, carried on between sub-jobs."""
     rng = RngStream.from_state(ctx.states[0]) if ctx.states[0] else ambient_stream()
     while (task := take()) is not None:
+        row = None  # a row's arguments are built once per run of its blocks in a task
         for block in task:
-            yield block, _run_block(ctx, rng, block)
+            if block.row != row:
+                row, params = block.row, ctx.grid.row_params(block.row)
+                params.update(ctx.args)
+            yield block, _run_block(ctx, rng, block, params)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +339,11 @@ def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
 
     ``monitor(vidx, record)`` is called once per sub-job, in the calling
     process on every backend, after each block and from the thread that
-    drives its slot (so from several threads on the pools).  A monitor that
-    raises stops the run with ``ExecutionError``.
+    drives its slot (so from several threads on the pools).  On the process
+    backend a task's blocks arrive together, in one result frame (in several
+    of whole blocks past the frame limit), and reach the monitor block by
+    block.  A monitor that raises stops the run with
+    ``ExecutionError``.
     """
     seed = seed if seed is not None else SeedSpec.seq()
     backend = backend if backend is not None else Sequential()
@@ -486,6 +501,78 @@ def _claim_stdout():
     return channel
 
 
+class _ResultFrames:
+    """A worker's result frames for a task's blocks, built as they finish.
+
+    Each block's columns are encoded to canonical JSON once, and consecutive
+    blocks share a frame: the text of the task's concatenated columns.  A
+    frame is written as soon as the next block would take it over the frame
+    limit, so the worker holds at most about one frame of text, and a task
+    over the limit goes out as several frames of whole blocks.  A single
+    block over the limit is a ProtocolError, from ``encode_frame``.
+    """
+
+    EMPTY = Columns([], [], {}, {}, None).doc()
+    # a frame with no entries and null seeds (longer than []); with it, the
+    # pending size, a comma counted per column text, bounds the frame's size
+    SKELETON = len(canonical_json({"tag": "result", **EMPTY}))
+
+    def __init__(self, out):
+        self.out = out
+        self.texts: list[list[str]] = []  # per pending block, its column texts
+        self.n = 0     # pending sub-jobs
+        self.size = 0  # pending bytes, with a comma per text
+        self.seeded = False
+
+    def add(self, cols: Columns) -> None:
+        texts = cols.texts(self.n)
+        size = len("\0".join(texts).encode("utf-8")) + 1  # a byte per text for its comma
+        if self.texts and self.SKELETON + self.size + size > MAX_FRAME:
+            self.flush()
+            texts[2:4] = cols.indexed_texts(0)  # errors and warnings, from the new frame's start
+        self.texts.append(texts)
+        self.n += len(cols.value)
+        self.size += size
+        self.seeded = cols.seeds is not None
+
+    def flush(self) -> None:
+        """Write the pending blocks' frame, if there are any."""
+        if not self.texts:
+            return
+        doc = {"tag": "result"}
+        for key, column in zip(self.EMPTY, zip(*self.texts)):
+            doc[key] = _Encoded("[" + ",".join(filter(None, column)) + "]")
+        if not self.seeded:
+            doc["seeds"] = None
+        self.texts, self.n, self.size = [], 0, 0
+        self.out.write(encode_frame(doc))
+
+
+def _task_results(stream, task: list[Block], worker: int):
+    """``(block, columns)`` for each block of ``task``, in order, read from
+    the result frames that answer it: each holds the columns of one or more
+    whole blocks."""
+    while task:
+        frame = read_frame(stream)
+        if frame is None:
+            raise _died(worker)
+        if frame.get("tag") != "result":
+            raise ProtocolError(f"worker {worker}: expected result frame, "
+                                f"got {frame.get('tag')!r}")
+        cols = Columns.from_doc(frame)
+        ends = list(itertools.accumulate(b.size for b in task))
+        if len(cols.value) not in ends:
+            raise ProtocolError(f"worker {worker}: a result frame of "
+                                f"{len(cols.value)} sub-jobs ends inside a block")
+        k = ends.index(len(cols.value)) + 1
+        yield from zip(task[:k], cols.split([b.size for b in task[:k]]))
+        task = task[k:]
+
+
+def _died(worker: int) -> ExecutionError:
+    return ExecutionError(f"worker {worker} died mid-run; aborting, no retry")
+
+
 def worker_main(stdin=None, stdout=None) -> int:
     """Frame-serving loop for a spawned worker process.
 
@@ -504,8 +591,11 @@ def worker_main(stdin=None, stdout=None) -> int:
             raise ProtocolError(f"unexpected frame tag {got!r}")
         return frame
 
+    frames = _ResultFrames(stdout)
+
     def take() -> list[Block] | None:
-        stdout.flush()  # the previous task's results
+        frames.flush()  # the rest of the previous task's results
+        stdout.flush()
         task = next_frame("task")
         return None if task is None else [Block(*b) for b in task["blocks"]]
 
@@ -514,7 +604,7 @@ def worker_main(stdin=None, stdout=None) -> int:
         if setup is None:
             return 0
         for _, cols in _run_tasks(_worker_context(setup), take):
-            stdout.write(encode_frame({"tag": "result", **cols.doc()}))
+            frames.add(cols)
     except Exception as exc:
         print(f"worker: {exc!r}", file=sys.stderr)
         return 1
@@ -542,15 +632,12 @@ def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec,
                           "seed": ctx.seed.canonical(), "keep_seed": ctx.keep_seed,
                           "rep_first": ctx.rep_first})
 
-    def died(i: int) -> ExecutionError:
-        return ExecutionError(f"worker {i} died mid-run; aborting, no retry")
-
     def send(i: int, proc: subprocess.Popen, frame: bytes) -> None:
         try:
             proc.stdin.write(frame)
             proc.stdin.flush()
         except OSError as exc:  # the worker closed its end: it is gone
-            raise died(i) from exc
+            raise _died(i) from exc
 
     def slot(i: int, proc: subprocess.Popen):
         def execute(take):
@@ -562,14 +649,7 @@ def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec,
                     sent.append(task)
                 if not sent:
                     return
-                for block in sent.popleft():
-                    resp = read_frame(proc.stdout)
-                    if resp is None:
-                        raise died(i)
-                    if resp.get("tag") != "result":
-                        raise ProtocolError(f"worker {i}: expected result frame, "
-                                            f"got {resp.get('tag')!r}")
-                    yield block, Columns.from_doc(resp)
+                yield from _task_results(proc.stdout, sent.popleft(), i)
         return execute
 
     cmd = [sys.executable, "-m", "mcgrid", WORKER_FLAG]

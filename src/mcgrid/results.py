@@ -88,7 +88,9 @@ class _Encoded:
 
 
 def _emit(obj, out: list):
-    if obj is None:
+    if type(obj) is float:  # first: most entries of a document are floats
+        out.append(_fmt_float(obj))
+    elif obj is None:
         out.append("null")
     elif obj is True:
         out.append("true")
@@ -128,6 +130,16 @@ def canonical_json(obj) -> str:
     """Deterministic JSON text with tagged non-finite doubles."""
     out: list[str] = []
     _emit(obj, out)
+    return "".join(out)
+
+
+def _entries_json(entries) -> str:
+    """The canonical JSON of a list of ``entries`` without its brackets."""
+    out: list[str] = []
+    for entry in entries:
+        if out:
+            out.append(",")
+        _emit(entry, out)
     return "".join(out)
 
 
@@ -387,6 +399,34 @@ class Columns:
             self.errors[start + step * k] = e
         for k, w in block.warnings.items():
             self.warnings[start + step * k] = w
+
+    def split(self, sizes: list[int]) -> list["Columns"]:
+        """Consecutive parts of ``sizes`` entries each, from the first entry."""
+        parts, at = [], 0
+        for size in sizes:
+            end = at + size
+            parts.append(Columns(
+                self.value[at:end], self.time_ms[at:end],
+                {k - at: e for k, e in self.errors.items() if at <= k < end},
+                {k - at: w for k, w in self.warnings.items() if at <= k < end},
+                None if self.seeds is None else self.seeds[at:end]))
+            at = end
+        return parts
+
+    def texts(self, at: int = 0) -> list[str]:
+        """The canonical JSON of each column of ``doc()``, in order, without
+        its list brackets and with error and warning entries indexed from
+        ``at``: the pieces that join into the document of several
+        consecutive Columns."""
+        return [_entries_json(map(_value_doc, self.value)), _entries_json(self.time_ms),
+                *self.indexed_texts(at), _entries_json(self.seeds or ())]
+
+    def indexed_texts(self, at: int) -> list[str]:
+        """The error and warning pieces of ``texts(at)``."""
+        return [_entries_json([k + at, e.message, e.kind] for k, e in self.errors.items())
+                if self.errors else "",
+                _entries_json([k + at, list(w)] for k, w in self.warnings.items())
+                if self.warnings else ""]
 
     def doc(self) -> dict:
         return {"value": [_value_doc(v) for v in self.value], "time_ms": self.time_ms,

@@ -105,8 +105,11 @@ class TestUsageErrors:
         assert main(["run", "--no-such-flag"]) == 1
 
     def test_missing_config_file_exits_1(self, capsys, tmp_path):
-        assert main(["run", str(tmp_path / "absent.json")]) == 1
-        assert "cannot read" in capsys.readouterr().err
+        for path in (tmp_path / "absent.json", tmp_path):
+            assert main(["run", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("mcgrid: cannot read config: ") and err.count("\n") == 1
+            assert err.count(str(path)) == 1
 
     def test_invalid_json_config_exits_1(self, capsys, tmp_path):
         p = tmp_path / "bad.json"
@@ -455,6 +458,12 @@ class TestWorkerMode:
     def test_worker_flag_with_other_args_rejected(self, capsys):
         assert main(["--worker", "run"]) == 1
 
+    def test_worker_flag_is_not_a_command(self, capsys):
+        # the one worker entry is python -m mcgrid --worker
+        assert main(["--worker"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "python -m mcgrid --worker" in err
+
     def test_worker_subprocess_task_and_eof(self):
         from mcgrid import RngStream, SeedSpec, seed_for
         states = [seed_for(SeedSpec.seq(), rep) for rep in (1, 2)]
@@ -471,15 +480,46 @@ class TestWorkerMode:
         assert proc.returncode == 0  # end of input is a clean exit
         import io
         out = io.BytesIO(proc.stdout)
-        for want in (states, states[1:]):  # one result frame per block
-            frame = read_frame(out)
-            assert frame["tag"] == "result"
-            assert frame["value"] == [RngStream.from_state(st).uniform() for st in want]
-            assert len(frame["time_ms"]) == len(want)
-        assert read_frame(out) is None
+        want = states + states[1:]  # one result frame per task, its blocks in order
+        frame = read_frame(out)
+        assert frame["tag"] == "result"
+        assert frame["value"] == [RngStream.from_state(st).uniform() for st in want]
+        assert len(frame["time_ms"]) == len(want)
+        assert read_frame(out) is None  # 1 frame
+
+    def test_worker_starts_without_the_report_modules(self):
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "mcgrid", "--worker"],
+                              input=b"", capture_output=True, timeout=60)
+        assert proc.returncode == 0  # empty input: no setup frame, a clean exit
+        log = proc.stderr.decode()
+        assert "mcgrid.executor" in log and "mcgrid.var_copula" in log
+        for module in ("mcgrid.analysis", "mcgrid.plot", "mcgrid.cli"):
+            assert module not in log
 
     def test_worker_subprocess_bad_bytes_exit_nonzero(self):
         proc = subprocess.run(
             [sys.executable, "-m", "mcgrid", "--worker"],
             input=b"\x01\x02", capture_output=True, timeout=60)
         assert proc.returncode == 1
+
+
+def test_every_public_name_resolves():
+    # the report names load on first use: in a fresh interpreter, before any
+    # of them is loaded, a star import still binds every public name
+    code = "\n".join([
+        "import sys, mcgrid",
+        "assert 'mcgrid.analysis' not in sys.modules and 'mcgrid.plot' not in sys.modules",
+        "assert set(mcgrid.__all__) <= set(dir(mcgrid))",
+        "bound = {}",
+        "exec('from mcgrid import *', bound)",
+        "assert set(mcgrid.__all__) <= set(bound)",
+        "from mcgrid import analysis, plot",
+        "assert bound['collapse'] is analysis.collapse and bound['PlotSpec'] is plot.PlotSpec",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    import mcgrid
+    for name in mcgrid.__all__:
+        assert getattr(mcgrid, name) is not None, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mcgrid.no_such_name

@@ -29,6 +29,7 @@ from mcgrid import (Block, ErrorInfo, ExecutionError, ProcessPool, ProtocolError
 from mcgrid import executor
 from mcgrid.executor import (TASK_BLOCKS, WORKER_FLAG, encode_frame, partition_tasks,
                              read_frame, worker_main)
+from mcgrid.results import Columns, SubJobRecord
 from mcgrid.seeding import StreamState, derive_streams
 from mcgrid.var_copula import probe_first_uniform
 
@@ -224,16 +225,17 @@ class TestWorkerLoop:
                                    self._task(Block(row=1, rep_start=1, size=2),
                                               Block(row=2, rep_start=3, size=2)))
         assert code == 0
-        for want, reps in ((16.0, (1, 2)), (25.0, (3, 4))):  # one result frame per block
-            result = read_frame(stdout)  # the block's columns, in rep order
-            assert set(result) == {"tag", "value", "time_ms", "errors", "warnings", "seeds"}
-            assert result["tag"] == "result"
-            assert result["value"] == [want, want]
-            assert len(result["time_ms"]) == 2
-            assert all(isinstance(t, float) for t in result["time_ms"])
-            assert result["errors"] == [] and result["warnings"] == []
-            assert result["seeds"] == [seed_for(SeedSpec.seq(), rep).to_hex() for rep in reps]
-        assert read_frame(stdout) is None
+        # one result frame per task: its blocks' columns, in block then rep order
+        result = read_frame(stdout)
+        assert set(result) == {"tag", "value", "time_ms", "errors", "warnings", "seeds"}
+        assert result["tag"] == "result"
+        assert result["value"] == [16.0, 16.0, 25.0, 25.0]
+        assert len(result["time_ms"]) == 4
+        assert all(isinstance(t, float) for t in result["time_ms"])
+        assert result["errors"] == [] and result["warnings"] == []
+        assert result["seeds"] == [seed_for(SeedSpec.seq(), rep).to_hex()
+                                   for rep in (1, 2, 3, 4)]
+        assert read_frame(stdout) is None  # 1 frame
 
     def test_result_frame_keeps_errors_and_warnings_by_offset(self):
         vl = VarList([VarSpec("n.sim", "N", 4), VarSpec("x", "grid", (3, 4, 5))])
@@ -255,12 +257,12 @@ class TestWorkerLoop:
                                    self._task(Block(0, 1, 1), Block(1, 1, 1)),
                                    self._task(Block(2, 1, 1)))
         assert code == 0  # end of input ends the worker
-        for want in (9.0, 16.0, 25.0):
+        for want in ([9.0, 16.0], [25.0]):  # one result frame per task
             result = read_frame(stdout)
             assert result["tag"] == "result"
-            assert result["value"] == [want]
+            assert result["value"] == want
             assert result["seeds"] is None
-        assert read_frame(stdout) is None
+        assert read_frame(stdout) is None  # 2 frames
 
     def test_shutdown_frame_is_protocol_error(self, capsys):
         vl = scalar_varlist(n_sim=1)
@@ -284,6 +286,114 @@ class TestWorkerLoop:
         code = worker_main(io.BytesIO(b"\x00\x00"), io.BytesIO())
         assert code != 0
         assert "protocol" in capsys.readouterr().err.lower()
+
+
+class TestTaskFrames:
+    # a task of five 2-rep blocks on rows x=3, 4, 5; under coin_study rep 1
+    # succeeds, reps 2 and 3 fail, rep 4 warns, so errors and warnings fall
+    # at every block offset of the task
+    VL = VarList([VarSpec("n.sim", "N", 4), VarSpec("x", "grid", (3, 4, 5))])
+    TASK = [Block(0, 1, 2), Block(0, 3, 2), Block(1, 1, 2), Block(1, 3, 2), Block(2, 1, 2)]
+
+    def _serve(self, *blocks):
+        loop = TestWorkerLoop()
+        return loop._serve(loop._setup(self.VL, "conftest:coin_study", keep_seed=True),
+                           loop._task(*blocks))
+
+    def _frames(self, stdout) -> list[dict]:
+        frames = []
+        while (frame := read_frame(stdout)) is not None:
+            frames.append(frame)
+        stdout.seek(0)
+        return frames
+
+    def _expected(self, block: Block) -> Columns:
+        spec, x = SeedSpec.seq(), self.VL.specs[1].values[block.row]
+        records = []
+        for rep in range(block.rep_start, block.rep_start + block.size):
+            u = RngStream.from_state(seed_for(spec, rep)).uniform()
+            seed = seed_for(spec, rep).to_hex()
+            if u < 0.5:
+                error = ErrorInfo("low draw", "RuntimeError")
+                records.append(SubJobRecord(error=error, seed=seed))
+            else:
+                warned = ("high draw",) if u > 0.75 else ()
+                records.append(SubJobRecord(value=x + u, warnings=warned, seed=seed))
+        return Columns.from_records(records)
+
+    def _check(self, got):
+        assert [block for block, _ in got] == self.TASK
+        for block, cols in got:
+            want = self._expected(block)
+            assert len(cols.time_ms) == block.size
+            assert (cols.value, cols.errors, cols.warnings, cols.seeds) == \
+                (want.value, want.errors, want.warnings, want.seeds)
+
+    def test_one_frame_per_task(self):
+        code, stdout = self._serve(*self.TASK)
+        assert code == 0
+        (frame,) = self._frames(stdout)
+        assert encode_frame(frame) == stdout.getvalue()  # canonical text
+        assert frame["errors"] == [[k, "low draw", "RuntimeError"] for k in (1, 2, 5, 6, 9)]
+        assert frame["warnings"] == [[3, ["high draw"]], [7, ["high draw"]]]
+        self._check(list(executor._task_results(stdout, self.TASK, 0)))
+
+    def test_over_limit_task_is_several_frames_of_whole_blocks(self, monkeypatch):
+        code, stdout = self._serve(*self.TASK)
+        whole = len(stdout.getvalue())
+        monkeypatch.setattr(executor, "MAX_FRAME", whole // 2)
+        texts, encodes = [], []
+        text, encode = Columns.texts, executor.encode_frame
+        monkeypatch.setattr(Columns, "texts", lambda cols, at: texts.append(cols) or text(cols, at))
+        monkeypatch.setattr(executor, "encode_frame", lambda d: encodes.append(d) or encode(d))
+        code, stdout = self._serve(*self.TASK)
+        assert code == 0
+        frames = self._frames(stdout)
+        # consecutive blocks while the frame fits: blocks [2, 2, 1]
+        assert [len(f["value"]) for f in frames] == [4, 4, 2]
+        # each block's columns are encoded once, and only the frames written
+        assert len(texts) == len(self.TASK) and len(encodes) == len(frames)
+        self._check(list(executor._task_results(stdout, self.TASK, 0)))
+
+    def test_over_limit_block_is_a_protocol_error(self, monkeypatch, capsys):
+        code, stdout = self._serve(Block(1, 1, 4))
+        monkeypatch.setattr(executor, "MAX_FRAME", len(stdout.getvalue()) // 2)
+        code, stdout = self._serve(Block(1, 1, 4))
+        assert code == 1 and stdout.getvalue() == b""
+        assert "exceeds" in capsys.readouterr().err
+
+        def frames_of(*blocks) -> bytes:
+            out = io.BytesIO()
+            frames = executor._ResultFrames(out)
+            for cols in blocks:
+                frames.add(cols)
+            frames.flush()
+            return out.getvalue()
+
+        small = Columns([1.0] * 8, [0.5] * 8, {}, {}, None)
+        monkeypatch.setattr(executor, "MAX_FRAME", 64 * 1024 * 1024)
+        one = frames_of(small)
+        assert frames_of(small, small) == encode_frame({"tag": "result", **Columns(
+            [1.0] * 16, [0.5] * 16, {}, {}, None).doc()})  # one frame of both
+        monkeypatch.setattr(executor, "MAX_FRAME", len(one) - 4)  # its payload
+        assert frames_of(small, small) == one + one
+        monkeypatch.setattr(executor, "MAX_FRAME", len(one) - 5)
+        with pytest.raises(ProtocolError, match="exceeds"):
+            frames_of(small)
+
+    def test_frame_ending_inside_a_block_is_a_protocol_error(self):
+        cols = Columns([1.0] * 3, [0.5] * 3, {}, {}, None)
+        frame = encode_frame({"tag": "result", **cols.doc()})
+        task = [Block(0, 1, 2), Block(1, 1, 2)]
+        with pytest.raises(ProtocolError, match="worker 0: a result frame of 3 sub-jobs"):
+            list(executor._task_results(io.BytesIO(frame), task, 0))
+        # end of input before the task is covered: the worker is gone
+        cols = Columns([1.0] * 2, [0.5] * 2, {}, {}, None)
+        stream = io.BytesIO(encode_frame({"tag": "result", **cols.doc()}))
+        got = executor._task_results(stream, task, 1)
+        assert next(got)[0] == task[0]
+        with pytest.raises(ExecutionError, match="worker 1 died mid-run"):
+            next(got)
 
 
 class TestRunStudySequential:
@@ -758,9 +868,11 @@ class TestOneStreamPerSlot:
                                    loop._task(Block(2, 1, 4), Block(2, 5, 4)))
         assert code == 0
         assert len(built) == 1
-        for want in (range(1, 9), range(1, 9), range(1, 5), range(5, 9)):
+        for task in ((range(1, 9), range(1, 9)), (range(1, 5), range(5, 9))):  # a frame each
             assert read_frame(stdout)["value"] == \
-                [RngStream.from_state(seed_for(SeedSpec.seq(), rep)).uniform() for rep in want]
+                [RngStream.from_state(seed_for(SeedSpec.seq(), rep)).uniform()
+                 for want in task for rep in want]
+        assert read_frame(stdout) is None  # 2 frames
 
 
 @pytest.mark.parametrize("rep_first", [True, False])
@@ -790,7 +902,7 @@ def test_raw_fallback_is_the_same_on_every_backend(rep_first):
         assert cmp, cmp.report
 
 
-@pytest.mark.parametrize("backend", EVERY_BACKEND)
+@pytest.mark.parametrize("backend", EVERY_BACKEND + [ProcessPool(2, block_size=2)])
 def test_monitor_records_equal_the_stored_ones(backend):
     vl = VarList([VarSpec("n.sim", "N", 8), VarSpec("x", "grid", (3, 4, 5))])
     seen = []
@@ -803,6 +915,15 @@ def test_monitor_records_equal_the_stored_ones(backend):
     res = run_study(vl, coin_study, keep_seed=True, backend=backend, monitor=monitor,
                     rep_first=False)
     assert isinstance(res, ResultStore) and res.error_count() and res.warning_count()
+    # errors and warnings also fall in the later blocks of multi-block tasks,
+    # where a process worker's result frame holds them at an offset
+    blocks = partition_blocks(3, 8, backend.block_size, False)
+    later = {v.linear for task in partition_tasks(blocks, backend.workers)
+             for b in task[1:] for v in b.indices(3, 8, False)}
+    assert any(rec.error for v, rec in seen if v.linear in later)
+    assert any(rec.warnings for v, rec in seen if v.linear in later)
+    cmp = do_res_equal(run_study(vl, coin_study, keep_seed=True, rep_first=False), res)
+    assert cmp, cmp.report
     assert sorted(v.linear for v, _ in seen) == list(range(24))
     for vidx, rec in seen:
         assert vidx == virtual_index(vidx.linear, 3, 8, False)

@@ -20,7 +20,7 @@ from mcgrid import (CacheInvalidError, RawFallback, ResultStore, SeedSpec,
                     SubJobRecord, VarList, VarSpec, assemble, canonical_json,
                     do_res_equal, load, maybe_read, run_study, save,
                     study_fingerprint)
-from mcgrid.results import ErrorInfo, _fmt_floats, _parse_value
+from mcgrid.results import Columns, ErrorInfo, _fmt_floats, _parse_value
 
 DATA = Path(__file__).parent / "data"
 
@@ -63,6 +63,27 @@ class TestCanonicalJson:
     def test_column_text_matches_canonical_json(self, xs):
         expected = ",".join(canonical_json(x) for x in xs)
         assert _fmt_floats(np.array(xs, dtype=float)) == expected
+
+    @given(st.lists(st.tuples(
+               st.one_of(st.none(), st.floats(), st.lists(st.floats(), max_size=3).map(np.array)),
+               st.floats(0, 1e6), st.one_of(st.none(), st.text(max_size=4)),
+               st.lists(st.text(max_size=4), max_size=2), st.text(max_size=4)), min_size=1),
+           st.booleans(), st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_column_texts_join_into_the_document(self, entries, seeded, at):
+        # values of every kind, errors and warnings with non-ASCII text:
+        # each piece is its column's canonical text, indices shifted by at
+        cols = Columns([v for v, *_ in entries], [t for _, t, *_ in entries],
+                       {k: ErrorInfo(e, "E") for k, (_, _, e, *_) in enumerate(entries)
+                        if e is not None},
+                       {k: tuple(w) for k, (*_, w, _) in enumerate(entries) if w},
+                       [s for *_, s in entries] if seeded else None)
+        doc = cols.doc()
+        doc["errors"] = [[k + at, *rest] for k, *rest in doc["errors"]]
+        doc["warnings"] = [[k + at, *rest] for k, *rest in doc["warnings"]]
+        assert [f"[{t}]" for t in cols.texts(at)] == \
+            [canonical_json(doc[key] or []) for key in doc]
+        assert cols.indexed_texts(at) == cols.texts(at)[2:4]
 
     def test_seventeen_digit_floats_roundtrip(self):
         for x in (0.1, 1/3, 2**-52, 1e300, -1.2345678901234567e-8):
