@@ -38,17 +38,21 @@ refused before any worker is spawned.  (A
 the frame limit bounds it at ~318k replications; such a run fails before any
 worker is spawned.)  Each ``task`` frame carries only block coordinates,
 ``[[row, rep_start, size], ...]``; the parent keeps up to two in flight per
-worker.  The worker answers each task with one ``result`` frame of its
-blocks' columns in block order, and the parent reads it once and writes each
-block into the store.  The worker encodes each block's columns once, as the
-block finishes, and writes a frame as soon as the next block would take it
-over the limit, so a task over the limit is answered in several frames, each
-of whole blocks; the parent reads frames until the task's block sizes are
-covered.  Only a single block over the limit is a protocol error.  A worker's unread input, at most ``IN_FLIGHT`` small task
-frames, never fills a pipe, so the parent never waits to write a task while
-its worker waits to write results.  End of input ends the worker; an
-unexpected frame tag, or a result frame that ends inside a block, is a
-protocol error.  ``python -m mcgrid --worker`` starts the worker before the
+worker.  The worker answers each task with one ``result`` frame,
+``{"tag": "result", "blocks": [...]}``, a list of its blocks' column
+documents in block order (``Columns.doc()``: values, times, errors and
+warnings by offset from the block's start, seeds); the parent decodes each
+and writes it into the store.  The worker encodes each block's document once,
+as the block finishes, and writes a frame as soon as the next block would
+take it over the limit, so a task over the limit is answered in several
+frames, each of whole blocks; the parent reads frames until every block of
+the task is answered.  Only a single block over the limit is a protocol
+error.  A worker's unread input, at most ``IN_FLIGHT`` small task frames,
+never fills a pipe, so the parent never waits to write a task while its
+worker waits to write results.  End of input ends the worker; an unexpected
+frame tag, a result frame that answers no block or more blocks than are
+outstanding, or a block document whose columns are not the block's size, is
+a protocol error.  ``python -m mcgrid --worker`` starts the worker before the
 command line module, and the package loads the report modules only on first
 use, so a worker imports none of them.  A worker that
 dies mid-run aborts the run with a diagnostic (no respawn or retry), and on
@@ -62,10 +66,8 @@ import collections
 import contextlib
 import json
 import functools
-import itertools
 import os
 import struct
-import subprocess
 import sys
 import threading
 import time
@@ -340,9 +342,9 @@ def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
     ``monitor(vidx, record)`` is called once per sub-job, in the calling
     process on every backend, after each block and from the thread that
     drives its slot (so from several threads on the pools).  On the process
-    backend a task's blocks arrive together, in one result frame (in several
-    of whole blocks past the frame limit), and reach the monitor block by
-    block.  A monitor that raises stops the run with
+    backend a task's blocks arrive together, as the list of block documents
+    of one result frame (of several past the frame limit), and reach the
+    monitor block by block.  A monitor that raises stops the run with
     ``ExecutionError``.
     """
     seed = seed if seed is not None else SeedSpec.seq()
@@ -504,54 +506,42 @@ def _claim_stdout():
 class _ResultFrames:
     """A worker's result frames for a task's blocks, built as they finish.
 
-    Each block's columns are encoded to canonical JSON once, and consecutive
-    blocks share a frame: the text of the task's concatenated columns.  A
-    frame is written as soon as the next block would take it over the frame
-    limit, so the worker holds at most about one frame of text, and a task
-    over the limit goes out as several frames of whole blocks.  A single
-    block over the limit is a ProtocolError, from ``encode_frame``.
+    Each block's column document is encoded to canonical JSON once, and
+    consecutive blocks share a frame, which lists their documents.  A frame
+    is written as soon as the next block would take it over the frame limit,
+    so the worker holds at most about one frame of text, and a task over the
+    limit goes out as several frames of whole blocks.  A single block over
+    the limit is a ProtocolError, from ``encode_frame``.
     """
 
-    EMPTY = Columns([], [], {}, {}, None).doc()
-    # a frame with no entries and null seeds (longer than []); with it, the
-    # pending size, a comma counted per column text, bounds the frame's size
-    SKELETON = len(canonical_json({"tag": "result", **EMPTY}))
+    # with it, the pending size, a comma counted per block, bounds the frame's size
+    SKELETON = len(canonical_json({"tag": "result", "blocks": []}))
 
     def __init__(self, out):
         self.out = out
-        self.texts: list[list[str]] = []  # per pending block, its column texts
-        self.n = 0     # pending sub-jobs
-        self.size = 0  # pending bytes, with a comma per text
-        self.seeded = False
+        self.blocks: list[_Encoded] = []  # the pending blocks' documents
+        self.size = 0  # pending bytes, with a comma per block
 
     def add(self, cols: Columns) -> None:
-        texts = cols.texts(self.n)
-        size = len("\0".join(texts).encode("utf-8")) + 1  # a byte per text for its comma
-        if self.texts and self.SKELETON + self.size + size > MAX_FRAME:
+        text = canonical_json(cols.doc())
+        size = len(text.encode("utf-8")) + 1
+        if self.blocks and self.SKELETON + self.size + size > MAX_FRAME:
             self.flush()
-            texts[2:4] = cols.indexed_texts(0)  # errors and warnings, from the new frame's start
-        self.texts.append(texts)
-        self.n += len(cols.value)
+        self.blocks.append(_Encoded(text))
         self.size += size
-        self.seeded = cols.seeds is not None
 
     def flush(self) -> None:
         """Write the pending blocks' frame, if there are any."""
-        if not self.texts:
-            return
-        doc = {"tag": "result"}
-        for key, column in zip(self.EMPTY, zip(*self.texts)):
-            doc[key] = _Encoded("[" + ",".join(filter(None, column)) + "]")
-        if not self.seeded:
-            doc["seeds"] = None
-        self.texts, self.n, self.size = [], 0, 0
-        self.out.write(encode_frame(doc))
+        if self.blocks:
+            doc = {"tag": "result", "blocks": self.blocks}
+            self.blocks, self.size = [], 0
+            self.out.write(encode_frame(doc))
 
 
 def _task_results(stream, task: list[Block], worker: int):
     """``(block, columns)`` for each block of ``task``, in order, read from
-    the result frames that answer it: each holds the columns of one or more
-    whole blocks."""
+    the result frames that answer it: each lists the column documents of
+    one or more of its blocks."""
     while task:
         frame = read_frame(stream)
         if frame is None:
@@ -559,14 +549,18 @@ def _task_results(stream, task: list[Block], worker: int):
         if frame.get("tag") != "result":
             raise ProtocolError(f"worker {worker}: expected result frame, "
                                 f"got {frame.get('tag')!r}")
-        cols = Columns.from_doc(frame)
-        ends = list(itertools.accumulate(b.size for b in task))
-        if len(cols.value) not in ends:
-            raise ProtocolError(f"worker {worker}: a result frame of "
-                                f"{len(cols.value)} sub-jobs ends inside a block")
-        k = ends.index(len(cols.value)) + 1
-        yield from zip(task[:k], cols.split([b.size for b in task[:k]]))
-        task = task[k:]
+        docs = frame.get("blocks") or ()
+        if not 0 < len(docs) <= len(task):
+            raise ProtocolError(f"worker {worker}: a result frame answers {len(docs)} "
+                                f"blocks, {len(task)} outstanding")
+        for block, doc in zip(task, docs):
+            cols = Columns.from_doc(doc)
+            seeds = cols.value if cols.seeds is None else cols.seeds
+            if {len(cols.value), len(cols.time_ms), len(seeds)} != {block.size}:
+                raise ProtocolError(f"worker {worker}: a block of {block.size} sub-jobs "
+                                    "answered with columns of other lengths")
+            yield block, cols
+        task = task[len(docs):]
 
 
 def _died(worker: int) -> ExecutionError:
@@ -613,6 +607,7 @@ def worker_main(stdin=None, stdout=None) -> int:
 
 def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec,
                    monitor) -> Columns:
+    import subprocess  # here: a process worker never spawns one
     study = registry.study_name(ctx.study_fn)
     if study is None:
         raise ExecutionError(

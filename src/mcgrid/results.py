@@ -36,7 +36,6 @@ the canonical JSON of {"varlist": ..., "n_sim": ..., "rep_first": ...,
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -130,16 +129,6 @@ def canonical_json(obj) -> str:
     """Deterministic JSON text with tagged non-finite doubles."""
     out: list[str] = []
     _emit(obj, out)
-    return "".join(out)
-
-
-def _entries_json(entries) -> str:
-    """The canonical JSON of a list of ``entries`` without its brackets."""
-    out: list[str] = []
-    for entry in entries:
-        if out:
-            out.append(",")
-        _emit(entry, out)
     return "".join(out)
 
 
@@ -338,6 +327,7 @@ class RawFallback:
 
 
 def study_fingerprint(vl: VarList, rep_first: bool, seed_spec: SeedSpec) -> str:
+    import hashlib  # here: a process worker never fingerprints
     doc = {
         "varlist": vl.canonical(),
         "n_sim": vl.n_sim,
@@ -400,45 +390,19 @@ class Columns:
         for k, w in block.warnings.items():
             self.warnings[start + step * k] = w
 
-    def split(self, sizes: list[int]) -> list["Columns"]:
-        """Consecutive parts of ``sizes`` entries each, from the first entry."""
-        parts, at = [], 0
-        for size in sizes:
-            end = at + size
-            parts.append(Columns(
-                self.value[at:end], self.time_ms[at:end],
-                {k - at: e for k, e in self.errors.items() if at <= k < end},
-                {k - at: w for k, w in self.warnings.items() if at <= k < end},
-                None if self.seeds is None else self.seeds[at:end]))
-            at = end
-        return parts
-
-    def texts(self, at: int = 0) -> list[str]:
-        """The canonical JSON of each column of ``doc()``, in order, without
-        its list brackets and with error and warning entries indexed from
-        ``at``: the pieces that join into the document of several
-        consecutive Columns."""
-        return [_entries_json(map(_value_doc, self.value)), _entries_json(self.time_ms),
-                *self.indexed_texts(at), _entries_json(self.seeds or ())]
-
-    def indexed_texts(self, at: int) -> list[str]:
-        """The error and warning pieces of ``texts(at)``."""
-        return [_entries_json([k + at, e.message, e.kind] for k, e in self.errors.items())
-                if self.errors else "",
-                _entries_json([k + at, list(w)] for k, w in self.warnings.items())
-                if self.warnings else ""]
-
-    def doc(self) -> dict:
-        return {"value": [_value_doc(v) for v in self.value], "time_ms": self.time_ms,
-                "errors": [[k, e.message, e.kind] for k, e in self.errors.items()],
-                "warnings": [[k, list(w)] for k, w in self.warnings.items()],
-                "seeds": self.seeds}
+    def doc(self) -> list:
+        """``[values, times, errors, warnings, seeds]``: errors as ``[k,
+        message, kind]`` and warnings as ``[k, [messages]]``, by position."""
+        return [[_value_doc(v) for v in self.value], self.time_ms,
+                [[k, e.message, e.kind] for k, e in self.errors.items()],
+                [[k, list(w)] for k, w in self.warnings.items()], self.seeds]
 
     @classmethod
-    def from_doc(cls, d: dict) -> "Columns":
-        return cls(value=[_parse_value(v) for v in d["value"]], time_ms=d["time_ms"],
-                   errors={k: ErrorInfo(message, kind) for k, message, kind in d["errors"]},
-                   warnings={k: tuple(w) for k, w in d["warnings"]}, seeds=d["seeds"])
+    def from_doc(cls, d: list) -> "Columns":
+        values, times, errors, warnings, seeds = d
+        return cls(value=[_parse_value(v) for v in values], time_ms=times,
+                   errors={k: ErrorInfo(message, kind) for k, message, kind in errors},
+                   warnings={k: tuple(w) for k, w in warnings}, seeds=seeds)
 
 
 def _dense(cols: Columns, inner: tuple[int, ...], virtual) -> dict:
@@ -464,21 +428,18 @@ def _dense(cols: Columns, inner: tuple[int, ...], virtual) -> dict:
             "seeds": cols.seeds}
 
 
-def assemble(vl: VarList, outcomes: Columns | list[SubJobRecord], rep_first: bool,
+def assemble(vl: VarList, outcomes: Columns, rep_first: bool,
              seed_spec: SeedSpec, keep_seed: bool, created: str) -> ResultStore | RawFallback:
-    """Dense store from a run's outcomes: columns in store order, or records
-    in virtual (execution) order.
+    """Dense store from a run's outcomes, columns in store order.
 
     Every successful value must match the inner-dimension signature of the
     variable list (scalar when there are no inner variables); otherwise the
-    records are kept, in virtual order, as a RawFallback.
+    records are kept, in virtual (execution) order, as a RawFallback.
     """
-    grid = mk_grid(vl)
-    n_G, n_sim = grid.n_rows, vl.n_sim
+    n_G, n_sim = mk_grid(vl).n_rows, vl.n_sim
     n = n_G * n_sim
-    count = len(outcomes.value) if isinstance(outcomes, Columns) else len(outcomes)
-    if count != n:
-        raise ValueError(f"expected {n} records, got {count}")
+    if len(outcomes.value) != n:
+        raise ValueError(f"expected {n} records, got {len(outcomes.value)}")
     meta = StoreMeta(varlist=vl, rep_first=rep_first, seed_spec=seed_spec,
                      keep_seed=keep_seed, created=created,
                      fingerprint=study_fingerprint(vl, rep_first, seed_spec))
@@ -487,8 +448,6 @@ def assemble(vl: VarList, outcomes: Columns | list[SubJobRecord], rep_first: boo
         # the virtual order runs the replication fastest, the store the grid row
         return cell % n_G * n_sim + cell // n_G if rep_first else cell
 
-    if not isinstance(outcomes, Columns):
-        outcomes = Columns.from_records([outcomes[virtual(cell)] for cell in range(n)])
     try:
         columns = _dense(outcomes, _inner_shape(vl), virtual)
     except ValueError as exc:
@@ -551,14 +510,20 @@ def load(path: str | os.PathLike) -> ResultStore | RawFallback:
             return ResultStore(dims=dims, meta=meta,
                                **_dense(Columns.from_records(records), inner, lambda cell: cell))
         n = math.prod(len(labels) for _, labels in dims)
-        return ResultStore(
+        res = ResultStore(
             dims=dims, meta=meta,
             value=np.array(doc["value"], dtype=float).reshape(inner + (n,), order="F"),
             time_ms=np.array(doc["time_ms"], dtype=float).reshape(n),
             errors={cell: ErrorInfo(message, kind) for cell, message, kind in doc["errors"]},
             warnings={cell: tuple(w) for cell, w in doc["warnings"]},
             seeds=doc["seeds"])
-    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        # the sparse entries only: a check per cell would cost as much as the load
+        if not all(type(cell) is int and 0 <= cell < n for cell in [*res.errors, *res.warnings]):
+            raise ValueError(f"an error or warning cell outside [0, {n})")
+        if res.seeds is not None and len(res.seeds) != n:
+            raise ValueError(f"{len(res.seeds)} seeds for {n} cells")
+        return res
+    except (KeyError, TypeError, IndexError, AttributeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed result file ({exc!r})") from exc
 
 

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import strategies as st
 
 from mcgrid import (RngStream, SeedSpec, StreamState, SubJobRecord, VarList,
-                    VarSpec, assemble, register_study, seed_for)
-from mcgrid.results import ErrorInfo
+                    VarSpec, assemble, linear_of, register_study, seed_for)
+from mcgrid.results import Columns, ErrorInfo
 
 
 def tiny_varlist(n_sim: int = 3) -> VarList:
@@ -223,11 +223,22 @@ def report_matrices(draw) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
+def in_store_order(records: list, n_sim: int, rep_first: bool) -> Columns:
+    """The columns, in store order, of ``records`` listed in virtual order:
+    store cell ``row + n_G * (rep - 1)`` holds virtual record
+    ``linear_of(row, rep, ...)``."""
+    n_G = len(records) // n_sim
+    return Columns.from_records([
+        records[linear_of(cell % n_G, cell // n_G + 1, n_G, n_sim, rep_first)]
+        for cell in range(len(records))])
+
+
 def random_store(rng: random.Random, force_kind: str | None = None):
     """Randomized result store (or raw fallback) for round-trip tests.
 
     Exercises NaN/Inf values, errors, ordered warnings, recorded seeds and
-    irregular time values.
+    irregular time values.  Its records are drawn in store order; cell 0,
+    the one a raw fallback breaks, is virtual record 0 in either order.
     """
     n_sim = rng.choice([1, 2, 4])
     sizes = [rng.choice([1, 2, 3]) for _ in range(rng.choice([1, 2]))]
@@ -265,15 +276,18 @@ def random_store(rng: random.Random, force_kind: str | None = None):
             rec = SubJobRecord(value=value, error=None, warnings=warnings,
                                time_ms=rng.uniform(0, 50), seed=seed)
         records.append(rec)
-    return assemble(vl, records, rep_first=bool(rng.getrandbits(1)),
+    return assemble(vl, Columns.from_records(records), rep_first=bool(rng.getrandbits(1)),
                     seed_spec=seed_spec, keep_seed=keep_seed,
                     created="2026-01-01T00:00:00Z")
 
 
 def v1_stores() -> dict:
     """Small fixed stores whose format-v1 files ``tests/data/v1-<name>.json``
-    were written by the last v1 ``save`` (commit 0e812d0); the tests load
-    those files and compare them with these stores.
+    were written by the last v1 ``save`` (commit 0e812d0), and whose v2 files
+    ``tests/data/v2-<name>.json`` by the v2 ``save`` before ``assemble`` took
+    columns only; the tests load those files and compare them with these
+    stores, and save these stores to the v2 bytes.  Each store's records are
+    listed in virtual order and assembled as columns in store order.
 
     * ``store``: inner dim, rep-first, errors, ordered warnings, NaN/±Inf and
       whole-number values, kept seeds;
@@ -305,8 +319,8 @@ def v1_stores() -> dict:
             value = odd[i // 4] if i % 4 == 2 else np.array([0.1 * i, 1 / (i + 3)])
             records.append(rec(i, value=value, warnings=("w",) if i == 7 else (),
                                seed=seed))
-    out = {"store": assemble(vl, records, rep_first=True, seed_spec=spec,
-                             keep_seed=True, created="2026-01-01T00:00:00Z")}
+    out = {"store": assemble(vl, in_store_order(records, 3, True), rep_first=True,
+                             seed_spec=spec, keep_seed=True, created="2026-01-01T00:00:00Z")}
 
     vl = VarList([
         VarSpec("n.sim", "N", 2),
@@ -316,19 +330,20 @@ def v1_stores() -> dict:
     records = [rec(i, value=[math.nan, 7.0, -0.5, 1e300, 2.0, -math.inf][i])
                for i in range(6)]
     records[3] = rec(3, error=ErrorInfo("no value", "invalid-return"))
-    out["scalar"] = assemble(vl, records, rep_first=False, seed_spec=spec,
-                             keep_seed=False, created="2026-01-02T00:00:00Z")
+    out["scalar"] = assemble(vl, in_store_order(records, 2, False), rep_first=False,
+                             seed_spec=spec, keep_seed=False, created="2026-01-02T00:00:00Z")
 
     records = [rec(i, value=1.5 * i) for i in range(6)]
     records[2] = rec(2, value=np.array([1.0, 2.0]), warnings=("odd shape",))
     records[4] = rec(4, error=ErrorInfo("boom", "RuntimeError"))
-    out["raw"] = assemble(vl, records, rep_first=True, seed_spec=spec,
-                          keep_seed=False, created="2026-01-03T00:00:00Z")
+    out["raw"] = assemble(vl, in_store_order(records, 2, True), rep_first=True,
+                          seed_spec=spec, keep_seed=False, created="2026-01-03T00:00:00Z")
 
     vl = VarList([VarSpec("n.sim", "N", 2), VarSpec("x", "grid", (1.0, 2.5))])
     records = [rec(i, value=float(i)) for i in range(4)]
-    out["float_levels"] = assemble(vl, records, rep_first=True, seed_spec=spec,
-                                   keep_seed=False, created="2026-01-04T00:00:00Z")
+    out["float_levels"] = assemble(vl, in_store_order(records, 2, True), rep_first=True,
+                                   seed_spec=spec, keep_seed=False,
+                                   created="2026-01-04T00:00:00Z")
     return out
 
 

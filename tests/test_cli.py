@@ -480,21 +480,26 @@ class TestWorkerMode:
         assert proc.returncode == 0  # end of input is a clean exit
         import io
         out = io.BytesIO(proc.stdout)
-        want = states + states[1:]  # one result frame per task, its blocks in order
+        want = [states, states[1:]]  # one result frame per task, its blocks in order
         frame = read_frame(out)
         assert frame["tag"] == "result"
-        assert frame["value"] == [RngStream.from_state(st).uniform() for st in want]
-        assert len(frame["time_ms"]) == len(want)
+        assert [doc[0] for doc in frame["blocks"]] == \
+            [[RngStream.from_state(st).uniform() for st in block] for block in want]
+        assert [len(doc[1]) for doc in frame["blocks"]] == [2, 1]
         assert read_frame(out) is None  # 1 frame
 
     def test_worker_starts_without_the_report_modules(self):
         proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "mcgrid", "--worker"],
                               input=b"", capture_output=True, timeout=60)
         assert proc.returncode == 0  # empty input: no setup frame, a clean exit
-        log = proc.stderr.decode()
-        assert "mcgrid.executor" in log and "mcgrid.var_copula" in log
-        for module in ("mcgrid.analysis", "mcgrid.plot", "mcgrid.cli"):
-            assert module not in log
+        # each line ends "| <indent><module name>"; whole names, as _posixsubprocess
+        # is not subprocess
+        modules = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.decode().splitlines()
+                   if line.startswith("import time:")}
+        assert {"mcgrid.executor", "mcgrid.var_copula"} <= modules
+        # the report modules, and the parent's spawning and fingerprinting
+        for module in ("mcgrid.analysis", "mcgrid.plot", "mcgrid.cli", "subprocess", "hashlib"):
+            assert module not in modules
 
     def test_worker_subprocess_bad_bytes_exit_nonzero(self):
         proc = subprocess.run(

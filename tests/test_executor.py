@@ -7,6 +7,7 @@ import math
 import os
 import signal
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -225,30 +226,33 @@ class TestWorkerLoop:
                                    self._task(Block(row=1, rep_start=1, size=2),
                                               Block(row=2, rep_start=3, size=2)))
         assert code == 0
-        # one result frame per task: its blocks' columns, in block then rep order
+        # one result frame per task: a column document per block, in block
+        # order, each [values, times, errors, warnings, seeds] in rep order
         result = read_frame(stdout)
-        assert set(result) == {"tag", "value", "time_ms", "errors", "warnings", "seeds"}
-        assert result["tag"] == "result"
-        assert result["value"] == [16.0, 16.0, 25.0, 25.0]
-        assert len(result["time_ms"]) == 4
-        assert all(isinstance(t, float) for t in result["time_ms"])
-        assert result["errors"] == [] and result["warnings"] == []
-        assert result["seeds"] == [seed_for(SeedSpec.seq(), rep).to_hex()
-                                   for rep in (1, 2, 3, 4)]
+        assert set(result) == {"tag", "blocks"} and result["tag"] == "result"
+        seeds = [seed_for(SeedSpec.seq(), rep).to_hex() for rep in (1, 2, 3, 4)]
+        (v1, t1, e1, w1, s1), (v2, t2, e2, w2, s2) = result["blocks"]
+        assert (v1, v2) == ([16.0, 16.0], [25.0, 25.0])
+        assert [len(t1), len(t2)] == [2, 2]
+        assert all(isinstance(t, float) for t in t1 + t2)
+        assert e1 == w1 == e2 == w2 == []
+        assert (s1, s2) == (seeds[:2], seeds[2:])
         assert read_frame(stdout) is None  # 1 frame
 
     def test_result_frame_keeps_errors_and_warnings_by_offset(self):
+        # coin_study: rep 1 succeeds, reps 2 and 3 fail, rep 4 warns; each
+        # block's errors and warnings count from the block's start
         vl = VarList([VarSpec("n.sim", "N", 4), VarSpec("x", "grid", (3, 4, 5))])
         code, stdout = self._serve(self._setup(vl, "conftest:coin_study"),
-                                   self._task(Block(row=1, rep_start=1, size=4)))
+                                   self._task(Block(row=1, rep_start=1, size=2),
+                                              Block(row=1, rep_start=3, size=2)))
         assert code == 0
-        result = read_frame(stdout)
+        (v1, _, e1, w1, s1), (v2, _, e2, w2, s2) = read_frame(stdout)["blocks"]
         u = [RngStream.from_state(seed_for(SeedSpec.seq(), rep)).uniform() for rep in (1, 4)]
-        assert result["value"] == [4 + u[0], None, None, 4 + u[1]]
-        assert result["errors"] == [[1, "low draw", "RuntimeError"],
-                                    [2, "low draw", "RuntimeError"]]
-        assert result["warnings"] == [[3, ["high draw"]]]
-        assert result["seeds"] is None
+        assert (v1, v2) == ([4 + u[0], None], [None, 4 + u[1]])
+        assert (e1, e2) == ([[1, "low draw", "RuntimeError"]], [[0, "low draw", "RuntimeError"]])
+        assert (w1, w2) == ([], [[1, ["high draw"]]])
+        assert s1 is None and s2 is None
         assert read_frame(stdout) is None
 
     def test_worker_main_frame_loop(self):
@@ -257,11 +261,11 @@ class TestWorkerLoop:
                                    self._task(Block(0, 1, 1), Block(1, 1, 1)),
                                    self._task(Block(2, 1, 1)))
         assert code == 0  # end of input ends the worker
-        for want in ([9.0, 16.0], [25.0]):  # one result frame per task
+        for want in ([[9.0], [16.0]], [[25.0]]):  # one result frame per task
             result = read_frame(stdout)
             assert result["tag"] == "result"
-            assert result["value"] == want
-            assert result["seeds"] is None
+            assert [doc[0] for doc in result["blocks"]] == want
+            assert [doc[4] for doc in result["blocks"]] == [None] * len(want)
         assert read_frame(stdout) is None  # 2 frames
 
     def test_shutdown_frame_is_protocol_error(self, capsys):
@@ -334,25 +338,28 @@ class TestTaskFrames:
         assert code == 0
         (frame,) = self._frames(stdout)
         assert encode_frame(frame) == stdout.getvalue()  # canonical text
-        assert frame["errors"] == [[k, "low draw", "RuntimeError"] for k in (1, 2, 5, 6, 9)]
-        assert frame["warnings"] == [[3, ["high draw"]], [7, ["high draw"]]]
+        low, high = [[0, "low draw", "RuntimeError"]], [[1, ["high draw"]]]
+        low1 = [[1, "low draw", "RuntimeError"]]
+        # errors and warnings by offset from each block's start
+        assert [doc[2] for doc in frame["blocks"]] == [low1, low, low1, low, low1]
+        assert [doc[3] for doc in frame["blocks"]] == [[], high, [], high, []]
         self._check(list(executor._task_results(stdout, self.TASK, 0)))
 
     def test_over_limit_task_is_several_frames_of_whole_blocks(self, monkeypatch):
         code, stdout = self._serve(*self.TASK)
         whole = len(stdout.getvalue())
         monkeypatch.setattr(executor, "MAX_FRAME", whole // 2)
-        texts, encodes = [], []
-        text, encode = Columns.texts, executor.encode_frame
-        monkeypatch.setattr(Columns, "texts", lambda cols, at: texts.append(cols) or text(cols, at))
+        docs, encodes = [], []
+        doc, encode = Columns.doc, executor.encode_frame
+        monkeypatch.setattr(Columns, "doc", lambda cols: docs.append(cols) or doc(cols))
         monkeypatch.setattr(executor, "encode_frame", lambda d: encodes.append(d) or encode(d))
         code, stdout = self._serve(*self.TASK)
         assert code == 0
         frames = self._frames(stdout)
         # consecutive blocks while the frame fits: blocks [2, 2, 1]
-        assert [len(f["value"]) for f in frames] == [4, 4, 2]
+        assert [len(f["blocks"]) for f in frames] == [2, 2, 1]
         # each block's columns are encoded once, and only the frames written
-        assert len(texts) == len(self.TASK) and len(encodes) == len(frames)
+        assert len(docs) == len(self.TASK) and len(encodes) == len(frames)
         self._check(list(executor._task_results(stdout, self.TASK, 0)))
 
     def test_over_limit_block_is_a_protocol_error(self, monkeypatch, capsys):
@@ -373,26 +380,46 @@ class TestTaskFrames:
         small = Columns([1.0] * 8, [0.5] * 8, {}, {}, None)
         monkeypatch.setattr(executor, "MAX_FRAME", 64 * 1024 * 1024)
         one = frames_of(small)
-        assert frames_of(small, small) == encode_frame({"tag": "result", **Columns(
-            [1.0] * 16, [0.5] * 16, {}, {}, None).doc()})  # one frame of both
+        assert frames_of(small, small) == encode_frame(
+            {"tag": "result", "blocks": [small.doc(), small.doc()]})  # one frame of both
         monkeypatch.setattr(executor, "MAX_FRAME", len(one) - 4)  # its payload
         assert frames_of(small, small) == one + one
         monkeypatch.setattr(executor, "MAX_FRAME", len(one) - 5)
         with pytest.raises(ProtocolError, match="exceeds"):
             frames_of(small)
 
+    @staticmethod
+    def _answer(*docs) -> io.BytesIO:
+        return io.BytesIO(encode_frame({"tag": "result", "blocks": list(docs)}))
+
     def test_frame_ending_inside_a_block_is_a_protocol_error(self):
-        cols = Columns([1.0] * 3, [0.5] * 3, {}, {}, None)
-        frame = encode_frame({"tag": "result", **cols.doc()})
         task = [Block(0, 1, 2), Block(1, 1, 2)]
-        with pytest.raises(ProtocolError, match="worker 0: a result frame of 3 sub-jobs"):
-            list(executor._task_results(io.BytesIO(frame), task, 0))
+        two = Columns([1.0] * 2, [0.5] * 2, {}, {}, None).doc()
+        # a column of another length than its block: values, times or seeds
+        for doc in (Columns([1.0] * 3, [0.5] * 3, {}, {}, None).doc(),
+                    Columns([1.0] * 2, [0.5], {}, {}, None).doc(),
+                    Columns([1.0] * 2, [0.5] * 2, {}, {}, ["00"]).doc(),
+                    Columns([1.0] * 2, [0.5] * 2, {}, {}, []).doc()):
+            got = executor._task_results(self._answer(two, doc), task, 0)
+            assert next(got)[0] == task[0]
+            with pytest.raises(ProtocolError, match="worker 0: a block of 2 sub-jobs"):
+                next(got)
+        # a frame that answers no block
+        with pytest.raises(ProtocolError, match="worker 0: a result frame answers 0 blocks"):
+            list(executor._task_results(self._answer(), task, 0))
         # end of input before the task is covered: the worker is gone
-        cols = Columns([1.0] * 2, [0.5] * 2, {}, {}, None)
-        stream = io.BytesIO(encode_frame({"tag": "result", **cols.doc()}))
-        got = executor._task_results(stream, task, 1)
+        got = executor._task_results(self._answer(two), task, 1)
         assert next(got)[0] == task[0]
         with pytest.raises(ExecutionError, match="worker 1 died mid-run"):
+            next(got)
+
+    def test_frame_answering_more_blocks_than_outstanding_is_a_protocol_error(self):
+        task = [Block(0, 1, 2), Block(1, 1, 2)]
+        two = Columns([1.0] * 2, [0.5] * 2, {}, {}, None).doc()
+        stream = io.BytesIO(self._answer(two).getvalue() + self._answer(two, two).getvalue())
+        got = executor._task_results(stream, task, 0)
+        assert next(got)[0] == task[0]
+        with pytest.raises(ProtocolError, match="answers 2 blocks, 1 outstanding"):
             next(got)
 
 
@@ -570,7 +597,7 @@ class TestProcessBackend:
         # the worker reads its input only between tasks: with every pipe at
         # the 4,096-byte minimum, the unread task frames in flight must still
         # fit while the worker writes results larger than its stdout pipe
-        popen = executor.subprocess.Popen
+        popen = subprocess.Popen
 
         def shrunk(*args, **kwargs):
             proc = popen(*args, **kwargs)
@@ -578,7 +605,7 @@ class TestProcessBackend:
                 fcntl.fcntl(pipe.fileno(), fcntl.F_SETPIPE_SZ, 4096)
             return proc
 
-        monkeypatch.setattr(executor.subprocess, "Popen", shrunk)
+        monkeypatch.setattr(subprocess, "Popen", shrunk)
         # ~110 kB of results per block, with a second task in flight
         vl = scalar_varlist(n_sim=400)
         base = run_study(vl, square_study, keep_seed=True)
@@ -600,13 +627,13 @@ class TestProcessBackend:
 
     def test_dead_worker_stops_the_pool(self, tmp_path, monkeypatch):
         spawned = []
-        popen = executor.subprocess.Popen
+        popen = subprocess.Popen
 
         def spy(*args, **kwargs):
             spawned.append(popen(*args, **kwargs))
             return spawned[-1]
 
-        monkeypatch.setattr(executor.subprocess, "Popen", spy)
+        monkeypatch.setattr(subprocess, "Popen", spy)
         log = tmp_path / "subjobs.log"
         vl = VarList([VarSpec("n.sim", "N", 200), VarSpec("x", "grid", (3, 4, 5)),
                       VarSpec("paths", "frozen", {"log": str(log), "sleep": 0.01,
@@ -634,7 +661,7 @@ class TestProcessBackend:
     def test_oversized_setup_frame_fails_before_spawning(self, monkeypatch):
         # a per-rep-stream spec travels in the setup frame, ~211 bytes a state
         monkeypatch.setattr(executor, "MAX_FRAME", 10_000)
-        monkeypatch.setattr(executor.subprocess, "Popen", None)  # never called
+        monkeypatch.setattr(subprocess, "Popen", None)  # never called
         seed = SeedSpec.per_rep_stream(derive_streams(100, [1]))
         with pytest.raises(ProtocolError, match="exceeds"):
             run_study(scalar_varlist(n_sim=100), square_study, seed=seed,
@@ -662,7 +689,7 @@ class TestProcessBackend:
             def wait(self):
                 return self.returncode
 
-        monkeypatch.setattr(executor.subprocess, "Popen", DeadWorker)
+        monkeypatch.setattr(subprocess, "Popen", DeadWorker)
         with pytest.raises(ExecutionError, match=r"worker \d died mid-run"):
             run_study(tiny_varlist(n_sim=40), poly_study, backend=ProcessPool(2))
 
@@ -681,13 +708,13 @@ class TestProcessBackend:
 @pytest.mark.parametrize("backend", [ThreadPool(2), ProcessPool(2)])
 def test_interrupt_stops_every_slot(tmp_path, monkeypatch, backend):
     spawned = []
-    popen = executor.subprocess.Popen
+    popen = subprocess.Popen
 
     def spy(*args, **kwargs):
         spawned.append(popen(*args, **kwargs))
         return spawned[-1]
 
-    monkeypatch.setattr(executor.subprocess, "Popen", spy)
+    monkeypatch.setattr(subprocess, "Popen", spy)
     log = tmp_path / "subjobs.log"
     vl = VarList([VarSpec("n.sim", "N", 500), VarSpec("x", "grid", (3, 4)),
                   VarSpec("ctl", "frozen", {"log": str(log), "pid": os.getpid(),
@@ -763,13 +790,13 @@ def test_monitor_sees_every_subjob_in_the_calling_process(backend):
 @pytest.mark.parametrize("backend", [ThreadPool(2), ProcessPool(2)])
 def test_failed_slot_stops_the_pool(monkeypatch, backend):
     spawned = []
-    popen = executor.subprocess.Popen
+    popen = subprocess.Popen
 
     def spy(*args, **kwargs):
         spawned.append(popen(*args, **kwargs))
         return spawned[-1]
 
-    monkeypatch.setattr(executor.subprocess, "Popen", spy)
+    monkeypatch.setattr(subprocess, "Popen", spy)
     calls = []
     lock = threading.Lock()
 
@@ -869,9 +896,9 @@ class TestOneStreamPerSlot:
         assert code == 0
         assert len(built) == 1
         for task in ((range(1, 9), range(1, 9)), (range(1, 5), range(5, 9))):  # a frame each
-            assert read_frame(stdout)["value"] == \
-                [RngStream.from_state(seed_for(SeedSpec.seq(), rep)).uniform()
-                 for want in task for rep in want]
+            assert [doc[0] for doc in read_frame(stdout)["blocks"]] == \
+                [[RngStream.from_state(seed_for(SeedSpec.seq(), rep)).uniform() for rep in want]
+                 for want in task]
         assert read_frame(stdout) is None  # 2 frames
 
 

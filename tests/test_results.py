@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_store, scalar_varlist, square_study, tiny_varlist, v1_stores
+from conftest import (float_bits, random_store, scalar_varlist, square_study, tiny_varlist,
+                      v1_stores)
 
 from mcgrid import (CacheInvalidError, RawFallback, ResultStore, SeedSpec,
                     SubJobRecord, VarList, VarSpec, assemble, canonical_json,
@@ -68,22 +69,27 @@ class TestCanonicalJson:
                st.one_of(st.none(), st.floats(), st.lists(st.floats(), max_size=3).map(np.array)),
                st.floats(0, 1e6), st.one_of(st.none(), st.text(max_size=4)),
                st.lists(st.text(max_size=4), max_size=2), st.text(max_size=4)), min_size=1),
-           st.booleans(), st.integers(0, 10**6))
+           st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_column_texts_join_into_the_document(self, entries, seeded, at):
-        # values of every kind, errors and warnings with non-ASCII text:
-        # each piece is its column's canonical text, indices shifted by at
+    def test_column_document_round_trips(self, entries, seeded):
+        # values of every kind (NaN, infinities, -0.0, arrays), errors and
+        # warnings with non-ASCII text, kept seeds or none: the wire form of
+        # a block's columns reads back as the same columns
         cols = Columns([v for v, *_ in entries], [t for _, t, *_ in entries],
                        {k: ErrorInfo(e, "E") for k, (_, _, e, *_) in enumerate(entries)
                         if e is not None},
                        {k: tuple(w) for k, (*_, w, _) in enumerate(entries) if w},
                        [s for *_, s in entries] if seeded else None)
-        doc = cols.doc()
-        doc["errors"] = [[k + at, *rest] for k, *rest in doc["errors"]]
-        doc["warnings"] = [[k + at, *rest] for k, *rest in doc["warnings"]]
-        assert [f"[{t}]" for t in cols.texts(at)] == \
-            [canonical_json(doc[key] or []) for key in doc]
-        assert cols.indexed_texts(at) == cols.texts(at)[2:4]
+        back = Columns.from_doc(json.loads(canonical_json(cols.doc())))
+        assert len(back.value) == len(cols.value)
+        for v, w in zip(cols.value, back.value):
+            assert (v is None) == (w is None)
+            if v is not None:
+                assert float_bits(np.ravel(v)) == float_bits(np.ravel(w))
+                assert np.shape(v) == np.shape(w)
+        assert float_bits(back.time_ms) == float_bits(cols.time_ms)
+        assert (back.errors, back.warnings, back.seeds) == (cols.errors, cols.warnings,
+                                                            cols.seeds)
 
     def test_seventeen_digit_floats_roundtrip(self):
         for x in (0.1, 1/3, 2**-52, 1e300, -1.2345678901234567e-8):
@@ -94,36 +100,43 @@ class TestCanonicalJson:
         assert math.isnan(vals[0]) and vals[1] == math.inf and vals[2] == -math.inf
 
 
+def columns(values, **fields) -> Columns:
+    """Store-order columns of ``values``, one sub-job each, 1 ms apiece."""
+    return Columns.from_records([SubJobRecord(value=v, time_ms=1.0, **fields) for v in values])
+
+
 class TestAssemble:
     def test_records_land_at_row_plus_ngrid_times_rep(self):
         vl = scalar_varlist(n_sim=2)  # 3 grid rows
-        recs = [SubJobRecord(value=float(i), error=None, warnings=(),
-                             time_ms=1.0, seed=None) for i in range(6)]
-        store = assemble(vl, recs, rep_first=True, seed_spec=SeedSpec.seq(),
-                         keep_seed=False, created="t")
-        # virtual rep-first: linear = row*2 + rep-1 ; storage: row + 3*(rep-1)
+        store = assemble(vl, columns([float(i) for i in range(6)]), rep_first=True,
+                         seed_spec=SeedSpec.seq(), keep_seed=False, created="t")
+        # store cell row + 3*(rep-1), whatever the virtual order
         assert store.record(0, 1).value == 0.0
-        assert store.record(0, 2).value == 1.0
-        assert store.record(1, 1).value == 2.0
+        assert store.record(0, 2).value == 3.0
+        assert store.record(1, 1).value == 1.0
         assert store.record(2, 2).value == 5.0
+        assert [r.value for r in store.records] == [float(i) for i in range(6)]
 
     def test_row_first_virtual_order(self):
+        # the store is the same under either virtual order; a raw fallback
+        # lists its records in the virtual order: rep-first row*2 + rep-1,
+        # row-first (rep-1)*3 + row
         vl = scalar_varlist(n_sim=2)
-        recs = [SubJobRecord(value=float(i), error=None, warnings=(),
-                             time_ms=1.0, seed=None) for i in range(6)]
-        store = assemble(vl, recs, rep_first=False, seed_spec=SeedSpec.seq(),
-                         keep_seed=False, created="t")
-        # virtual row-first: linear = (rep-1)*3 + row
-        assert store.record(0, 1).value == 0.0
-        assert store.record(1, 1).value == 1.0
-        assert store.record(0, 2).value == 3.0
+        values = [np.array([1.0, 2.0]), *map(float, range(1, 6))]
+        for rep_first, order in ((True, [3, 1, 4, 2, 5]), (False, [1, 2, 3, 4, 5])):
+            store = assemble(vl, columns([float(i) for i in range(6)]), rep_first=rep_first,
+                             seed_spec=SeedSpec.seq(), keep_seed=False, created="t")
+            assert store.value.tolist() == [float(i) for i in range(6)]
+            raw = assemble(vl, columns(values), rep_first=rep_first, seed_spec=SeedSpec.seq(),
+                           keep_seed=False, created="t")
+            assert isinstance(raw, RawFallback)
+            assert raw.diagnostic.startswith("virtual record 0:")
+            assert [r.value for r in raw.records[1:]] == [float(cell) for cell in order]
 
     def test_record_rejects_out_of_range_cells(self):
         vl = VarList([VarSpec("n.sim", "N", 3), VarSpec("x", "grid", (1, 2))])
-        recs = [SubJobRecord(value=float(i), error=None, warnings=(),
-                             time_ms=1.0, seed=None) for i in range(6)]
-        store = assemble(vl, recs, rep_first=True, seed_spec=SeedSpec.seq(),
-                         keep_seed=False, created="t")
+        store = assemble(vl, columns([float(i) for i in range(6)]), rep_first=True,
+                         seed_spec=SeedSpec.seq(), keep_seed=False, created="t")
         for row, rep, message in ((2, 1, r"grid row 2 out of range \[0, 2\)"),
                                   (-1, 1, r"grid row -1 out of range \[0, 2\)"),
                                   (0, 0, r"replication 0 out of range \[1, 3\]"),
@@ -138,7 +151,7 @@ class TestAssemble:
                              time_ms=0.0, seed=None)]
         recs += [SubJobRecord(value=1.0, error=None, warnings=(), time_ms=0.0,
                               seed=None)] * 2
-        res = assemble(vl, recs, True, SeedSpec.seq(), False, "t")
+        res = assemble(vl, Columns.from_records(recs), True, SeedSpec.seq(), False, "t")
         assert isinstance(res, RawFallback)
         assert "shape" in res.diagnostic
         assert len(res.records) == 3
@@ -149,12 +162,12 @@ class TestAssemble:
                              warnings=(), time_ms=0.0, seed=None)]
         recs += [SubJobRecord(value=2.0, error=None, warnings=(), time_ms=0.0,
                               seed=None)] * 2
-        assert isinstance(assemble(vl, recs, True, SeedSpec.seq(), False, "t"),
-                          ResultStore)
+        assert isinstance(assemble(vl, Columns.from_records(recs), True, SeedSpec.seq(), False,
+                                   "t"), ResultStore)
 
     def test_wrong_record_count_rejected(self):
-        with pytest.raises(ValueError):
-            assemble(scalar_varlist(2), [], True, SeedSpec.seq(), False, "t")
+        with pytest.raises(ValueError, match="expected 6 records, got 5"):
+            assemble(scalar_varlist(2), columns([1.0] * 5), True, SeedSpec.seq(), False, "t")
 
 
 class TestFingerprint:
@@ -221,7 +234,7 @@ class TestPersistence:
     def test_negative_zero_and_whole_values_survive(self, tmp_path):
         vl = scalar_varlist(1)
         recs = [SubJobRecord(value=v, time_ms=t) for v, t in ((-0.0, 1.0), (0.0, -0.0), (2.0, 3.5))]
-        res = assemble(vl, recs, True, SeedSpec.seq(), False, "t")
+        res = assemble(vl, Columns.from_records(recs), True, SeedSpec.seq(), False, "t")
         save(res, tmp_path / "z.json")
         back = load(tmp_path / "z.json")
         assert np.signbit(back.value).tolist() == [True, False, False]
@@ -327,6 +340,41 @@ class TestFormatV1:
         assert load(DATA / "v1-float_levels.json").value.tolist() == want.value.tolist()
 
 
+class TestFormatV2:
+    """``tests/data/v2-<name>.json`` were saved from ``v1_stores()`` by the v2
+    writer while ``assemble`` still took records in virtual order."""
+
+    @pytest.mark.parametrize("name", ["store", "scalar", "raw", "float_levels"])
+    def test_stores_built_from_columns_save_the_golden_bytes(self, name, tmp_path):
+        want = v1_stores()[name]
+        save(want, tmp_path / "v2.json")
+        assert (tmp_path / "v2.json").read_bytes() == (DATA / f"v2-{name}.json").read_bytes()
+        cmp = do_res_equal(want, load(DATA / f"v2-{name}.json"))
+        assert cmp, cmp.report
+
+    EDITS = {
+        "error-cell-99": lambda doc: doc["errors"].append([99, "boom", "E"]),
+        "error-cell-1.0": lambda doc: doc["errors"].append([1.0, "boom", "E"]),
+        "warning-cell-minus-1": lambda doc: doc["warnings"].append([-1, ["w"]]),
+        "warning-cell-4": lambda doc: doc["warnings"].append([4, ["w"]]),
+        "one-seed": lambda doc: doc.update(seeds=["00"]),
+        "short-value": lambda doc: doc["value"].pop(),
+        "long-value": lambda doc: doc["value"].append(1.0),
+        "short-time": lambda doc: doc["time_ms"].pop(),
+    }
+
+    @pytest.mark.parametrize("edit", EDITS.values(), ids=EDITS)
+    def test_cells_outside_the_store_are_malformed(self, tmp_path, edit):
+        # a 4-cell store: each edit names a cell it lacks, or sizes a column wrongly
+        doc = json.loads((DATA / "v2-float_levels.json").read_text())
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            load(path)
+        assert str(info.value).startswith(f"{path}: malformed result file (")
+
+
 def first_difference_by_records(a, b):
     """Reference for do_res_equal: the per-record loop, first differing cell."""
     for i, (ra, rb) in enumerate(zip(a.records, b.records)):
@@ -377,10 +425,9 @@ class TestComparison:
 
     def test_time_and_created_ignored(self):
         vl = scalar_varlist(1)
-        mk = lambda t: assemble(vl, [SubJobRecord(value=float(i), error=None,
-                                                  warnings=(), time_ms=t, seed=None)
-                                     for i in range(3)],
-                                True, SeedSpec.seq(), False, created=f"T{t}")
+        mk = lambda t: assemble(vl, Columns.from_records([
+            SubJobRecord(value=float(i), error=None, warnings=(), time_ms=t, seed=None)
+            for i in range(3)]), True, SeedSpec.seq(), False, created=f"T{t}")
         assert do_res_equal(mk(1.0), mk(99.0))
 
     def test_value_difference_reported_with_cell(self):
@@ -391,7 +438,7 @@ class TestComparison:
                                  time_ms=0.0, seed=None) for i in (0, 1, 2)]
             recs[1] = SubJobRecord(value=v, error=None, warnings=(),
                                    time_ms=0.0, seed=None)
-            return assemble(vl, recs, True, SeedSpec.seq(), False, "t")
+            return assemble(vl, Columns.from_records(recs), True, SeedSpec.seq(), False, "t")
 
         cmp = do_res_equal(mk(1.0), mk(1.5))
         assert not cmp
@@ -400,10 +447,7 @@ class TestComparison:
 
     def test_nan_values_compare_equal(self):
         vl = scalar_varlist(1)
-        mk = lambda: assemble(vl, [SubJobRecord(value=math.nan, error=None,
-                                                warnings=(), time_ms=0.0, seed=None)
-                                   for _ in range(3)],
-                              True, SeedSpec.seq(), False, "t")
+        mk = lambda: assemble(vl, columns([math.nan] * 3), True, SeedSpec.seq(), False, "t")
         assert do_res_equal(mk(), mk())
 
     def test_warning_order_matters(self):
@@ -412,7 +456,7 @@ class TestComparison:
         def mk(order):
             recs = [SubJobRecord(value=1.0, error=None, warnings=order,
                                  time_ms=0.0, seed=None) for _ in range(3)]
-            return assemble(vl, recs, True, SeedSpec.seq(), False, "t")
+            return assemble(vl, Columns.from_records(recs), True, SeedSpec.seq(), False, "t")
 
         assert do_res_equal(mk(("a", "b")), mk(("a", "b")))
         cmp = do_res_equal(mk(("a", "b")), mk(("b", "a")))
@@ -428,7 +472,7 @@ class TestComparison:
                                 seed=None))
             recs = [rec] + [SubJobRecord(value=1.0, error=None, warnings=(),
                                          time_ms=0.0, seed=None)] * 2
-            return assemble(vl, recs, True, SeedSpec.seq(), False, "t")
+            return assemble(vl, Columns.from_records(recs), True, SeedSpec.seq(), False, "t")
 
         cmp = do_res_equal(mk(True), mk(False))
         assert not cmp and "error" in cmp.report
@@ -437,8 +481,8 @@ class TestComparison:
         vl = scalar_varlist(1)
         recs = lambda: [SubJobRecord(value=float(i), error=None, warnings=(),
                                      time_ms=0.0, seed=None) for i in range(3)]
-        a = assemble(vl, recs(), True, SeedSpec.seq(), False, "t")
-        b = assemble(vl, recs(), True, SeedSpec.none_reseed(), False, "t")
+        a = assemble(vl, Columns.from_records(recs()), True, SeedSpec.seq(), False, "t")
+        b = assemble(vl, Columns.from_records(recs()), True, SeedSpec.none_reseed(), False, "t")
         cmp = do_res_equal(a, b)
         assert not cmp and "fingerprint" in cmp.report
 

@@ -5,7 +5,7 @@ import pytest
 
 from mcgrid import (ErrorInfo, SeedSpec, SubJobRecord, VarList, VarSpec, assemble,
                     format_levels, get_array, mk_grid, non_grid_args)
-from mcgrid.results import store_dims
+from mcgrid.results import Columns, store_dims
 from mcgrid.var_copula import example_varlist
 
 
@@ -101,8 +101,8 @@ class TestResultDims:
     def test_example_dims_order_and_sizes(self):
         vl = example_varlist()
         n = mk_grid(vl).n_rows * vl.n_sim
-        store = assemble(vl, [SubJobRecord(error=ErrorInfo("skipped", "test"))] * n,
-                         True, SeedSpec.seq(), False, "")
+        skipped = Columns.from_records([SubJobRecord(error=ErrorInfo("skipped", "test"))] * n)
+        store = assemble(vl, skipped, True, SeedSpec.seq(), False, "")
         dims = get_array(store, "value").dims
         assert [(name, len(labels)) for name, labels in dims] == [
             ("alpha", 3), ("n", 2), ("d", 4), ("family", 2), ("tau", 2), ("n.sim", 32)]
