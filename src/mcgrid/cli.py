@@ -4,9 +4,8 @@ Exit codes: 0 for a clean run, 2 when the run completed but some sub-jobs
 errored (or dense assembly fell back to raw records), 1 for usage or
 configuration problems.
 
-``mcgrid --worker`` is reserved for the process backend: it turns the process
-into a frame-protocol worker on stdin/stdout and must never be combined with
-a subcommand.
+``python -m mcgrid --worker`` starts the process backend's zygote, which
+forks its workers (see ``executor``); ``mcgrid --worker`` is refused.
 """
 
 from __future__ import annotations
@@ -329,8 +328,8 @@ def main(argv=None) -> int:
     for i in reversed(range(len(argv) - 1)):  # argparse reads a lone -inf as an option
         if argv[i] == "--err-value" and argv[i + 1].lower() == "-inf":
             argv[i:i + 2] = [f"--err-value={argv[i + 1]}"]
-    if WORKER_FLAG in argv:  # the worker's one entry is python -m mcgrid --worker
-        print(f"mcgrid: {WORKER_FLAG} is only for a process worker, started as "
+    if WORKER_FLAG in argv:  # the zygote's one entry is python -m mcgrid --worker
+        print(f"mcgrid: {WORKER_FLAG} is only for the process backend's zygote, started as "
               f"'python -m mcgrid {WORKER_FLAG}' with no other arguments", file=sys.stderr)
         return 1
 

@@ -11,11 +11,11 @@ tasks, runs of consecutive blocks (guided self-scheduling: each task takes
 ``ceil(remaining / (2 * slots))`` blocks, at most 8, so the tail is single
 blocks).  Task composition depends only on the block list and the slot count,
 never on timing.  One scheduler hands the tasks to slots: the calling thread
-(sequential), one thread per slot (thread pool), or one thread per spawned
+(sequential), one thread per slot (thread pool), or one thread per forked
 worker process, whose main thread runs the same slot behind a frame protocol
-on its standard pipes.  With load balancing (default) tasks are pulled from a
-shared queue as slots become free; without it they are pre-assigned
-round-robin.  Either way the assembled results are identical for
+on its task and result pipes.  With load balancing (default) tasks are
+pulled from a shared queue as slots become free; without it they are
+pre-assigned round-robin.  Either way the assembled results are identical for
 deterministic studies; only timing fields may differ.  Once any slot fails,
 or the calling thread is interrupted, no slot starts another block.
 
@@ -26,47 +26,50 @@ valid only during its call.  A block's outcomes are columns (values, times,
 sparse errors and warnings, seeds) that the scheduler writes straight into the
 run's store-order columns; records are built only for a monitor.
 
-Frame protocol: 4-byte big-endian payload length, then the payload, a
-canonical-JSON document (the same text family as the result files).  Frames
-above 64 MiB are a protocol error.  The parent sends each worker one
-``setup`` frame (study name, the declaration's canonical form, the canonical
-seeding spec, ``keep_seed`` and the virtual order), from which the worker
-builds its run context as the parent does.  A declaration that this form
-cannot carry faithfully (a payload that is not JSON, a non-finite float) is
-refused before any worker is spawned.  (A
-``per-rep-stream`` spec carries ~211 bytes per replication in this frame, so
-the frame limit bounds it at ~318k replications; such a run fails before any
-worker is spawned.)  Each ``task`` frame carries only block coordinates,
-``[[row, rep_start, size], ...]``; the parent keeps up to two in flight per
-worker.  The worker answers each task with one ``result`` frame,
-``{"tag": "result", "blocks": [...]}``, a list of its blocks' column
-documents in block order (``Columns.doc()``: values, times, errors and
-warnings by offset from the block's start, seeds); the parent decodes each
-and writes it into the store.  The worker encodes each block's document once,
-as the block finishes, and writes a frame as soon as the next block would
-take it over the limit, so a task over the limit is answered in several
-frames, each of whole blocks; the parent reads frames until every block of
-the task is answered.  Only a single block over the limit is a protocol
-error.  A worker's unread input, at most ``IN_FLIGHT`` small task frames,
-never fills a pipe, so the parent never waits to write a task while its
-worker waits to write results.  End of input ends the worker; an unexpected
-frame tag, a result frame that answers no block or more blocks than are
-outstanding, or a block document whose columns are not the block's size, is
-a protocol error.  ``python -m mcgrid --worker`` starts the worker before the
-command line module, and the package loads the report modules only on first
-use, so a worker imports none of them.  A worker that
-dies mid-run aborts the run with a diagnostic (no respawn or retry), and on
-any failure or interrupt the parent kills every worker at once.  The monitor
-runs in the calling process on every backend (see ``run_study``).
+Frame protocol: 4-byte big-endian payload length, then a canonical-JSON
+payload (the result files' text family); a frame above 64 MiB is a protocol
+error.  The parent sends each worker one ``setup`` frame (study name, the
+declaration's canonical form, the canonical seeding spec, ``keep_seed`` and
+the virtual order), from which the worker builds its run context as the
+parent does.  A declaration that this form cannot carry faithfully (a payload
+that is not JSON, a non-finite float) or a setup frame over the limit (a
+``per-rep-stream`` spec takes ~211 bytes per replication, so ~318k at most)
+fails the run before any worker starts.  A ``task`` frame carries only block
+coordinates, ``[[row, rep_start, size], ...]``, at most ``IN_FLIGHT`` unread
+per worker, which never fill a pipe: the parent never waits to write a task
+while its worker waits to write results.  The worker answers a task with
+``{"tag": "result", "blocks": [...]}``, its blocks' ``Columns.doc()`` in
+order (errors and warnings by offset from the block's start), each encoded
+once as the block finishes; a frame goes out as soon as the next block would
+take it over the limit, so only a single block over the limit is an error.
+End of input ends the worker; an unexpected frame tag, a result frame that
+answers no block or more blocks than are outstanding, or a block document
+whose columns are not the block's size, is a protocol error.  A worker dying
+mid-run aborts the run (no retry), and on any failure or interrupt the
+parent kills every worker at once.  The monitor runs in the calling process.
+
+Workers are forked, per run, from a zygote, a fork server that a process's
+first process-backend run spawns as ``python -m mcgrid --worker``.  It
+imports numpy and this module, no study or report module, and draws from no
+stream, so each worker draws its own entropy under ``none``/``unseeded``.  A
+worker takes the parent's working directory, import path, environment and
+standard error (also as its standard output) as they are at the fork; BLAS
+thread settings are read once, at the zygote's start.  The zygote ends at
+end of input on its control socket, killing any worker left (its parent was
+killed); an ``atexit`` hook closes the socket and waits for the zygote, and
+a zygote that is gone is respawned.
 """
 
 from __future__ import annotations
 
+import atexit
 import collections
 import contextlib
-import json
 import functools
+import importlib
+import json
 import os
+import signal
 import struct
 import sys
 import threading
@@ -493,16 +496,6 @@ def _worker_context(setup: dict) -> _RunContext:
                        registry.get_study(setup["study"]))
 
 
-def _claim_stdout():
-    """Move the frame channel off fd 1 and send everything else written to
-    standard output, by Python or native code, to standard error."""
-    sys.stdout.flush()
-    channel = os.fdopen(os.dup(1), "wb")
-    os.dup2(2, 1)
-    sys.stdout = sys.stderr
-    return channel
-
-
 class _ResultFrames:
     """A worker's result frames for a task's blocks, built as they finish.
 
@@ -567,17 +560,9 @@ def _died(worker: int) -> ExecutionError:
     return ExecutionError(f"worker {worker} died mid-run; aborting, no retry")
 
 
-def worker_main(stdin=None, stdout=None) -> int:
-    """Frame-serving loop for a spawned worker process.
-
-    With the default streams, frames go out on a duplicate of fd 1, and fd 1
-    and ``sys.stdout`` point at standard error before the setup frame
-    resolves the study, so neither importing nor running a study can write
-    into the frame channel.  The worker ends at end of input.
-    """
-    stdin = stdin if stdin is not None else sys.stdin.buffer
-    stdout = stdout if stdout is not None else _claim_stdout()
-
+def worker_main(stdin, stdout) -> int:
+    """Frame-serving loop of a process worker on its task and result pipes.
+    The worker ends at end of input."""
     def next_frame(tag: str) -> dict | None:  # None at end of input
         frame = read_frame(stdin)
         got = frame.get("tag") if isinstance(frame, dict) else None
@@ -605,9 +590,168 @@ def worker_main(stdin=None, stdout=None) -> int:
     return 0
 
 
+def _task_frame(task: list[Block]) -> bytes:
+    """A task frame, its block coordinates written as one JSON text."""
+    blocks = ",".join(f"[{b.row},{b.rep_start},{b.size}]" for b in task)
+    return encode_frame({"tag": "task", "blocks": _Encoded(f"[{blocks}]")})
+
+
+# ---------------------------------------------------------------------------
+# the zygote: a fork server for process workers
+
+def zygote_main() -> int:
+    """The zygote, on a control socket at fd 0: for each fork request (four
+    descriptors on one byte, then a frame) fork a worker, and write its pid,
+    then its exit code once reaped, on the request's status pipe.  At end of
+    input, kill the workers still running and end."""
+    import select  # here, as socket below: the in-process backends need neither
+    import socket
+    control = socket.socket(fileno=0)
+    wake_r, wake_w = os.pipe()
+    os.set_blocking(wake_w, False)
+    signal.set_wakeup_fd(wake_w)
+    signal.signal(signal.SIGCHLD, lambda *_: None)  # only to wake select()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # a Ctrl-C is for the parent
+    children: dict[int, int] = {}  # pid -> status pipe
+
+    def reap(flags: int) -> None:
+        while children and (reaped := os.waitpid(-1, flags))[0]:
+            fd = children.pop(reaped[0])
+            with contextlib.suppress(OSError):  # the parent is gone
+                os.write(fd, struct.pack(">i", os.waitstatus_to_exitcode(reaped[1])))
+            os.close(fd)
+
+    try:
+        while True:
+            if control in select.select([control, wake_r], [], [])[0]:
+                data, fds, _, _ = socket.recv_fds(control, 1, 4)
+                if not data:
+                    return 0
+                if len(fds) != 4:
+                    raise ProtocolError("malformed fork request")
+                request = read_frame(control.makefile("rb"))
+                if (pid := os.fork()) == 0:  # the control socket is fd 0
+                    _forked_worker(request, fds, [0, wake_r, wake_w, *children.values()])
+                children[pid] = fds[2]
+                os.write(fds[2], struct.pack(">i", pid))
+                for fd in (fds[0], fds[1], fds[3]):
+                    os.close(fd)
+            else:
+                os.read(wake_r, 512)
+            reap(os.WNOHANG)
+    except Exception as exc:
+        print(f"zygote: {exc!r}", file=sys.stderr)
+        return 1
+    finally:  # a parent killed mid-run leaves workers behind
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        reap(0)
+
+
+def _forked_worker(request: dict, fds: list[int], inherited: list[int]) -> None:
+    """A forked worker: take on the parent's state that ``request`` and ``fds``
+    bring, serve frames, and leave, never returning into the zygote."""
+    code = 1
+    try:
+        task, result, status, stderr = fds
+        signal.set_wakeup_fd(-1)
+        signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        os.dup2(stderr, 1)
+        os.dup2(stderr, 2)
+        for fd in (*inherited, status, stderr):
+            os.close(fd)
+        os.open(os.devnull, os.O_RDONLY)  # takes fd 0, the control socket's
+        os.chdir(request["cwd"])
+        sys.path[:] = request["path"]
+        os.environ.clear()
+        os.environ.update(request["env"])
+        importlib.invalidate_caches()  # see modules written since the zygote started
+        with open(task, "rb") as stdin, open(result, "wb") as stdout:
+            code = worker_main(stdin, stdout)
+    finally:
+        with contextlib.suppress(Exception):
+            sys.stdout.flush(), sys.stderr.flush()
+        os._exit(code)
+
+
+def _worker_env() -> dict:
+    # workers resolve module:attr study names on the parent's import path
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+
+
+_zygote = None  # (Popen, control socket) of this process's zygote
+
+
+def _zygote_control():
+    """The control socket of this process's zygote, spawned if none runs."""
+    global _zygote
+    if _zygote is not None and _zygote[0].poll() is None:
+        return _zygote[1]
+    _stop_zygote()
+    import socket
+    import subprocess  # here: neither the zygote nor a worker spawns one
+    ours, theirs = socket.socketpair()
+    with theirs:
+        proc = subprocess.Popen([sys.executable, "-m", "mcgrid", WORKER_FLAG], stdin=theirs,
+                                stdout=subprocess.DEVNULL, env=_worker_env())
+    _zygote = proc, ours
+    return ours
+
+
+@atexit.register
+def _stop_zygote() -> None:
+    """End this process's zygote, if any: end of input on its control socket."""
+    global _zygote
+    if _zygote is not None:
+        (proc, control), _zygote = _zygote, None
+        control.close()
+        proc.wait()
+
+
+class _Worker:
+    """A worker forked by the zygote: ``stdin`` and ``stdout`` are its task
+    and result pipes; its pid, then its exit code, come on a status pipe."""
+
+    def __init__(self):
+        task, result, status = os.pipe(), os.pipe(), os.pipe()
+        self.stdin, self.stdout = open(task[1], "wb"), open(result[0], "rb")
+        self._status, self.pid, self.returncode = open(status[0], "rb"), None, None
+        self._theirs = [task[0], result[1], status[1]]
+
+    def fork(self, control) -> None:
+        """Have the zygote fork the worker; its pid comes on the status pipe."""
+        import socket
+        request = json.dumps({"cwd": os.getcwd(), "path": sys.path,
+                              "env": _worker_env()}).encode()
+        try:  # the worker's ends, and this process's standard error as it is now
+            socket.send_fds(control, [b"F"], [*self._theirs, 2])
+            control.sendall(struct.pack(">I", len(request)) + request)
+        finally:
+            while self._theirs:
+                os.close(self._theirs.pop())
+        self.pid = self._read()
+
+    def _read(self) -> int | None:  # None at end of input: the zygote is gone
+        return struct.unpack(">i", d)[0] if len(d := self._status.read(4)) == 4 else None
+
+    def kill(self) -> None:
+        if self.pid is not None and not self._status.closed:  # exit code unread
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(self.pid, signal.SIGKILL)
+
+    def wait(self) -> int | None:
+        """The exit code (None if the zygote ended first)."""
+        while self._theirs:  # never forked
+            os.close(self._theirs.pop())
+        if self.pid is not None and not self._status.closed:
+            self.returncode = self._read()
+        self._status.close()
+        return self.returncode
+
+
 def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec,
                    monitor) -> Columns:
-    import subprocess  # here: a process worker never spawns one
     study = registry.study_name(ctx.study_fn)
     if study is None:
         raise ExecutionError(
@@ -627,57 +771,50 @@ def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec,
                           "seed": ctx.seed.canonical(), "keep_seed": ctx.keep_seed,
                           "rep_first": ctx.rep_first})
 
-    def send(i: int, proc: subprocess.Popen, frame: bytes) -> None:
+    def send(i: int, worker: _Worker, frame: bytes) -> None:
         try:
-            proc.stdin.write(frame)
-            proc.stdin.flush()
+            worker.stdin.write(frame)
+            worker.stdin.flush()
         except OSError as exc:  # the worker closed its end: it is gone
             raise _died(i) from exc
 
-    def slot(i: int, proc: subprocess.Popen):
+    def slot(i: int, worker: _Worker):
         def execute(take):
             sent: collections.deque[list[Block]] = collections.deque()
             while True:
                 while len(sent) < IN_FLIGHT and (task := take()) is not None:
-                    send(i, proc, encode_frame({"tag": "task", "blocks": [
-                        [b.row, b.rep_start, b.size] for b in task]}))
+                    send(i, worker, _task_frame(task))
                     sent.append(task)
                 if not sent:
                     return
-                yield from _task_results(proc.stdout, sent.popleft(), i)
+                yield from _task_results(worker.stdout, sent.popleft(), i)
         return execute
 
-    cmd = [sys.executable, "-m", "mcgrid", WORKER_FLAG]
-    # workers resolve module:attr study names, so they need the parent's
-    # import path (same idea as multiprocessing's spawn preparation)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-    procs: list[subprocess.Popen] = []
+    workers = [_Worker() for _ in range(backend.workers)]
 
     def kill_all() -> None:
-        for proc in procs:
-            proc.kill()
+        for worker in workers:
+            worker.kill()
 
     try:
-        for _ in range(backend.workers):
-            procs.append(subprocess.Popen(cmd, stdin=subprocess.PIPE,
-                                          stdout=subprocess.PIPE, env=env))
-        for i, proc in enumerate(procs):
-            send(i, proc, setup)
+        control = _zygote_control()
+        for i, worker in enumerate(workers):
+            worker.fork(control)
+            send(i, worker, setup)
         # on a failure or an interrupt, killed workers end every slot's wait
         # for results at once instead of after the tasks in flight
         outcomes = _run_pool(ctx, blocks, backend.load_balancing,
-                             [slot(i, p) for i, p in enumerate(procs)], monitor,
+                             [slot(i, w) for i, w in enumerate(workers)], monitor,
                              stop=kill_all)
-        for proc in procs:
-            proc.stdin.close()  # end of input ends the worker
+        for worker in workers:
+            worker.stdin.close()  # end of input ends the worker
     except BaseException:
         kill_all()
         raise
     finally:
-        for proc in procs:
-            proc.wait()
-            proc.stdout.close()
+        for worker in workers:
+            worker.wait()
+            worker.stdout.close()
             with contextlib.suppress(OSError):  # bytes a dead worker never took
-                proc.stdin.close()
+                worker.stdin.close()
     return outcomes

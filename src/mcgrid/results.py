@@ -500,13 +500,15 @@ def load(path: str | os.PathLike) -> ResultStore | RawFallback:
         raise ValueError(f"{path}: not a result file (format tag missing)")
     try:
         meta = StoreMeta.from_doc(doc["meta"])
-        if doc["kind"] == "raw":
+        if doc["kind"] == "raw" or doc["format"] == _V1_TAG:
             records = [SubJobRecord.from_doc(d) for d in doc["records"]]
+            if len(records) != (n := mk_grid(meta.varlist).n_rows * meta.varlist.n_sim):
+                raise ValueError(f"{len(records)} records for {n} cells")
+        if doc["kind"] == "raw":
             return RawFallback(records=records, meta=meta, diagnostic=doc["diagnostic"])
         dims = tuple((name, tuple(labels)) for name, labels in doc["dims"])
         inner = _inner_shape(meta.varlist)
         if doc["format"] == _V1_TAG:
-            records = [SubJobRecord.from_doc(d) for d in doc["records"]]
             return ResultStore(dims=dims, meta=meta,
                                **_dense(Columns.from_records(records), inner, lambda cell: cell))
         n = math.prod(len(labels) for _, labels in dims)

@@ -88,6 +88,23 @@ def dying_study(params, rng, warn):
     os._exit(3)
 
 
+def matmul_study(params, rng, warn):
+    """The sum of ``a @ b`` for two 300 x 300 uniform draws: a product large
+    enough for OpenBLAS to run it on its threads."""
+    a, b = rng.uniforms((300, 300)), rng.uniforms((300, 300))
+    return float((a @ b).sum()) + params["x"]
+
+
+def pid_study(params, rng, warn):
+    """Logs the worker's pid and its parent's to ``ctl["log"]``, then sleeps
+    ``ctl["sleep"]`` seconds."""
+    ctl = params["ctl"]
+    with open(ctl["log"], "a", encoding="utf-8") as fh:
+        fh.write(f"{os.getpid()} {os.getppid()}\n")
+    time.sleep(ctl["sleep"])
+    return float(params["x"])
+
+
 def wide_study(params, rng, warn):
     """A 200,000-element value, so every result frame outgrows a pipe buffer."""
     value = np.arange(200_000) + 0.5

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -464,8 +465,19 @@ class TestWorkerMode:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "python -m mcgrid --worker" in err
 
-    def test_worker_subprocess_task_and_eof(self):
+    @staticmethod
+    def _zygote(*flags):
+        """A zygote started as the process backend starts it, and our end of
+        its control socket."""
+        ours, theirs = socket.socketpair()
+        with theirs:
+            proc = subprocess.Popen([sys.executable, *flags, "-m", "mcgrid", "--worker"],
+                                    stdin=theirs, stderr=subprocess.PIPE)
+        return proc, ours
+
+    def test_zygote_forks_a_worker_and_ends_at_eof(self):
         from mcgrid import RngStream, SeedSpec, seed_for
+        from mcgrid.executor import _Worker
         states = [seed_for(SeedSpec.seq(), rep) for rep in (1, 2)]
         varlist = {"n_sim": 2, "variables": [
             {"name": "n.sim", "type": "N", "label": "$n.sim$", "value": 2},
@@ -473,39 +485,46 @@ class TestWorkerMode:
         setup = {"tag": "setup", "study": "probe-first-uniform", "varlist": varlist,
                  "seed": {"kind": "seq"}, "keep_seed": False, "rep_first": True}
         task = {"tag": "task", "blocks": [[1, 1, 2], [0, 2, 1]]}  # [row, rep_start, size]
-        proc = subprocess.run(
-            [sys.executable, "-m", "mcgrid", "--worker"],
-            input=encode_frame(setup) + encode_frame(task),
-            capture_output=True, timeout=60)
-        assert proc.returncode == 0  # end of input is a clean exit
-        import io
-        out = io.BytesIO(proc.stdout)
-        want = [states, states[1:]]  # one result frame per task, its blocks in order
-        frame = read_frame(out)
-        assert frame["tag"] == "result"
-        assert [doc[0] for doc in frame["blocks"]] == \
-            [[RngStream.from_state(st).uniform() for st in block] for block in want]
-        assert [len(doc[1]) for doc in frame["blocks"]] == [2, 1]
-        assert read_frame(out) is None  # 1 frame
+        proc, control = self._zygote()
+        worker = _Worker()
+        with control, proc.stderr, worker.stdout:
+            worker.fork(control)
+            assert worker.pid > 0 and worker.pid != proc.pid
+            with worker.stdin:
+                worker.stdin.write(encode_frame(setup) + encode_frame(task))
+            out = worker.stdout
+            want = [states, states[1:]]  # one result frame per task, its blocks in order
+            frame = read_frame(out)
+            assert frame["tag"] == "result"
+            assert [doc[0] for doc in frame["blocks"]] == \
+                [[RngStream.from_state(st).uniform() for st in block] for block in want]
+            assert [len(doc[1]) for doc in frame["blocks"]] == [2, 1]
+            assert read_frame(out) is None  # 1 frame
+            assert worker.wait() == 0  # end of input is a clean exit, reported by the zygote
+        assert proc.wait(timeout=60) == 0  # end of input on the control socket
 
-    def test_worker_starts_without_the_report_modules(self):
-        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "mcgrid", "--worker"],
-                              input=b"", capture_output=True, timeout=60)
-        assert proc.returncode == 0  # empty input: no setup frame, a clean exit
+    def test_zygote_starts_without_the_report_modules(self):
+        proc, control = self._zygote("-X", "importtime")
+        control.close()
+        with proc.stderr:
+            err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 0  # end of input, no fork request: a clean exit
         # each line ends "| <indent><module name>"; whole names, as _posixsubprocess
         # is not subprocess
-        modules = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.decode().splitlines()
+        modules = {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
                    if line.startswith("import time:")}
         assert {"mcgrid.executor", "mcgrid.var_copula"} <= modules
         # the report modules, and the parent's spawning and fingerprinting
         for module in ("mcgrid.analysis", "mcgrid.plot", "mcgrid.cli", "subprocess", "hashlib"):
             assert module not in modules
 
-    def test_worker_subprocess_bad_bytes_exit_nonzero(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "mcgrid", "--worker"],
-            input=b"\x01\x02", capture_output=True, timeout=60)
-        assert proc.returncode == 1
+    def test_zygote_bad_bytes_exit_nonzero(self):
+        proc, control = self._zygote()
+        with control:
+            control.sendall(b"\x01\x02")
+        with proc.stderr:
+            assert b"malformed fork request" in proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
 
 
 def test_every_public_name_resolves():

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import signal
+import socket
 import struct
 import subprocess
 import sys
@@ -19,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (appending_level_study, appending_study, chatty_study, coin_study,
-                      dying_study, float_type_study, interrupting_study, mid_buffer_study,
-                      params_probe_study, poly_noisy, poly_study, ragged_study,
+                      dying_study, float_type_study, interrupting_study, matmul_study,
+                      mid_buffer_study, params_probe_study, poly_noisy, poly_study, ragged_study,
                       scalar_varlist, square_study, tiny_varlist, wide_study)
 
 from mcgrid import (Block, ErrorInfo, ExecutionError, ProcessPool, ProtocolError,
@@ -30,7 +31,7 @@ from mcgrid import (Block, ErrorInfo, ExecutionError, ProcessPool, ProtocolError
 from mcgrid import executor
 from mcgrid.executor import (TASK_BLOCKS, WORKER_FLAG, encode_frame, partition_tasks,
                              read_frame, worker_main)
-from mcgrid.results import Columns, SubJobRecord
+from mcgrid.results import Columns, SubJobRecord, canonical_json
 from mcgrid.seeding import StreamState, derive_streams
 from mcgrid.var_copula import probe_first_uniform
 
@@ -38,6 +39,20 @@ try:
     import fcntl
 except ImportError:  # not a POSIX system: test_minimum_pipe_capacity skips
     fcntl = None
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The parent-side handle of every worker the zygote forks in the test."""
+    seen = []
+    fork = executor._Worker.fork
+
+    def spy(self, control):
+        seen.append(self)
+        fork(self, control)
+
+    monkeypatch.setattr(executor._Worker, "fork", spy)
+    return seen
 
 
 class TestDoCallWe:
@@ -290,6 +305,14 @@ class TestWorkerLoop:
         code = worker_main(io.BytesIO(b"\x00\x00"), io.BytesIO())
         assert code != 0
         assert "protocol" in capsys.readouterr().err.lower()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 2**40)] * 3), min_size=1, max_size=TASK_BLOCKS))
+def test_task_frame_is_the_plain_documents_canonical_text(blocks):
+    text = canonical_json({"tag": "task", "blocks": [list(b) for b in blocks]}).encode()
+    assert executor._task_frame([Block(*b) for b in blocks]) == \
+        struct.pack(">I", len(text)) + text
 
 
 class TestTaskFrames:
@@ -593,19 +616,20 @@ class TestProcessBackend:
 
     @pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"),
                         reason="pipe capacity cannot be set here")
-    def test_minimum_pipe_capacity(self, monkeypatch):
+    def test_minimum_pipe_capacity(self, monkeypatch, forked):
         # the worker reads its input only between tasks: with every pipe at
         # the 4,096-byte minimum, the unread task frames in flight must still
-        # fit while the worker writes results larger than its stdout pipe
-        popen = subprocess.Popen
+        # fit while the worker writes results larger than its result pipe
+        pipe, shrunk = os.pipe, []
 
-        def shrunk(*args, **kwargs):
-            proc = popen(*args, **kwargs)
-            for pipe in (proc.stdin, proc.stdout):
-                fcntl.fcntl(pipe.fileno(), fcntl.F_SETPIPE_SZ, 4096)
-            return proc
+        def shrinking():
+            ends = pipe()
+            fcntl.fcntl(ends[1], fcntl.F_SETPIPE_SZ, 4096)
+            shrunk.append(fcntl.fcntl(ends[1], fcntl.F_GETPIPE_SZ))
+            return ends
 
-        monkeypatch.setattr(subprocess, "Popen", shrunk)
+        executor._zygote_control()  # started first: only the workers' pipes count
+        monkeypatch.setattr(os, "pipe", shrinking)
         # ~110 kB of results per block, with a second task in flight
         vl = scalar_varlist(n_sim=400)
         base = run_study(vl, square_study, keep_seed=True)
@@ -619,21 +643,17 @@ class TestProcessBackend:
         res = run_study(vl, poly_noisy, keep_seed=True, backend=ProcessPool(2))
         cmp = do_res_equal(base, res)
         assert cmp, cmp.report
+        # task, result and status pipes of 2 workers in each of 2 runs, each
+        # at the kernel's minimum (4,096 bytes with 4 KiB pages)
+        assert len(shrunk) == 12 and len(set(shrunk)) == 1 and len(forked) == 4
+        assert all(w.returncode == 0 for w in forked)  # ended, exit codes read
 
     def test_unregistered_lambda_rejected(self):
         vl = scalar_varlist(n_sim=1)
         with pytest.raises(ExecutionError):
             run_study(vl, lambda p, r, w: 1.0, backend=ProcessPool(2))
 
-    def test_dead_worker_stops_the_pool(self, tmp_path, monkeypatch):
-        spawned = []
-        popen = subprocess.Popen
-
-        def spy(*args, **kwargs):
-            spawned.append(popen(*args, **kwargs))
-            return spawned[-1]
-
-        monkeypatch.setattr(subprocess, "Popen", spy)
+    def test_dead_worker_stops_the_pool(self, tmp_path, forked):
         log = tmp_path / "subjobs.log"
         vl = VarList([VarSpec("n.sim", "N", 200), VarSpec("x", "grid", (3, 4, 5)),
                       VarSpec("paths", "frozen", {"log": str(log), "sleep": 0.01,
@@ -643,8 +663,9 @@ class TestProcessBackend:
         # 60 sub-jobs of the surviving worker take 0.6 s; a pool that does
         # not stop logs all 600
         assert len(log.read_text().splitlines()) < 60
-        assert len(spawned) == 2
-        assert all(p.returncode is not None for p in spawned)  # killed and reaped
+        assert len(forked) == 2
+        # the one that died exits 3, the other is killed; both exit codes read
+        assert sorted(w.returncode for w in forked) == [-signal.SIGKILL, 3]
 
     def test_worker_pipes_are_closed(self, tmp_path):
         vl = VarList([VarSpec("n.sim", "N", 200), VarSpec("x", "grid", (3, 4, 5)),
@@ -661,37 +682,44 @@ class TestProcessBackend:
     def test_oversized_setup_frame_fails_before_spawning(self, monkeypatch):
         # a per-rep-stream spec travels in the setup frame, ~211 bytes a state
         monkeypatch.setattr(executor, "MAX_FRAME", 10_000)
-        monkeypatch.setattr(subprocess, "Popen", None)  # never called
+        requests = []
+        monkeypatch.setattr(socket, "send_fds", lambda *args: requests.append(args))
         seed = SeedSpec.per_rep_stream(derive_streams(100, [1]))
         with pytest.raises(ProtocolError, match="exceeds"):
             run_study(scalar_varlist(n_sim=100), square_study, seed=seed,
                       backend=ProcessPool(2))
+        assert requests == []  # no fork request sent
 
-    def test_refused_task_frame_reads_as_a_dead_worker(self, monkeypatch):
+    def test_refused_task_frame_reads_as_a_dead_worker(self, monkeypatch, forked):
         # a worker that dies while the parent writes its next task shows up
         # as a broken pipe on the write, not as end of input on a read
-        class GonePipe(io.BytesIO):
+        class GonePipe:
+            def __init__(self, pipe):
+                self.pipe, self.writes = pipe, 0
+
             def write(self, data):
                 if self.writes == 2:  # the setup frame and one task went through
                     raise BrokenPipeError(32, "Broken pipe")
                 self.writes += 1
-                return super().write(data)
+                return self.pipe.write(data)
 
-        class DeadWorker:
-            def __init__(self, *args, **kwargs):
-                self.stdin, self.stdout = GonePipe(), io.BytesIO()
-                self.stdin.writes = 0
-                self.returncode = None
+            def flush(self):
+                self.pipe.flush()
 
-            def kill(self):
-                self.returncode = -9
+            def close(self):
+                self.pipe.close()
 
-            def wait(self):
-                return self.returncode
+        fork = executor._Worker.fork
 
-        monkeypatch.setattr(subprocess, "Popen", DeadWorker)
+        def gone(self, control):
+            fork(self, control)
+            self.stdin = GonePipe(self.stdin)
+
+        monkeypatch.setattr(executor._Worker, "fork", gone)
         with pytest.raises(ExecutionError, match=r"worker \d died mid-run"):
             run_study(tiny_varlist(n_sim=40), poly_study, backend=ProcessPool(2))
+        assert len(forked) == 2
+        assert all(w.returncode == -signal.SIGKILL for w in forked)  # killed, exit codes read
 
     def test_worker_flag_constant(self):
         assert WORKER_FLAG == "--worker"
@@ -706,15 +734,7 @@ class TestProcessBackend:
 
 
 @pytest.mark.parametrize("backend", [ThreadPool(2), ProcessPool(2)])
-def test_interrupt_stops_every_slot(tmp_path, monkeypatch, backend):
-    spawned = []
-    popen = subprocess.Popen
-
-    def spy(*args, **kwargs):
-        spawned.append(popen(*args, **kwargs))
-        return spawned[-1]
-
-    monkeypatch.setattr(subprocess, "Popen", spy)
+def test_interrupt_stops_every_slot(tmp_path, forked, backend):
     log = tmp_path / "subjobs.log"
     vl = VarList([VarSpec("n.sim", "N", 500), VarSpec("x", "grid", (3, 4)),
                   VarSpec("ctl", "frozen", {"log": str(log), "pid": os.getpid(),
@@ -729,7 +749,103 @@ def test_interrupt_stops_every_slot(tmp_path, monkeypatch, backend):
     time.sleep(0.3)
     assert log.stat().st_size == done < 200  # of 1,000 sub-jobs
     assert not [t for t in threading.enumerate() if t.name.startswith("mcgrid-slot")]
-    assert all(p.returncode is not None for p in spawned)  # killed and reaped
+    assert len(forked) == (2 if backend.kind == "processes" else 0)
+    assert all(w.returncode == -signal.SIGKILL for w in forked)  # killed, exit codes read
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs: neither gone nor a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestZygote:
+    def test_no_zygote_or_worker_outlives_a_killed_parent(self, tmp_path):
+        if not os.path.exists(f"/proc/{os.getpid()}/stat"):
+            pytest.skip("needs /proc to tell a running process from a zombie")
+        log = tmp_path / "pids.log"
+        code = "\n".join([
+            "from conftest import pid_study",
+            "from mcgrid import ProcessPool, VarList, VarSpec, run_study",
+            "vl = VarList([VarSpec('n.sim', 'N', 100), VarSpec('x', 'grid', (3, 4)),",
+            f"              VarSpec('ctl', 'frozen', {{'log': {str(log)!r}, 'sleep': 5}})])",
+            "run_study(vl, pid_study, backend=ProcessPool(2))",
+        ])
+        tests = os.path.dirname(__file__)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        parent = subprocess.Popen([sys.executable, "-c", code], cwd=tests, env=env)
+        try:
+            deadline = time.monotonic() + 60
+            while len(pids := {line.split()[0] for line in
+                               (log.read_text().splitlines() if log.exists() else [])}) < 2:
+                assert time.monotonic() < deadline and parent.poll() is None
+                time.sleep(0.05)
+        finally:
+            parent.kill()
+            parent.wait()
+        zygotes = {line.split()[1] for line in log.read_text().splitlines()}
+        assert len(zygotes) == 1 and zygotes != {str(parent.pid)}  # forked by the zygote
+        left = {int(pid) for pid in pids | zygotes}
+        deadline = time.monotonic() + 10
+        while left := {pid for pid in left if _alive(pid)}:
+            assert time.monotonic() < deadline, f"still running: {sorted(left)}"
+            time.sleep(0.05)
+
+    def test_a_killed_zygote_is_respawned(self):
+        vl = tiny_varlist(n_sim=4)
+        first = run_study(vl, poly_noisy, keep_seed=True, backend=ProcessPool(2))
+        proc = executor._zygote[0]
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait()
+        second = run_study(vl, poly_noisy, keep_seed=True, backend=ProcessPool(2))
+        assert executor._zygote[0] is not proc and executor._zygote[0].poll() is None
+        cmp = do_res_equal(first, second)
+        assert cmp, cmp.report
+
+    def test_unseeded_workers_draw_apart(self):
+        # a zygote that drew from its own ambient stream would hand both
+        # workers the same one, and their draws would repeat each other's
+        vl = scalar_varlist(n_sim=8)
+        res = run_study(vl, probe_first_uniform, seed=SeedSpec.unseeded(),
+                        backend=ProcessPool(2, load_balancing=False))
+        values = res.value.ravel().tolist()
+        assert res.error_count() == 0 and len(set(values)) == len(values) == 24
+
+    def test_blas_product_matches_sequential(self):
+        vl = scalar_varlist(n_sim=2)
+        base = run_study(vl, matmul_study)
+        res = run_study(vl, matmul_study, backend=ProcessPool(2))
+        cmp = do_res_equal(base, res)
+        assert cmp, cmp.report
+
+    def test_workers_follow_the_parent_run_by_run(self, tmp_path, monkeypatch, capfd):
+        run_study(scalar_varlist(n_sim=1), square_study, backend=ProcessPool(2))
+        zygote = executor._zygote[0]
+        mods = tmp_path / "mods"
+        mods.mkdir()
+        name = f"follow_{os.getpid()}"
+        (mods / f"{name}.py").write_text(
+            "import os\n"
+            "def study(params, rng, warn):\n"
+            "    print('cwd', os.getcwd(), 'env', os.environ.get('MCGRID_FOLLOW'))\n"
+            "    return float(os.path.exists('here.txt'))\n", encoding="utf-8")
+        monkeypatch.syspath_prepend(str(mods))  # after the zygote started
+        monkeypatch.delitem(sys.modules, name, raising=False)
+        study = __import__(name).study
+        for where, here in (("a", True), ("b", False)):
+            (tmp_path / where).mkdir()
+            if here:
+                (tmp_path / where / "here.txt").write_text("", encoding="utf-8")
+            monkeypatch.chdir(tmp_path / where)
+            monkeypatch.setenv("MCGRID_FOLLOW", where)
+            capfd.readouterr()
+            res = run_study(scalar_varlist(n_sim=2), study, backend=ProcessPool(2))
+            assert res.value.ravel().tolist() == [float(here)] * 6
+            assert f"cwd {tmp_path / where} env {where}" in capfd.readouterr().err
+        assert executor._zygote[0] is zygote  # one zygote throughout
 
 
 def test_interrupt_does_not_wait_for_tasks_in_flight(tmp_path):
@@ -788,15 +904,7 @@ def test_monitor_sees_every_subjob_in_the_calling_process(backend):
 
 
 @pytest.mark.parametrize("backend", [ThreadPool(2), ProcessPool(2)])
-def test_failed_slot_stops_the_pool(monkeypatch, backend):
-    spawned = []
-    popen = subprocess.Popen
-
-    def spy(*args, **kwargs):
-        spawned.append(popen(*args, **kwargs))
-        return spawned[-1]
-
-    monkeypatch.setattr(subprocess, "Popen", spy)
+def test_failed_slot_stops_the_pool(forked, backend):
     calls = []
     lock = threading.Lock()
 
@@ -811,8 +919,8 @@ def test_failed_slot_stops_the_pool(monkeypatch, backend):
     with pytest.raises(ExecutionError, match="monitor broke"):
         run_study(vl, square_study, backend=backend, monitor=monitor)
     assert len(calls) < 60  # of 600 sub-jobs
-    assert len(spawned) == (2 if backend.kind == "processes" else 0)
-    assert all(p.returncode is not None for p in spawned)  # killed and reaped
+    assert len(forked) == (2 if backend.kind == "processes" else 0)
+    assert all(w.returncode == -signal.SIGKILL for w in forked)  # killed, exit codes read
 
 
 @pytest.mark.parametrize("seed", [SeedSpec.per_rep_integer([9, 8, 7, 6]),

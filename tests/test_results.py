@@ -375,6 +375,27 @@ class TestFormatV2:
         assert str(info.value).startswith(f"{path}: malformed result file (")
 
 
+@pytest.mark.parametrize("name", ["v1-scalar", "v2-raw"])
+@pytest.mark.parametrize("edit", ["drop", "add"])
+def test_record_files_with_other_than_one_record_per_cell_are_malformed(tmp_path, capsys,
+                                                                        name, edit):
+    # both golden files hold 6 cells, one record each
+    doc = json.loads((DATA / f"{name}.json").read_text())
+    if edit == "drop":
+        doc["records"].pop()
+    else:
+        doc["records"].append(doc["records"][0])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value) == (f"{path}: malformed result file "
+                               f"(ValueError('{5 if edit == 'drop' else 7} records for 6 cells'))")
+    from mcgrid.cli import main
+    assert main(["analyze", str(path), "--rows", "x", "--cols", "n.sim"]) == 1
+    assert capsys.readouterr().err == f"mcgrid: {info.value}\n"  # one line, no traceback
+
+
 def first_difference_by_records(a, b):
     """Reference for do_res_equal: the per-record loop, first differing cell."""
     for i, (ra, rb) in enumerate(zip(a.records, b.records)):
