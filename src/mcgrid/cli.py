@@ -1,7 +1,7 @@
 """Command line front end: run a study grid, tabulate results, plot them.
 
 Exit codes: 0 for a clean run, 2 when the run completed but some sub-jobs
-errored (or dense assembly fell back to raw records), 1 for usage or
+errored (or the values fell back to a raw store), 1 for usage or
 configuration problems.
 
 ``python -m mcgrid --worker`` starts the process backend's zygote, which
@@ -230,7 +230,7 @@ def _load_store(path: str):
     except ValueError as exc:
         raise _UsageError(exc.args[0]) from exc
     if isinstance(res, RawFallback):
-        raise _UsageError(f"results {path!r} hold raw fallback records "
+        raise _UsageError(f"results {path!r} hold a raw fallback "
                           f"({res.diagnostic}); no dense analysis available")
     return res
 

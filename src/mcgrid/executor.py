@@ -57,7 +57,8 @@ standard error (also as its standard output) as they are at the fork; BLAS
 thread settings are read once, at the zygote's start.  The zygote ends at
 end of input on its control socket, killing any worker left (its parent was
 killed); an ``atexit`` hook closes the socket and waits for the zygote, and
-a zygote that is gone is respawned.
+a zygote that is gone is respawned.  A child forked from the parent drops
+its copy of the socket at once and spawns its own zygote when it needs one.
 """
 
 from __future__ import annotations
@@ -80,9 +81,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import registry
-from .results import (Columns, ErrorInfo, RawFallback, ResultStore, SubJobRecord,
-                      _Encoded, assemble, canonical_json, maybe_read, save,
-                      study_fingerprint)
+from .results import (Columns, ErrorInfo, ResultStore, SubJobRecord, _Encoded, assemble,
+                      canonical_json, maybe_read, save, study_fingerprint)
 from .seeding import RngStream, SeedSpec, ambient_stream, seed_for
 from .varlist import VarList, linear_of, mk_grid, non_grid_args, unravel
 
@@ -327,19 +327,22 @@ def ProcessPool(workers: int, block_size: int = 1, load_balancing: bool = True) 
 
 
 _run_active = threading.Lock()
+_NAMED_STUDY = ("a registered or module-level study function (register_study, or a plain "
+                "function addressable as module:name)")
 
 
 def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
               backend: BackendSpec | None = None, cache_path=None,
               keep_seed: bool = False, monitor=None,
-              rep_first: bool = True) -> ResultStore | RawFallback:
+              rep_first: bool = True) -> ResultStore:
     """Run the whole virtual grid and assemble (and optionally persist) results.
 
     When ``cache_path`` names an existing file whose fingerprint matches this
-    study declaration, the persisted results are returned without running
-    anything (``from_cache`` is set on the returned object); a mismatching
-    fingerprint raises CacheInvalidError.  Fresh results are saved to
-    ``cache_path`` when given.  Nested calls are rejected: one live backend
+    study declaration and study, the persisted results are returned without
+    running anything (``from_cache`` is set on the returned object); a
+    mismatching fingerprint raises CacheInvalidError.  Fresh results are
+    saved to ``cache_path`` when given.  A cache needs a study with a name
+    (``registry.study_name``).  Nested calls are rejected: one live backend
     per process.
 
     ``monitor(vidx, record)`` is called once per sub-job, in the calling
@@ -358,9 +361,11 @@ def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
     if problems:
         raise ValueError("; ".join(problems))
 
-    fingerprint = study_fingerprint(vl, rep_first, seed)
+    study = registry.study_name(study_fn)
     if cache_path is not None:
-        cached = maybe_read(cache_path, fingerprint)
+        if study is None:
+            raise ValueError(f"a cache needs {_NAMED_STUDY}")
+        cached = maybe_read(cache_path, study_fingerprint(vl, rep_first, seed, study))
         if cached is not None:
             return cached
 
@@ -380,7 +385,7 @@ def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
         _run_active.release()
 
     created = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    result = assemble(vl, outcomes, rep_first, seed, keep_seed, created)
+    result = assemble(vl, outcomes, rep_first, seed, keep_seed, created, study)
     if cache_path is not None:
         save(result, cache_path)
     return result
@@ -709,6 +714,20 @@ def _stop_zygote() -> None:
         proc.wait()
 
 
+def _forget_zygote() -> None:
+    """In a forked child: let go of the parent's zygote without waiting for
+    it.  The child's copy of the control socket would keep the zygote's input
+    open, and so its end waiting, until the child exits."""
+    global _zygote
+    if _zygote is not None:
+        (proc, control), _zygote = _zygote, None
+        control.close()
+        proc.returncode = 0  # not this process's child: nothing to wait for
+
+
+os.register_at_fork(after_in_child=_forget_zygote)
+
+
 class _Worker:
     """A worker forked by the zygote: ``stdin`` and ``stdout`` are its task
     and result pipes; its pid, then its exit code, come on a status pipe."""
@@ -754,10 +773,7 @@ def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec,
                    monitor) -> Columns:
     study = registry.study_name(ctx.study_fn)
     if study is None:
-        raise ExecutionError(
-            "the process backend needs a registered or module-level study "
-            "function (register_study, or a plain function addressable as "
-            "module:name)")
+        raise ExecutionError(f"the process backend needs {_NAMED_STUDY}")
     for spec in ctx.vl:
         # the canonical form writes an unencodable payload as its display text
         # and a non-finite float as a tagged string: a worker would get both

@@ -10,11 +10,11 @@ replication last).  ``value`` holds the inner dimensions first and NaN where a
 sub-job errored; ``time_ms`` is a float column; errors, warnings are kept
 sparsely by cell; seeds only when a sub-job kept one.  A
 :class:`SubJobRecord` is a view of one sub-job, built on demand.  When the
-study's return shapes are inconsistent the records are kept, in virtual order,
-as a :class:`RawFallback` instead, so results are never lost.
+study's return shapes are inconsistent the store is a :class:`RawFallback`,
+whose ``value`` lists each cell's value instead, so results are never lost.
 
 Persistence is a single self-describing text file (JSON family), tagged
-``mcgrid-result-v2``.  Doubles are written with 17 significant digits (exact
+``mcgrid-result-v3``.  Doubles are written with 17 significant digits (exact
 round-trip), and always as JSON fractions: a whole number keeps a ``.0``
 (``1.0``, ``-0.0``, ``1e+20`` stays as is), so it reads back as a double with
 its sign; NaN and infinities are written as the tagged strings "NaN", "Inf",
@@ -24,14 +24,17 @@ dims), ``time_ms`` (one number per cell), ``errors`` (``[cell, message,
 kind]`` per errored cell), ``warnings`` (``[cell, [messages]]`` per cell that
 warned) and ``seeds`` (one hex string or null per cell, or null when no
 sub-job kept its seed); cells count in store order from 0.  A raw fallback
-file holds ``meta``, ``diagnostic`` and ``records``, one record document per
-sub-job in virtual order.  File bytes are a pure function of the logical
-content.  Files tagged ``mcgrid-result-v1`` (one record document per cell,
-whole numbers written without ``.0``) are still read, never written.
+file has the same keys, with one value (or null) per cell in ``value``, plus
+``diagnostic``.  File bytes are a pure function of the logical content.
+Files tagged ``mcgrid-result-v2`` (whose raw files list one record document
+per sub-job in virtual order) and ``mcgrid-result-v1`` (one record document
+per cell, whole numbers written without ``.0``) are still read, never
+written; as they name no study, they read with the fingerprint of no study.
 
 The study fingerprint is the first 8 bytes (16 hex characters) of SHA-256 over
 the canonical JSON of {"varlist": ..., "n_sim": ..., "rep_first": ...,
-"seed": ...}; independent implementations following this note will agree.
+"seed": ..., "study": ...}, "study" being ``registry.study_name`` of the study
+function or null; independent implementations following this note will agree.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ import numpy as np
 from .seeding import SeedSpec
 from .varlist import VarList, linear_of, mk_grid, unravel
 
-FORMAT_TAG = "mcgrid-result-v2"
+FORMAT_TAG = "mcgrid-result-v3"
+_V2_TAG = "mcgrid-result-v2"
 _V1_TAG = "mcgrid-result-v1"
 
 
@@ -167,9 +171,6 @@ class ErrorInfo:
     message: str
     kind: str
 
-    def doc(self) -> dict:
-        return {"message": self.message, "kind": self.kind}
-
 
 @dataclass(frozen=True)
 class SubJobRecord:
@@ -180,15 +181,6 @@ class SubJobRecord:
     warnings: tuple[str, ...] = ()
     time_ms: float = 0.0
     seed: str | None = None
-
-    def doc(self) -> dict:
-        return {
-            "value": _value_doc(self.value),
-            "error": None if self.error is None else self.error.doc(),
-            "warnings": list(self.warnings),
-            "time_ms": float(self.time_ms),
-            "seed": self.seed,
-        }
 
     @classmethod
     def from_doc(cls, d: dict) -> "SubJobRecord":
@@ -276,13 +268,14 @@ class ResultStore:
 
     def _record(self, cell: int) -> SubJobRecord:
         error = self.errors.get(cell)
-        value = None
-        if error is None:
-            value = self.value[..., cell]
-            value = float(value) if value.ndim == 0 else value.copy()
-        return SubJobRecord(value=value, error=error, warnings=self.warnings.get(cell, ()),
+        return SubJobRecord(value=self._value(cell) if error is None else None, error=error,
+                            warnings=self.warnings.get(cell, ()),
                             time_ms=float(self.time_ms[cell]),
                             seed=None if self.seeds is None else self.seeds[cell])
+
+    def _value(self, cell: int) -> float | np.ndarray:
+        value = self.value[..., cell]
+        return float(value) if value.ndim == 0 else value.copy()
 
     def cell_labels(self, index: int) -> tuple[str, ...]:
         return tuple(labels[k] for (_, labels), k in zip(self.dims, unravel(index, self.sizes)))
@@ -305,34 +298,27 @@ class ResultStore:
         return sum(map(len, self.warnings.values()))
 
 
-@dataclass
-class RawFallback:
-    """Record list kept in execution (virtual) order when dense assembly is
-    impossible; carries the reason in ``diagnostic``."""
+@dataclass(eq=False)
+class RawFallback(ResultStore):
+    """A store whose values do not stack into one array (their shapes
+    differ): ``value`` lists each cell's value, None where the sub-job
+    errored; ``diagnostic`` names the first sub-job whose shape is wrong."""
 
-    records: list[SubJobRecord]
-    meta: StoreMeta
-    diagnostic: str
-    from_cache: bool = field(default=False, compare=False)
+    diagnostic: str = field(kw_only=True)
 
-    @property
-    def n_subjobs(self) -> int:
-        return len(self.records)
-
-    def error_count(self) -> int:
-        return sum(1 for r in self.records if r.error is not None)
-
-    def warning_count(self) -> int:
-        return sum(len(r.warnings) for r in self.records)
+    def _value(self, cell: int) -> float | np.ndarray:
+        return self.value[cell]
 
 
-def study_fingerprint(vl: VarList, rep_first: bool, seed_spec: SeedSpec) -> str:
+def study_fingerprint(vl: VarList, rep_first: bool, seed_spec: SeedSpec, study: str | None) -> str:
+    """The fingerprint of a declaration run by the study named ``study``."""
     import hashlib  # here: a process worker never fingerprints
     doc = {
         "varlist": vl.canonical(),
         "n_sim": vl.n_sim,
         "rep_first": bool(rep_first),
         "seed": seed_spec.canonical(),
+        "study": study,
     }
     digest = hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
     return digest[:16]
@@ -405,13 +391,33 @@ class Columns:
                    warnings={k: tuple(w) for k, w in warnings}, seeds=seeds)
 
 
-def _dense(cols: Columns, inner: tuple[int, ...], virtual) -> dict:
-    """ResultStore fields of store-order columns.
+def _fields(meta: StoreMeta, cols: Columns, dims) -> dict:
+    """The fields, but ``value``, of a store of store-order columns."""
+    return {"dims": dims, "meta": meta, "time_ms": np.array(cols.time_ms, dtype=float),
+            "errors": dict(sorted(cols.errors.items())),
+            "warnings": dict(sorted(cols.warnings.items())), "seeds": cols.seeds}
 
-    Raises ValueError naming, by its virtual index ``virtual(cell)``, the
-    first cell whose value does not have the inner shape."""
+
+def assemble(vl: VarList, outcomes: Columns, rep_first: bool, seed_spec: SeedSpec,
+             keep_seed: bool, created: str, study: str | None = None) -> ResultStore:
+    """Dense store from a run's outcomes, columns in store order, of the study
+    named ``study`` (None when it has no name).
+
+    Every successful value must match the inner-dimension signature of the
+    variable list (scalar when there are no inner variables); otherwise the
+    values are kept, one per cell, in a RawFallback whose diagnostic names
+    the first cell that does not match by its sub-job's virtual index.
+    """
+    n_G, n_sim = mk_grid(vl).n_rows, vl.n_sim
+    if len(outcomes.value) != n_G * n_sim:
+        raise ValueError(f"expected {n_G * n_sim} records, got {len(outcomes.value)}")
+    meta = StoreMeta(varlist=vl, rep_first=rep_first, seed_spec=seed_spec,
+                     keep_seed=keep_seed, created=created,
+                     fingerprint=study_fingerprint(vl, rep_first, seed_spec, study))
+    fields = _fields(meta, outcomes, store_dims(vl))
+    inner = _inner_shape(vl)
     missing = np.full(inner, math.nan)
-    values = [missing if v is None else v for v in cols.value]
+    values = [missing if v is None else v for v in outcomes.value]
     try:
         value = np.array(values, dtype=float)
     except ValueError:  # values of different shapes
@@ -419,69 +425,36 @@ def _dense(cols: Columns, inner: tuple[int, ...], virtual) -> dict:
     if value is None or value.shape[1:] != inner:
         for cell, v in enumerate(values):
             if np.shape(v) != inner:
-                raise ValueError(f"virtual record {virtual(cell)}: value shape {np.shape(v)} "
-                                 f"does not match the inner-dimension signature {inner}")
-    return {"value": np.moveaxis(value, 0, -1),
-            "time_ms": np.array(cols.time_ms, dtype=float),
-            "errors": dict(sorted(cols.errors.items())),
-            "warnings": dict(sorted(cols.warnings.items())),
-            "seeds": cols.seeds}
-
-
-def assemble(vl: VarList, outcomes: Columns, rep_first: bool,
-             seed_spec: SeedSpec, keep_seed: bool, created: str) -> ResultStore | RawFallback:
-    """Dense store from a run's outcomes, columns in store order.
-
-    Every successful value must match the inner-dimension signature of the
-    variable list (scalar when there are no inner variables); otherwise the
-    records are kept, in virtual (execution) order, as a RawFallback.
-    """
-    n_G, n_sim = mk_grid(vl).n_rows, vl.n_sim
-    n = n_G * n_sim
-    if len(outcomes.value) != n:
-        raise ValueError(f"expected {n} records, got {len(outcomes.value)}")
-    meta = StoreMeta(varlist=vl, rep_first=rep_first, seed_spec=seed_spec,
-                     keep_seed=keep_seed, created=created,
-                     fingerprint=study_fingerprint(vl, rep_first, seed_spec))
-
-    def virtual(cell: int) -> int:
-        # the virtual order runs the replication fastest, the store the grid row
-        return cell % n_G * n_sim + cell // n_G if rep_first else cell
-
-    try:
-        columns = _dense(outcomes, _inner_shape(vl), virtual)
-    except ValueError as exc:
-        records = [outcomes.record(cell) for cell in sorted(range(n), key=virtual)]
-        return RawFallback(records=records, meta=meta, diagnostic=str(exc))
-    return ResultStore(dims=store_dims(vl), meta=meta, **columns)
+                virtual = linear_of(cell % n_G, cell // n_G + 1, n_G, n_sim, rep_first)
+                return RawFallback(value=list(outcomes.value), **fields, diagnostic=(
+                    f"virtual record {virtual}: value shape {np.shape(v)} does not match "
+                    f"the inner-dimension signature {inner}"))
+    return ResultStore(value=np.moveaxis(value, 0, -1), **fields)
 
 
 # ---------------------------------------------------------------------------
 # persistence
 
-def _store_doc(res: ResultStore | RawFallback) -> dict:
-    if isinstance(res, ResultStore):
-        return {
-            "format": FORMAT_TAG,
-            "kind": "store",
-            "meta": res.meta.doc(),
-            "dims": [[name, list(labels)] for name, labels in res.dims],
-            "value": _Encoded(f"[{_fmt_floats(res.value.ravel(order='F'))}]"),
-            "time_ms": _Encoded(f"[{_fmt_floats(res.time_ms)}]"),
-            "errors": [[cell, e.message, e.kind] for cell, e in sorted(res.errors.items())],
-            "warnings": [[cell, list(w)] for cell, w in sorted(res.warnings.items())],
-            "seeds": res.seeds,
-        }
-    return {
+def _store_doc(res: ResultStore) -> dict:
+    raw = isinstance(res, RawFallback)
+    doc = {
         "format": FORMAT_TAG,
-        "kind": "raw",
+        "kind": "raw" if raw else "store",
         "meta": res.meta.doc(),
-        "diagnostic": res.diagnostic,
-        "records": [r.doc() for r in res.records],
+        "dims": [[name, list(labels)] for name, labels in res.dims],
+        "value": ([_value_doc(v) for v in res.value] if raw else
+                  _Encoded(f"[{_fmt_floats(res.value.ravel(order='F'))}]")),
+        "time_ms": _Encoded(f"[{_fmt_floats(res.time_ms)}]"),
+        "errors": [[cell, e.message, e.kind] for cell, e in sorted(res.errors.items())],
+        "warnings": [[cell, list(w)] for cell, w in sorted(res.warnings.items())],
+        "seeds": res.seeds,
     }
+    if raw:
+        doc["diagnostic"] = res.diagnostic
+    return doc
 
 
-def save(res: ResultStore | RawFallback, path: str | os.PathLike) -> None:
+def save(res: ResultStore, path: str | os.PathLike) -> None:
     text = canonical_json(_store_doc(res))
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -490,47 +463,59 @@ def save(res: ResultStore | RawFallback, path: str | os.PathLike) -> None:
     os.replace(tmp, path)
 
 
-def load(path: str | os.PathLike) -> ResultStore | RawFallback:
+def _from_records(doc: dict, meta: StoreMeta) -> ResultStore:
+    """A v1 file or a v2 raw file, assembled from its record documents: one
+    per cell, in store order in a v1 store, in virtual order in a raw file."""
+    records = [SubJobRecord.from_doc(d) for d in doc["records"]]
+    n_G, n_sim = mk_grid(meta.varlist).n_rows, meta.varlist.n_sim
+    if len(records) != n_G * n_sim:
+        raise ValueError(f"{len(records)} records for {n_G * n_sim} cells")
+    if doc["kind"] == "raw":
+        records = [records[linear_of(cell % n_G, cell // n_G + 1, n_G, n_sim, meta.rep_first)]
+                   for cell in range(len(records))]
+    return assemble(meta.varlist, Columns.from_records(records), meta.rep_first,
+                    meta.seed_spec, meta.keep_seed, meta.created)
+
+
+def load(path: str | os.PathLike) -> ResultStore:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:  # not JSON, or not UTF-8
             raise ValueError(f"{path}: not a result file ({exc})") from exc
-    if not isinstance(doc, dict) or doc.get("format") not in (FORMAT_TAG, _V1_TAG):
+    if not isinstance(doc, dict) or doc.get("format") not in (FORMAT_TAG, _V2_TAG, _V1_TAG):
         raise ValueError(f"{path}: not a result file (format tag missing)")
     try:
         meta = StoreMeta.from_doc(doc["meta"])
-        if doc["kind"] == "raw" or doc["format"] == _V1_TAG:
-            records = [SubJobRecord.from_doc(d) for d in doc["records"]]
-            if len(records) != (n := mk_grid(meta.varlist).n_rows * meta.varlist.n_sim):
-                raise ValueError(f"{len(records)} records for {n} cells")
-        if doc["kind"] == "raw":
-            return RawFallback(records=records, meta=meta, diagnostic=doc["diagnostic"])
+        raw = doc["kind"] == "raw"
+        if doc["format"] == _V1_TAG or raw and doc["format"] == _V2_TAG:
+            return _from_records(doc, meta)
+        if doc["format"] == _V2_TAG:  # names no study
+            meta = replace(meta, fingerprint=study_fingerprint(
+                meta.varlist, meta.rep_first, meta.seed_spec, None))
         dims = tuple((name, tuple(labels)) for name, labels in doc["dims"])
-        inner = _inner_shape(meta.varlist)
-        if doc["format"] == _V1_TAG:
-            return ResultStore(dims=dims, meta=meta,
-                               **_dense(Columns.from_records(records), inner, lambda cell: cell))
         n = math.prod(len(labels) for _, labels in dims)
-        res = ResultStore(
-            dims=dims, meta=meta,
-            value=np.array(doc["value"], dtype=float).reshape(inner + (n,), order="F"),
-            time_ms=np.array(doc["time_ms"], dtype=float).reshape(n),
-            errors={cell: ErrorInfo(message, kind) for cell, message, kind in doc["errors"]},
-            warnings={cell: tuple(w) for cell, w in doc["warnings"]},
-            seeds=doc["seeds"])
+        # a store's values are read below, as one array
+        cols = Columns.from_doc([doc["value"] if raw else [], doc["time_ms"], doc["errors"],
+                                 doc["warnings"], doc["seeds"]])
         # the sparse entries only: a check per cell would cost as much as the load
-        if not all(type(cell) is int and 0 <= cell < n for cell in [*res.errors, *res.warnings]):
+        if not all(type(cell) is int and 0 <= cell < n for cell in [*cols.errors, *cols.warnings]):
             raise ValueError(f"an error or warning cell outside [0, {n})")
-        if res.seeds is not None and len(res.seeds) != n:
-            raise ValueError(f"{len(res.seeds)} seeds for {n} cells")
-        return res
+        seeds = cols.time_ms if cols.seeds is None else cols.seeds
+        if {len(cols.time_ms), len(seeds), len(cols.value) if raw else n} != {n}:
+            raise ValueError(f"a time, value or seed column not of {n} cells")
+        if raw:
+            return RawFallback(value=cols.value, diagnostic=doc["diagnostic"],
+                               **_fields(meta, cols, dims))
+        value = np.array(doc["value"], dtype=float)
+        return ResultStore(value=value.reshape(_inner_shape(meta.varlist) + (n,), order="F"),
+                           **_fields(meta, cols, dims))
     except (KeyError, TypeError, IndexError, AttributeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed result file ({exc!r})") from exc
 
 
 def maybe_read(path: str | os.PathLike,
-               expected_fingerprint: str | None = None) -> ResultStore | RawFallback | None:
+               expected_fingerprint: str | None = None) -> ResultStore | None:
     """Load a previous run's results if present.
 
     Returns None when the file does not exist.  When an expected fingerprint
@@ -545,8 +530,7 @@ def maybe_read(path: str | os.PathLike,
             f"{path}: fingerprint {res.meta.fingerprint} does not match the "
             f"requested study ({expected_fingerprint}); delete the file or "
             f"point the run elsewhere")
-    res = replace(res, from_cache=True)
-    return res
+    return replace(res, from_cache=True)
 
 
 # ---------------------------------------------------------------------------
@@ -584,15 +568,15 @@ def _record_difference(ra: SubJobRecord, rb: SubJobRecord) -> str | None:
     return None
 
 
-def do_res_equal(a: ResultStore | RawFallback, b: ResultStore | RawFallback) -> ResComparison:
-    """Compare two results: dims, values (exact), errors, warnings, seeds.
+def do_res_equal(a: ResultStore, b: ResultStore) -> ResComparison:
+    """Compare two results: kind, dims, values (exact), errors, warnings, seeds.
 
     Timing fields and creation stamps are ignored.  The report names the first
-    differing cell.
+    differing cell by its labels.
     """
     if type(a) is not type(b):
         return ResComparison(f"kind differs: {type(a).__name__} vs {type(b).__name__}")
-    if isinstance(a, ResultStore) and a.dims != b.dims:
+    if a.dims != b.dims:
         return ResComparison(f"dims differ: {a.dims} vs {b.dims}")
     if a.meta.fingerprint != b.meta.fingerprint:
         return ResComparison(
@@ -600,14 +584,12 @@ def do_res_equal(a: ResultStore | RawFallback, b: ResultStore | RawFallback) -> 
     if a.n_subjobs != b.n_subjobs:
         return ResComparison(f"record count differs: {a.n_subjobs} vs {b.n_subjobs}")
 
-    if (isinstance(a, ResultStore) and a.errors == b.errors and a.warnings == b.warnings
+    if (not isinstance(a, RawFallback) and a.errors == b.errors and a.warnings == b.warnings
             and a.seeds == b.seeds and np.array_equal(a.value, b.value, equal_nan=True)):
         return ResComparison(None)
     for i, (ra, rb) in enumerate(zip(a.records, b.records)):
         difference = _record_difference(ra, rb)
         if difference is not None:
-            if isinstance(a, RawFallback):
-                return ResComparison(f"virtual record {i}: {difference}")
             where = ", ".join(f"{name}={lab}"
                               for (name, _), lab in zip(a.dims, a.cell_labels(i)))
             return ResComparison(f"cell ({where}): {difference}")

@@ -300,16 +300,17 @@ def random_store(rng: random.Random, force_kind: str | None = None):
 
 def v1_stores() -> dict:
     """Small fixed stores whose format-v1 files ``tests/data/v1-<name>.json``
-    were written by the last v1 ``save`` (commit 0e812d0), and whose v2 files
+    were written by the last v1 ``save`` (commit 0e812d0), whose v2 files
     ``tests/data/v2-<name>.json`` by the v2 ``save`` before ``assemble`` took
-    columns only; the tests load those files and compare them with these
-    stores, and save these stores to the v2 bytes.  Each store's records are
-    listed in virtual order and assembled as columns in store order.
+    columns only, and whose v3 files ``tests/data/v3-<name>.json`` by the v3
+    ``save``; the tests load those files and compare them with these stores,
+    and save these stores to the v3 bytes.  Each store's records are listed
+    in virtual order and assembled as columns in store order.
 
     * ``store``: inner dim, rep-first, errors, ordered warnings, NaN/±Inf and
       whole-number values, kept seeds;
     * ``scalar``: no inner dim, row-first, a frozen payload, no seeds;
-    * ``raw``: a value of the wrong shape, kept as a RawFallback;
+    * ``raw``: a value of the wrong shape, which makes it a RawFallback;
     * ``float_levels``: float grid levels 1.0 and 2.5, whose fingerprint the
       v2 number format changes.
     """

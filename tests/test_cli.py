@@ -152,6 +152,19 @@ class TestRun:
         assert main(["run", str(p2), "--out", str(out)]) == 1
         assert capsys.readouterr().err.count("delete the file") == 1
 
+    def test_other_study_invalidates_cache(self, capsys, tmp_path):
+        out = tmp_path / "res.json"
+        assert main(["run", str(write_config(tmp_path / "c.json")), "--out", str(out)]) == 0
+        saved = out.read_bytes()
+        capsys.readouterr()
+        other = write_config(tmp_path / "c2.json", study="test_cli:cli_erroring_study")
+        assert main(["run", str(other), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"mcgrid: --out {str(out)!r}: {out}: fingerprint ")
+        assert captured.err.count("\n") == 1 and "delete the file" in captured.err
+        assert out.read_bytes() == saved
+
     def test_run_with_errors_exits_2(self, capsys, tmp_path):
         p = write_config(tmp_path / "c.json", study="test_cli:cli_erroring_study")
         out = tmp_path / "res.json"

@@ -41,18 +41,38 @@ except ImportError:  # not a POSIX system: test_minimum_pipe_capacity skips
     fcntl = None
 
 
-@pytest.fixture
-def forked(monkeypatch):
-    """The parent-side handle of every worker the zygote forks in the test."""
-    seen = []
+def _fork_spy(seen: list):
+    """``_Worker.fork`` that also lists each worker it forks in ``seen``."""
     fork = executor._Worker.fork
 
     def spy(self, control):
         seen.append(self)
         fork(self, control)
 
-    monkeypatch.setattr(executor._Worker, "fork", spy)
+    return spy
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The parent-side handle of every worker the zygote forks in the test."""
+    seen = []
+    monkeypatch.setattr(executor._Worker, "fork", _fork_spy(seen))
     return seen
+
+
+def _in_child(scenario: str, *args, timeout: float = 60) -> None:
+    """Run ``scenario(*args)``, a function of this module, in a fresh
+    interpreter with this one's warning options, and fail when it fails,
+    leaves an exception unraisable, or takes over ``timeout`` seconds: a
+    pool that a broken kill leaves waiting fails the test instead of hanging
+    it (a run waits for every worker's exit code, even after an interrupt)."""
+    flags = [f"-W{w}" for w in sys.warnoptions] + (["-X", "dev"] if sys.flags.dev_mode else [])
+    code = f"import test_executor\ntest_executor.{scenario}(*{args!r})"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, *flags, "-c", code], cwd=os.path.dirname(__file__),
+                          env=env, capture_output=True, text=True, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    assert "Exception ignored" not in proc.stderr, proc.stderr
 
 
 class TestDoCallWe:
@@ -653,19 +673,8 @@ class TestProcessBackend:
         with pytest.raises(ExecutionError):
             run_study(vl, lambda p, r, w: 1.0, backend=ProcessPool(2))
 
-    def test_dead_worker_stops_the_pool(self, tmp_path, forked):
-        log = tmp_path / "subjobs.log"
-        vl = VarList([VarSpec("n.sim", "N", 200), VarSpec("x", "grid", (3, 4, 5)),
-                      VarSpec("paths", "frozen", {"log": str(log), "sleep": 0.01,
-                                                  "marker": str(tmp_path / "died")})])
-        with pytest.raises(ExecutionError, match="died mid-run"):
-            run_study(vl, dying_study, backend=ProcessPool(2))
-        # 60 sub-jobs of the surviving worker take 0.6 s; a pool that does
-        # not stop logs all 600
-        assert len(log.read_text().splitlines()) < 60
-        assert len(forked) == 2
-        # the one that died exits 3, the other is killed; both exit codes read
-        assert sorted(w.returncode for w in forked) == [-signal.SIGKILL, 3]
+    def test_dead_worker_stops_the_pool(self, tmp_path):
+        _in_child("_dead_worker_stops_the_pool", str(tmp_path))
 
     def test_worker_pipes_are_closed(self, tmp_path):
         vl = VarList([VarSpec("n.sim", "N", 200), VarSpec("x", "grid", (3, 4, 5)),
@@ -733,23 +742,47 @@ class TestProcessBackend:
         assert "chatty: x=3" in capfd.readouterr().err  # workers' prints go to stderr
 
 
+def _dead_worker_stops_the_pool(tmp: str) -> None:
+    forked = []
+    executor._Worker.fork = _fork_spy(forked)
+    log = os.path.join(tmp, "subjobs.log")
+    vl = VarList([VarSpec("n.sim", "N", 200), VarSpec("x", "grid", (3, 4, 5)),
+                  VarSpec("paths", "frozen", {"log": log, "sleep": 0.01,
+                                              "marker": os.path.join(tmp, "died")})])
+    with pytest.raises(ExecutionError, match="died mid-run"):
+        run_study(vl, dying_study, backend=ProcessPool(2))
+    # 60 sub-jobs of the surviving worker take 0.6 s; a pool that does
+    # not stop logs all 600
+    with open(log, encoding="utf-8") as fh:
+        assert len(fh.read().splitlines()) < 60
+    assert len(forked) == 2
+    # the one that died exits 3, the other is killed; both exit codes read
+    assert sorted(w.returncode for w in forked) == [-signal.SIGKILL, 3]
+
+
 @pytest.mark.parametrize("backend", [ThreadPool(2), ProcessPool(2)])
-def test_interrupt_stops_every_slot(tmp_path, forked, backend):
-    log = tmp_path / "subjobs.log"
+def test_interrupt_stops_every_slot(tmp_path, backend):
+    _in_child("_interrupt_stops_every_slot", str(tmp_path), backend.kind)
+
+
+def _interrupt_stops_every_slot(tmp: str, kind: str) -> None:
+    forked = []
+    executor._Worker.fork = _fork_spy(forked)
+    log = os.path.join(tmp, "subjobs.log")
     vl = VarList([VarSpec("n.sim", "N", 500), VarSpec("x", "grid", (3, 4)),
-                  VarSpec("ctl", "frozen", {"log": str(log), "pid": os.getpid(),
-                                            "marker": str(tmp_path / "sent")})])
+                  VarSpec("ctl", "frozen", {"log": log, "pid": os.getpid(),
+                                            "marker": os.path.join(tmp, "sent")})])
     previous = signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         with pytest.raises(KeyboardInterrupt):
-            run_study(vl, interrupting_study, backend=backend)
+            run_study(vl, interrupting_study, backend=executor.BackendSpec(kind, 2))
     finally:
         signal.signal(signal.SIGINT, previous)
-    done = log.stat().st_size
+    done = os.path.getsize(log)
     time.sleep(0.3)
-    assert log.stat().st_size == done < 200  # of 1,000 sub-jobs
+    assert os.path.getsize(log) == done < 200  # of 1,000 sub-jobs
     assert not [t for t in threading.enumerate() if t.name.startswith("mcgrid-slot")]
-    assert len(forked) == (2 if backend.kind == "processes" else 0)
+    assert len(forked) == (2 if kind == "processes" else 0)
     assert all(w.returncode == -signal.SIGKILL for w in forked)  # killed, exit codes read
 
 
@@ -848,6 +881,42 @@ class TestZygote:
         assert executor._zygote[0] is zygote  # one zygote throughout
 
 
+    def test_a_forked_child_leaves_the_zygote_to_its_parent(self):
+        _in_child("_forked_child_leaves_the_zygote")
+
+
+def _forked_child_leaves_the_zygote() -> None:
+    # the child holds on for 2 s, then runs the study on a zygote of its own;
+    # the parent ends its zygote meanwhile, which the child's copy of the
+    # control socket would delay until the child let go of it
+    vl = tiny_varlist(n_sim=4)
+    want = run_study(vl, poly_noisy, keep_seed=True, backend=ProcessPool(2))
+    ready_r, ready_w = os.pipe()
+    done_r, done_w = os.pipe()
+    if (pid := os.fork()) == 0:
+        code = 1
+        try:
+            os.write(ready_w, b"r")
+            time.sleep(2)
+            res = run_study(vl, poly_noisy, keep_seed=True, backend=ProcessPool(2))
+            executor._stop_zygote()
+            os.write(done_w, b"=" if do_res_equal(want, res) else b"!")
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(ready_w)
+    os.close(done_w)
+    assert os.read(ready_r, 1) == b"r"
+    started = time.monotonic()
+    executor._stop_zygote()
+    stopped = time.monotonic() - started
+    assert os.read(done_r, 1) == b"="  # the child's store equals the parent's
+    assert os.waitpid(pid, 0)[1] == 0
+    assert stopped < 1.0, f"the parent's zygote took {stopped:.2f} s to end"
+    os.close(ready_r)
+    os.close(done_r)
+
+
 def test_interrupt_does_not_wait_for_tasks_in_flight(tmp_path):
     # sub-jobs of 0.3 s: the interrupted worker's task of 8 blocks would run
     # for 2 s more, but the parent kills the workers instead of waiting
@@ -904,7 +973,13 @@ def test_monitor_sees_every_subjob_in_the_calling_process(backend):
 
 
 @pytest.mark.parametrize("backend", [ThreadPool(2), ProcessPool(2)])
-def test_failed_slot_stops_the_pool(forked, backend):
+def test_failed_slot_stops_the_pool(backend):
+    _in_child("_failed_slot_stops_the_pool", backend.kind)
+
+
+def _failed_slot_stops_the_pool(kind: str) -> None:
+    forked = []
+    executor._Worker.fork = _fork_spy(forked)
     calls = []
     lock = threading.Lock()
 
@@ -917,9 +992,9 @@ def test_failed_slot_stops_the_pool(forked, backend):
 
     vl = scalar_varlist(n_sim=200)
     with pytest.raises(ExecutionError, match="monitor broke"):
-        run_study(vl, square_study, backend=backend, monitor=monitor)
+        run_study(vl, square_study, backend=executor.BackendSpec(kind, 2), monitor=monitor)
     assert len(calls) < 60  # of 600 sub-jobs
-    assert len(forked) == (2 if backend.kind == "processes" else 0)
+    assert len(forked) == (2 if kind == "processes" else 0)
     assert all(w.returncode == -signal.SIGKILL for w in forked)  # killed, exit codes read
 
 
@@ -1022,17 +1097,18 @@ def test_raw_fallback_is_the_same_on_every_backend(rep_first):
         assert res.diagnostic == (f"virtual record {first_ragged}: value shape (2,) does "
                                   "not match the inner-dimension signature ()")
         assert res.n_subjobs == 12
-        for linear, rec in enumerate(res.records):  # in virtual order
-            vidx = virtual_index(linear, 3, 4, rep_first)
-            x = (3, 4, 5)[vidx.row]
-            u = RngStream.from_state(seed_for(spec, vidx.rep)).uniform()
-            assert rec.seed == seed_for(spec, vidx.rep).to_hex()
-            assert rec.warnings == (("three",) if x == 3 else ())
-            if x == 5:
-                assert rec.error == ErrorInfo("five", "ValueError") and rec.value is None
-            else:
-                assert rec.error is None
-                assert np.array_equal(rec.value, [4, u] if x == 4 else 3 + u)
+        for row in range(3):
+            for rep in range(1, 5):
+                rec = res.record(row, rep)
+                x = (3, 4, 5)[row]
+                u = RngStream.from_state(seed_for(spec, rep)).uniform()
+                assert rec.seed == seed_for(spec, rep).to_hex()
+                assert rec.warnings == (("three",) if x == 3 else ())
+                if x == 5:
+                    assert rec.error == ErrorInfo("five", "ValueError") and rec.value is None
+                else:
+                    assert rec.error is None
+                    assert np.array_equal(rec.value, [4, u] if x == 4 else 3 + u)
         cmp = do_res_equal(stores[0], res)
         assert cmp, cmp.report
 
@@ -1049,7 +1125,7 @@ def test_monitor_records_equal_the_stored_ones(backend):
 
     res = run_study(vl, coin_study, keep_seed=True, backend=backend, monitor=monitor,
                     rep_first=False)
-    assert isinstance(res, ResultStore) and res.error_count() and res.warning_count()
+    assert type(res) is ResultStore and res.error_count() and res.warning_count()
     # errors and warnings also fall in the later blocks of multi-block tasks,
     # where a process worker's result frame holds them at an offset
     blocks = partition_blocks(3, 8, backend.block_size, False)

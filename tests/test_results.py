@@ -22,8 +22,13 @@ from mcgrid import (CacheInvalidError, RawFallback, ResultStore, SeedSpec,
                     do_res_equal, load, maybe_read, run_study, save,
                     study_fingerprint)
 from mcgrid.results import Columns, ErrorInfo, _fmt_floats, _parse_value
+from mcgrid.var_copula import probe_first_uniform
 
 DATA = Path(__file__).parent / "data"
+
+
+def never_study(params, rng, warn):
+    raise AssertionError("a cache hit or a refused cache runs nothing")
 
 
 class TestCanonicalJson:
@@ -118,20 +123,22 @@ class TestAssemble:
         assert [r.value for r in store.records] == [float(i) for i in range(6)]
 
     def test_row_first_virtual_order(self):
-        # the store is the same under either virtual order; a raw fallback
-        # lists its records in the virtual order: rep-first row*2 + rep-1,
-        # row-first (rep-1)*3 + row
+        # the store is the same under either virtual order, and so is a raw
+        # fallback's; its diagnostic names store cell 1 (row 1, rep 1) by its
+        # virtual index: rep-first row*2 + rep-1, row-first (rep-1)*3 + row
         vl = scalar_varlist(n_sim=2)
-        values = [np.array([1.0, 2.0]), *map(float, range(1, 6))]
-        for rep_first, order in ((True, [3, 1, 4, 2, 5]), (False, [1, 2, 3, 4, 5])):
+        values = [0.0, np.array([1.0, 2.0]), *map(float, range(2, 6))]
+        for rep_first, virtual in ((True, 2), (False, 1)):
             store = assemble(vl, columns([float(i) for i in range(6)]), rep_first=rep_first,
                              seed_spec=SeedSpec.seq(), keep_seed=False, created="t")
             assert store.value.tolist() == [float(i) for i in range(6)]
             raw = assemble(vl, columns(values), rep_first=rep_first, seed_spec=SeedSpec.seq(),
                            keep_seed=False, created="t")
             assert isinstance(raw, RawFallback)
-            assert raw.diagnostic.startswith("virtual record 0:")
-            assert [r.value for r in raw.records[1:]] == [float(cell) for cell in order]
+            assert raw.diagnostic.startswith(f"virtual record {virtual}:")
+            assert [np.shape(r.value) for r in raw.records] == [(), (2,), (), (), (), ()]
+            assert [r.value for r in raw.records[2:]] == [2.0, 3.0, 4.0, 5.0]
+            assert raw.record(1, 1).value.tolist() == [1.0, 2.0]
 
     def test_record_rejects_out_of_range_cells(self):
         vl = VarList([VarSpec("n.sim", "N", 3), VarSpec("x", "grid", (1, 2))])
@@ -162,8 +169,8 @@ class TestAssemble:
                              warnings=(), time_ms=0.0, seed=None)]
         recs += [SubJobRecord(value=2.0, error=None, warnings=(), time_ms=0.0,
                               seed=None)] * 2
-        assert isinstance(assemble(vl, Columns.from_records(recs), True, SeedSpec.seq(), False,
-                                   "t"), ResultStore)
+        assert type(assemble(vl, Columns.from_records(recs), True, SeedSpec.seq(), False,
+                             "t")) is ResultStore
 
     def test_wrong_record_count_rejected(self):
         with pytest.raises(ValueError, match="expected 6 records, got 5"):
@@ -173,16 +180,18 @@ class TestAssemble:
 class TestFingerprint:
     def test_stable_across_calls(self):
         vl = tiny_varlist()
-        f1 = study_fingerprint(vl, True, SeedSpec.seq())
-        f2 = study_fingerprint(vl, True, SeedSpec.seq())
+        f1 = study_fingerprint(vl, True, SeedSpec.seq(), "poly")
+        f2 = study_fingerprint(vl, True, SeedSpec.seq(), "poly")
         assert f1 == f2 and len(f1) == 16
 
     def test_sensitive_to_every_input(self):
         vl = tiny_varlist()
-        base = study_fingerprint(vl, True, SeedSpec.seq())
-        assert study_fingerprint(vl, False, SeedSpec.seq()) != base
-        assert study_fingerprint(vl, True, SeedSpec.none_reseed()) != base
-        assert study_fingerprint(vl.with_n_sim(5), True, SeedSpec.seq()) != base
+        base = study_fingerprint(vl, True, SeedSpec.seq(), "poly")
+        assert study_fingerprint(vl, False, SeedSpec.seq(), "poly") != base
+        assert study_fingerprint(vl, True, SeedSpec.none_reseed(), "poly") != base
+        assert study_fingerprint(vl.with_n_sim(5), True, SeedSpec.seq(), "poly") != base
+        assert study_fingerprint(vl, True, SeedSpec.seq(), "poly-noisy") != base
+        assert study_fingerprint(vl, True, SeedSpec.seq(), None) != base
 
 
 class TestPersistence:
@@ -216,14 +225,15 @@ class TestPersistence:
 
     @given(st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_v2_roundtrip_random_store(self, seed, raw):
+    def test_v3_roundtrip_random_store(self, seed, raw):
         res = random_store(random.Random(seed), force_kind="raw" if raw else None)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "s.json")
             save(res, path)
             with open(path, encoding="utf-8") as fh:
-                assert json.load(fh)["format"] == "mcgrid-result-v2"
+                assert json.load(fh)["format"] == "mcgrid-result-v3"
             back = load(path)
+        assert type(back) is type(res) and back.dims == res.dims
         cmp = do_res_equal(res, back)
         assert cmp, cmp.report
         for a, b in zip(res.records, back.records):
@@ -245,13 +255,22 @@ class TestPersistence:
         path = tmp_path / "raw.json"
         save(random_store(random.Random(7), force_kind="raw"), path)
         raw = json.loads(path.read_text())
-        raw["records"][0] = 5
-        for doc in ({"format": "mcgrid-result-v2"}, {"format": "mcgrid-result-v2", "meta": 5},
-                    raw):
+        n = len(raw["value"])
+        bad_value = dict(raw, value=[{}] + raw["value"][1:])
+        short = dict(raw, value=raw["value"][1:])
+        long = dict(raw, value=raw["value"] + [1.0])
+        error_outside = dict(raw, errors=raw["errors"] + [[n, "boom", "E"]])
+        warning_outside = dict(raw, warnings=[[-1, ["w"]]])
+        no_diagnostic = {k: v for k, v in raw.items() if k != "diagnostic"}
+        for doc, cause in (({"format": "mcgrid-result-v3"}, KeyError),
+                           ({"format": "mcgrid-result-v2", "meta": 5}, TypeError),
+                           (bad_value, TypeError), (short, ValueError), (long, ValueError),
+                           (error_outside, ValueError), (warning_outside, ValueError),
+                           (no_diagnostic, KeyError)):
             path.write_text(json.dumps(doc))
             with pytest.raises(ValueError, match="malformed result file") as info:
                 load(path)
-            assert isinstance(info.value.__cause__, (KeyError, TypeError, AttributeError))
+            assert isinstance(info.value.__cause__, cause)
 
     def test_files_that_are_not_json_are_value_errors(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -299,9 +318,31 @@ class TestPersistence:
         with pytest.raises(CacheInvalidError):
             run_study(vl.with_n_sim(3), square_study, cache_path=path)
 
+    def test_another_study_on_the_same_cache_file_is_refused(self, tmp_path):
+        path = tmp_path / "cache.json"
+        vl = scalar_varlist(2)
+        first = run_study(vl, probe_first_uniform, cache_path=path)
+        with pytest.raises(CacheInvalidError):
+            run_study(vl, square_study, cache_path=path)
+        cmp = do_res_equal(first, load(path))
+        assert cmp, cmp.report
+
+    def test_a_cache_needs_a_named_study(self, tmp_path):
+        path = tmp_path / "cache.json"
+        ran = []
+
+        def nameless(params, rng, warn):
+            ran.append(params["x"])
+            return 1.0
+
+        with pytest.raises(ValueError, match="a cache needs a registered or module-level"):
+            run_study(scalar_varlist(2), nameless, cache_path=path)
+        assert ran == [] and not path.exists()
+        assert run_study(scalar_varlist(2), nameless).n_subjobs == 6  # without a cache it runs
+
 
 class TestFormatV1:
-    """Files written by the v1 writer still load, and still hit the cache."""
+    """Files written by the v1 writer still load, and never serve as a cache."""
 
     @pytest.mark.parametrize("name", ["store", "scalar", "raw"])
     def test_v1_file_equals_store_and_resaves_as_v2(self, name, tmp_path):
@@ -315,22 +356,21 @@ class TestFormatV1:
                                                               want.meta.fingerprint)
         if isinstance(want, RawFallback):
             assert back.diagnostic == want.diagnostic
-        save(back, tmp_path / "v2.json")
-        assert json.loads((tmp_path / "v2.json").read_text())["format"] == "mcgrid-result-v2"
-        cmp = do_res_equal(want, load(tmp_path / "v2.json"))
+        save(back, tmp_path / "v3.json")
+        assert json.loads((tmp_path / "v3.json").read_text())["format"] == "mcgrid-result-v3"
+        cmp = do_res_equal(want, load(tmp_path / "v3.json"))
         assert cmp, cmp.report
 
-    def test_matching_v1_file_is_a_cache_hit(self, tmp_path):
+    def test_matching_v1_file_is_not_a_cache_hit(self, tmp_path):
+        # a file written before v3 names no study, so it matches no run's cache
         want = v1_stores()["store"]
-        path = tmp_path / "cache.json"
-        shutil.copy(DATA / "v1-store.json", path)
-
-        def never(params, rng, warn):
-            raise AssertionError("a cache hit runs nothing")
-
-        res = run_study(want.meta.varlist, never, cache_path=path, keep_seed=True)
-        assert res.from_cache
-        assert do_res_equal(want, res)
+        for name in ("v1-store", "v2-store"):
+            path = tmp_path / f"{name}.json"
+            shutil.copy(DATA / f"{name}.json", path)
+            with pytest.raises(CacheInvalidError):
+                run_study(want.meta.varlist, never_study, cache_path=path, keep_seed=True)
+            cmp = do_res_equal(want, load(path))
+            assert cmp, cmp.report
 
     def test_whole_float_levels_invalidate_a_v1_cache(self):
         # v1 wrote the level 1.0 as 1, so its fingerprint hashed other text
@@ -340,17 +380,28 @@ class TestFormatV1:
         assert load(DATA / "v1-float_levels.json").value.tolist() == want.value.tolist()
 
 
+def masked(path) -> str:
+    """A result file's document without its format tag and fingerprint,
+    re-encoded canonically (which keeps -0.0 apart from 0.0)."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc["format"] = doc["meta"]["fingerprint"] = None
+    return canonical_json(doc)
+
+
 class TestFormatV2:
     """``tests/data/v2-<name>.json`` were saved from ``v1_stores()`` by the v2
     writer while ``assemble`` still took records in virtual order."""
 
     @pytest.mark.parametrize("name", ["store", "scalar", "raw", "float_levels"])
     def test_stores_built_from_columns_save_the_golden_bytes(self, name, tmp_path):
+        # a v2 file loads as its store, which saves the v2 document again but
+        # for the tag and the fingerprint; a raw file now keeps columns
         want = v1_stores()[name]
-        save(want, tmp_path / "v2.json")
-        assert (tmp_path / "v2.json").read_bytes() == (DATA / f"v2-{name}.json").read_bytes()
         cmp = do_res_equal(want, load(DATA / f"v2-{name}.json"))
         assert cmp, cmp.report
+        save(want, tmp_path / "v3.json")
+        if name != "raw":
+            assert masked(tmp_path / "v3.json") == masked(DATA / f"v2-{name}.json")
 
     EDITS = {
         "error-cell-99": lambda doc: doc["errors"].append([99, "boom", "E"]),
@@ -373,6 +424,38 @@ class TestFormatV2:
         with pytest.raises(ValueError) as info:
             load(path)
         assert str(info.value).startswith(f"{path}: malformed result file (")
+
+
+class TestFormatV3:
+    """``tests/data/v3-<name>.json`` were saved from ``v1_stores()`` by the v3
+    writer."""
+
+    @pytest.mark.parametrize("name", ["store", "scalar", "raw", "float_levels"])
+    def test_save_reproduces_the_golden_bytes(self, name, tmp_path):
+        want = v1_stores()[name]
+        save(want, tmp_path / "v3.json")
+        assert (tmp_path / "v3.json").read_bytes() == (DATA / f"v3-{name}.json").read_bytes()
+        back = load(DATA / f"v3-{name}.json")
+        cmp = do_res_equal(want, back)
+        assert cmp, cmp.report
+        assert [r.time_ms for r in back.records] == [r.time_ms for r in want.records]
+
+    @pytest.mark.parametrize("name", ["store", "scalar", "float_levels"])
+    def test_store_files_differ_from_v2_only_in_tag_and_fingerprint(self, name):
+        assert masked(DATA / f"v3-{name}.json") == masked(DATA / f"v2-{name}.json")
+        # v3 hashes the study (here none) into the fingerprint
+        assert load(DATA / f"v3-{name}.json").meta.fingerprint != \
+            json.loads((DATA / f"v2-{name}.json").read_text())["meta"]["fingerprint"]
+
+    def test_raw_file_keeps_the_store_columns(self):
+        doc = json.loads((DATA / "v3-raw.json").read_text(encoding="utf-8"))
+        store = json.loads((DATA / "v3-scalar.json").read_text(encoding="utf-8"))
+        assert list(doc) == list(store) + ["diagnostic"]
+        assert doc["kind"] == "raw" and doc["dims"] == store["dims"]
+        # one value per cell in store order, null where the sub-job errored
+        assert doc["value"] == [0.0, [1.0, 2.0], None, 1.5, 4.5, 7.5]
+        assert doc["errors"] == [[2, "boom", "RuntimeError"]]
+        assert doc["warnings"] == [[1, ["odd shape"]]]
 
 
 @pytest.mark.parametrize("name", ["v1-scalar", "v2-raw"])
