@@ -376,7 +376,7 @@ def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
         ctx = _RunContext(vl, rep_first, seed, keep_seed, study_fn)
         blocks = partition_blocks(ctx.n_G, ctx.n_sim, backend.block_size, rep_first)
         if backend.kind == "processes":
-            outcomes = _run_processes(ctx, blocks, backend, monitor)
+            outcomes = _run_processes(ctx, blocks, backend, study, monitor)
         else:
             slots = 1 if backend.kind == "sequential" else backend.workers
             outcomes = _run_pool(ctx, blocks, backend.load_balancing,
@@ -770,8 +770,7 @@ class _Worker:
 
 
 def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec,
-                   monitor) -> Columns:
-    study = registry.study_name(ctx.study_fn)
+                   study: str | None, monitor) -> Columns:
     if study is None:
         raise ExecutionError(f"the process backend needs {_NAMED_STUDY}")
     for spec in ctx.vl:

@@ -24,8 +24,8 @@ dims), ``time_ms`` (one number per cell), ``errors`` (``[cell, message,
 kind]`` per errored cell), ``warnings`` (``[cell, [messages]]`` per cell that
 warned) and ``seeds`` (one hex string or null per cell, or null when no
 sub-job kept its seed); cells count in store order from 0.  A raw fallback
-file has the same keys, with one value (or null) per cell in ``value``, plus
-``diagnostic``.  File bytes are a pure function of the logical content.
+file adds ``diagnostic``; its ``value`` has one entry per cell, null exactly
+at the errored cells.  File bytes are a pure function of the logical content.
 Files tagged ``mcgrid-result-v2`` (whose raw files list one record document
 per sub-job in virtual order) and ``mcgrid-result-v1`` (one record document
 per cell, whole numbers written without ``.0``) are still read, never
@@ -504,6 +504,8 @@ def load(path: str | os.PathLike) -> ResultStore:
         seeds = cols.time_ms if cols.seeds is None else cols.seeds
         if {len(cols.time_ms), len(seeds), len(cols.value) if raw else n} != {n}:
             raise ValueError(f"a time, value or seed column not of {n} cells")
+        if raw and any((v is None) != (c in cols.errors) for c, v in enumerate(cols.value)):
+            raise ValueError("a raw value null at a cell without an error, or set at one with")
         if raw:
             return RawFallback(value=cols.value, diagnostic=doc["diagnostic"],
                                **_fields(meta, cols, dims))

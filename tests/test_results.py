@@ -262,11 +262,18 @@ class TestPersistence:
         error_outside = dict(raw, errors=raw["errors"] + [[n, "boom", "E"]])
         warning_outside = dict(raw, warnings=[[-1, ["w"]]])
         no_diagnostic = {k: v for k, v in raw.items() if k != "diagnostic"}
+        ok = next(c for c in range(n) if c not in {e[0] for e in raw["errors"]})
+        null_without_error = dict(raw, value=[None if c == ok else v
+                                              for c, v in enumerate(raw["value"])])
+        set_at_error = dict(raw, errors=raw["errors"] + [[ok, "boom", "E"]])
+        v2_raw = json.loads((DATA / "v2-raw.json").read_text())
+        v2_raw["records"][0] = 5
         for doc, cause in (({"format": "mcgrid-result-v3"}, KeyError),
                            ({"format": "mcgrid-result-v2", "meta": 5}, TypeError),
                            (bad_value, TypeError), (short, ValueError), (long, ValueError),
                            (error_outside, ValueError), (warning_outside, ValueError),
-                           (no_diagnostic, KeyError)):
+                           (no_diagnostic, KeyError), (null_without_error, ValueError),
+                           (set_at_error, ValueError), (v2_raw, AttributeError)):
             path.write_text(json.dumps(doc))
             with pytest.raises(ValueError, match="malformed result file") as info:
                 load(path)
