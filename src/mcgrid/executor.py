@@ -8,15 +8,16 @@ interleaves rows within a replication (linear = (rep - 1) * n_G + row).
 Work is partitioned into blocks of ``block_size`` consecutive replications of
 a single grid row (``block_size`` must divide ``n_sim``), and the blocks into
 tasks, runs of consecutive blocks (guided self-scheduling: each task takes
-``ceil(remaining / (2 * slots))`` blocks, at most 8, so the tail is single
-blocks).  Task composition depends only on the block list and the slot count,
-never on timing.  One scheduler hands the tasks to slots: the calling thread
-(sequential), one thread per slot (thread pool), or one thread per forked
-worker process, whose main thread runs the same slot behind a frame protocol
-on its task and result pipes.  With load balancing (default) tasks are
-pulled from a shared queue as slots become free; without it they are
-pre-assigned round-robin.  Either way the assembled results are identical for
-deterministic studies; only timing fields may differ.  Once any slot fails,
+``ceil(remaining / (2 * slots))`` blocks, no more than hold 64 sub-jobs and
+at least one, so the tail is single blocks).  Task composition depends only
+on the block list and the slot count, never on timing.  One scheduler hands
+the tasks to slots: the calling thread (sequential), one thread per slot
+(thread pool), or one thread per forked worker process, whose main thread
+runs the same slot behind a frame protocol on its task and result pipes.
+With load balancing (default) tasks are pulled from a shared queue as slots
+become free; without it they are pre-assigned round-robin.  Either way the
+assembled results are identical for deterministic studies; only timing
+fields may differ.  Once any slot fails,
 or the calling thread is interrupted, no slot starts another block.
 
 A slot that runs sub-jobs owns one random stream: under a seeded discipline
@@ -42,11 +43,15 @@ while its worker waits to write results.  The worker answers a task with
 order (errors and warnings by offset from the block's start), each encoded
 once as the block finishes; a frame goes out as soon as the next block would
 take it over the limit, so only a single block over the limit is an error.
-End of input ends the worker; an unexpected frame tag, a result frame that
-answers no block or more blocks than are outstanding, or a block document
-whose columns are not the block's size, is a protocol error.  A worker dying
-mid-run aborts the run (no retry), and on any failure or interrupt the
-parent kills every worker at once.  The monitor runs in the calling process.
+The parent joins a frame's block documents into one, checking each block's
+columns and offsets against that block, reads it at once (its values
+through one array when they stack) and writes it into the store with one
+put.  End of input ends the worker; an unexpected frame tag, a result frame
+that answers no block or more blocks than are outstanding, or a block
+document whose columns are not the block's size or whose error or warning
+offset lies outside the block, is a protocol error.  A worker dying mid-run
+aborts the run (no retry), and on any failure or interrupt the parent kills
+every worker at once.  The monitor runs in the calling process.
 
 Workers are forked, per run, from a zygote, a fork server that a process's
 first process-backend run spawns as ``python -m mcgrid --worker``.  It
@@ -54,8 +59,10 @@ imports numpy and this module, no study or report module, and draws from no
 stream, so each worker draws its own entropy under ``none``/``unseeded``.  A
 worker takes the parent's working directory, import path, environment and
 standard error (also as its standard output) as they are at the fork; BLAS
-thread settings are read once, at the zygote's start.  The zygote ends at
-end of input on its control socket, killing any worker left (its parent was
+thread settings are read once, at the zygote's start.  The parent kills a
+worker through the zygote, which signals only a child it has not reaped, so
+never a process that took a reaped worker's pid.  The zygote ends at end of
+input on its control socket, killing any worker left (its parent was
 killed); an ``atexit`` hook closes the socket and waits for the zygote, and
 a zygote that is gone is respawned.  A child forked from the parent drops
 its copy of the socket at once and spawns its own zygote when it needs one.
@@ -88,7 +95,7 @@ from .varlist import VarList, linear_of, mk_grid, non_grid_args, unravel
 
 MAX_FRAME = 64 * 1024 * 1024
 WORKER_FLAG = "--worker"
-TASK_BLOCKS = 8   # most blocks in one task
+TASK_SUBJOBS = 64  # most sub-jobs in a task of more than one block
 IN_FLIGHT = 2     # task frames a process slot keeps sent but not yet answered
 
 
@@ -136,6 +143,11 @@ class Block:
         return [VirtualIndex(linear_of(self.row, rep, n_G, n_sim, rep_first), self.row, rep)
                 for rep in range(self.rep_start, self.rep_start + self.size)]
 
+    def cells(self, n_G: int) -> range:
+        """Its store cells, ``row + n_G * (rep - 1)``, whatever the virtual order."""
+        return range(self.row + n_G * (self.rep_start - 1),
+                     self.row + n_G * (self.rep_start + self.size - 1), n_G)
+
 
 def partition_blocks(n_G: int, n_sim: int, block_size: int, rep_first: bool) -> list[Block]:
     """Cover the virtual grid exactly once, ordered by first linear index."""
@@ -150,15 +162,19 @@ def partition_blocks(n_G: int, n_sim: int, block_size: int, rep_first: bool) -> 
 
 
 def partition_tasks(blocks: list[Block], slots: int) -> list[list[Block]]:
-    """Split ``blocks`` into tasks of consecutive blocks, in order.
+    """Split ``blocks``, all of one size, into tasks of consecutive blocks, in
+    order.
 
     Guided self-scheduling: each task takes ``ceil(remaining / (2 * slots))``
-    blocks, at most ``TASK_BLOCKS``, so tasks are large while much work
-    remains and single blocks at the tail, where they keep slots balanced.
+    blocks, no more than hold ``TASK_SUBJOBS`` sub-jobs and at least one, so
+    tasks are large while much work remains and single blocks at the tail,
+    where they keep slots balanced.  The cap counts sub-jobs, not blocks: the
+    costs of a task's frames are spread over its sub-jobs.
     """
     tasks, start = [], 0
     while start < len(blocks):
-        size = min(TASK_BLOCKS, -(-(len(blocks) - start) // (2 * slots)))
+        cap = max(1, TASK_SUBJOBS // blocks[start].size)
+        size = min(cap, -(-(len(blocks) - start) // (2 * slots)))
         tasks.append(blocks[start:start + size])
         start += size
     return tasks
@@ -290,7 +306,7 @@ def _run_tasks(ctx: _RunContext, take):
             if block.row != row:
                 row, params = block.row, ctx.grid.row_params(block.row)
                 params.update(ctx.args)
-            yield block, _run_block(ctx, rng, block, params)
+            yield [block], _run_block(ctx, rng, block, params)
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +410,11 @@ def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
 def _run_pool(ctx: _RunContext, blocks: list[Block], load_balancing: bool,
               slots: list, monitor=None, stop=None) -> Columns:
     """The run's columns in store order, from every block run on ``slots``:
-    callables that take a ``take`` function and yield ``(block, columns)`` for
-    the tasks ``take()`` hands out until it returns None.  Each block's
-    columns, and its sub-jobs to ``monitor`` (if given), go out on arrival.
+    callables that take a ``take`` function and yield ``(blocks, columns)``,
+    consecutive blocks of a task and their sub-jobs' columns, for the tasks
+    ``take()`` hands out until it returns None.  Each yield's columns go into
+    the store with one put, then its sub-jobs to ``monitor`` (if given),
+    block by block.
 
     A single slot runs on the calling thread, more run on one thread each.
     ``take()`` pulls from a shared task queue with load balancing and from the
@@ -431,11 +449,14 @@ def _run_pool(ctx: _RunContext, blocks: list[Block], load_balancing: bool,
                 return None if failures else next(queues[slot], None)
 
         try:
-            for block, cols in slots[slot](take):
-                # cells row + n_G * (rep - 1) of the block's reps, whatever rep_first is
-                out.put(block.row + n_G * (block.rep_start - 1), n_G, cols)
+            for blocks, cols in slots[slot](take):
+                # a single block's cells stay a range: in-process slots yield block by block
+                out.put(blocks[0].cells(n_G) if len(blocks) == 1 else
+                        [cell for block in blocks for cell in block.cells(n_G)], cols)
                 if monitor is not None:
-                    for k, vidx in enumerate(block.indices(n_G, ctx.n_sim, ctx.rep_first)):
+                    vidxs = (vidx for block in blocks
+                             for vidx in block.indices(n_G, ctx.n_sim, ctx.rep_first))
+                    for k, vidx in enumerate(vidxs):
                         monitor(vidx, cols.record(k))
                 if failures:
                     break
@@ -537,9 +558,9 @@ class _ResultFrames:
 
 
 def _task_results(stream, task: list[Block], worker: int):
-    """``(block, columns)`` for each block of ``task``, in order, read from
-    the result frames that answer it: each lists the column documents of
-    one or more of its blocks."""
+    """``(blocks, columns)`` for each result frame that answers ``task``, in
+    order: the blocks of the task it answers, and their column documents
+    joined into one and read at once."""
     while task:
         frame = read_frame(stream)
         if frame is None:
@@ -551,14 +572,34 @@ def _task_results(stream, task: list[Block], worker: int):
         if not 0 < len(docs) <= len(task):
             raise ProtocolError(f"worker {worker}: a result frame answers {len(docs)} "
                                 f"blocks, {len(task)} outstanding")
-        for block, doc in zip(task, docs):
-            cols = Columns.from_doc(doc)
-            seeds = cols.value if cols.seeds is None else cols.seeds
-            if {len(cols.value), len(cols.time_ms), len(seeds)} != {block.size}:
-                raise ProtocolError(f"worker {worker}: a block of {block.size} sub-jobs "
-                                    "answered with columns of other lengths")
-            yield block, cols
-        task = task[len(docs):]
+        blocks, task = task[:len(docs)], task[len(docs):]
+        yield blocks, Columns.from_doc(_joined_doc(blocks, docs, worker))
+
+
+def _joined_doc(blocks: list[Block], docs: list, worker: int) -> list:
+    """The column documents ``docs`` of ``blocks`` as one document of their
+    sub-jobs in order, each block's error and warning offsets shifted by the
+    block's start; every column and offset is checked against its own block."""
+    values, times, errors, warnings, seeds = [], [], [], [], []
+    for block, (v, t, e, w, s) in zip(blocks, docs):
+        size = block.size
+        if len(v) != size or len(t) != size or s is not None and len(s) != size:
+            raise ProtocolError(f"worker {worker}: a block of {size} sub-jobs "
+                                "answered with columns of other lengths")
+        if e or w:
+            if not all(type(k) is int and 0 <= k < size for k, *_ in [*e, *w]):
+                raise ProtocolError(f"worker {worker}: an error or warning offset outside "
+                                    f"a block of {size} sub-jobs")
+            start = len(values)
+            errors += ([start + k, message, kind] for k, message, kind in e)
+            warnings += ([start + k, messages] for k, messages in w)
+        values += v
+        times += t
+        seeds.append(s)
+    if seeds.count(None) == len(seeds):  # no block kept its seeds
+        return [values, times, errors, warnings, None]
+    return [values, times, errors, warnings,
+            [seed for block, s in zip(blocks, seeds) for seed in s or [None] * block.size]]
 
 
 def _died(worker: int) -> ExecutionError:
@@ -606,9 +647,11 @@ def _task_frame(task: list[Block]) -> bytes:
 
 def zygote_main() -> int:
     """The zygote, on a control socket at fd 0: for each fork request (four
-    descriptors on one byte, then a frame) fork a worker, and write its pid,
-    then its exit code once reaped, on the request's status pipe.  At end of
-    input, kill the workers still running and end."""
+    descriptors on the byte ``F``, then a frame) fork a worker, and write its
+    pid, then its exit code once reaped, on the request's status pipe; for
+    each kill request (``K``, then a pid) kill that worker if it is not yet
+    reaped, so its pid cannot have been reused.  At end of input, kill the
+    workers still running and end."""
     import select  # here, as socket below: the in-process backends need neither
     import socket
     control = socket.socket(fileno=0)
@@ -618,6 +661,14 @@ def zygote_main() -> int:
     signal.signal(signal.SIGCHLD, lambda *_: None)  # only to wake select()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # a Ctrl-C is for the parent
     children: dict[int, int] = {}  # pid -> status pipe
+
+    def recv_exact(n: int) -> bytes:  # never past this message: no buffered reader
+        data = b""
+        while len(data) < n:
+            if not (chunk := control.recv(n - len(data))):
+                raise ProtocolError("truncated control message")
+            data += chunk
+        return data
 
     def reap(flags: int) -> None:
         while children and (reaped := os.waitpid(-1, flags))[0]:
@@ -629,12 +680,16 @@ def zygote_main() -> int:
     try:
         while True:
             if control in select.select([control, wake_r], [], [])[0]:
-                data, fds, _, _ = socket.recv_fds(control, 1, 4)
-                if not data:
+                kind, fds, _, _ = socket.recv_fds(control, 1, 4)
+                if not kind:
                     return 0
-                if len(fds) != 4:
+                if kind == b"K" and not fds:
+                    if (pid := struct.unpack(">i", recv_exact(4))[0]) in children:
+                        os.kill(pid, signal.SIGKILL)
+                    continue  # its exit comes as a SIGCHLD
+                if kind != b"F" or len(fds) != 4:
                     raise ProtocolError("malformed fork request")
-                request = read_frame(control.makefile("rb"))
+                request = read_frame(types.SimpleNamespace(read=recv_exact))
                 if (pid := os.fork()) == 0:  # the control socket is fd 0
                     _forked_worker(request, fds, [0, wake_r, wake_w, *children.values()])
                 children[pid] = fds[2]
@@ -737,10 +792,12 @@ class _Worker:
         self.stdin, self.stdout = open(task[1], "wb"), open(result[0], "rb")
         self._status, self.pid, self.returncode = open(status[0], "rb"), None, None
         self._theirs = [task[0], result[1], status[1]]
+        self._control = None
 
     def fork(self, control) -> None:
         """Have the zygote fork the worker; its pid comes on the status pipe."""
         import socket
+        self._control = control
         request = json.dumps({"cwd": os.getcwd(), "path": sys.path,
                               "env": _worker_env()}).encode()
         try:  # the worker's ends, and this process's standard error as it is now
@@ -755,9 +812,12 @@ class _Worker:
         return struct.unpack(">i", d)[0] if len(d := self._status.read(4)) == 4 else None
 
     def kill(self) -> None:
+        """Have the zygote kill the worker, which it does only while the
+        worker is its unreaped child, so never another process that took the
+        pid.  A zygote that is gone has killed its workers already."""
         if self.pid is not None and not self._status.closed:  # exit code unread
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(self.pid, signal.SIGKILL)
+            with contextlib.suppress(OSError):
+                self._control.sendall(b"K" + struct.pack(">i", self.pid))
 
     def wait(self) -> int | None:
         """The exit code (None if the zygote ended first)."""

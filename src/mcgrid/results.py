@@ -155,6 +155,18 @@ def _parse_value(v):
     return _parse_number(v)
 
 
+def _parse_values(values: list) -> list:
+    """``_parse_value`` of each entry, the non-null ones converted through
+    one array when they stack (as a store's value column is), else each on
+    its own."""
+    try:
+        stacked = np.array([v for v in values if v is not None], dtype=float)
+    except (TypeError, ValueError):  # ragged, or not numbers: each on its own
+        return [_parse_value(v) for v in values]
+    parsed = iter(stacked.tolist() if stacked.ndim == 1 else stacked)
+    return [None if v is None else next(parsed) for v in values]
+
+
 def _value_doc(v):
     if v is None:
         return None
@@ -364,17 +376,18 @@ class Columns:
                             warnings=self.warnings.get(k, ()), time_ms=float(self.time_ms[k]),
                             seed=None if self.seeds is None else self.seeds[k])
 
-    def put(self, start: int, step: int, block: "Columns") -> None:
-        """Write ``block``'s entries at positions ``start, start + step, ...``."""
-        at = slice(start, start + step * len(block.value), step)
-        self.value[at] = block.value
-        self.time_ms[at] = block.time_ms
-        if block.seeds is not None:
-            self.seeds[at] = block.seeds
-        for k, e in block.errors.items():
-            self.errors[start + step * k] = e
-        for k, w in block.warnings.items():
-            self.warnings[start + step * k] = w
+    def put(self, cells: range | list[int], cols: "Columns") -> None:
+        """Write ``cols``' entries at positions ``cells``, in order."""
+        for cell, value, time_ms in zip(cells, cols.value, cols.time_ms):
+            self.value[cell] = value
+            self.time_ms[cell] = time_ms
+        if cols.seeds is not None:
+            for cell, seed in zip(cells, cols.seeds):
+                self.seeds[cell] = seed
+        for k, e in cols.errors.items():
+            self.errors[cells[k]] = e
+        for k, w in cols.warnings.items():
+            self.warnings[cells[k]] = w
 
     def doc(self) -> list:
         """``[values, times, errors, warnings, seeds]``: errors as ``[k,
@@ -386,7 +399,7 @@ class Columns:
     @classmethod
     def from_doc(cls, d: list) -> "Columns":
         values, times, errors, warnings, seeds = d
-        return cls(value=[_parse_value(v) for v in values], time_ms=times,
+        return cls(value=_parse_values(values), time_ms=times,
                    errors={k: ErrorInfo(message, kind) for k, message, kind in errors},
                    warnings={k: tuple(w) for k, w in warnings}, seeds=seeds)
 

@@ -153,6 +153,18 @@ def coin_study(params, rng, warn):
     return params["x"] + u
 
 
+def cheap_style_study(params, rng, warn):
+    """After perfbench's cheap study: one uniform draw times each inner level
+    ``k``, a warning on y=2 and an error on x=4, y=2, by grid level, so on
+    the same cells under every seed."""
+    if params["y"] == 2:
+        warn("y=2: flagged level")
+    if (params["x"], params["y"]) == (4, 2):
+        raise ValueError("x=4, y=2 fails by design")
+    u = rng.uniform()
+    return [u * k for k in params["k"]]
+
+
 def ragged_study(params, rng, warn):
     """``x`` plus the first uniform, but the pair ``[x, u]`` on x=4 and an
     error on x=5, so that the store falls back to raw records."""

@@ -1,5 +1,6 @@
 """Harness capture, virtual indexing, blocks, frames, and backends."""
 
+import contextlib
 import gc
 import io
 import json
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 import warnings
 
 import numpy as np
@@ -19,19 +21,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (appending_level_study, appending_study, chatty_study, coin_study,
-                      dying_study, float_type_study, interrupting_study, matmul_study,
-                      mid_buffer_study, params_probe_study, poly_noisy, poly_study, ragged_study,
-                      scalar_varlist, square_study, tiny_varlist, wide_study)
+from conftest import (appending_level_study, appending_study, chatty_study,
+                      cheap_style_study, coin_study, dying_study, float_bits, float_type_study,
+                      interrupting_study, matmul_study, mid_buffer_study, params_probe_study,
+                      poly_noisy, poly_study, ragged_study, scalar_varlist, square_study,
+                      tiny_varlist, wide_study)
 
 from mcgrid import (Block, ErrorInfo, ExecutionError, ProcessPool, ProtocolError,
                     RawFallback, ResultStore, RngStream, SeedSpec, Sequential,
                     ThreadPool, VarList, VarSpec, do_call_we, do_res_equal, linear_of,
                     partition_blocks, run_study, seed_for, virtual_index)
 from mcgrid import executor
-from mcgrid.executor import (TASK_BLOCKS, WORKER_FLAG, encode_frame, partition_tasks,
+from mcgrid.executor import (TASK_SUBJOBS, WORKER_FLAG, encode_frame, partition_tasks,
                              read_frame, worker_main)
-from mcgrid.results import Columns, SubJobRecord, canonical_json
+from mcgrid.results import Columns, SubJobRecord, _parse_value, canonical_json
 from mcgrid.seeding import StreamState, derive_streams
 from mcgrid.var_copula import probe_first_uniform
 
@@ -177,27 +180,28 @@ class TestBlocks:
 
 
 class TestTasks:
-    @given(st.integers(0, 400), st.integers(1, 6))
+    @given(st.integers(0, 400), st.integers(1, 6), st.sampled_from([1, 3, 16, 64, 100]))
     @settings(max_examples=200, deadline=None)
-    def test_guided_partition(self, n_blocks, slots):
-        blocks = partition_blocks(n_blocks, 1, 1, True)
+    def test_guided_partition(self, n_blocks, slots, block_size):
+        blocks = partition_blocks(n_blocks, block_size, block_size, True)
         tasks = partition_tasks(blocks, slots)
         assert [b for task in tasks for b in task] == blocks  # each once, in order
         sizes = [len(task) for task in tasks]
-        assert all(1 <= k <= TASK_BLOCKS for k in sizes)
+        # at most TASK_SUBJOBS sub-jobs in a task, unless it is a single block
+        assert all(k == 1 or 1 < k * block_size <= TASK_SUBJOBS for k in sizes)
         assert sizes == sorted(sizes, reverse=True)
         remaining = n_blocks
         for k in sizes:  # the tail is single blocks
             assert k == 1 or remaining > 2 * slots
             remaining -= k
         # composition depends on (n_blocks, slots) only
-        other = partition_blocks(1, n_blocks, 1, False)
+        other = partition_blocks(1, n_blocks * block_size, block_size, False)
         assert [len(task) for task in partition_tasks(other, slots)] == sizes
 
     def test_sizes_for_two_slots(self):
         sizes = [len(t) for t in partition_tasks(partition_blocks(10_000, 1, 1, True), 2)]
-        assert sizes[-12:] == [8, 8, 8, 6, 5, 4, 3, 2, 1, 1, 1, 1]
-        assert len(sizes) == 1256
+        assert sizes[-19:] == [64, 64, 52, 39, 30, 22, 17, 12, 9, 7, 5, 4, 3, 2, 2, 1, 1, 1, 1]
+        assert len(sizes) == 170
 
 
 class TestFrames:
@@ -328,7 +332,7 @@ class TestWorkerLoop:
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(*[st.integers(0, 2**40)] * 3), min_size=1, max_size=TASK_BLOCKS))
+@given(st.lists(st.tuples(*[st.integers(0, 2**40)] * 3), min_size=1, max_size=TASK_SUBJOBS))
 def test_task_frame_is_the_plain_documents_canonical_text(blocks):
     text = canonical_json({"tag": "task", "blocks": [list(b) for b in blocks]}).encode()
     assert executor._task_frame([Block(*b) for b in blocks]) == \
@@ -354,25 +358,28 @@ class TestTaskFrames:
         stdout.seek(0)
         return frames
 
-    def _expected(self, block: Block) -> Columns:
-        spec, x = SeedSpec.seq(), self.VL.specs[1].values[block.row]
-        records = []
-        for rep in range(block.rep_start, block.rep_start + block.size):
-            u = RngStream.from_state(seed_for(spec, rep)).uniform()
-            seed = seed_for(spec, rep).to_hex()
-            if u < 0.5:
-                error = ErrorInfo("low draw", "RuntimeError")
-                records.append(SubJobRecord(error=error, seed=seed))
-            else:
-                warned = ("high draw",) if u > 0.75 else ()
-                records.append(SubJobRecord(value=x + u, warnings=warned, seed=seed))
+    def _expected(self, blocks: list[Block]) -> Columns:
+        spec, records = SeedSpec.seq(), []
+        for block in blocks:
+            x = self.VL.specs[1].values[block.row]
+            for rep in range(block.rep_start, block.rep_start + block.size):
+                u = RngStream.from_state(seed_for(spec, rep)).uniform()
+                seed = seed_for(spec, rep).to_hex()
+                if u < 0.5:
+                    error = ErrorInfo("low draw", "RuntimeError")
+                    records.append(SubJobRecord(error=error, seed=seed))
+                else:
+                    warned = ("high draw",) if u > 0.75 else ()
+                    records.append(SubJobRecord(value=x + u, warnings=warned, seed=seed))
         return Columns.from_records(records)
 
     def _check(self, got):
-        assert [block for block, _ in got] == self.TASK
-        for block, cols in got:
-            want = self._expected(block)
-            assert len(cols.time_ms) == block.size
+        # each frame's blocks, as one set of columns with offsets from the
+        # frame's first block
+        assert [block for blocks, _ in got for block in blocks] == self.TASK
+        for blocks, cols in got:
+            want = self._expected(blocks)
+            assert len(cols.time_ms) == sum(block.size for block in blocks)
             assert (cols.value, cols.errors, cols.warnings, cols.seeds) == \
                 (want.value, want.errors, want.warnings, want.seeds)
 
@@ -443,8 +450,8 @@ class TestTaskFrames:
                     Columns([1.0] * 2, [0.5], {}, {}, None).doc(),
                     Columns([1.0] * 2, [0.5] * 2, {}, {}, ["00"]).doc(),
                     Columns([1.0] * 2, [0.5] * 2, {}, {}, []).doc()):
+            # the frame is checked block by block before any of it is taken
             got = executor._task_results(self._answer(two, doc), task, 0)
-            assert next(got)[0] == task[0]
             with pytest.raises(ProtocolError, match="worker 0: a block of 2 sub-jobs"):
                 next(got)
         # a frame that answers no block
@@ -452,18 +459,114 @@ class TestTaskFrames:
             list(executor._task_results(self._answer(), task, 0))
         # end of input before the task is covered: the worker is gone
         got = executor._task_results(self._answer(two), task, 1)
-        assert next(got)[0] == task[0]
+        assert next(got)[0] == task[:1]
         with pytest.raises(ExecutionError, match="worker 1 died mid-run"):
             next(got)
+
+    def test_offset_outside_its_block_is_a_protocol_error(self):
+        # an offset past its own block would write another block's cell
+        task = [Block(0, 1, 2), Block(1, 1, 2)]
+        two = Columns([1.0] * 2, [0.5] * 2, {}, {}, None).doc()
+        for errors, warnings in (([[2, "m", "E"]], []), ([], [[2, ["w"]]]),
+                                 ([[-1, "m", "E"]], []), ([], [[True, ["w"]]]),
+                                 ([[1.0, "m", "E"]], [])):
+            doc = [[1.0] * 2, [0.5] * 2, errors, warnings, None]
+            for docs in ((doc, two), (two, doc)):
+                got = executor._task_results(self._answer(*docs), task, 3)
+                with pytest.raises(ProtocolError, match="worker 3: an error or warning offset "
+                                                        "outside a block of 2 sub-jobs"):
+                    next(got)
 
     def test_frame_answering_more_blocks_than_outstanding_is_a_protocol_error(self):
         task = [Block(0, 1, 2), Block(1, 1, 2)]
         two = Columns([1.0] * 2, [0.5] * 2, {}, {}, None).doc()
         stream = io.BytesIO(self._answer(two).getvalue() + self._answer(two, two).getvalue())
         got = executor._task_results(stream, task, 0)
-        assert next(got)[0] == task[0]
+        assert next(got)[0] == task[:1]
         with pytest.raises(ProtocolError, match="answers 2 blocks, 1 outstanding"):
             next(got)
+
+
+_SCALARS = st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _result_frames(draw):
+    """A run's blocks and, for each task, its result frames: random block
+    documents (scalar, multi-dimensional or ragged values, errors with null
+    values, warnings, kept seeds or none) split into frames at random."""
+    n_G, size = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    n_sim, rep_first = size * draw(st.integers(1, 4)), draw(st.booleans())
+    shapes = draw(st.lists(st.sampled_from([(), (2,), (2, 3), (0,), (1, 2)]),
+                           min_size=1, max_size=2))  # two shapes: ragged values
+    kept, slots = draw(st.booleans()), draw(st.integers(1, 3))
+    blocks = partition_blocks(n_G, n_sim, size, rep_first)
+    streams = {}
+    for task in partition_tasks(blocks, slots):
+        docs = []
+        for _ in task:
+            value, errors, warns = [], {}, {}
+            for k in range(size):
+                if draw(st.booleans()):
+                    errors[k] = ErrorInfo(draw(st.text(max_size=3)), "E")
+                    value.append(None)
+                else:
+                    shape = draw(st.sampled_from(shapes))
+                    flat = draw(st.lists(_SCALARS, min_size=math.prod(shape),
+                                         max_size=math.prod(shape)))
+                    value.append(np.array(flat, dtype=float).reshape(shape) if shape
+                                 else flat[0])
+                if draw(st.booleans()):
+                    warns[k] = tuple(draw(st.lists(st.text(max_size=3), min_size=1, max_size=2)))
+            seeds = [draw(st.none() | st.text("0123456789abcdef", max_size=4))
+                     for _ in range(size)] if kept else None
+            times = draw(st.lists(_SCALARS, min_size=size, max_size=size))
+            docs.append(Columns(value, times, errors, warns, seeds).doc())
+        cuts = sorted(draw(st.sets(st.integers(1, len(task) - 1), max_size=3))) \
+            if len(task) > 1 else []
+        streams[tuple(task)] = b"".join(
+            encode_frame({"tag": "result", "blocks": docs[a:b]})
+            for a, b in zip([0, *cuts], [*cuts, len(task)]))
+    return n_G, n_sim, rep_first, kept, slots, blocks, streams
+
+
+@given(_result_frames())
+@settings(max_examples=150, deadline=None)
+def test_frames_decode_as_block_by_block_reads(frames):
+    # reference: each block document read on its own, value by value, and
+    # its entries written at the block's store cells, as the parent once did
+    n_G, n_sim, rep_first, kept, slots, blocks, streams = frames
+    n, order = n_G * n_sim, iter(blocks)
+    want = Columns([None] * n, [0.0] * n, {}, {}, [None] * n if kept else None)
+    for stream in streams.values():
+        stream = io.BytesIO(stream)
+        while (frame := read_frame(stream)) is not None:
+            for values, times, errors, warns, seeds in frame["blocks"]:
+                block = next(order)
+                start = block.row + n_G * (block.rep_start - 1)
+                at = slice(start, start + n_G * block.size, n_G)
+                want.value[at] = [_parse_value(v) for v in values]
+                want.time_ms[at] = times
+                if seeds is not None:
+                    want.seeds[at] = seeds
+                want.errors.update({start + n_G * k: ErrorInfo(m, kind)
+                                    for k, m, kind in errors})
+                want.warnings.update({start + n_G * k: tuple(w) for k, w in warns})
+    assert next(order, None) is None
+
+    def slot(take):
+        while (task := take()) is not None:
+            yield from executor._task_results(io.BytesIO(streams[tuple(task)]), task, 0)
+
+    ctx = types.SimpleNamespace(n_G=n_G, n_sim=n_sim, rep_first=rep_first, keep_seed=kept,
+                                seed=SeedSpec.seq())
+    got = executor._run_pool(ctx, blocks, True, [slot] * slots)
+    assert [type(v) for v in got.value] == [type(v) for v in want.value]
+    assert [np.shape(v) for v in got.value] == [np.shape(v) for v in want.value]
+    assert [np.asarray(v).tobytes() for v in got.value if v is not None] == \
+        [np.asarray(v).tobytes() for v in want.value if v is not None]
+    assert float_bits(got.time_ms) == float_bits(want.time_ms)
+    assert (got.errors, got.warnings, got.seeds) == (want.errors, want.warnings, want.seeds)
 
 
 class TestRunStudySequential:
@@ -620,10 +723,23 @@ class TestProcessBackend:
         assert do_res_equal(base, res)
 
     def test_multi_block_tasks_match_sequential(self):
-        vl = tiny_varlist(n_sim=25)  # 100 blocks: tasks of 8 and a ragged tail
+        vl = tiny_varlist(n_sim=25)  # 100 blocks: tasks of 25, 19, ... and a ragged tail
         base = run_study(vl, poly_noisy, keep_seed=True)
         res = run_study(vl, poly_noisy, keep_seed=True,
                         backend=ProcessPool(2, load_balancing=False))
+        cmp = do_res_equal(base, res)
+        assert cmp, cmp.report
+
+    @pytest.mark.parametrize("backend", [ProcessPool(2), ProcessPool(2, block_size=2),
+                                         ProcessPool(2, load_balancing=False)])
+    def test_cheap_style_study_matches_sequential(self, backend):
+        # 48 sub-jobs: the first tasks hold several blocks, with errors and
+        # warnings at offsets past their first block
+        vl = VarList([VarSpec("n.sim", "N", 8), VarSpec("x", "grid", (3, 4, 5)),
+                      VarSpec("y", "grid", (1, 2)), VarSpec("k", "inner", (1, 2))])
+        base = run_study(vl, cheap_style_study, keep_seed=True)
+        assert (base.error_count(), base.warning_count()) == (8, 24)
+        res = run_study(vl, cheap_style_study, keep_seed=True, backend=backend)
         cmp = do_res_equal(base, res)
         assert cmp, cmp.report
 
@@ -880,6 +996,53 @@ class TestZygote:
             assert f"cwd {tmp_path / where} env {where}" in capfd.readouterr().err
         assert executor._zygote[0] is zygote  # one zygote throughout
 
+    def test_a_kill_request_spares_a_process_that_is_not_an_unreaped_worker(self, forked):
+        vl = scalar_varlist(n_sim=2)
+        run_study(vl, square_study, backend=ProcessPool(1))
+        reaped = forked[0].pid
+        sleeper = subprocess.Popen(["sleep", "60"])
+        try:
+            control = executor._zygote_control()
+            for pid in (sleeper.pid, reaped):  # kill requests, as _Worker.kill sends them
+                control.sendall(b"K" + struct.pack(">i", pid))
+            # the zygote serves requests in order: once the next run's worker
+            # is forked, it has handled both kill requests
+            run_study(vl, square_study, backend=ProcessPool(1))
+            assert len(forked) == 2 and forked[1].returncode == 0
+            assert sleeper.poll() is None
+        finally:
+            sleeper.kill()
+            sleeper.wait()
+
+    def test_a_kill_request_right_behind_a_fork_request_is_served(self):
+        # the kill request is already in the socket when the zygote reads the
+        # fork request before it: a reader that read ahead would swallow it
+        class KillBehind:
+            def __init__(self, control, pid):
+                self.control, self.kill = control, b"K" + struct.pack(">i", pid)
+
+            def sendmsg(self, *args):
+                return self.control.sendmsg(*args)
+
+            def sendall(self, data):
+                self.control.sendall(data + self.kill)
+
+        control = executor._zygote_control()
+        first, second, third = executor._Worker(), executor._Worker(), executor._Worker()
+        try:
+            first.fork(control)
+            second.fork(KillBehind(control, first.pid))
+            third.fork(control)  # forked after the kill request was served
+            for worker in (first, second, third):
+                worker.stdin.close()
+            assert [w.wait() for w in (first, second, third)] == [-signal.SIGKILL, 0, 0]
+        finally:
+            for worker in (first, second, third):
+                worker.kill()
+                worker.wait()
+                worker.stdout.close()
+                with contextlib.suppress(OSError):
+                    worker.stdin.close()
 
     def test_a_forked_child_leaves_the_zygote_to_its_parent(self):
         _in_child("_forked_child_leaves_the_zygote")
@@ -918,8 +1081,8 @@ def _forked_child_leaves_the_zygote() -> None:
 
 
 def test_interrupt_does_not_wait_for_tasks_in_flight(tmp_path):
-    # sub-jobs of 0.3 s: the interrupted worker's task of 8 blocks would run
-    # for 2 s more, but the parent kills the workers instead of waiting
+    # sub-jobs of 0.3 s: the interrupted worker's task of 50 blocks would run
+    # for 15 s more, but the parent kills the workers instead of waiting
     log, marker = tmp_path / "subjobs.log", tmp_path / "sent"
     vl = VarList([VarSpec("n.sim", "N", 100), VarSpec("x", "grid", (3, 4)),
                   VarSpec("ctl", "frozen", {"log": str(log), "pid": os.getpid(),
