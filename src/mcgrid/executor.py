@@ -28,8 +28,9 @@ sparse errors and warnings, seeds) that the scheduler writes straight into the
 run's store-order columns; records are built only for a monitor.
 
 Frame protocol: 4-byte big-endian payload length, then a canonical-JSON
-payload (the result files' text family); a frame above 64 MiB is a protocol
-error.  The parent sends each worker one ``setup`` frame (study name, the
+payload (the result files' text family), followed in a result frame by a
+newline and a tail of raw bytes; a frame above 64 MiB is a protocol error.
+The parent sends each worker one ``setup`` frame (study name, the
 declaration's canonical form, the canonical seeding spec, ``keep_seed`` and
 the virtual order), from which the worker builds its run context as the
 parent does.  A declaration that this form cannot carry faithfully (a payload
@@ -39,27 +40,38 @@ fails the run before any worker starts.  A ``task`` frame carries only block
 coordinates, ``[[row, rep_start, size], ...]``, at most ``IN_FLIGHT`` unread
 per worker, which never fill a pipe: the parent never waits to write a task
 while its worker waits to write results.  The worker answers a task with
-``{"tag": "result", "blocks": [...]}``, its blocks' ``Columns.doc()`` in
-order (errors and warnings by offset from the block's start), each encoded
-once as the block finishes; a frame goes out as soon as the next block would
-take it over the limit, so only a single block over the limit is an error.
-The parent joins a frame's block documents into one, checking each block's
-columns and offsets against that block, reads it at once (its values
-through one array when they stack) and writes it into the store with one
-put.  End of input ends the worker; an unexpected frame tag, a result frame
-that answers no block or more blocks than are outstanding, or a block
-document whose columns are not the block's size or whose error or warning
-offset lies outside the block, is a protocol error.  A worker dying mid-run
-aborts the run (no retry), and on any failure or interrupt the parent kills
-every worker at once.  The monitor runs in the calling process.
+result frames of its consecutive blocks' sub-jobs, in order: ``{"tag":
+"result", "blocks": n, "shapes": [...], "time_ms": [...], "errors": [[k,
+message, kind], ...], "warnings": [[k, [messages]], ...], "seeds": [...] or
+null}``, each sub-job's value shape (null where it errored, ``[]`` for a
+scalar), times as ``%.17g`` text, and errors and warnings by offset ``k``
+from the frame's first sub-job, errors in order; the tail holds the non-null
+values' elements as little-endian float64, value after value, each in C
+order.  The worker keeps each finished block's outcomes, its values as
+float64, and encodes a frame once, when it writes it: at the end of the task,
+or as soon as the next block might take it over the limit (by a bound on its
+text that depends only on the outcomes), so a larger task goes out as several
+frames of whole blocks and only a single block over the limit is an error.
+The parent reads a frame with one ``json.loads`` and one ``np.frombuffer``,
+checks it as a whole against the ``n`` blocks it answers, and writes it into
+the store with one put.  End of input ends the worker; an unexpected frame
+tag, a result frame that answers no block or more blocks than are
+outstanding, a column that is not of the frame's sub-job count, an error or
+warning offset outside the frame, errors not exactly at the null shapes, or
+shapes that do not fill the tail exactly, is a protocol error, so a malformed
+answer never lands in a cell that the frame does not answer.  A worker dying
+mid-run aborts the run (no retry), and on any failure or interrupt the parent
+kills every worker at once.  The monitor runs in the calling process.
 
 Workers are forked, per run, from a zygote, a fork server that a process's
 first process-backend run spawns as ``python -m mcgrid --worker``.  It
-imports numpy and this module, no study or report module, and draws from no
-stream, so each worker draws its own entropy under ``none``/``unseeded``.  A
-worker takes the parent's working directory, import path, environment and
-standard error (also as its standard output) as they are at the fork; BLAS
-thread settings are read once, at the zygote's start.  The parent kills a
+imports numpy, ``numpy.random`` and this module, no study or report module,
+and draws from no stream, so each worker draws its own entropy under
+``none``/``unseeded``; each worker also reseeds numpy's legacy global
+generator from its own entropy.  A worker takes the parent's working
+directory, import path, environment and standard error (also as its standard
+output) as they are at the fork; BLAS thread settings are read once, at the
+zygote's start.  The parent kills a
 worker through the zygote, which signals only a child it has not reaped, so
 never a process that took a reaped worker's pid.  The zygote ends at end of
 input on its control socket, killing any worker left (its parent was
@@ -76,6 +88,7 @@ import contextlib
 import functools
 import importlib
 import json
+import math
 import os
 import signal
 import struct
@@ -84,12 +97,13 @@ import threading
 import time
 import types
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import registry
-from .results import (Columns, ErrorInfo, ResultStore, SubJobRecord, _Encoded, assemble,
-                      canonical_json, maybe_read, save, study_fingerprint)
+from .results import (Columns, ErrorInfo, ResultStore, SubJobRecord, _Encoded, _fmt_floats,
+                      assemble, canonical_json, maybe_read, save, study_fingerprint)
 from .seeding import RngStream, SeedSpec, ambient_stream, seed_for
 from .varlist import VarList, linear_of, mk_grid, non_grid_args, unravel
 
@@ -131,8 +145,7 @@ def virtual_index(linear: int, n_G: int, n_sim: int, rep_first: bool) -> Virtual
     return VirtualIndex(linear, row, rep + 1)
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """``size`` consecutive replications of one grid row."""
 
     row: int
@@ -364,10 +377,9 @@ def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
     ``monitor(vidx, record)`` is called once per sub-job, in the calling
     process on every backend, after each block and from the thread that
     drives its slot (so from several threads on the pools).  On the process
-    backend a task's blocks arrive together, as the list of block documents
-    of one result frame (of several past the frame limit), and reach the
-    monitor block by block.  A monitor that raises stops the run with
-    ``ExecutionError``.
+    backend a task's blocks arrive together, in one result frame (in several
+    past the frame limit), and reach the monitor block by block.  A monitor
+    that raises stops the run with ``ExecutionError``.
     """
     seed = seed if seed is not None else SeedSpec.seq()
     backend = backend if backend is not None else Sequential()
@@ -489,15 +501,20 @@ def _run_pool(ctx: _RunContext, blocks: list[Block], load_balancing: bool,
 # ---------------------------------------------------------------------------
 # frame protocol and process workers
 
-def encode_frame(doc: dict) -> bytes:
+def encode_frame(doc: dict, tail: list | None = None) -> bytes:
+    """A frame of ``doc``'s canonical JSON; with a ``tail``, a list of
+    bytes-like chunks, the text is followed by a newline and their bytes."""
     payload = canonical_json(doc).encode("utf-8")
-    if len(payload) > MAX_FRAME:
-        raise ProtocolError(f"frame of {len(payload)} bytes exceeds the 64 MiB limit")
-    return struct.pack(">I", len(payload)) + payload
+    chunks = [payload] if tail is None else [payload, b"\n", *tail]
+    n = sum(memoryview(chunk).nbytes for chunk in chunks)
+    if n > MAX_FRAME:
+        raise ProtocolError(f"frame of {n} bytes exceeds the 64 MiB limit")
+    return b"".join([struct.pack(">I", n), *chunks])
 
 
 def read_frame(stream) -> dict | None:
-    """Next frame from a byte stream; None on clean EOF."""
+    """Next frame's document from a byte stream; None on clean EOF.  A frame
+    with a tail has its bytes under ``"tail"``, as a memoryview."""
     header = stream.read(4)
     if header == b"" or header is None:
         return None
@@ -512,7 +529,14 @@ def read_frame(stream) -> dict | None:
         if not chunk:
             raise ProtocolError(f"truncated frame payload ({len(payload)}/{n} bytes)")
         payload += chunk
-    return json.loads(payload.decode("utf-8"))
+    # canonical text has no newline byte, not even inside a UTF-8 sequence
+    end = payload.find(b"\n")
+    doc = json.loads((payload if end < 0 else payload[:end]).decode("utf-8"))
+    if end >= 0:
+        if not isinstance(doc, dict):
+            raise ProtocolError("a frame with a tail is not a document")
+        doc["tail"] = memoryview(payload)[end + 1:]
+    return doc
 
 
 def _worker_context(setup: dict) -> _RunContext:
@@ -522,45 +546,89 @@ def _worker_context(setup: dict) -> _RunContext:
                        registry.get_study(setup["study"]))
 
 
+def _float64(values: list) -> np.ndarray:
+    """``values``' elements as one little-endian float64 array, value after
+    value, each in C order."""
+    try:
+        return np.array(values, dtype="<f8").ravel()
+    except ValueError:  # values of different shapes
+        return np.concatenate([np.ravel(v) for v in values]).astype("<f8", copy=False)
+
+
+# a bound on the text of a result frame's document without its sub-jobs,
+# newline included, and on a sub-job's in it: a shape of null or [] (and at
+# most 21 bytes per dimension), a time ("%.17g", 24 bytes at most) and a seed
+# of null, each with its comma; a kept seed and any error or warning add theirs
+_RESULT_TEXT = 1 + len(canonical_json({"tag": "result", "blocks": 2 ** 64, "shapes": [],
+                                       "time_ms": [], "errors": [], "warnings": [],
+                                       "seeds": None}))
+_SUBJOB_TEXT = 5 + 25 + 5
+
+
 class _ResultFrames:
     """A worker's result frames for a task's blocks, built as they finish.
 
-    Each block's column document is encoded to canonical JSON once, and
-    consecutive blocks share a frame, which lists their documents.  A frame
-    is written as soon as the next block would take it over the frame limit,
-    so the worker holds at most about one frame of text, and a task over the
-    limit goes out as several frames of whole blocks.  A single block over
-    the limit is a ProtocolError, from ``encode_frame``.
+    A finished block's outcomes are kept, its values as one float64 array,
+    and consecutive blocks share a frame, encoded once as it is written: as
+    soon as the next block might take it over the frame limit (by a bound on
+    its document's text that depends only on the outcomes), and at the end of
+    each task.  So the worker holds a frame's values about twice while it
+    writes it, and a task over the limit goes out as several frames of whole
+    blocks.  A single block over the limit is a ProtocolError, from
+    ``encode_frame``.
     """
-
-    # with it, the pending size, a comma counted per block, bounds the frame's size
-    SKELETON = len(canonical_json({"tag": "result", "blocks": []}))
 
     def __init__(self, out):
         self.out = out
-        self.blocks: list[_Encoded] = []  # the pending blocks' documents
-        self.size = 0  # pending bytes, with a comma per block
+        self._clear()
+
+    def _clear(self) -> None:
+        self.blocks, self.size = 0, _RESULT_TEXT  # pending blocks, a bound on their frame
+        self.shapes, self.times, self.errors, self.warnings, self.seeds = [], [], [], [], []
+        self.values: list[np.ndarray] = []  # each pending block's values
 
     def add(self, cols: Columns) -> None:
-        text = canonical_json(cols.doc())
-        size = len(text.encode("utf-8")) + 1
-        if self.blocks and self.SKELETON + self.size + size > MAX_FRAME:
+        shapes = [None if v is None else [] if type(v) is float else list(np.shape(v))
+                  for v in cols.value]
+        values = _float64([v for v in cols.value if v is not None])
+        size = (values.nbytes + _SUBJOB_TEXT * len(shapes)
+                + 21 * sum(map(len, filter(None, shapes))))
+        if cols.seeds is not None:
+            size += sum(len(seed) + 3 for seed in cols.seeds if seed is not None)
+        if cols.errors or cols.warnings:  # 20 bytes more per offset, from the frame's start
+            errors = [[k, e.message, e.kind] for k, e in cols.errors.items()]
+            warnings = [[k, list(w)] for k, w in cols.warnings.items()]
+            size += len(canonical_json([errors, warnings]).encode()) + 20 * len(errors + warnings)
+        if self.blocks and self.size + size > MAX_FRAME:
             self.flush()
-        self.blocks.append(_Encoded(text))
+        if cols.errors or cols.warnings:
+            start = len(self.times)
+            self.errors += ([start + k, message, kind] for k, message, kind in errors)
+            self.warnings += ([start + k, messages] for k, messages in warnings)
+        self.blocks += 1
         self.size += size
+        self.shapes += shapes
+        self.times += cols.time_ms
+        self.seeds += cols.seeds or [None] * len(shapes)
+        self.values.append(values)
 
     def flush(self) -> None:
         """Write the pending blocks' frame, if there are any."""
         if self.blocks:
-            doc = {"tag": "result", "blocks": self.blocks}
-            self.blocks, self.size = [], 0
-            self.out.write(encode_frame(doc))
+            # the canonical text of ints and nulls is json's own compact text
+            doc = {"tag": "result", "blocks": self.blocks,
+                   "shapes": _Encoded(json.dumps(self.shapes, separators=(",", ":"))),
+                   "time_ms": _Encoded(f"[{_fmt_floats(np.array(self.times, dtype=float))}]"),
+                   "errors": self.errors, "warnings": self.warnings,
+                   "seeds": None if self.seeds.count(None) == len(self.seeds) else self.seeds}
+            frame = encode_frame(doc, self.values)
+            self._clear()  # the values' arrays go before the frame is written
+            self.out.write(frame)
 
 
 def _task_results(stream, task: list[Block], worker: int):
     """``(blocks, columns)`` for each result frame that answers ``task``, in
-    order: the blocks of the task it answers, and their column documents
-    joined into one and read at once."""
+    order: the blocks of the task it answers, and its columns."""
     while task:
         frame = read_frame(stream)
         if frame is None:
@@ -568,38 +636,61 @@ def _task_results(stream, task: list[Block], worker: int):
         if frame.get("tag") != "result":
             raise ProtocolError(f"worker {worker}: expected result frame, "
                                 f"got {frame.get('tag')!r}")
-        docs = frame.get("blocks") or ()
-        if not 0 < len(docs) <= len(task):
-            raise ProtocolError(f"worker {worker}: a result frame answers {len(docs)} "
+        n = frame.get("blocks")
+        if type(n) is not int or not 0 < n <= len(task):
+            raise ProtocolError(f"worker {worker}: a result frame answers {n} "
                                 f"blocks, {len(task)} outstanding")
-        blocks, task = task[:len(docs)], task[len(docs):]
-        yield blocks, Columns.from_doc(_joined_doc(blocks, docs, worker))
+        blocks, task = task[:n], task[n:]
+        yield blocks, _frame_columns(frame, sum(block.size for block in blocks), worker)
 
 
-def _joined_doc(blocks: list[Block], docs: list, worker: int) -> list:
-    """The column documents ``docs`` of ``blocks`` as one document of their
-    sub-jobs in order, each block's error and warning offsets shifted by the
-    block's start; every column and offset is checked against its own block."""
-    values, times, errors, warnings, seeds = [], [], [], [], []
-    for block, (v, t, e, w, s) in zip(blocks, docs):
-        size = block.size
-        if len(v) != size or len(t) != size or s is not None and len(s) != size:
-            raise ProtocolError(f"worker {worker}: a block of {size} sub-jobs "
-                                "answered with columns of other lengths")
-        if e or w:
-            if not all(type(k) is int and 0 <= k < size for k, *_ in [*e, *w]):
-                raise ProtocolError(f"worker {worker}: an error or warning offset outside "
-                                    f"a block of {size} sub-jobs")
-            start = len(values)
-            errors += ([start + k, message, kind] for k, message, kind in e)
-            warnings += ([start + k, messages] for k, messages in w)
-        values += v
-        times += t
-        seeds.append(s)
-    if seeds.count(None) == len(seeds):  # no block kept its seeds
-        return [values, times, errors, warnings, None]
-    return [values, times, errors, warnings,
-            [seed for block, s in zip(blocks, seeds) for seed in s or [None] * block.size]]
+def _frame_columns(frame: dict, size: int, worker: int) -> Columns:
+    """The columns of a result frame that answers ``size`` sub-jobs, checked
+    as a whole: each column's length, offsets inside the frame, errors exactly
+    at the null shapes, and shapes that fill the value bytes exactly."""
+    shapes, times, seeds = frame["shapes"], frame["time_ms"], frame["seeds"]
+    errors, warnings = frame["errors"], frame["warnings"]
+    if len(shapes) != size or len(times) != size or seeds is not None and len(seeds) != size:
+        raise ProtocolError(f"worker {worker}: a frame of {size} sub-jobs "
+                            "answered with columns of other lengths")
+    if not all(type(k) is int and 0 <= k < size for k, *_ in [*errors, *warnings]):
+        raise ProtocolError(f"worker {worker}: an error or warning offset outside "
+                            f"a frame of {size} sub-jobs")
+    if [k for k, *_ in errors] != [k for k, shape in enumerate(shapes) if shape is None]:
+        raise ProtocolError(f"worker {worker}: a frame's errors are not exactly at its "
+                            "null shapes")
+    return Columns(_frame_values(shapes, frame["tail"], worker), times,
+                   {k: ErrorInfo(message, kind) for k, message, kind in errors},
+                   {k: tuple(messages) for k, messages in warnings}, seeds)
+
+
+def _frame_values(shapes: list, tail, worker: int) -> list:
+    """Each sub-job's value from a result frame: None where its shape is
+    null, else the next elements of the float64 ``tail``, as a float for the
+    shape [] and as an array of its shape otherwise."""
+    try:
+        kinds = collections.Counter(tuple(shape) for shape in shapes if shape is not None)
+        fits = all(type(d) is int and d >= 0 for kind in kinds for d in kind) and \
+            len(tail) == 8 * sum(math.prod(kind) * n for kind, n in kinds.items())
+    except TypeError:  # a shape that is not a list of numbers
+        fits = False
+    if not fits:
+        raise ProtocolError(f"worker {worker}: a result frame's values do not fill its shapes")
+    flat = np.frombuffer(tail, dtype="<f8")
+    if set(kinds) <= {()}:  # scalars only
+        parts = iter(flat.tolist())
+    elif len(kinds) == 1:  # one shape: the rows of a writable copy in native byte order
+        ((shape, count),) = kinds.items()
+        parts = iter(flat.astype(float).reshape(count, *shape))
+    else:  # shapes differ: value by value, a float or a view of such a copy
+        flat, values, at = flat.astype(float), [], 0
+        for shape in shapes:
+            if shape is not None:
+                n = math.prod(shape)
+                values.append(flat[at:at + n].reshape(shape) if shape else float(flat[at]))
+                at += n
+        parts = iter(values)
+    return [None if shape is None else next(parts) for shape in shapes]
 
 
 def _died(worker: int) -> ExecutionError:
@@ -654,6 +745,8 @@ def zygote_main() -> int:
     workers still running and end."""
     import select  # here, as socket below: the in-process backends need neither
     import socket
+
+    import numpy.random  # noqa: F401 -- once here, not in each worker after its fork
     control = socket.socket(fileno=0)
     wake_r, wake_w = os.pipe()
     os.set_blocking(wake_w, False)
@@ -727,6 +820,7 @@ def _forked_worker(request: dict, fds: list[int], inherited: list[int]) -> None:
         os.environ.clear()
         os.environ.update(request["env"])
         importlib.invalidate_caches()  # see modules written since the zygote started
+        np.random.seed()  # the legacy global generator: the worker's own entropy
         with open(task, "rb") as stdin, open(result, "wb") as stdout:
             code = worker_main(stdin, stdout)
     finally:

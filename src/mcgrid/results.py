@@ -39,6 +39,7 @@ function or null; independent implementations following this note will agree.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -389,15 +390,10 @@ class Columns:
         for k, w in cols.warnings.items():
             self.warnings[cells[k]] = w
 
-    def doc(self) -> list:
-        """``[values, times, errors, warnings, seeds]``: errors as ``[k,
-        message, kind]`` and warnings as ``[k, [messages]]``, by position."""
-        return [[_value_doc(v) for v in self.value], self.time_ms,
-                [[k, e.message, e.kind] for k, e in self.errors.items()],
-                [[k, list(w)] for k, w in self.warnings.items()], self.seeds]
-
     @classmethod
     def from_doc(cls, d: list) -> "Columns":
+        """Columns from ``[values, times, errors, warnings, seeds]``, errors as
+        ``[k, message, kind]`` and warnings as ``[k, [messages]]``, by position."""
         values, times, errors, warnings, seeds = d
         return cls(value=_parse_values(values), time_ms=times,
                    errors={k: ErrorInfo(message, kind) for k, message, kind in errors},
@@ -468,12 +464,19 @@ def _store_doc(res: ResultStore) -> dict:
 
 
 def save(res: ResultStore, path: str | os.PathLike) -> None:
+    """Write ``res`` to ``path`` through ``<path>.tmp``, which a write that
+    raises or is interrupted removes."""
     text = canonical_json(_store_doc(res))
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _from_records(doc: dict, meta: StoreMeta) -> ResultStore:

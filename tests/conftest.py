@@ -176,6 +176,32 @@ def ragged_study(params, rng, warn):
     return [params["x"], u] if params["x"] == 4 else params["x"] + u
 
 
+# NaN with a payload, ±Inf, ±0.0, a subnormal of each sign, and an ordinary double
+SPECIAL_DOUBLES = (float(np.frombuffer(bytes.fromhex("bc0a000000f8ff7f"), "<f8")[0]),
+                   math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1.5)
+
+
+def special_doubles_study(params, rng, warn):
+    """The special doubles from index ``x`` plus a drawn offset, cyclically:
+    one of them when the frozen ``form`` is "scalar", six as a 2x3 array when
+    it is "matrix"; when it is "ragged", one where ``x % 3`` is 0, two where it
+    is 1 and an error where it is 2.  On x = 0..8 each form returns every
+    special double in every replication."""
+    k = params["x"] + int(rng.uniform() * len(SPECIAL_DOUBLES))
+    rotated = np.roll(np.array(SPECIAL_DOUBLES), -k)
+    form = params["form"]
+    if form == "ragged":
+        form = ("scalar", "pair", "error")[params["x"] % 3]
+    if form == "error":
+        raise ValueError("no value")
+    return {"scalar": rotated[0], "pair": rotated[:2], "matrix": rotated[:6].reshape(2, 3)}[form]
+
+
+def legacy_random_study(params, rng, warn):
+    """A draw from numpy's legacy global generator, not from ``rng``."""
+    return np.random.random()
+
+
 def appending_study(params, rng, warn):
     """Appends to the frozen list ``p``."""
     params["p"].append(7)

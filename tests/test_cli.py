@@ -508,10 +508,10 @@ class TestWorkerMode:
             out = worker.stdout
             want = [states, states[1:]]  # one result frame per task, its blocks in order
             frame = read_frame(out)
-            assert frame["tag"] == "result"
-            assert [doc[0] for doc in frame["blocks"]] == \
-                [[RngStream.from_state(st).uniform() for st in block] for block in want]
-            assert [len(doc[1]) for doc in frame["blocks"]] == [2, 1]
+            assert (frame["tag"], frame["blocks"], frame["shapes"]) == ("result", 2, [[]] * 3)
+            assert np.frombuffer(frame["tail"], "<f8").tolist() == \
+                [RngStream.from_state(st).uniform() for block in want for st in block]
+            assert len(frame["time_ms"]) == 3
             assert read_frame(out) is None  # 1 frame
             assert worker.wait() == 0  # end of input is a clean exit, reported by the zygote
         assert proc.wait(timeout=60) == 0  # end of input on the control socket
@@ -526,9 +526,10 @@ class TestWorkerMode:
         # is not subprocess
         modules = {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
                    if line.startswith("import time:")}
-        assert {"mcgrid.executor", "mcgrid.var_copula"} <= modules
-        # the report modules, and the parent's spawning and fingerprinting
-        for module in ("mcgrid.analysis", "mcgrid.plot", "mcgrid.cli", "subprocess", "hashlib"):
+        # numpy.random too, once, so that no worker imports it after its fork
+        assert {"mcgrid.executor", "mcgrid.var_copula", "numpy.random"} <= modules
+        # the report modules, and the parent's spawning
+        for module in ("mcgrid.analysis", "mcgrid.plot", "mcgrid.cli", "subprocess"):
             assert module not in modules
 
     def test_zygote_bad_bytes_exit_nonzero(self):

@@ -21,11 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (appending_level_study, appending_study, chatty_study,
+from conftest import (SPECIAL_DOUBLES, appending_level_study, appending_study, chatty_study,
                       cheap_style_study, coin_study, dying_study, float_bits, float_type_study,
-                      interrupting_study, matmul_study, mid_buffer_study, params_probe_study,
-                      poly_noisy, poly_study, ragged_study, scalar_varlist, square_study,
-                      tiny_varlist, wide_study)
+                      interrupting_study, legacy_random_study, matmul_study, mid_buffer_study,
+                      params_probe_study, poly_noisy, poly_study, ragged_study, scalar_varlist,
+                      special_doubles_study, square_study, tiny_varlist, wide_study)
 
 from mcgrid import (Block, ErrorInfo, ExecutionError, ProcessPool, ProtocolError,
                     RawFallback, ResultStore, RngStream, SeedSpec, Sequential,
@@ -34,7 +34,7 @@ from mcgrid import (Block, ErrorInfo, ExecutionError, ProcessPool, ProtocolError
 from mcgrid import executor
 from mcgrid.executor import (TASK_SUBJOBS, WORKER_FLAG, encode_frame, partition_tasks,
                              read_frame, worker_main)
-from mcgrid.results import Columns, SubJobRecord, _parse_value, canonical_json
+from mcgrid.results import Columns, SubJobRecord, canonical_json
 from mcgrid.seeding import StreamState, derive_streams
 from mcgrid.var_copula import probe_first_uniform
 
@@ -265,33 +265,35 @@ class TestWorkerLoop:
                                    self._task(Block(row=1, rep_start=1, size=2),
                                               Block(row=2, rep_start=3, size=2)))
         assert code == 0
-        # one result frame per task: a column document per block, in block
-        # order, each [values, times, errors, warnings, seeds] in rep order
+        # one result frame per task: its sub-jobs' columns in block order,
+        # each block's in rep order, then the values as float64 bytes
         result = read_frame(stdout)
-        assert set(result) == {"tag", "blocks"} and result["tag"] == "result"
-        seeds = [seed_for(SeedSpec.seq(), rep).to_hex() for rep in (1, 2, 3, 4)]
-        (v1, t1, e1, w1, s1), (v2, t2, e2, w2, s2) = result["blocks"]
-        assert (v1, v2) == ([16.0, 16.0], [25.0, 25.0])
-        assert [len(t1), len(t2)] == [2, 2]
-        assert all(isinstance(t, float) for t in t1 + t2)
-        assert e1 == w1 == e2 == w2 == []
-        assert (s1, s2) == (seeds[:2], seeds[2:])
+        assert set(result) == {"tag", "blocks", "shapes", "time_ms", "errors", "warnings",
+                               "seeds", "tail"}
+        assert (result["tag"], result["blocks"], result["shapes"]) == ("result", 2, [[]] * 4)
+        assert np.frombuffer(result["tail"], "<f8").tolist() == [16.0, 16.0, 25.0, 25.0]
+        assert len(result["time_ms"]) == 4
+        assert all(isinstance(t, float) for t in result["time_ms"])
+        assert result["errors"] == result["warnings"] == []
+        assert result["seeds"] == [seed_for(SeedSpec.seq(), rep).to_hex() for rep in (1, 2, 3, 4)]
         assert read_frame(stdout) is None  # 1 frame
 
     def test_result_frame_keeps_errors_and_warnings_by_offset(self):
-        # coin_study: rep 1 succeeds, reps 2 and 3 fail, rep 4 warns; each
-        # block's errors and warnings count from the block's start
+        # coin_study: rep 1 succeeds, reps 2 and 3 fail, rep 4 warns; errors
+        # and warnings count from the frame's first sub-job, and an errored
+        # sub-job has a null shape and no bytes
         vl = VarList([VarSpec("n.sim", "N", 4), VarSpec("x", "grid", (3, 4, 5))])
         code, stdout = self._serve(self._setup(vl, "conftest:coin_study"),
                                    self._task(Block(row=1, rep_start=1, size=2),
                                               Block(row=1, rep_start=3, size=2)))
         assert code == 0
-        (v1, _, e1, w1, s1), (v2, _, e2, w2, s2) = read_frame(stdout)["blocks"]
+        result = read_frame(stdout)
         u = [RngStream.from_state(seed_for(SeedSpec.seq(), rep)).uniform() for rep in (1, 4)]
-        assert (v1, v2) == ([4 + u[0], None], [None, 4 + u[1]])
-        assert (e1, e2) == ([[1, "low draw", "RuntimeError"]], [[0, "low draw", "RuntimeError"]])
-        assert (w1, w2) == ([], [[1, ["high draw"]]])
-        assert s1 is None and s2 is None
+        assert result["shapes"] == [[], None, None, []]
+        assert np.frombuffer(result["tail"], "<f8").tolist() == [4 + u[0], 4 + u[1]]
+        assert result["errors"] == [[k, "low draw", "RuntimeError"] for k in (1, 2)]
+        assert result["warnings"] == [[3, ["high draw"]]]
+        assert result["seeds"] is None
         assert read_frame(stdout) is None
 
     def test_worker_main_frame_loop(self):
@@ -300,11 +302,11 @@ class TestWorkerLoop:
                                    self._task(Block(0, 1, 1), Block(1, 1, 1)),
                                    self._task(Block(2, 1, 1)))
         assert code == 0  # end of input ends the worker
-        for want in ([[9.0], [16.0]], [[25.0]]):  # one result frame per task
+        for want in ([9.0, 16.0], [25.0]):  # one result frame per task
             result = read_frame(stdout)
-            assert result["tag"] == "result"
-            assert [doc[0] for doc in result["blocks"]] == want
-            assert [doc[4] for doc in result["blocks"]] == [None] * len(want)
+            assert (result["tag"], result["blocks"]) == ("result", len(want))
+            assert np.frombuffer(result["tail"], "<f8").tolist() == want
+            assert result["seeds"] is None
         assert read_frame(stdout) is None  # 2 frames
 
     def test_shutdown_frame_is_protocol_error(self, capsys):
@@ -387,30 +389,33 @@ class TestTaskFrames:
         code, stdout = self._serve(*self.TASK)
         assert code == 0
         (frame,) = self._frames(stdout)
-        assert encode_frame(frame) == stdout.getvalue()  # canonical text
-        low, high = [[0, "low draw", "RuntimeError"]], [[1, ["high draw"]]]
-        low1 = [[1, "low draw", "RuntimeError"]]
-        # errors and warnings by offset from each block's start
-        assert [doc[2] for doc in frame["blocks"]] == [low1, low, low1, low, low1]
-        assert [doc[3] for doc in frame["blocks"]] == [[], high, [], high, []]
+        tail = frame.pop("tail")
+        assert encode_frame(frame, [tail]) == stdout.getvalue()  # canonical text
+        low, high = ["low draw", "RuntimeError"], ["high draw"]
+        # errors and warnings by offset from the frame's first sub-job
+        assert frame["errors"] == [[k, *low] for k in (1, 2, 5, 6, 9)]
+        assert frame["warnings"] == [[k, high] for k in (3, 7)]
         self._check(list(executor._task_results(stdout, self.TASK, 0)))
 
     def test_over_limit_task_is_several_frames_of_whole_blocks(self, monkeypatch):
         code, stdout = self._serve(*self.TASK)
         whole = len(stdout.getvalue())
         monkeypatch.setattr(executor, "MAX_FRAME", whole // 2)
-        docs, encodes = [], []
-        doc, encode = Columns.doc, executor.encode_frame
-        monkeypatch.setattr(Columns, "doc", lambda cols: docs.append(cols) or doc(cols))
-        monkeypatch.setattr(executor, "encode_frame", lambda d: encodes.append(d) or encode(d))
-        code, stdout = self._serve(*self.TASK)
-        assert code == 0
-        frames = self._frames(stdout)
-        # consecutive blocks while the frame fits: blocks [2, 2, 1]
-        assert [len(f["blocks"]) for f in frames] == [2, 2, 1]
-        # each block's columns are encoded once, and only the frames written
-        assert len(docs) == len(self.TASK) and len(encodes) == len(frames)
-        self._check(list(executor._task_results(stdout, self.TASK, 0)))
+        encodes, encode = [], executor.encode_frame
+        monkeypatch.setattr(executor, "encode_frame",
+                            lambda *args: encodes.append(args) or encode(*args))
+        counts = []
+        for _ in range(2):
+            code, stdout = self._serve(*self.TASK)
+            assert code == 0
+            frames = self._frames(stdout)
+            counts.append([f["blocks"] for f in frames])
+            # consecutive whole blocks, each frame within the limit and encoded once
+            assert len(frames) > 1 and len(encodes) == len(frames)
+            assert all(len(encode(f, [f.pop("tail")])) <= whole // 2 + 4 for f in frames)
+            self._check(list(executor._task_results(stdout, self.TASK, 0)))
+            encodes.clear()
+        assert counts[0] == counts[1]  # the split depends on the outcomes, not the times
 
     def test_over_limit_block_is_a_protocol_error(self, monkeypatch, capsys):
         code, stdout = self._serve(Block(1, 1, 4))
@@ -430,8 +435,9 @@ class TestTaskFrames:
         small = Columns([1.0] * 8, [0.5] * 8, {}, {}, None)
         monkeypatch.setattr(executor, "MAX_FRAME", 64 * 1024 * 1024)
         one = frames_of(small)
-        assert frames_of(small, small) == encode_frame(
-            {"tag": "result", "blocks": [small.doc(), small.doc()]})  # one frame of both
+        assert frames_of(small, small) == encode_frame(  # one frame of both
+            {"tag": "result", "blocks": 2, "shapes": [[]] * 16, "time_ms": [0.5] * 16,
+             "errors": [], "warnings": [], "seeds": None}, [np.ones(16)])
         monkeypatch.setattr(executor, "MAX_FRAME", len(one) - 4)  # its payload
         assert frames_of(small, small) == one + one
         monkeypatch.setattr(executor, "MAX_FRAME", len(one) - 5)
@@ -439,76 +445,118 @@ class TestTaskFrames:
             frames_of(small)
 
     @staticmethod
-    def _answer(*docs) -> io.BytesIO:
-        return io.BytesIO(encode_frame({"tag": "result", "blocks": list(docs)}))
+    def _answer(*frames) -> io.BytesIO:
+        """Result frames by hand, each given as ``blocks, shapes, values``
+        and any other fields: times of 0.5 and no errors, warnings or seeds
+        unless given."""
+        out = io.BytesIO()
+        for blocks, shapes, values, *more in frames:
+            doc = {"tag": "result", "blocks": blocks, "shapes": shapes,
+                   "time_ms": [0.5] * len(shapes), "errors": [], "warnings": [], "seeds": None}
+            doc.update(*more)
+            out.write(encode_frame(doc, [np.array(values, dtype="<f8")]))
+        out.seek(0)
+        return out
+
+    TWO = (1, [[]] * 2, [1.0, 2.0])  # a frame answering one block of two scalars
 
     def test_frame_ending_inside_a_block_is_a_protocol_error(self):
         task = [Block(0, 1, 2), Block(1, 1, 2)]
-        two = Columns([1.0] * 2, [0.5] * 2, {}, {}, None).doc()
-        # a column of another length than its block: values, times or seeds
-        for doc in (Columns([1.0] * 3, [0.5] * 3, {}, {}, None).doc(),
-                    Columns([1.0] * 2, [0.5], {}, {}, None).doc(),
-                    Columns([1.0] * 2, [0.5] * 2, {}, {}, ["00"]).doc(),
-                    Columns([1.0] * 2, [0.5] * 2, {}, {}, []).doc()):
-            # the frame is checked block by block before any of it is taken
-            got = executor._task_results(self._answer(two, doc), task, 0)
-            with pytest.raises(ProtocolError, match="worker 0: a block of 2 sub-jobs"):
+        # a column of another length than the sub-jobs of the blocks answered:
+        # shapes, times or seeds
+        for bad in ((1, [[]] * 3, [1.0] * 3), (1, [[]] * 2, [1.0] * 2, {"time_ms": [0.5]}),
+                    (1, [[]] * 2, [1.0] * 2, {"seeds": ["00"]}),
+                    (1, [[]] * 2, [1.0] * 2, {"seeds": []}), (2, [[]] * 2, [1.0] * 2)):
+            # the frame is checked as a whole before any of it is taken
+            got = executor._task_results(self._answer(bad), task, 0)
+            with pytest.raises(ProtocolError, match="worker 0: a frame of [24] sub-jobs "
+                                                    "answered with columns of other lengths"):
                 next(got)
         # a frame that answers no block
         with pytest.raises(ProtocolError, match="worker 0: a result frame answers 0 blocks"):
-            list(executor._task_results(self._answer(), task, 0))
+            list(executor._task_results(self._answer((0, [], [])), task, 0))
         # end of input before the task is covered: the worker is gone
-        got = executor._task_results(self._answer(two), task, 1)
+        got = executor._task_results(self._answer(self.TWO), task, 1)
         assert next(got)[0] == task[:1]
         with pytest.raises(ExecutionError, match="worker 1 died mid-run"):
             next(got)
 
     def test_offset_outside_its_block_is_a_protocol_error(self):
-        # an offset past its own block would write another block's cell
+        # an offset past the frame would write a cell of a block it does not answer
         task = [Block(0, 1, 2), Block(1, 1, 2)]
-        two = Columns([1.0] * 2, [0.5] * 2, {}, {}, None).doc()
         for errors, warnings in (([[2, "m", "E"]], []), ([], [[2, ["w"]]]),
                                  ([[-1, "m", "E"]], []), ([], [[True, ["w"]]]),
                                  ([[1.0, "m", "E"]], [])):
-            doc = [[1.0] * 2, [0.5] * 2, errors, warnings, None]
-            for docs in ((doc, two), (two, doc)):
-                got = executor._task_results(self._answer(*docs), task, 3)
-                with pytest.raises(ProtocolError, match="worker 3: an error or warning offset "
-                                                        "outside a block of 2 sub-jobs"):
+            bad = (1, [[], None], [1.0], {"errors": errors, "warnings": warnings})
+            for frames in ((bad, self.TWO), (self.TWO, bad)):
+                got = executor._task_results(self._answer(*frames), task, 3)
+                if frames[0] is not bad:
                     next(got)
+                with pytest.raises(ProtocolError, match="worker 3: an error or warning offset "
+                                                        "outside a frame of 2 sub-jobs"):
+                    next(got)
+
+    def test_values_that_do_not_fill_the_shapes_are_a_protocol_error(self):
+        task = [Block(0, 1, 2)]
+        for bad in ((1, [[], []], [1.0]), (1, [[], []], [1.0] * 3), (1, [[2], []], [1.0] * 2),
+                    (1, [[-1], [4]], [1.0] * 3), (1, [["2"], []], [1.0] * 3),
+                    (1, [[[2]], []], [1.0] * 3), (1, [{"2": 1}, []], [1.0] * 2)):
+            with pytest.raises(ProtocolError, match="worker 0: a result frame's values do not "
+                                                    "fill its shapes"):
+                next(executor._task_results(self._answer(bad), task, 0))
+        doc = {"tag": "result", "blocks": 1, "shapes": [[], []], "time_ms": [0.5] * 2,
+               "errors": [], "warnings": [], "seeds": None}
+        with pytest.raises(ProtocolError, match="do not fill its shapes"):  # 17 value bytes
+            next(executor._task_results(io.BytesIO(encode_frame(doc, [bytes(17)])), task, 0))
+
+    def test_values_at_errored_sub_jobs_are_a_protocol_error(self):
+        # a value where an error is, or a null shape where none is
+        task = [Block(0, 1, 2)]
+        error = {"errors": [[1, "m", "E"]]}
+        for bad in ((1, [[], []], [1.0, 2.0], error), (1, [None, []], [1.0]),
+                    (1, [None, []], [1.0], error),
+                    (1, [[], None], [1.0], {"errors": [[1, "m", "E"], [1, "m", "E"]]})):
+            with pytest.raises(ProtocolError, match="worker 0: a frame's errors are not exactly "
+                                                    "at its null shapes"):
+                next(executor._task_results(self._answer(bad), task, 0))
+        ((_, cols),) = executor._task_results(self._answer((1, [[], None], [1.0], error)), task, 0)
+        assert (cols.value, cols.errors) == ([1.0, None], {1: ErrorInfo("m", "E")})
 
     def test_frame_answering_more_blocks_than_outstanding_is_a_protocol_error(self):
         task = [Block(0, 1, 2), Block(1, 1, 2)]
-        two = Columns([1.0] * 2, [0.5] * 2, {}, {}, None).doc()
-        stream = io.BytesIO(self._answer(two).getvalue() + self._answer(two, two).getvalue())
+        stream = self._answer(self.TWO, (2, [[]] * 4, [1.0] * 4))
         got = executor._task_results(stream, task, 0)
         assert next(got)[0] == task[:1]
         with pytest.raises(ProtocolError, match="answers 2 blocks, 1 outstanding"):
             next(got)
 
 
-_SCALARS = st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
+_SCALARS = st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324])
 
 
 @st.composite
 def _result_frames(draw):
-    """A run's blocks and, for each task, its result frames: random block
-    documents (scalar, multi-dimensional or ragged values, errors with null
-    values, warnings, kept seeds or none) split into frames at random."""
+    """A run's blocks, each block's columns (scalar, multi-dimensional or
+    ragged values, errors with null values, warnings, kept seeds or none),
+    and for each task its result frames as a worker writes them, the task
+    split into frames at random."""
     n_G, size = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     n_sim, rep_first = size * draw(st.integers(1, 4)), draw(st.booleans())
     shapes = draw(st.lists(st.sampled_from([(), (2,), (2, 3), (0,), (1, 2)]),
                            min_size=1, max_size=2))  # two shapes: ragged values
     kept, slots = draw(st.booleans()), draw(st.integers(1, 3))
     blocks = partition_blocks(n_G, n_sim, size, rep_first)
-    streams = {}
+    columns, streams = {}, {}
     for task in partition_tasks(blocks, slots):
-        docs = []
-        for _ in task:
+        cuts = set(draw(st.sets(st.integers(1, len(task) - 1), max_size=3))) \
+            if len(task) > 1 else set()
+        out = io.BytesIO()
+        frames = executor._ResultFrames(out)
+        for k, block in enumerate(task):
             value, errors, warns = [], {}, {}
-            for k in range(size):
+            for j in range(size):
                 if draw(st.booleans()):
-                    errors[k] = ErrorInfo(draw(st.text(max_size=3)), "E")
+                    errors[j] = ErrorInfo(draw(st.text(max_size=3)), "E")
                     value.append(None)
                 else:
                     shape = draw(st.sampled_from(shapes))
@@ -517,42 +565,36 @@ def _result_frames(draw):
                     value.append(np.array(flat, dtype=float).reshape(shape) if shape
                                  else flat[0])
                 if draw(st.booleans()):
-                    warns[k] = tuple(draw(st.lists(st.text(max_size=3), min_size=1, max_size=2)))
+                    warns[j] = tuple(draw(st.lists(st.text(max_size=3), min_size=1, max_size=2)))
             seeds = [draw(st.none() | st.text("0123456789abcdef", max_size=4))
                      for _ in range(size)] if kept else None
             times = draw(st.lists(_SCALARS, min_size=size, max_size=size))
-            docs.append(Columns(value, times, errors, warns, seeds).doc())
-        cuts = sorted(draw(st.sets(st.integers(1, len(task) - 1), max_size=3))) \
-            if len(task) > 1 else []
-        streams[tuple(task)] = b"".join(
-            encode_frame({"tag": "result", "blocks": docs[a:b]})
-            for a, b in zip([0, *cuts], [*cuts, len(task)]))
-    return n_G, n_sim, rep_first, kept, slots, blocks, streams
+            columns[block] = Columns(value, times, errors, warns, seeds)
+            if k in cuts:
+                frames.flush()
+            frames.add(columns[block])
+        frames.flush()
+        streams[tuple(task)] = out.getvalue()
+    return n_G, n_sim, rep_first, kept, slots, blocks, columns, streams
 
 
 @given(_result_frames())
 @settings(max_examples=150, deadline=None)
 def test_frames_decode_as_block_by_block_reads(frames):
-    # reference: each block document read on its own, value by value, and
-    # its entries written at the block's store cells, as the parent once did
-    n_G, n_sim, rep_first, kept, slots, blocks, streams = frames
-    n, order = n_G * n_sim, iter(blocks)
+    # reference: each block's columns written at the block's store cells
+    # value by value, with no frame in between
+    n_G, n_sim, rep_first, kept, slots, blocks, columns, streams = frames
+    n = n_G * n_sim
     want = Columns([None] * n, [0.0] * n, {}, {}, [None] * n if kept else None)
-    for stream in streams.values():
-        stream = io.BytesIO(stream)
-        while (frame := read_frame(stream)) is not None:
-            for values, times, errors, warns, seeds in frame["blocks"]:
-                block = next(order)
-                start = block.row + n_G * (block.rep_start - 1)
-                at = slice(start, start + n_G * block.size, n_G)
-                want.value[at] = [_parse_value(v) for v in values]
-                want.time_ms[at] = times
-                if seeds is not None:
-                    want.seeds[at] = seeds
-                want.errors.update({start + n_G * k: ErrorInfo(m, kind)
-                                    for k, m, kind in errors})
-                want.warnings.update({start + n_G * k: tuple(w) for k, w in warns})
-    assert next(order, None) is None
+    for block in blocks:
+        cols, start = columns[block], block.row + n_G * (block.rep_start - 1)
+        at = slice(start, start + n_G * block.size, n_G)
+        want.value[at] = cols.value
+        want.time_ms[at] = cols.time_ms
+        if cols.seeds is not None:
+            want.seeds[at] = cols.seeds
+        want.errors.update({start + n_G * k: e for k, e in cols.errors.items()})
+        want.warnings.update({start + n_G * k: w for k, w in cols.warnings.items()})
 
     def slot(take):
         while (task := take()) is not None:
@@ -1242,10 +1284,42 @@ class TestOneStreamPerSlot:
         assert code == 0
         assert len(built) == 1
         for task in ((range(1, 9), range(1, 9)), (range(1, 5), range(5, 9))):  # a frame each
-            assert [doc[0] for doc in read_frame(stdout)["blocks"]] == \
-                [[RngStream.from_state(seed_for(SeedSpec.seq(), rep)).uniform() for rep in want]
-                 for want in task]
+            assert np.frombuffer(read_frame(stdout)["tail"], "<f8").tolist() == \
+                [RngStream.from_state(seed_for(SeedSpec.seq(), rep)).uniform()
+                 for want in task for rep in want]
         assert read_frame(stdout) is None  # 2 frames
+
+
+@pytest.mark.parametrize("form", ["scalar", "matrix", "ragged"])
+def test_special_doubles_come_back_bit_identical(form):
+    # NaN (with a payload), ±Inf, ±0.0 and subnormals as scalars, 2x3 arrays,
+    # or ragged values with an error (a raw fallback): a result frame's value
+    # bytes carry every bit the sequential backend keeps
+    inner = [VarSpec("i", "inner", (1, 2)), VarSpec("j", "inner", (1, 2, 3))]
+    vl = VarList([VarSpec("n.sim", "N", 4), VarSpec("x", "grid", tuple(range(9))),
+                  VarSpec("form", "frozen", form), *(inner if form == "matrix" else [])])
+    stores = [run_study(vl, special_doubles_study, backend=backend)
+              for backend in (Sequential(), ProcessPool(2), ProcessPool(2, block_size=4))]
+    for res in stores:
+        assert type(res) is (RawFallback if form == "ragged" else ResultStore)
+        assert res.errors.keys() == ({cell for cell in range(36) if cell % 3 == 2}
+                                     if form == "ragged" else set())
+    values = [[np.asarray(v).tobytes() for v in res.value] if form == "ragged" else
+              [res.value.shape, res.value.tobytes()] for res in stores]
+    assert values[1] == values[0] and values[2] == values[0]
+    drawn = b"".join(values[0]) if form == "ragged" else values[0][1]
+    for x in SPECIAL_DOUBLES:  # each one's bits, and its sign, reach the store
+        assert np.array(x).tobytes() in drawn
+
+
+def test_workers_reseed_numpy_legacy_generator():
+    # the zygote preloads numpy.random; each worker reseeds the legacy global
+    # generator, so two workers (round-robin tasks: 10 and 6 sub-jobs) and two
+    # runs forked from one zygote never repeat each other's draws
+    vl = VarList([VarSpec("n.sim", "N", 8), VarSpec("x", "grid", (1, 2))])
+    draws = [run_study(vl, legacy_random_study, backend=ProcessPool(2, load_balancing=False))
+             .value.tolist() for _ in range(2)]
+    assert len(set(draws[0] + draws[1])) == 32
 
 
 @pytest.mark.parametrize("rep_first", [True, False])

@@ -1,6 +1,7 @@
 """Canonical JSON, dense stores, persistence, and result comparison."""
 
 import dataclasses
+import io
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from mcgrid import (CacheInvalidError, RawFallback, ResultStore, SeedSpec,
                     SubJobRecord, VarList, VarSpec, assemble, canonical_json,
                     do_res_equal, load, maybe_read, run_study, save,
                     study_fingerprint)
+from mcgrid import executor, results
 from mcgrid.results import Columns, ErrorInfo, _fmt_floats, _parse_value
 from mcgrid.var_copula import probe_first_uniform
 
@@ -72,20 +74,26 @@ class TestCanonicalJson:
 
     @given(st.lists(st.tuples(
                st.one_of(st.none(), st.floats(), st.lists(st.floats(), max_size=3).map(np.array)),
-               st.floats(0, 1e6), st.one_of(st.none(), st.text(max_size=4)),
+               st.floats(0, 1e6), st.text(max_size=4),
                st.lists(st.text(max_size=4), max_size=2), st.text(max_size=4)), min_size=1),
            st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_column_document_round_trips(self, entries, seeded):
-        # values of every kind (NaN, infinities, -0.0, arrays), errors and
-        # warnings with non-ASCII text, kept seeds or none: the wire form of
-        # a block's columns reads back as the same columns
+        # values of every kind (NaN, infinities, -0.0, arrays), errors (where
+        # the value is None) and warnings with non-ASCII text, kept seeds or
+        # none: the wire form of a block's columns, a worker's result frame,
+        # reads back as the same columns
         cols = Columns([v for v, *_ in entries], [t for _, t, *_ in entries],
-                       {k: ErrorInfo(e, "E") for k, (_, _, e, *_) in enumerate(entries)
-                        if e is not None},
+                       {k: ErrorInfo(e, "E") for k, (v, _, e, *_) in enumerate(entries)
+                        if v is None},
                        {k: tuple(w) for k, (*_, w, _) in enumerate(entries) if w},
                        [s for *_, s in entries] if seeded else None)
-        back = Columns.from_doc(json.loads(canonical_json(cols.doc())))
+        out = io.BytesIO()
+        frames = executor._ResultFrames(out)
+        frames.add(cols)
+        frames.flush()
+        out.seek(0)
+        ((_, back),) = executor._task_results(out, [executor.Block(0, 1, len(entries))], 0)
         assert len(back.value) == len(cols.value)
         for v, w in zip(cols.value, back.value):
             assert (v is None) == (w is None)
@@ -211,6 +219,42 @@ class TestPersistence:
                     math.isnan(a.time_ms) and math.isnan(b.time_ms))
             assert back.meta.created == res.meta.created
             assert back.meta.fingerprint == res.meta.fingerprint
+
+    @pytest.mark.parametrize("failure", [OSError("disk full"), KeyboardInterrupt()])
+    @pytest.mark.parametrize("step", ["write", "replace"])
+    def test_a_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch, failure,
+                                                     step):
+        res = run_study(scalar_varlist(n_sim=2), square_study)
+        path = tmp_path / "results.json"
+        save(res, path)
+        before = path.read_bytes()
+
+        class Truncating:  # writes the text's first bytes, then fails
+            def __init__(self, *args, **kwargs):
+                self.fh = open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:10])
+                self.fh.flush()
+                raise failure
+
+        def failing_replace(src, dst):
+            raise failure
+
+        if step == "write":
+            monkeypatch.setattr(results, "open", Truncating, raising=False)
+        else:
+            monkeypatch.setattr(results.os, "replace", failing_replace)
+        with pytest.raises(type(failure)):
+            save(res, path)
+        assert sorted(os.listdir(tmp_path)) == ["results.json"]  # no results.json.tmp
+        assert path.read_bytes() == before  # the old file stands
 
     def test_raw_fallback_roundtrip(self, tmp_path):
         rng = random.Random(7)
