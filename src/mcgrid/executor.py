@@ -23,9 +23,12 @@ or the calling thread is interrupted, no slot starts another block.
 A slot that runs sub-jobs owns one random stream: under a seeded discipline
 it resets it to the replication's state before each call, under ``none``/
 ``unseeded`` it carries on its thread's ambient stream.  A study's ``rng`` is
-valid only during its call.  A block's outcomes are columns (values, times,
-sparse errors and warnings, seeds) that the scheduler writes straight into the
-run's store-order columns; records are built only for a monitor.
+valid only during its call.  A task's outcomes are columns (values, times,
+sparse errors and warnings, seeds), which a slot hands over once per task and
+the scheduler writes into the run's store-order columns with one put: values
+into one float64 array, inner dimensions first, until the first value of
+another shape turns it into the per-cell list of a raw fallback.  Records are
+built only for a monitor.
 
 Frame protocol: 4-byte big-endian payload length, then a canonical-JSON
 payload (the result files' text family), followed in a result frame by a
@@ -47,21 +50,22 @@ null}``, each sub-job's value shape (null where it errored, ``[]`` for a
 scalar), times as ``%.17g`` text, and errors and warnings by offset ``k``
 from the frame's first sub-job, errors in order; the tail holds the non-null
 values' elements as little-endian float64, value after value, each in C
-order.  The worker keeps each finished block's outcomes, its values as
-float64, and encodes a frame once, when it writes it: at the end of the task,
-or as soon as the next block might take it over the limit (by a bound on its
-text that depends only on the outcomes), so a larger task goes out as several
-frames of whole blocks and only a single block over the limit is an error.
-The parent reads a frame with one ``json.loads`` and one ``np.frombuffer``,
-checks it as a whole against the ``n`` blocks it answers, and writes it into
-the store with one put.  End of input ends the worker; an unexpected frame
-tag, a result frame that answers no block or more blocks than are
-outstanding, a column that is not of the frame's sub-job count, an error or
-warning offset outside the frame, errors not exactly at the null shapes, or
-shapes that do not fill the tail exactly, is a protocol error, so a malformed
-answer never lands in a cell that the frame does not answer.  A worker dying
-mid-run aborts the run (no retry), and on any failure or interrupt the parent
-kills every worker at once.  The monitor runs in the calling process.
+order.  The worker runs a whole task, then writes its results, each frame
+encoded once: one frame, or, where the task might take it over the limit (by
+a bound on its text that depends only on the outcomes), several frames of
+whole blocks, so only a single block over the limit is an error.  The parent
+reads a frame with one ``json.loads`` and one ``np.frombuffer``, checks it as
+a whole against the ``n`` blocks it answers, and writes it into the run's
+columns with one put; when each value has the inner shape, the values go in
+as a view of the frame's bytes, not one by one.  End of input ends the
+worker; an unexpected frame tag, a result frame that answers no block or more
+blocks than are outstanding, a column that is not of the frame's sub-job
+count, an error or warning offset outside the frame, errors not exactly at
+the null shapes, or shapes that do not fill the tail exactly, is a protocol
+error, so a malformed answer never lands in a cell that the frame does not
+answer.  A worker dying mid-run aborts the run (no retry), and on any
+failure or interrupt the parent kills every worker at once.  The monitor
+runs in the calling process.
 
 Workers are forked, per run, from a zygote, a fork server that a process's
 first process-backend run spawns as ``python -m mcgrid --worker``.  It
@@ -103,7 +107,8 @@ import numpy as np
 
 from . import registry
 from .results import (Columns, ErrorInfo, ResultStore, SubJobRecord, _Encoded, _fmt_floats,
-                      assemble, canonical_json, maybe_read, save, study_fingerprint)
+                      _inner_shape, assemble, canonical_json, maybe_read, save,
+                      study_fingerprint)
 from .seeding import RngStream, SeedSpec, ambient_stream, seed_for
 from .varlist import VarList, linear_of, mk_grid, non_grid_args, unravel
 
@@ -155,11 +160,6 @@ class Block(NamedTuple):
     def indices(self, n_G: int, n_sim: int, rep_first: bool) -> list[VirtualIndex]:
         return [VirtualIndex(linear_of(self.row, rep, n_G, n_sim, rep_first), self.row, rep)
                 for rep in range(self.rep_start, self.rep_start + self.size)]
-
-    def cells(self, n_G: int) -> range:
-        """Its store cells, ``row + n_G * (rep - 1)``, whatever the virtual order."""
-        return range(self.row + n_G * (self.rep_start - 1),
-                     self.row + n_G * (self.rep_start + self.size - 1), n_G)
 
 
 def partition_blocks(n_G: int, n_sim: int, block_size: int, rep_first: bool) -> list[Block]:
@@ -265,12 +265,14 @@ class _RunContext:
     states: list = field(init=False)  # seed_for(seed, rep) at index rep - 1
     philox: list = field(init=False)  # their Philox states; None: never reset
     seeds: list | None = field(init=False)  # their hex texts, kept under keep_seed
+    inner: tuple = field(init=False)  # the shape of a value that stacks
 
     def __post_init__(self):
         grid = mk_grid(self.vl)  # its labels, so the store dims, stay the declared ones
         self.grid = replace(grid, level_values=_freeze(grid.level_values))
         self.n_G = self.grid.n_rows
         self.n_sim = self.vl.n_sim
+        self.inner = _inner_shape(self.vl)
         self.args = {name: _freeze(arg) for name, arg in non_grid_args(self.vl).items()}
         # seed_for depends only on (seed, rep): derive each replication once
         self.states = [seed_for(self.seed, rep) for rep in range(1, self.n_sim + 1)]
@@ -288,38 +290,36 @@ def subjob(ctx: _RunContext, rng: RngStream, rep: int, params: dict) -> tuple:
     return do_call_we(ctx.study_fn, dict(params), rng)
 
 
-def _run_block(ctx: _RunContext, rng: RngStream, block: Block, params: dict) -> Columns:
-    """The outcomes of ``block``, whose row's study arguments are ``params``,
-    as columns in rep order."""
-    first = block.rep_start - 1
-    ambient = ctx.keep_seed and ctx.seed.kind == "none"
-    seeds = [] if ambient else ctx.seeds and ctx.seeds[first:first + block.size]
-    values, times, errors, warns = [], [], {}, {}
-    for k in range(block.size):
-        if ambient:  # the state the sub-job starts from
-            seeds.append(rng.state.to_hex())
-        value, error, warnings, time_ms = subjob(ctx, rng, block.rep_start + k, params)
-        values.append(value)
-        times.append(time_ms)
-        if error is not None:
-            errors[k] = error
-        if warnings:
-            warns[k] = warnings
-    return Columns(values, times, errors, warns, seeds)
-
-
-def _run_tasks(ctx: _RunContext, take):
-    """A slot: the tasks ``take()`` hands out, as ``(block, columns)``.  The
-    slot owns one stream: reset before every sub-job, or under ``none``/
-    ``unseeded`` its thread's ambient stream, carried on between sub-jobs."""
+def _run_tasks(ctx: _RunContext, take, stopped=lambda: False):
+    """A slot: each task ``take()`` hands out and its sub-jobs' columns, in
+    task order, once the whole task has run.  Once ``stopped()`` is true
+    before a block, the slot ends without another yield.  The slot owns one
+    stream: reset before every sub-job, or under ``none``/``unseeded`` its
+    thread's ambient stream, carried on between sub-jobs."""
     rng = RngStream.from_state(ctx.states[0]) if ctx.states[0] else ambient_stream()
+    ambient = ctx.keep_seed and ctx.seed.kind == "none"
     while (task := take()) is not None:
+        values, times, errors, warns, seeds = [], [], {}, {}, []
         row = None  # a row's arguments are built once per run of its blocks in a task
         for block in task:
+            if stopped():
+                return
             if block.row != row:
                 row, params = block.row, ctx.grid.row_params(block.row)
                 params.update(ctx.args)
-            yield [block], _run_block(ctx, rng, block, params)
+            if ctx.seeds:
+                seeds += ctx.seeds[block.rep_start - 1:block.rep_start - 1 + block.size]
+            for rep in range(block.rep_start, block.rep_start + block.size):
+                if ambient:  # the state the sub-job starts from
+                    seeds.append(rng.state.to_hex())
+                value, error, warnings, time_ms = subjob(ctx, rng, rep, params)
+                if error is not None:
+                    errors[len(times)] = error
+                if warnings:
+                    warns[len(times)] = warnings
+                values.append(value)
+                times.append(time_ms)
+        yield task, Columns(values, times, errors, warns, seeds if seeds else None)
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +375,11 @@ def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
     per process.
 
     ``monitor(vidx, record)`` is called once per sub-job, in the calling
-    process on every backend, after each block and from the thread that
+    process on every backend, after each task and from the thread that
     drives its slot (so from several threads on the pools).  On the process
-    backend a task's blocks arrive together, in one result frame (in several
-    past the frame limit), and reach the monitor block by block.  A monitor
-    that raises stops the run with ``ExecutionError``.
+    backend a task's results come in one result frame (in several past the
+    frame limit), and reach the monitor frame by frame.  A monitor that
+    raises stops the run with ``ExecutionError``.
     """
     seed = seed if seed is not None else SeedSpec.seq()
     backend = backend if backend is not None else Sequential()
@@ -422,23 +422,25 @@ def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
 def _run_pool(ctx: _RunContext, blocks: list[Block], load_balancing: bool,
               slots: list, monitor=None, stop=None) -> Columns:
     """The run's columns in store order, from every block run on ``slots``:
-    callables that take a ``take`` function and yield ``(blocks, columns)``,
-    consecutive blocks of a task and their sub-jobs' columns, for the tasks
-    ``take()`` hands out until it returns None.  Each yield's columns go into
-    the store with one put, then its sub-jobs to ``monitor`` (if given),
-    block by block.
+    callables that take functions ``take`` and ``stopped`` and yield
+    ``(blocks, columns)``, consecutive blocks of a task and their sub-jobs'
+    columns, for the tasks ``take()`` hands out until it returns None.  Each
+    yield's columns go into the run's columns with one put, then its
+    sub-jobs to ``monitor`` (if given).
 
     A single slot runs on the calling thread, more run on one thread each.
     ``take()`` pulls from a shared task queue with load balancing and from the
     slot's round-robin share without.  Once any slot fails, or the calling
     thread is interrupted while it waits, ``take()`` hands out nothing more,
-    ``stop()`` (if given) is called once so that slots waiting on work in
-    flight return at once, and every slot stops after its current block; the
-    first failure (or the interrupt) is raised after every slot stopped.
+    ``stopped()`` is true, ``stop()`` (if given) is called once so that slots
+    waiting on work in flight return at once, no monitor call follows, and
+    every slot stops after its current block; the first failure (or the
+    interrupt) is raised after every slot stopped.
     """
     n_G, n = ctx.n_G, ctx.n_G * ctx.n_sim
     kept = ctx.keep_seed and ctx.seed.kind != "unseeded"
-    out = Columns([None] * n, [0.0] * n, {}, {}, [None] * n if kept else None)
+    out = Columns(np.full(ctx.inner + (n,), math.nan), np.zeros(n), {}, {},
+                  np.full(n, None, dtype=object) if kept else None)
     failures: list[BaseException] = []
     lock = threading.Lock()
     tasks = partition_tasks(blocks, len(slots))
@@ -461,14 +463,18 @@ def _run_pool(ctx: _RunContext, blocks: list[Block], load_balancing: bool,
                 return None if failures else next(queues[slot], None)
 
         try:
-            for blocks, cols in slots[slot](take):
-                # a single block's cells stay a range: in-process slots yield block by block
-                out.put(blocks[0].cells(n_G) if len(blocks) == 1 else
-                        [cell for block in blocks for cell in block.cells(n_G)], cols)
+            for blocks, cols in slots[slot](take, lambda: bool(failures)):
+                # store cells row + n_G * (rep - 1), whatever the virtual order
+                first = np.array([block.row + n_G * (block.rep_start - 1) for block in blocks])
+                cells = (first[:, None] + n_G * np.arange(blocks[0].size)).ravel()
+                with lock:  # the first value of another shape changes the value column
+                    out.put(cells, cols)
                 if monitor is not None:
                     vidxs = (vidx for block in blocks
                              for vidx in block.indices(n_G, ctx.n_sim, ctx.rep_first))
                     for k, vidx in enumerate(vidxs):
+                        if failures:
+                            break
                         monitor(vidx, cols.record(k))
                 if failures:
                     break
@@ -546,15 +552,6 @@ def _worker_context(setup: dict) -> _RunContext:
                        registry.get_study(setup["study"]))
 
 
-def _float64(values: list) -> np.ndarray:
-    """``values``' elements as one little-endian float64 array, value after
-    value, each in C order."""
-    try:
-        return np.array(values, dtype="<f8").ravel()
-    except ValueError:  # values of different shapes
-        return np.concatenate([np.ravel(v) for v in values]).astype("<f8", copy=False)
-
-
 # a bound on the text of a result frame's document without its sub-jobs,
 # newline included, and on a sub-job's in it: a shape of null or [] (and at
 # most 21 bytes per dimension), a time ("%.17g", 24 bytes at most) and a seed
@@ -565,70 +562,59 @@ _RESULT_TEXT = 1 + len(canonical_json({"tag": "result", "blocks": 2 ** 64, "shap
 _SUBJOB_TEXT = 5 + 25 + 5
 
 
-class _ResultFrames:
-    """A worker's result frames for a task's blocks, built as they finish.
+def _result_frames(blocks: list[Block], cols: Columns):
+    """The result frames, each encoded once, that answer a task's ``blocks``,
+    whose sub-jobs' outcomes are ``cols``: one frame, or as many frames of
+    whole blocks as keep each within the frame limit by a bound on its text
+    that depends only on the outcomes.  A single block over the limit is a
+    ProtocolError, from ``encode_frame``."""
+    shapes = [None if v is None else [] if type(v) is float else list(np.shape(v))
+              for v in cols.value]
+    seeds = cols.seeds or [None] * len(shapes)
+    width = blocks[0].size
+    texts = collections.defaultdict(lambda: ([], []))  # each block's errors and warnings
+    for k, e in cols.errors.items():
+        texts[k // width][0].append([k % width, e.message, e.kind])
+    for k, w in cols.warnings.items():
+        texts[k // width][1].append([k % width, list(w)])
+    # their text, with 20 bytes more per offset, from the frame's start
+    extra = {i: len(canonical_json([e, w]).encode()) + 20 * len(e + w)
+             for i, (e, w) in texts.items()}
 
-    A finished block's outcomes are kept, its values as one float64 array,
-    and consecutive blocks share a frame, encoded once as it is written: as
-    soon as the next block might take it over the frame limit (by a bound on
-    its document's text that depends only on the outcomes), and at the end of
-    each task.  So the worker holds a frame's values about twice while it
-    writes it, and a task over the limit goes out as several frames of whole
-    blocks.  A single block over the limit is a ProtocolError, from
-    ``encode_frame``.
-    """
+    def bound(i: int, j: int) -> int:  # of blocks i to j
+        a, b = i * width, j * width
+        return (_SUBJOB_TEXT * (b - a) + sum(t for k, t in extra.items() if i <= k < j)
+                + sum(8 * math.prod(s) + 21 * len(s) for s in shapes[a:b] if s is not None)
+                + sum(len(seed) + 3 for seed in seeds[a:b] if seed is not None))
 
-    def __init__(self, out):
-        self.out = out
-        self._clear()
-
-    def _clear(self) -> None:
-        self.blocks, self.size = 0, _RESULT_TEXT  # pending blocks, a bound on their frame
-        self.shapes, self.times, self.errors, self.warnings, self.seeds = [], [], [], [], []
-        self.values: list[np.ndarray] = []  # each pending block's values
-
-    def add(self, cols: Columns) -> None:
-        shapes = [None if v is None else [] if type(v) is float else list(np.shape(v))
-                  for v in cols.value]
-        values = _float64([v for v in cols.value if v is not None])
-        size = (values.nbytes + _SUBJOB_TEXT * len(shapes)
-                + 21 * sum(map(len, filter(None, shapes))))
-        if cols.seeds is not None:
-            size += sum(len(seed) + 3 for seed in cols.seeds if seed is not None)
-        if cols.errors or cols.warnings:  # 20 bytes more per offset, from the frame's start
-            errors = [[k, e.message, e.kind] for k, e in cols.errors.items()]
-            warnings = [[k, list(w)] for k, w in cols.warnings.items()]
-            size += len(canonical_json([errors, warnings]).encode()) + 20 * len(errors + warnings)
-        if self.blocks and self.size + size > MAX_FRAME:
-            self.flush()
-        if cols.errors or cols.warnings:
-            start = len(self.times)
-            self.errors += ([start + k, message, kind] for k, message, kind in errors)
-            self.warnings += ([start + k, messages] for k, messages in warnings)
-        self.blocks += 1
-        self.size += size
-        self.shapes += shapes
-        self.times += cols.time_ms
-        self.seeds += cols.seeds or [None] * len(shapes)
-        self.values.append(values)
-
-    def flush(self) -> None:
-        """Write the pending blocks' frame, if there are any."""
-        if self.blocks:
-            # the canonical text of ints and nulls is json's own compact text
-            doc = {"tag": "result", "blocks": self.blocks,
-                   "shapes": _Encoded(json.dumps(self.shapes, separators=(",", ":"))),
-                   "time_ms": _Encoded(f"[{_fmt_floats(np.array(self.times, dtype=float))}]"),
-                   "errors": self.errors, "warnings": self.warnings,
-                   "seeds": None if self.seeds.count(None) == len(self.seeds) else self.seeds}
-            frame = encode_frame(doc, self.values)
-            self._clear()  # the values' arrays go before the frame is written
-            self.out.write(frame)
+    cuts = [0]  # each frame's first block
+    if _RESULT_TEXT + bound(0, len(blocks)) > MAX_FRAME:
+        for i in range(1, len(blocks)):
+            if _RESULT_TEXT + bound(cuts[-1], i + 1) > MAX_FRAME:
+                cuts.append(i)
+    for i, j in zip(cuts, cuts[1:] + [len(blocks)]):
+        a, b = i * width, j * width
+        values = [v for v in cols.value[a:b] if v is not None]
+        # the canonical text of ints and nulls is json's own compact text
+        doc = {"tag": "result", "blocks": j - i,
+               "shapes": _Encoded(json.dumps(shapes[a:b], separators=(",", ":"))),
+               "time_ms": _Encoded(f"[{_fmt_floats(np.array(cols.time_ms[a:b], dtype=float))}]"),
+               "errors": [[k - a, e.message, e.kind]
+                          for k, e in cols.errors.items() if a <= k < b],
+               "warnings": [[k - a, list(w)] for k, w in cols.warnings.items() if a <= k < b],
+               "seeds": None if seeds[a:b].count(None) == b - a else seeds[a:b]}
+        # little-endian float64, value after value, each in C order: floats
+        # as one array, arrays as their own bytes, never a copy of them all
+        yield encode_frame(doc, [np.array(values, dtype="<f8")] if not any(shapes[a:b]) else
+                           [np.ascontiguousarray(v, dtype="<f8").ravel() for v in values])
 
 
-def _task_results(stream, task: list[Block], worker: int):
+def _task_results(stream, task: list[Block], worker: int, inner: tuple):
     """``(blocks, columns)`` for each result frame that answers ``task``, in
-    order: the blocks of the task it answers, and its columns."""
+    order: the blocks of the task it answers, and its columns, whose values
+    are one array when each has the ``inner`` shape.  A frame is checked as a
+    whole: each column's length, offsets inside the frame, errors exactly at
+    the null shapes, and shapes that fill the value bytes exactly."""
     while task:
         frame = read_frame(stream)
         if frame is None:
@@ -641,33 +627,28 @@ def _task_results(stream, task: list[Block], worker: int):
             raise ProtocolError(f"worker {worker}: a result frame answers {n} "
                                 f"blocks, {len(task)} outstanding")
         blocks, task = task[:n], task[n:]
-        yield blocks, _frame_columns(frame, sum(block.size for block in blocks), worker)
+        size = sum(block.size for block in blocks)
+        shapes, times, seeds = frame["shapes"], frame["time_ms"], frame["seeds"]
+        errors, warnings = frame["errors"], frame["warnings"]
+        if len(shapes) != size or len(times) != size or seeds is not None and len(seeds) != size:
+            raise ProtocolError(f"worker {worker}: a frame of {size} sub-jobs "
+                                "answered with columns of other lengths")
+        if not all(type(k) is int and 0 <= k < size for k, *_ in [*errors, *warnings]):
+            raise ProtocolError(f"worker {worker}: an error or warning offset outside "
+                                f"a frame of {size} sub-jobs")
+        if [k for k, *_ in errors] != [k for k, shape in enumerate(shapes) if shape is None]:
+            raise ProtocolError(f"worker {worker}: a frame's errors are not exactly at its "
+                                "null shapes")
+        yield blocks, Columns(_frame_values(shapes, frame["tail"], worker, inner), times,
+                              {k: ErrorInfo(message, kind) for k, message, kind in errors},
+                              {k: tuple(messages) for k, messages in warnings}, seeds)
 
 
-def _frame_columns(frame: dict, size: int, worker: int) -> Columns:
-    """The columns of a result frame that answers ``size`` sub-jobs, checked
-    as a whole: each column's length, offsets inside the frame, errors exactly
-    at the null shapes, and shapes that fill the value bytes exactly."""
-    shapes, times, seeds = frame["shapes"], frame["time_ms"], frame["seeds"]
-    errors, warnings = frame["errors"], frame["warnings"]
-    if len(shapes) != size or len(times) != size or seeds is not None and len(seeds) != size:
-        raise ProtocolError(f"worker {worker}: a frame of {size} sub-jobs "
-                            "answered with columns of other lengths")
-    if not all(type(k) is int and 0 <= k < size for k, *_ in [*errors, *warnings]):
-        raise ProtocolError(f"worker {worker}: an error or warning offset outside "
-                            f"a frame of {size} sub-jobs")
-    if [k for k, *_ in errors] != [k for k, shape in enumerate(shapes) if shape is None]:
-        raise ProtocolError(f"worker {worker}: a frame's errors are not exactly at its "
-                            "null shapes")
-    return Columns(_frame_values(shapes, frame["tail"], worker), times,
-                   {k: ErrorInfo(message, kind) for k, message, kind in errors},
-                   {k: tuple(messages) for k, messages in warnings}, seeds)
-
-
-def _frame_values(shapes: list, tail, worker: int) -> list:
-    """Each sub-job's value from a result frame: None where its shape is
-    null, else the next elements of the float64 ``tail``, as a float for the
-    shape [] and as an array of its shape otherwise."""
+def _frame_values(shapes: list, tail, worker: int, inner: tuple) -> np.ndarray | list:
+    """A result frame's values, the float64 ``tail`` at its non-null shapes:
+    when each has the ``inner`` shape, one array, sub-job last, NaN where a
+    shape is null (a view of ``tail`` where none is); else a list of each,
+    None where null, a float for the shape [] and an array otherwise."""
     try:
         kinds = collections.Counter(tuple(shape) for shape in shapes if shape is not None)
         fits = all(type(d) is int and d >= 0 for kind in kinds for d in kind) and \
@@ -677,20 +658,17 @@ def _frame_values(shapes: list, tail, worker: int) -> list:
     if not fits:
         raise ProtocolError(f"worker {worker}: a result frame's values do not fill its shapes")
     flat = np.frombuffer(tail, dtype="<f8")
-    if set(kinds) <= {()}:  # scalars only
-        parts = iter(flat.tolist())
-    elif len(kinds) == 1:  # one shape: the rows of a writable copy in native byte order
-        ((shape, count),) = kinds.items()
-        parts = iter(flat.astype(float).reshape(count, *shape))
-    else:  # shapes differ: value by value, a float or a view of such a copy
-        flat, values, at = flat.astype(float), [], 0
-        for shape in shapes:
-            if shape is not None:
-                n = math.prod(shape)
-                values.append(flat[at:at + n].reshape(shape) if shape else float(flat[at]))
-                at += n
-        parts = iter(values)
-    return [None if shape is None else next(parts) for shape in shapes]
+    if set(kinds) <= {inner}:
+        value = flat.reshape(sum(kinds.values()), *inner)
+        if len(value) < len(shapes):  # NaN where a sub-job errored
+            value, ok = np.full((len(shapes), *inner), math.nan), value
+            value[[k for k, shape in enumerate(shapes) if shape is not None]] = ok
+        return np.moveaxis(value, 0, -1)
+    # a value of another shape: each a float, or a view of a writable copy
+    sizes = [0 if shape is None else math.prod(shape) for shape in shapes]
+    parts = np.split(flat.astype(float), np.cumsum(sizes)[:-1])
+    return [shape if shape is None else part.reshape(shape) if shape else float(part[0])
+            for shape, part in zip(shapes, parts)]
 
 
 def _died(worker: int) -> ExecutionError:
@@ -707,11 +685,7 @@ def worker_main(stdin, stdout) -> int:
             raise ProtocolError(f"unexpected frame tag {got!r}")
         return frame
 
-    frames = _ResultFrames(stdout)
-
     def take() -> list[Block] | None:
-        frames.flush()  # the rest of the previous task's results
-        stdout.flush()
         task = next_frame("task")
         return None if task is None else [Block(*b) for b in task["blocks"]]
 
@@ -719,8 +693,9 @@ def worker_main(stdin, stdout) -> int:
         setup = next_frame("setup")
         if setup is None:
             return 0
-        for _, cols in _run_tasks(_worker_context(setup), take):
-            frames.add(cols)
+        for task, cols in _run_tasks(_worker_context(setup), take):
+            stdout.writelines(_result_frames(task, cols))  # holds one frame at a time
+            stdout.flush()
     except Exception as exc:
         print(f"worker: {exc!r}", file=sys.stderr)
         return 1
@@ -948,7 +923,7 @@ def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec,
             raise _died(i) from exc
 
     def slot(i: int, worker: _Worker):
-        def execute(take):
+        def execute(take, stopped):  # a failure kills the workers instead
             sent: collections.deque[list[Block]] = collections.deque()
             while True:
                 while len(sent) < IN_FLIGHT and (task := take()) is not None:
@@ -956,7 +931,7 @@ def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec,
                     sent.append(task)
                 if not sent:
                     return
-                yield from _task_results(worker.stdout, sent.popleft(), i)
+                yield from _task_results(worker.stdout, sent.popleft(), i, ctx.inner)
         return execute
 
     workers = [_Worker() for _ in range(backend.workers)]

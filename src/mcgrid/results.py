@@ -3,7 +3,7 @@
 One sub-job yields exactly one of a value or an error, an ordered list of
 captured warnings, the wall time in milliseconds, and optionally the
 serialized stream state the sub-job started from.  A run gathers these as
-:class:`Columns` in store order, block by block, and assembles them into a
+:class:`Columns` in store order, one put per task, and assembles them into a
 :class:`ResultStore`: columns over the store cells, the grid dimensions plus
 the replication dimension in odometer order (first dimension fastest,
 replication last).  ``value`` holds the inner dimensions first and NaN where a
@@ -207,6 +207,20 @@ class SubJobRecord:
         )
 
 
+def _cell_record(cols, k: int) -> SubJobRecord:
+    """Sub-job ``k``'s record in ``cols``, a store or :class:`Columns`, from a
+    dense ``value`` (inner dimensions first) or a list of each sub-job's."""
+    error, value = cols.errors.get(k), None
+    if error is None and type(cols.value) is list:
+        value = cols.value[k]
+    elif error is None:
+        value = cols.value[..., k]
+        value = float(value) if value.ndim == 0 else value.copy()
+    return SubJobRecord(value=value, error=error, warnings=cols.warnings.get(k, ()),
+                        time_ms=float(cols.time_ms[k]),
+                        seed=None if cols.seeds is None else cols.seeds[k])
+
+
 # ---------------------------------------------------------------------------
 # stores
 
@@ -272,23 +286,13 @@ class ResultStore:
     def record(self, row: int, rep: int) -> SubJobRecord:
         """Record of grid row ``row`` (0-based) and replication ``rep`` (1-based)."""
         # store cells are in row-first order, whatever the run's virtual order
-        return self._record(linear_of(row, rep, self.n_grid_rows, self.meta.varlist.n_sim, False))
+        return _cell_record(self, linear_of(row, rep, self.n_grid_rows, self.meta.varlist.n_sim,
+                                            False))
 
     @property
     def records(self) -> list[SubJobRecord]:
         """Every cell's record in store order, built on each access."""
-        return [self._record(i) for i in range(self.n_subjobs)]
-
-    def _record(self, cell: int) -> SubJobRecord:
-        error = self.errors.get(cell)
-        return SubJobRecord(value=self._value(cell) if error is None else None, error=error,
-                            warnings=self.warnings.get(cell, ()),
-                            time_ms=float(self.time_ms[cell]),
-                            seed=None if self.seeds is None else self.seeds[cell])
-
-    def _value(self, cell: int) -> float | np.ndarray:
-        value = self.value[..., cell]
-        return float(value) if value.ndim == 0 else value.copy()
+        return [_cell_record(self, i) for i in range(self.n_subjobs)]
 
     def cell_labels(self, index: int) -> tuple[str, ...]:
         return tuple(labels[k] for (_, labels), k in zip(self.dims, unravel(index, self.sizes)))
@@ -318,9 +322,6 @@ class RawFallback(ResultStore):
     errored; ``diagnostic`` names the first sub-job whose shape is wrong."""
 
     diagnostic: str = field(kw_only=True)
-
-    def _value(self, cell: int) -> float | np.ndarray:
-        return self.value[cell]
 
 
 def study_fingerprint(vl: VarList, rep_first: bool, seed_spec: SeedSpec, study: str | None) -> str:
@@ -352,16 +353,18 @@ def _inner_shape(vl: VarList) -> tuple[int, ...]:
 
 @dataclass
 class Columns:
-    """Outcomes of sub-jobs as columns, one entry per sub-job: ``value`` (None
-    where it errored), ``time_ms``, errors and warnings kept sparsely by
-    position, and ``seeds`` (None when no sub-job kept its seed).  A block's
-    columns run in rep order, a run's in store order."""
+    """Outcomes of sub-jobs as columns, one entry per sub-job: ``value``,
+    ``time_ms``, errors and warnings kept sparsely by position, and ``seeds``
+    (None when no sub-job kept its seed).  ``value`` is one float64 array,
+    inner dimensions first and sub-job last, NaN where a sub-job errored, or
+    a list of each sub-job's value, None where it errored.  A task's columns
+    run in task order, a run's in store order."""
 
-    value: list
-    time_ms: list
+    value: np.ndarray | list
+    time_ms: np.ndarray | list
     errors: dict[int, ErrorInfo]
     warnings: dict[int, tuple[str, ...]]
-    seeds: list[str | None] | None
+    seeds: np.ndarray | list[str | None] | None
 
     @classmethod
     def from_records(cls, records: list[SubJobRecord]) -> "Columns":
@@ -372,39 +375,62 @@ class Columns:
                    warnings={k: tuple(r.warnings) for k, r in enumerate(records) if r.warnings},
                    seeds=None if seeds.count(None) == len(seeds) else seeds)
 
-    def record(self, k: int) -> SubJobRecord:
-        return SubJobRecord(value=self.value[k], error=self.errors.get(k),
-                            warnings=self.warnings.get(k, ()), time_ms=float(self.time_ms[k]),
-                            seed=None if self.seeds is None else self.seeds[k])
+    record = _cell_record
 
-    def put(self, cells: range | list[int], cols: "Columns") -> None:
-        """Write ``cols``' entries at positions ``cells``, in order."""
-        for cell, value, time_ms in zip(cells, cols.value, cols.time_ms):
-            self.value[cell] = value
-            self.time_ms[cell] = time_ms
+    def put(self, cells: np.ndarray, cols: "Columns") -> None:
+        """Write ``cols``' entries at positions ``cells`` of dense columns,
+        ``seeds`` an object array: values with one indexed assignment while
+        each has the inner shape; from the first that does not, ``value`` is
+        the list of each position's value that a raw fallback keeps."""
+        if type(self.value) is not list:
+            inner = self.value.shape[:-1]
+            value = _stacked(cols.value, inner) if type(cols.value) is list else cols.value
+            if value is not None and value.shape[:-1] == inner:
+                self.value[..., cells] = value
+            else:  # the first value of another shape
+                self.value = _each(self.value, self.errors)
+        if type(self.value) is list:
+            for cell, v in zip(cells.tolist(), _each(cols.value, cols.errors)):
+                self.value[cell] = v
+        self.time_ms[cells] = cols.time_ms
         if cols.seeds is not None:
-            for cell, seed in zip(cells, cols.seeds):
-                self.seeds[cell] = seed
+            self.seeds[cells] = cols.seeds
         for k, e in cols.errors.items():
-            self.errors[cells[k]] = e
+            self.errors[int(cells[k])] = e
         for k, w in cols.warnings.items():
-            self.warnings[cells[k]] = w
+            self.warnings[int(cells[k])] = w
 
-    @classmethod
-    def from_doc(cls, d: list) -> "Columns":
-        """Columns from ``[values, times, errors, warnings, seeds]``, errors as
-        ``[k, message, kind]`` and warnings as ``[k, [messages]]``, by position."""
-        values, times, errors, warnings, seeds = d
-        return cls(value=_parse_values(values), time_ms=times,
-                   errors={k: ErrorInfo(message, kind) for k, message, kind in errors},
-                   warnings={k: tuple(w) for k, w in warnings}, seeds=seeds)
+
+def _stacked(values: list, inner: tuple[int, ...]) -> np.ndarray | None:
+    """``values`` as one float64 array, inner dimensions first and sub-job
+    last, NaN where a value is None; None unless each other value has the
+    inner shape."""
+    missing = np.full(inner, math.nan)
+    try:
+        value = np.array([missing if v is None else v for v in values], dtype=float)
+    except ValueError:  # values of different shapes
+        return None
+    return np.moveaxis(value, 0, -1) if value.shape[1:] == inner else None
+
+
+def _each(value: np.ndarray | list, errors: dict) -> list:
+    """Each sub-job's value of a ``value`` column: as it is when a list, else
+    a float or a writable array of the inner shape, None where it errored."""
+    if type(value) is list:
+        return value
+    rows = np.moveaxis(value, -1, 0).copy()
+    each = rows.tolist() if rows.ndim == 1 else list(rows)
+    for k in errors:
+        each[k] = None
+    return each
 
 
 def _fields(meta: StoreMeta, cols: Columns, dims) -> dict:
     """The fields, but ``value``, of a store of store-order columns."""
-    return {"dims": dims, "meta": meta, "time_ms": np.array(cols.time_ms, dtype=float),
+    return {"dims": dims, "meta": meta, "time_ms": np.asarray(cols.time_ms, dtype=float),
             "errors": dict(sorted(cols.errors.items())),
-            "warnings": dict(sorted(cols.warnings.items())), "seeds": cols.seeds}
+            "warnings": dict(sorted(cols.warnings.items())),
+            "seeds": None if cols.seeds is None else list(cols.seeds)}
 
 
 def assemble(vl: VarList, outcomes: Columns, rep_first: bool, seed_spec: SeedSpec,
@@ -418,27 +444,24 @@ def assemble(vl: VarList, outcomes: Columns, rep_first: bool, seed_spec: SeedSpe
     the first cell that does not match by its sub-job's virtual index.
     """
     n_G, n_sim = mk_grid(vl).n_rows, vl.n_sim
-    if len(outcomes.value) != n_G * n_sim:
-        raise ValueError(f"expected {n_G * n_sim} records, got {len(outcomes.value)}")
+    if len(outcomes.time_ms) != n_G * n_sim:
+        raise ValueError(f"expected {n_G * n_sim} records, got {len(outcomes.time_ms)}")
     meta = StoreMeta(varlist=vl, rep_first=rep_first, seed_spec=seed_spec,
                      keep_seed=keep_seed, created=created,
                      fingerprint=study_fingerprint(vl, rep_first, seed_spec, study))
     fields = _fields(meta, outcomes, store_dims(vl))
     inner = _inner_shape(vl)
-    missing = np.full(inner, math.nan)
-    values = [missing if v is None else v for v in outcomes.value]
-    try:
-        value = np.array(values, dtype=float)
-    except ValueError:  # values of different shapes
-        value = None
-    if value is None or value.shape[1:] != inner:
-        for cell, v in enumerate(values):
-            if np.shape(v) != inner:
-                virtual = linear_of(cell % n_G, cell // n_G + 1, n_G, n_sim, rep_first)
-                return RawFallback(value=list(outcomes.value), **fields, diagnostic=(
-                    f"virtual record {virtual}: value shape {np.shape(v)} does not match "
-                    f"the inner-dimension signature {inner}"))
-    return ResultStore(value=np.moveaxis(value, 0, -1), **fields)
+    value = outcomes.value
+    if type(value) is list:
+        value = _stacked(value, inner)
+    if value is not None:
+        return ResultStore(value=value, **fields)
+    for cell, v in enumerate(outcomes.value):
+        if v is not None and np.shape(v) != inner:
+            virtual = linear_of(cell % n_G, cell // n_G + 1, n_G, n_sim, rep_first)
+            return RawFallback(value=list(outcomes.value), **fields, diagnostic=(
+                f"virtual record {virtual}: value shape {np.shape(v)} does not match "
+                f"the inner-dimension signature {inner}"))
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +535,9 @@ def load(path: str | os.PathLike) -> ResultStore:
         dims = tuple((name, tuple(labels)) for name, labels in doc["dims"])
         n = math.prod(len(labels) for _, labels in dims)
         # a store's values are read below, as one array
-        cols = Columns.from_doc([doc["value"] if raw else [], doc["time_ms"], doc["errors"],
-                                 doc["warnings"], doc["seeds"]])
+        cols = Columns(_parse_values(doc["value"]) if raw else [], doc["time_ms"],
+                       {k: ErrorInfo(message, kind) for k, message, kind in doc["errors"]},
+                       {k: tuple(w) for k, w in doc["warnings"]}, doc["seeds"])
         # the sparse entries only: a check per cell would cost as much as the load
         if not all(type(cell) is int and 0 <= cell < n for cell in [*cols.errors, *cols.warnings]):
             raise ValueError(f"an error or warning cell outside [0, {n})")

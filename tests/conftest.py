@@ -176,6 +176,15 @@ def ragged_study(params, rng, warn):
     return [params["x"], u] if params["x"] == 4 else params["x"] + u
 
 
+def shape_switch_study(params, rng, warn):
+    """``x`` plus the first uniform, but the pair ``[x, u]`` where ``x`` is
+    ``params["pair"]``, and an error on x=2 when the uniform is below 0.3."""
+    u = rng.uniform()
+    if params["x"] == 2 and u < 0.3:
+        raise ValueError("low on two")
+    return [params["x"], u] if params["x"] == params["pair"] else params["x"] + u
+
+
 # NaN with a payload, ±Inf, ±0.0, a subnormal of each sign, and an ordinary double
 SPECIAL_DOUBLES = (float(np.frombuffer(bytes.fromhex("bc0a000000f8ff7f"), "<f8")[0]),
                    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1.5)

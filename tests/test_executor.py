@@ -13,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import types
 import warnings
 
@@ -25,7 +26,8 @@ from conftest import (SPECIAL_DOUBLES, appending_level_study, appending_study, c
                       cheap_style_study, coin_study, dying_study, float_bits, float_type_study,
                       interrupting_study, legacy_random_study, matmul_study, mid_buffer_study,
                       params_probe_study, poly_noisy, poly_study, ragged_study, scalar_varlist,
-                      special_doubles_study, square_study, tiny_varlist, wide_study)
+                      shape_switch_study, special_doubles_study, square_study, tiny_varlist,
+                      wide_study)
 
 from mcgrid import (Block, ErrorInfo, ExecutionError, ProcessPool, ProtocolError,
                     RawFallback, ResultStore, RngStream, SeedSpec, Sequential,
@@ -34,7 +36,7 @@ from mcgrid import (Block, ErrorInfo, ExecutionError, ProcessPool, ProtocolError
 from mcgrid import executor
 from mcgrid.executor import (TASK_SUBJOBS, WORKER_FLAG, encode_frame, partition_tasks,
                              read_frame, worker_main)
-from mcgrid.results import Columns, SubJobRecord, canonical_json
+from mcgrid.results import Columns, SubJobRecord, canonical_json, load, save
 from mcgrid.seeding import StreamState, derive_streams
 from mcgrid.var_copula import probe_first_uniform
 
@@ -382,8 +384,10 @@ class TestTaskFrames:
         for blocks, cols in got:
             want = self._expected(blocks)
             assert len(cols.time_ms) == sum(block.size for block in blocks)
-            assert (cols.value, cols.errors, cols.warnings, cols.seeds) == \
-                (want.value, want.errors, want.warnings, want.seeds)
+            assert (cols.errors, cols.warnings, cols.seeds) == \
+                (want.errors, want.warnings, want.seeds)
+            assert [(r.value, r.error) for r in map(cols.record, range(len(cols.time_ms)))] == \
+                [(r.value, r.error) for r in map(want.record, range(len(cols.time_ms)))]
 
     def test_one_frame_per_task(self):
         code, stdout = self._serve(*self.TASK)
@@ -395,7 +399,7 @@ class TestTaskFrames:
         # errors and warnings by offset from the frame's first sub-job
         assert frame["errors"] == [[k, *low] for k in (1, 2, 5, 6, 9)]
         assert frame["warnings"] == [[k, high] for k in (3, 7)]
-        self._check(list(executor._task_results(stdout, self.TASK, 0)))
+        self._check(list(executor._task_results(stdout, self.TASK, 0, ())))
 
     def test_over_limit_task_is_several_frames_of_whole_blocks(self, monkeypatch):
         code, stdout = self._serve(*self.TASK)
@@ -413,7 +417,7 @@ class TestTaskFrames:
             # consecutive whole blocks, each frame within the limit and encoded once
             assert len(frames) > 1 and len(encodes) == len(frames)
             assert all(len(encode(f, [f.pop("tail")])) <= whole // 2 + 4 for f in frames)
-            self._check(list(executor._task_results(stdout, self.TASK, 0)))
+            self._check(list(executor._task_results(stdout, self.TASK, 0, ())))
             encodes.clear()
         assert counts[0] == counts[1]  # the split depends on the outcomes, not the times
 
@@ -424,25 +428,20 @@ class TestTaskFrames:
         assert code == 1 and stdout.getvalue() == b""
         assert "exceeds" in capsys.readouterr().err
 
-        def frames_of(*blocks) -> bytes:
-            out = io.BytesIO()
-            frames = executor._ResultFrames(out)
-            for cols in blocks:
-                frames.add(cols)
-            frames.flush()
-            return out.getvalue()
+        def frames_of(blocks: int) -> bytes:  # a task of blocks of 8 sub-jobs
+            cols = Columns([1.0] * 8 * blocks, [0.5] * 8 * blocks, {}, {}, None)
+            return b"".join(executor._result_frames([Block(0, 1, 8)] * blocks, cols))
 
-        small = Columns([1.0] * 8, [0.5] * 8, {}, {}, None)
         monkeypatch.setattr(executor, "MAX_FRAME", 64 * 1024 * 1024)
-        one = frames_of(small)
-        assert frames_of(small, small) == encode_frame(  # one frame of both
+        one = frames_of(1)
+        assert frames_of(2) == encode_frame(  # one frame of both
             {"tag": "result", "blocks": 2, "shapes": [[]] * 16, "time_ms": [0.5] * 16,
              "errors": [], "warnings": [], "seeds": None}, [np.ones(16)])
         monkeypatch.setattr(executor, "MAX_FRAME", len(one) - 4)  # its payload
-        assert frames_of(small, small) == one + one
+        assert frames_of(2) == one + one
         monkeypatch.setattr(executor, "MAX_FRAME", len(one) - 5)
         with pytest.raises(ProtocolError, match="exceeds"):
-            frames_of(small)
+            frames_of(1)
 
     @staticmethod
     def _answer(*frames) -> io.BytesIO:
@@ -468,15 +467,15 @@ class TestTaskFrames:
                     (1, [[]] * 2, [1.0] * 2, {"seeds": ["00"]}),
                     (1, [[]] * 2, [1.0] * 2, {"seeds": []}), (2, [[]] * 2, [1.0] * 2)):
             # the frame is checked as a whole before any of it is taken
-            got = executor._task_results(self._answer(bad), task, 0)
+            got = executor._task_results(self._answer(bad), task, 0, ())
             with pytest.raises(ProtocolError, match="worker 0: a frame of [24] sub-jobs "
                                                     "answered with columns of other lengths"):
                 next(got)
         # a frame that answers no block
         with pytest.raises(ProtocolError, match="worker 0: a result frame answers 0 blocks"):
-            list(executor._task_results(self._answer((0, [], [])), task, 0))
+            list(executor._task_results(self._answer((0, [], [])), task, 0, ()))
         # end of input before the task is covered: the worker is gone
-        got = executor._task_results(self._answer(self.TWO), task, 1)
+        got = executor._task_results(self._answer(self.TWO), task, 1, ())
         assert next(got)[0] == task[:1]
         with pytest.raises(ExecutionError, match="worker 1 died mid-run"):
             next(got)
@@ -489,7 +488,7 @@ class TestTaskFrames:
                                  ([[1.0, "m", "E"]], [])):
             bad = (1, [[], None], [1.0], {"errors": errors, "warnings": warnings})
             for frames in ((bad, self.TWO), (self.TWO, bad)):
-                got = executor._task_results(self._answer(*frames), task, 3)
+                got = executor._task_results(self._answer(*frames), task, 3, ())
                 if frames[0] is not bad:
                     next(got)
                 with pytest.raises(ProtocolError, match="worker 3: an error or warning offset "
@@ -503,11 +502,11 @@ class TestTaskFrames:
                     (1, [[[2]], []], [1.0] * 3), (1, [{"2": 1}, []], [1.0] * 2)):
             with pytest.raises(ProtocolError, match="worker 0: a result frame's values do not "
                                                     "fill its shapes"):
-                next(executor._task_results(self._answer(bad), task, 0))
+                next(executor._task_results(self._answer(bad), task, 0, ()))
         doc = {"tag": "result", "blocks": 1, "shapes": [[], []], "time_ms": [0.5] * 2,
                "errors": [], "warnings": [], "seeds": None}
         with pytest.raises(ProtocolError, match="do not fill its shapes"):  # 17 value bytes
-            next(executor._task_results(io.BytesIO(encode_frame(doc, [bytes(17)])), task, 0))
+            next(executor._task_results(io.BytesIO(encode_frame(doc, [bytes(17)])), task, 0, ()))
 
     def test_values_at_errored_sub_jobs_are_a_protocol_error(self):
         # a value where an error is, or a null shape where none is
@@ -518,14 +517,16 @@ class TestTaskFrames:
                     (1, [[], None], [1.0], {"errors": [[1, "m", "E"], [1, "m", "E"]]})):
             with pytest.raises(ProtocolError, match="worker 0: a frame's errors are not exactly "
                                                     "at its null shapes"):
-                next(executor._task_results(self._answer(bad), task, 0))
-        ((_, cols),) = executor._task_results(self._answer((1, [[], None], [1.0], error)), task, 0)
-        assert (cols.value, cols.errors) == ([1.0, None], {1: ErrorInfo("m", "E")})
+                next(executor._task_results(self._answer(bad), task, 0, ()))
+        ((_, cols),) = executor._task_results(self._answer((1, [[], None], [1.0], error)), task,
+                                              0, ())
+        assert (cols.record(0).value, cols.record(1).value) == (1.0, None)
+        assert cols.errors == {1: ErrorInfo("m", "E")}
 
     def test_frame_answering_more_blocks_than_outstanding_is_a_protocol_error(self):
         task = [Block(0, 1, 2), Block(1, 1, 2)]
         stream = self._answer(self.TWO, (2, [[]] * 4, [1.0] * 4))
-        got = executor._task_results(stream, task, 0)
+        got = executor._task_results(stream, task, 0, ())
         assert next(got)[0] == task[:1]
         with pytest.raises(ProtocolError, match="answers 2 blocks, 1 outstanding"):
             next(got)
@@ -539,7 +540,7 @@ def _result_frames(draw):
     """A run's blocks, each block's columns (scalar, multi-dimensional or
     ragged values, errors with null values, warnings, kept seeds or none),
     and for each task its result frames as a worker writes them, the task
-    split into frames at random."""
+    split into frames at random.  The first shape drawn is the inner shape."""
     n_G, size = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     n_sim, rep_first = size * draw(st.integers(1, 4)), draw(st.booleans())
     shapes = draw(st.lists(st.sampled_from([(), (2,), (2, 3), (0,), (1, 2)]),
@@ -550,9 +551,7 @@ def _result_frames(draw):
     for task in partition_tasks(blocks, slots):
         cuts = set(draw(st.sets(st.integers(1, len(task) - 1), max_size=3))) \
             if len(task) > 1 else set()
-        out = io.BytesIO()
-        frames = executor._ResultFrames(out)
-        for k, block in enumerate(task):
+        for block in task:
             value, errors, warns = [], {}, {}
             for j in range(size):
                 if draw(st.booleans()):
@@ -570,12 +569,18 @@ def _result_frames(draw):
                      for _ in range(size)] if kept else None
             times = draw(st.lists(_SCALARS, min_size=size, max_size=size))
             columns[block] = Columns(value, times, errors, warns, seeds)
-            if k in cuts:
-                frames.flush()
-            frames.add(columns[block])
-        frames.flush()
-        streams[tuple(task)] = out.getvalue()
-    return n_G, n_sim, rep_first, kept, slots, blocks, columns, streams
+        streams[tuple(task)] = b""
+        for i, j in zip([0, *sorted(cuts)], [*sorted(cuts), len(task)]):
+            part = [columns[block] for block in task[i:j]]  # as one task's columns
+            cols = Columns([v for c in part for v in c.value],
+                           [t for c in part for t in c.time_ms],
+                           {size * b + k: e for b, c in enumerate(part)
+                            for k, e in c.errors.items()},
+                           {size * b + k: w for b, c in enumerate(part)
+                            for k, w in c.warnings.items()},
+                           [x for c in part for x in c.seeds] if kept else None)
+            streams[tuple(task)] += b"".join(executor._result_frames(task[i:j], cols))
+    return n_G, n_sim, rep_first, kept, slots, blocks, columns, streams, shapes[0]
 
 
 @given(_result_frames())
@@ -583,7 +588,7 @@ def _result_frames(draw):
 def test_frames_decode_as_block_by_block_reads(frames):
     # reference: each block's columns written at the block's store cells
     # value by value, with no frame in between
-    n_G, n_sim, rep_first, kept, slots, blocks, columns, streams = frames
+    n_G, n_sim, rep_first, kept, slots, blocks, columns, streams, inner = frames
     n = n_G * n_sim
     want = Columns([None] * n, [0.0] * n, {}, {}, [None] * n if kept else None)
     for block in blocks:
@@ -596,19 +601,24 @@ def test_frames_decode_as_block_by_block_reads(frames):
         want.errors.update({start + n_G * k: e for k, e in cols.errors.items()})
         want.warnings.update({start + n_G * k: w for k, w in cols.warnings.items()})
 
-    def slot(take):
+    def slot(take, stopped):
         while (task := take()) is not None:
-            yield from executor._task_results(io.BytesIO(streams[tuple(task)]), task, 0)
+            yield from executor._task_results(io.BytesIO(streams[tuple(task)]), task, 0, inner)
 
     ctx = types.SimpleNamespace(n_G=n_G, n_sim=n_sim, rep_first=rep_first, keep_seed=kept,
-                                seed=SeedSpec.seq())
+                                seed=SeedSpec.seq(), inner=inner)
     got = executor._run_pool(ctx, blocks, True, [slot] * slots)
-    assert [type(v) for v in got.value] == [type(v) for v in want.value]
-    assert [np.shape(v) for v in got.value] == [np.shape(v) for v in want.value]
-    assert [np.asarray(v).tobytes() for v in got.value if v is not None] == \
+    # one array while every value has the inner shape, else each cell's value
+    assert (type(got.value) is list) == \
+        any(v is not None and np.shape(v) != inner for v in want.value)
+    values = [got.record(cell).value for cell in range(n)]
+    assert [type(v) for v in values] == [type(v) for v in want.value]
+    assert [np.shape(v) for v in values] == [np.shape(v) for v in want.value]
+    assert [np.asarray(v).tobytes() for v in values if v is not None] == \
         [np.asarray(v).tobytes() for v in want.value if v is not None]
     assert float_bits(got.time_ms) == float_bits(want.time_ms)
-    assert (got.errors, got.warnings, got.seeds) == (want.errors, want.warnings, want.seeds)
+    assert (got.errors, got.warnings) == (want.errors, want.warnings)
+    assert (got.seeds is None or list(got.seeds)) == (want.seeds is None or want.seeds)
 
 
 class TestRunStudySequential:
@@ -1203,6 +1213,49 @@ def _failed_slot_stops_the_pool(kind: str) -> None:
     assert all(w.returncode == -signal.SIGKILL for w in forked)  # killed, exit codes read
 
 
+def test_no_monitor_call_follows_a_failure():
+    # a task yielded after another slot failed goes unmonitored, even when
+    # it was taken before: the monitor loop, not only the slot, checks
+    ctx = types.SimpleNamespace(n_G=1, n_sim=128, rep_first=True, keep_seed=False,
+                                seed=SeedSpec.seq(), inner=())
+    taken, seen = threading.Event(), []
+
+    def failing(take, stopped):
+        take()
+        taken.wait(10)
+        raise RuntimeError("slot broke")
+        yield
+
+    def late(take, stopped):
+        task = take()
+        taken.set()
+        deadline = time.monotonic() + 10
+        while not stopped() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        yield task, Columns([1.0] * len(task), [0.5] * len(task), {}, {}, None)
+
+    with pytest.raises(ExecutionError, match="slot broke"):
+        executor._run_pool(ctx, partition_blocks(1, 128, 1, True), True, [failing, late],
+                           monitor=lambda vidx, rec: seen.append(vidx))
+    assert taken.is_set() and seen == []
+
+
+def test_in_process_slot_stops_between_the_blocks_of_its_task():
+    # a slot hands a task back only once it has run, so a failure elsewhere
+    # must still stop it before the next block, not after the task's 64
+    calls = []
+
+    def counting_study(params, rng, warn):
+        calls.append(params["x"])
+        return 1.0
+
+    ctx = executor._RunContext(scalar_varlist(n_sim=64), True, SeedSpec.seq(), False,
+                               counting_study)
+    tasks = iter([partition_blocks(ctx.n_G, 64, 1, True)[:64]])
+    slot = executor._run_tasks(ctx, lambda: next(tasks, None), lambda: len(calls) >= 3)
+    assert list(slot) == [] and len(calls) == 3
+
+
 @pytest.mark.parametrize("seed", [SeedSpec.per_rep_integer([9, 8, 7, 6]),
                                   SeedSpec.per_rep_stream(derive_streams(4, [5, 6]))])
 @pytest.mark.parametrize("backend", [ThreadPool(2), ProcessPool(2)])
@@ -1348,6 +1401,50 @@ def test_raw_fallback_is_the_same_on_every_backend(rep_first):
                     assert np.array_equal(rec.value, [4, u] if x == 4 else 3 + u)
         cmp = do_res_equal(stores[0], res)
         assert cmp, cmp.report
+
+
+@pytest.mark.parametrize("pair", [0, 4])
+def test_first_value_of_another_shape_anywhere_gives_one_raw_fallback(pair, tmp_path):
+    # rep-first, x=0 is the very first sub-job and x=4 the last 40, run in
+    # later tasks than the dense ones; x=2 errs on some replications before
+    # and after the switch to a raw fallback
+    vl = VarList([VarSpec("n.sim", "N", 40), VarSpec("x", "grid", tuple(range(5))),
+                  VarSpec("pair", "frozen", pair)])
+    texts = set()
+    for backend in (Sequential(), ThreadPool(2), ProcessPool(2)):
+        seen = []
+        res = run_study(vl, shape_switch_study, backend=backend, keep_seed=True,
+                        monitor=lambda vidx, rec: seen.append((vidx, rec)))
+        assert isinstance(res, RawFallback)
+        assert res.diagnostic == (f"virtual record {pair * 40}: value shape (2,) does not "
+                                  "match the inner-dimension signature ()")
+        assert 0 < res.error_count() < 40
+        assert sorted(v.linear for v, _ in seen) == list(range(200))
+        for vidx, rec in seen:  # no NaN row of the dense columns in a record
+            assert (rec.value is None) == (rec.error is not None)
+            stored = res.record(vidx.row, vidx.rep)
+            assert (rec.error, rec.seed) == (stored.error, stored.seed)
+            assert np.array_equal(rec.value, stored.value) or rec.value is stored.value is None
+        save(res, tmp_path / "raw.json")
+        assert do_res_equal(load(tmp_path / "raw.json"), res)  # null exactly at the errors
+        doc = json.loads((tmp_path / "raw.json").read_text(encoding="utf-8"))
+        doc["meta"]["created"] = doc["time_ms"] = None
+        texts.add(canonical_json(doc))
+    assert len(texts) == 1
+
+
+def test_scalar_run_peaks_below_140_bytes_per_subjob():
+    # values and times go into float64 columns as each task ends, not into
+    # lists of Python floats that the store stacks again
+    vl = VarList([VarSpec("n.sim", "N", 100), VarSpec("x", "grid", tuple(range(200)))])
+    run_study(scalar_varlist(n_sim=2), probe_first_uniform)  # imports and caches
+    tracemalloc.start()
+    try:
+        run_study(vl, probe_first_uniform)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 20_000 < 140
 
 
 @pytest.mark.parametrize("backend", EVERY_BACKEND + [ProcessPool(2, block_size=2)])

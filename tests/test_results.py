@@ -88,14 +88,12 @@ class TestCanonicalJson:
                         if v is None},
                        {k: tuple(w) for k, (*_, w, _) in enumerate(entries) if w},
                        [s for *_, s in entries] if seeded else None)
-        out = io.BytesIO()
-        frames = executor._ResultFrames(out)
-        frames.add(cols)
-        frames.flush()
-        out.seek(0)
-        ((_, back),) = executor._task_results(out, [executor.Block(0, 1, len(entries))], 0)
-        assert len(back.value) == len(cols.value)
-        for v, w in zip(cols.value, back.value):
+        task = [executor.Block(0, 1, len(entries))]
+        out = io.BytesIO(b"".join(executor._result_frames(task, cols)))
+        ((_, back),) = executor._task_results(out, task, 0, ())
+        assert len(back.time_ms) == len(cols.value)
+        for k, v in enumerate(cols.value):
+            w = back.record(k).value
             assert (v is None) == (w is None)
             if v is not None:
                 assert float_bits(np.ravel(v)) == float_bits(np.ravel(w))
