@@ -11,7 +11,7 @@ CSV, or SVG.
 import importlib
 
 from . import var_copula  # noqa: F401  (registers the packaged studies)
-from .executor import (BackendSpec, Block, ExecutionError, ProcessPool,
+from .executor import (BackendSpec, ExecutionError, ProcessPool,
                        ProtocolError, Sequential, ThreadPool, VirtualIndex,
                        do_call_we, partition_blocks,
                        run_study, stderr_monitor, virtual_index, worker_main)
@@ -56,7 +56,7 @@ __all__ = [
     "derive_streams", "ambient_stream",
     "register_study", "get_study", "study_name",
     "run_study", "BackendSpec", "Sequential", "ThreadPool", "ProcessPool",
-    "VirtualIndex", "virtual_index", "linear_of", "Block", "partition_blocks",
+    "VirtualIndex", "virtual_index", "linear_of", "partition_blocks",
     "do_call_we", "stderr_monitor", "worker_main",
     "ExecutionError", "ProtocolError",
     "SubJobRecord", "ErrorInfo", "ResultStore", "RawFallback", "StoreMeta",

@@ -6,19 +6,21 @@ grid row consecutively (linear = row * n_sim + rep - 1); ``rep_first=False``
 interleaves rows within a replication (linear = (rep - 1) * n_G + row).
 
 Work is partitioned into blocks of ``block_size`` consecutive replications of
-a single grid row (``block_size`` must divide ``n_sim``), and the blocks into
-tasks, runs of consecutive blocks (guided self-scheduling: each task takes
+a single grid row (``block_size`` must divide ``n_sim``), numbered as the
+sub-jobs of the virtual grid of ``n_sim // block_size`` replications, so in
+order of their first linear index, and the blocks into tasks, ranges of
+consecutive block numbers (guided self-scheduling: each task takes
 ``ceil(remaining / (2 * slots))`` blocks, no more than hold 64 sub-jobs and
 at least one, so the tail is single blocks).  Task composition depends only
-on the block list and the slot count, never on timing.  One scheduler hands
-the tasks to slots: the calling thread (sequential), one thread per slot
-(thread pool), or one thread per forked worker process, whose main thread
-runs the same slot behind a frame protocol on its task and result pipes.
-With load balancing (default) tasks are pulled from a shared queue as slots
-become free; without it they are pre-assigned round-robin.  Either way the
-assembled results are identical for deterministic studies; only timing
-fields may differ.  Once any slot fails,
-or the calling thread is interrupted, no slot starts another block.
+on the number of blocks, their size and the slot count, never on timing.
+One scheduler hands the tasks to slots: the calling thread (sequential), one
+thread per slot (thread pool), or one thread per forked worker process, whose
+main thread runs the same slot behind a frame protocol on its task and result
+pipes.  With load balancing (default) tasks are pulled from a shared queue as
+slots become free; without it they are pre-assigned round-robin.  Either way
+the assembled results are identical for deterministic studies; only timing
+fields may differ.  Once any slot fails, or the calling thread is
+interrupted, no slot starts another block.
 
 A slot that runs sub-jobs owns one random stream: under a seeded discipline
 it resets it to the replication's state before each call, under ``none``/
@@ -34,13 +36,13 @@ Frame protocol: 4-byte big-endian payload length, then a canonical-JSON
 payload (the result files' text family), followed in a result frame by a
 newline and a tail of raw bytes; a frame above 64 MiB is a protocol error.
 The parent sends each worker one ``setup`` frame (study name, the
-declaration's canonical form, the canonical seeding spec, ``keep_seed`` and
-the virtual order), from which the worker builds its run context as the
-parent does.  A declaration that this form cannot carry faithfully (a payload
-that is not JSON, a non-finite float) or a setup frame over the limit (a
-``per-rep-stream`` spec takes ~211 bytes per replication, so ~318k at most)
-fails the run before any worker starts.  A ``task`` frame carries only block
-coordinates, ``[[row, rep_start, size], ...]``, at most ``IN_FLIGHT`` unread
+declaration's canonical form, the canonical seeding spec, ``keep_seed``, the
+virtual order and the block size), from which the worker builds its run
+context as the parent does.  A declaration that this form cannot carry
+faithfully (a payload that is not JSON, a non-finite float) or a setup frame
+over the limit (a ``per-rep-stream`` spec takes ~211 bytes per replication,
+so ~318k at most) fails the run before any worker starts.  A ``task`` frame
+carries only ``[start, stop]`` block numbers, at most ``IN_FLIGHT`` unread
 per worker, which never fill a pipe: the parent never waits to write a task
 while its worker waits to write results.  The worker answers a task with
 result frames of its consecutive blocks' sub-jobs, in order: ``{"tag":
@@ -58,7 +60,8 @@ reads a frame with one ``json.loads`` and one ``np.frombuffer``, checks it as
 a whole against the ``n`` blocks it answers, and writes it into the run's
 columns with one put; when each value has the inner shape, the values go in
 as a view of the frame's bytes, not one by one.  End of input ends the
-worker; an unexpected frame tag, a result frame that answers no block or more
+worker; an unexpected frame tag, task blocks other than two ints ``0 <= start
+< stop <=`` the number of blocks, a result frame that answers no block or more
 blocks than are outstanding, a column that is not of the frame's sub-job
 count, an error or warning offset outside the frame, errors not exactly at
 the null shapes, or shapes that do not fill the tail exactly, is a protocol
@@ -101,7 +104,6 @@ import threading
 import time
 import types
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -150,33 +152,16 @@ def virtual_index(linear: int, n_G: int, n_sim: int, rep_first: bool) -> Virtual
     return VirtualIndex(linear, row, rep + 1)
 
 
-class Block(NamedTuple):
-    """``size`` consecutive replications of one grid row."""
-
-    row: int
-    rep_start: int  # 1-based
-    size: int
-
-    def indices(self, n_G: int, n_sim: int, rep_first: bool) -> list[VirtualIndex]:
-        return [VirtualIndex(linear_of(self.row, rep, n_G, n_sim, rep_first), self.row, rep)
-                for rep in range(self.rep_start, self.rep_start + self.size)]
-
-
-def partition_blocks(n_G: int, n_sim: int, block_size: int, rep_first: bool) -> list[Block]:
-    """Cover the virtual grid exactly once, ordered by first linear index."""
+def partition_blocks(n_G: int, n_sim: int, block_size: int) -> range:
+    """The numbers of the blocks that cover the virtual grid exactly once."""
     if block_size < 1 or n_sim % block_size != 0:
         raise ValueError(f"block size {block_size} must divide n_sim {n_sim}")
-    chunks = n_sim // block_size
-    if rep_first:
-        return [Block(row, 1 + c * block_size, block_size)
-                for row in range(n_G) for c in range(chunks)]
-    return [Block(row, 1 + c * block_size, block_size)
-            for c in range(chunks) for row in range(n_G)]
+    return range(n_G * n_sim // block_size)
 
 
-def partition_tasks(blocks: list[Block], slots: int) -> list[list[Block]]:
-    """Split ``blocks``, all of one size, into tasks of consecutive blocks, in
-    order.
+def partition_tasks(blocks: range, block_size: int, slots: int) -> list[range]:
+    """Split ``blocks``, each of ``block_size`` sub-jobs, into tasks of
+    consecutive blocks, in order.
 
     Guided self-scheduling: each task takes ``ceil(remaining / (2 * slots))``
     blocks, no more than hold ``TASK_SUBJOBS`` sub-jobs and at least one, so
@@ -184,9 +169,9 @@ def partition_tasks(blocks: list[Block], slots: int) -> list[list[Block]]:
     where they keep slots balanced.  The cap counts sub-jobs, not blocks: the
     costs of a task's frames are spread over its sub-jobs.
     """
+    cap = max(1, TASK_SUBJOBS // block_size)
     tasks, start = [], 0
     while start < len(blocks):
-        cap = max(1, TASK_SUBJOBS // blocks[start].size)
         size = min(cap, -(-(len(blocks) - start) // (2 * slots)))
         tasks.append(blocks[start:start + size])
         start += size
@@ -255,6 +240,7 @@ class _RunContext:
 
     vl: VarList
     rep_first: bool
+    block_size: int
     seed: SeedSpec
     keep_seed: bool
     study_fn: object
@@ -280,6 +266,14 @@ class _RunContext:
         self.seeds = ([s.to_hex() for s in self.states]
                       if self.keep_seed and self.states[0] else None)
 
+    def block(self, b: int) -> tuple[int, int]:
+        """Block ``b``'s grid row and first replication (1-based)."""
+        if self.rep_first:
+            row, chunk = divmod(b, self.n_sim // self.block_size)
+        else:
+            chunk, row = divmod(b, self.n_G)
+        return row, 1 + chunk * self.block_size
+
 
 def subjob(ctx: _RunContext, rng: RngStream, rep: int, params: dict) -> tuple:
     """Run one sub-job of replication ``rep`` through the harness, on the
@@ -301,15 +295,17 @@ def _run_tasks(ctx: _RunContext, take, stopped=lambda: False):
     while (task := take()) is not None:
         values, times, errors, warns, seeds = [], [], {}, {}, []
         row = None  # a row's arguments are built once per run of its blocks in a task
-        for block in task:
+        for b in task:
             if stopped():
                 return
-            if block.row != row:
-                row, params = block.row, ctx.grid.row_params(block.row)
+            block_row, first = ctx.block(b)
+            if block_row != row:
+                row, params = block_row, ctx.grid.row_params(block_row)
                 params.update(ctx.args)
+            reps = range(first, first + ctx.block_size)
             if ctx.seeds:
-                seeds += ctx.seeds[block.rep_start - 1:block.rep_start - 1 + block.size]
-            for rep in range(block.rep_start, block.rep_start + block.size):
+                seeds += ctx.seeds[reps.start - 1:reps.stop - 1]
+            for rep in reps:
                 if ambient:  # the state the sub-job starts from
                     seeds.append(rng.state.to_hex())
                 value, error, warnings, time_ms = subjob(ctx, rng, rep, params)
@@ -401,8 +397,8 @@ def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
         raise RuntimeError("nested run_study calls are not supported "
                            "(one live backend per process)")
     try:
-        ctx = _RunContext(vl, rep_first, seed, keep_seed, study_fn)
-        blocks = partition_blocks(ctx.n_G, ctx.n_sim, backend.block_size, rep_first)
+        ctx = _RunContext(vl, rep_first, backend.block_size, seed, keep_seed, study_fn)
+        blocks = partition_blocks(ctx.n_G, ctx.n_sim, ctx.block_size)
         if backend.kind == "processes":
             outcomes = _run_processes(ctx, blocks, backend, study, monitor)
         else:
@@ -419,14 +415,14 @@ def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
     return result
 
 
-def _run_pool(ctx: _RunContext, blocks: list[Block], load_balancing: bool,
+def _run_pool(ctx: _RunContext, blocks: range, load_balancing: bool,
               slots: list, monitor=None, stop=None) -> Columns:
     """The run's columns in store order, from every block run on ``slots``:
     callables that take functions ``take`` and ``stopped`` and yield
-    ``(blocks, columns)``, consecutive blocks of a task and their sub-jobs'
-    columns, for the tasks ``take()`` hands out until it returns None.  Each
-    yield's columns go into the run's columns with one put, then its
-    sub-jobs to ``monitor`` (if given).
+    ``(blocks, columns)``, a range of consecutive blocks of a task and their
+    sub-jobs' columns, for the tasks ``take()`` hands out until it returns
+    None.  Each yield's columns go into the run's columns with one put, then
+    its sub-jobs to ``monitor`` (if given).
 
     A single slot runs on the calling thread, more run on one thread each.
     ``take()`` pulls from a shared task queue with load balancing and from the
@@ -443,7 +439,7 @@ def _run_pool(ctx: _RunContext, blocks: list[Block], load_balancing: bool,
                   np.full(n, None, dtype=object) if kept else None)
     failures: list[BaseException] = []
     lock = threading.Lock()
-    tasks = partition_tasks(blocks, len(slots))
+    tasks = partition_tasks(blocks, ctx.block_size, len(slots))
     if load_balancing:
         shared = iter(tasks)
         queues = [shared] * len(slots)
@@ -458,20 +454,22 @@ def _run_pool(ctx: _RunContext, blocks: list[Block], load_balancing: bool,
             stop()
 
     def drive(slot: int) -> None:
-        def take() -> list[Block] | None:
+        def take() -> range | None:
             with lock:
                 return None if failures else next(queues[slot], None)
 
         try:
             for blocks, cols in slots[slot](take, lambda: bool(failures)):
                 # store cells row + n_G * (rep - 1), whatever the virtual order
-                first = np.array([block.row + n_G * (block.rep_start - 1) for block in blocks])
-                cells = (first[:, None] + n_G * np.arange(blocks[0].size)).ravel()
+                starts = np.array([row + n_G * (rep - 1) for row, rep in map(ctx.block, blocks)])
+                cells = (starts[:, None] + n_G * np.arange(ctx.block_size)).ravel()
                 with lock:  # the first value of another shape changes the value column
                     out.put(cells, cols)
                 if monitor is not None:
-                    vidxs = (vidx for block in blocks
-                             for vidx in block.indices(n_G, ctx.n_sim, ctx.rep_first))
+                    vidxs = (VirtualIndex(linear_of(row, rep, n_G, ctx.n_sim, ctx.rep_first),
+                                          row, rep)
+                             for row, first in map(ctx.block, blocks)
+                             for rep in range(first, first + ctx.block_size))
                     for k, vidx in enumerate(vidxs):
                         if failures:
                             break
@@ -548,8 +546,8 @@ def read_frame(stream) -> dict | None:
 def _worker_context(setup: dict) -> _RunContext:
     """The run context a setup frame describes, built as the parent built its own."""
     return _RunContext(VarList.from_canonical(setup["varlist"]), setup["rep_first"],
-                       SeedSpec.from_canonical(setup["seed"]), setup["keep_seed"],
-                       registry.get_study(setup["study"]))
+                       setup["block_size"], SeedSpec.from_canonical(setup["seed"]),
+                       setup["keep_seed"], registry.get_study(setup["study"]))
 
 
 # a bound on the text of a result frame's document without its sub-jobs,
@@ -562,7 +560,7 @@ _RESULT_TEXT = 1 + len(canonical_json({"tag": "result", "blocks": 2 ** 64, "shap
 _SUBJOB_TEXT = 5 + 25 + 5
 
 
-def _result_frames(blocks: list[Block], cols: Columns):
+def _result_frames(ctx: _RunContext, blocks: range, cols: Columns):
     """The result frames, each encoded once, that answer a task's ``blocks``,
     whose sub-jobs' outcomes are ``cols``: one frame, or as many frames of
     whole blocks as keep each within the frame limit by a bound on its text
@@ -571,7 +569,7 @@ def _result_frames(blocks: list[Block], cols: Columns):
     shapes = [None if v is None else [] if type(v) is float else list(np.shape(v))
               for v in cols.value]
     seeds = cols.seeds or [None] * len(shapes)
-    width = blocks[0].size
+    width = ctx.block_size
     texts = collections.defaultdict(lambda: ([], []))  # each block's errors and warnings
     for k, e in cols.errors.items():
         texts[k // width][0].append([k % width, e.message, e.kind])
@@ -609,11 +607,11 @@ def _result_frames(blocks: list[Block], cols: Columns):
                            [np.ascontiguousarray(v, dtype="<f8").ravel() for v in values])
 
 
-def _task_results(stream, task: list[Block], worker: int, inner: tuple):
+def _task_results(stream, ctx: _RunContext, task: range, worker: int):
     """``(blocks, columns)`` for each result frame that answers ``task``, in
     order: the blocks of the task it answers, and its columns, whose values
-    are one array when each has the ``inner`` shape.  A frame is checked as a
-    whole: each column's length, offsets inside the frame, errors exactly at
+    are one array when each has the run's inner shape.  A frame is checked as
+    a whole: each column's length, offsets inside the frame, errors exactly at
     the null shapes, and shapes that fill the value bytes exactly."""
     while task:
         frame = read_frame(stream)
@@ -627,7 +625,7 @@ def _task_results(stream, task: list[Block], worker: int, inner: tuple):
             raise ProtocolError(f"worker {worker}: a result frame answers {n} "
                                 f"blocks, {len(task)} outstanding")
         blocks, task = task[:n], task[n:]
-        size = sum(block.size for block in blocks)
+        size = n * ctx.block_size
         shapes, times, seeds = frame["shapes"], frame["time_ms"], frame["seeds"]
         errors, warnings = frame["errors"], frame["warnings"]
         if len(shapes) != size or len(times) != size or seeds is not None and len(seeds) != size:
@@ -639,7 +637,7 @@ def _task_results(stream, task: list[Block], worker: int, inner: tuple):
         if [k for k, *_ in errors] != [k for k, shape in enumerate(shapes) if shape is None]:
             raise ProtocolError(f"worker {worker}: a frame's errors are not exactly at its "
                                 "null shapes")
-        yield blocks, Columns(_frame_values(shapes, frame["tail"], worker, inner), times,
+        yield blocks, Columns(_frame_values(shapes, frame["tail"], worker, ctx.inner), times,
                               {k: ErrorInfo(message, kind) for k, message, kind in errors},
                               {k: tuple(messages) for k, messages in warnings}, seeds)
 
@@ -685,27 +683,27 @@ def worker_main(stdin, stdout) -> int:
             raise ProtocolError(f"unexpected frame tag {got!r}")
         return frame
 
-    def take() -> list[Block] | None:
-        task = next_frame("task")
-        return None if task is None else [Block(*b) for b in task["blocks"]]
+    def take() -> range | None:
+        if (task := next_frame("task")) is None:
+            return None
+        if type(b := task.get("blocks")) is not list or list(map(type, b)) != [int, int] \
+                or not 0 <= b[0] < b[1] <= len(blocks):
+            raise ProtocolError(f"task blocks {b!r} are not [start, stop] of {len(blocks)} blocks")
+        return blocks[b[0]:b[1]]
 
     try:
         setup = next_frame("setup")
         if setup is None:
             return 0
-        for task, cols in _run_tasks(_worker_context(setup), take):
-            stdout.writelines(_result_frames(task, cols))  # holds one frame at a time
+        ctx = _worker_context(setup)
+        blocks = partition_blocks(ctx.n_G, ctx.n_sim, ctx.block_size)
+        for task, cols in _run_tasks(ctx, take):
+            stdout.writelines(_result_frames(ctx, task, cols))  # holds one frame at a time
             stdout.flush()
     except Exception as exc:
         print(f"worker: {exc!r}", file=sys.stderr)
         return 1
     return 0
-
-
-def _task_frame(task: list[Block]) -> bytes:
-    """A task frame, its block coordinates written as one JSON text."""
-    blocks = ",".join(f"[{b.row},{b.rep_start},{b.size}]" for b in task)
-    return encode_frame({"tag": "task", "blocks": _Encoded(f"[{blocks}]")})
 
 
 # ---------------------------------------------------------------------------
@@ -898,7 +896,7 @@ class _Worker:
         return self.returncode
 
 
-def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec,
+def _run_processes(ctx: _RunContext, blocks: range, backend: BackendSpec,
                    study: str | None, monitor) -> Columns:
     if study is None:
         raise ExecutionError(f"the process backend needs {_NAMED_STUDY}")
@@ -913,7 +911,7 @@ def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec,
                                  f"variables: {spec.name}: {exc}") from exc
     setup = encode_frame({"tag": "setup", "study": study, "varlist": ctx.vl.canonical(),
                           "seed": ctx.seed.canonical(), "keep_seed": ctx.keep_seed,
-                          "rep_first": ctx.rep_first})
+                          "rep_first": ctx.rep_first, "block_size": ctx.block_size})
 
     def send(i: int, worker: _Worker, frame: bytes) -> None:
         try:
@@ -924,14 +922,15 @@ def _run_processes(ctx: _RunContext, blocks: list[Block], backend: BackendSpec,
 
     def slot(i: int, worker: _Worker):
         def execute(take, stopped):  # a failure kills the workers instead
-            sent: collections.deque[list[Block]] = collections.deque()
+            sent: collections.deque[range] = collections.deque()
             while True:
                 while len(sent) < IN_FLIGHT and (task := take()) is not None:
-                    send(i, worker, _task_frame(task))
+                    send(i, worker, encode_frame({"tag": "task",
+                                                  "blocks": [task.start, task.stop]}))
                     sent.append(task)
                 if not sent:
                     return
-                yield from _task_results(worker.stdout, sent.popleft(), i, ctx.inner)
+                yield from _task_results(worker.stdout, ctx, sent.popleft(), i)
         return execute
 
     workers = [_Worker() for _ in range(backend.workers)]

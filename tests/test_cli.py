@@ -496,8 +496,9 @@ class TestWorkerMode:
             {"name": "n.sim", "type": "N", "label": "$n.sim$", "value": 2},
             {"name": "x", "type": "grid", "label": "$x$", "value": [3, 4]}]}
         setup = {"tag": "setup", "study": "probe-first-uniform", "varlist": varlist,
-                 "seed": {"kind": "seq"}, "keep_seed": False, "rep_first": True}
-        task = {"tag": "task", "blocks": [[1, 1, 2], [0, 2, 1]]}  # [row, rep_start, size]
+                 "seed": {"kind": "seq"}, "keep_seed": False, "rep_first": True,
+                 "block_size": 1}
+        task = {"tag": "task", "blocks": [1, 4]}  # row 0 rep 2, then row 1 reps 1 and 2
         proc, control = self._zygote()
         worker = _Worker()
         with control, proc.stderr, worker.stdout:
@@ -506,9 +507,9 @@ class TestWorkerMode:
             with worker.stdin:
                 worker.stdin.write(encode_frame(setup) + encode_frame(task))
             out = worker.stdout
-            want = [states, states[1:]]  # one result frame per task, its blocks in order
+            want = [states[1:], states]  # one result frame per task, its blocks in order
             frame = read_frame(out)
-            assert (frame["tag"], frame["blocks"], frame["shapes"]) == ("result", 2, [[]] * 3)
+            assert (frame["tag"], frame["blocks"], frame["shapes"]) == ("result", 3, [[]] * 3)
             assert np.frombuffer(frame["tail"], "<f8").tolist() == \
                 [RngStream.from_state(st).uniform() for block in want for st in block]
             assert len(frame["time_ms"]) == 3

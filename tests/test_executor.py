@@ -11,6 +11,7 @@ import socket
 import struct
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -28,8 +29,9 @@ from conftest import (SPECIAL_DOUBLES, appending_level_study, appending_study, c
                       params_probe_study, poly_noisy, poly_study, ragged_study, scalar_varlist,
                       shape_switch_study, special_doubles_study, square_study, tiny_varlist,
                       wide_study)
+from light_studies import levels_coin_study
 
-from mcgrid import (Block, ErrorInfo, ExecutionError, ProcessPool, ProtocolError,
+from mcgrid import (ErrorInfo, ExecutionError, ProcessPool, ProtocolError,
                     RawFallback, ResultStore, RngStream, SeedSpec, Sequential,
                     ThreadPool, VarList, VarSpec, do_call_we, do_res_equal, linear_of,
                     partition_blocks, run_study, seed_for, virtual_index)
@@ -153,41 +155,55 @@ class TestVirtualIndex:
         assert len(seen) == n_G * n_sim
 
 
+def _context(n_G: int, n_sim: int, block_size: int, rep_first: bool = True,
+             keep_seed: bool = False) -> executor._RunContext:
+    """The run context of a grid of rows x=0, 1, ..., n_G - 1, with no study."""
+    vl = VarList([VarSpec("n.sim", "N", n_sim), VarSpec("x", "grid", tuple(range(n_G)))])
+    return executor._RunContext(vl, rep_first, block_size, SeedSpec.seq(), keep_seed, None)
+
+
+def _linears(ctx, b: int) -> list[int]:
+    """The linear indices of block ``b``'s sub-jobs, in replication order."""
+    row, first = ctx.block(b)
+    return [linear_of(row, rep, ctx.n_G, ctx.n_sim, ctx.rep_first)
+            for rep in range(first, first + ctx.block_size)]
+
+
 class TestBlocks:
     def test_partition_covers_exactly_once(self):
         for rep_first in (True, False):
-            blocks = partition_blocks(3, 4, 2, rep_first)
-            seen = []
-            for b in blocks:
-                for v in b.indices(3, 4, rep_first):
-                    seen.append(v.linear)
+            ctx = _context(3, 4, 2, rep_first)
+            seen = [k for b in partition_blocks(3, 4, 2) for k in _linears(ctx, b)]
             assert sorted(seen) == list(range(12))
 
     def test_block_is_consecutive_reps_of_one_row(self):
-        for b in partition_blocks(5, 8, 4, True):
-            idxs = b.indices(5, 8, True)
-            assert len({v.row for v in idxs}) == 1
-            reps = [v.rep for v in idxs]
-            assert reps == list(range(reps[0], reps[0] + 4))
+        for rep_first in (True, False):
+            ctx = _context(5, 8, 4, rep_first)
+            for b in partition_blocks(5, 8, 4):
+                idxs = [virtual_index(k, 5, 8, rep_first) for k in _linears(ctx, b)]
+                assert len({v.row for v in idxs}) == 1
+                reps = [v.rep for v in idxs]
+                assert reps == list(range(reps[0], reps[0] + 4))
 
     def test_blocks_ordered_by_first_linear(self):
         for rep_first in (True, False):
-            blocks = partition_blocks(4, 6, 3, rep_first)
-            firsts = [b.indices(4, 6, rep_first)[0].linear for b in blocks]
+            ctx = _context(4, 6, 3, rep_first)
+            firsts = [_linears(ctx, b)[0] for b in partition_blocks(4, 6, 3)]
             assert firsts == sorted(firsts)
 
     def test_nondividing_block_size_rejected(self):
         with pytest.raises(ValueError):
-            partition_blocks(2, 6, 4, True)
+            partition_blocks(2, 6, 4)
 
 
 class TestTasks:
     @given(st.integers(0, 400), st.integers(1, 6), st.sampled_from([1, 3, 16, 64, 100]))
     @settings(max_examples=200, deadline=None)
     def test_guided_partition(self, n_blocks, slots, block_size):
-        blocks = partition_blocks(n_blocks, block_size, block_size, True)
-        tasks = partition_tasks(blocks, slots)
-        assert [b for task in tasks for b in task] == blocks  # each once, in order
+        blocks = partition_blocks(n_blocks, block_size, block_size)
+        tasks = partition_tasks(blocks, block_size, slots)
+        assert [b for task in tasks for b in task] == list(blocks)  # each once, in order
+        assert all(type(task) is range and task.step == 1 for task in tasks)
         sizes = [len(task) for task in tasks]
         # at most TASK_SUBJOBS sub-jobs in a task, unless it is a single block
         assert all(k == 1 or 1 < k * block_size <= TASK_SUBJOBS for k in sizes)
@@ -196,12 +212,9 @@ class TestTasks:
         for k in sizes:  # the tail is single blocks
             assert k == 1 or remaining > 2 * slots
             remaining -= k
-        # composition depends on (n_blocks, slots) only
-        other = partition_blocks(1, n_blocks * block_size, block_size, False)
-        assert [len(task) for task in partition_tasks(other, slots)] == sizes
 
     def test_sizes_for_two_slots(self):
-        sizes = [len(t) for t in partition_tasks(partition_blocks(10_000, 1, 1, True), 2)]
+        sizes = [len(t) for t in partition_tasks(partition_blocks(10_000, 1, 1), 1, 2)]
         assert sizes[-19:] == [64, 64, 52, 39, 30, 22, 17, 12, 9, 7, 5, 4, 3, 2, 2, 1, 1, 1, 1]
         assert len(sizes) == 170
 
@@ -247,12 +260,13 @@ class TestFrames:
 
 class TestWorkerLoop:
     # setup and task frames built by hand: the schema is the wire contract
-    def _setup(self, vl, study, keep_seed=False):
+    def _setup(self, vl, study, keep_seed=False, block_size=1):
         return {"tag": "setup", "study": study, "varlist": vl.canonical(),
-                "seed": {"kind": "seq"}, "keep_seed": keep_seed, "rep_first": True}
+                "seed": {"kind": "seq"}, "keep_seed": keep_seed, "rep_first": True,
+                "block_size": block_size}
 
-    def _task(self, *blocks):
-        return {"tag": "task", "blocks": [[b.row, b.rep_start, b.size] for b in blocks]}
+    def _task(self, start, stop):
+        return {"tag": "task", "blocks": [start, stop]}
 
     def _serve(self, *frames):
         stdin = io.BytesIO(b"".join(encode_frame(f) for f in frames))
@@ -263,9 +277,9 @@ class TestWorkerLoop:
 
     def test_task_frame_produces_records(self):
         vl = scalar_varlist(n_sim=4)
-        code, stdout = self._serve(self._setup(vl, "square", keep_seed=True),
-                                   self._task(Block(row=1, rep_start=1, size=2),
-                                              Block(row=2, rep_start=3, size=2)))
+        # blocks 3 and 4: reps 3-4 of row 1 (x=4), then reps 1-2 of row 2 (x=5)
+        code, stdout = self._serve(self._setup(vl, "square", keep_seed=True, block_size=2),
+                                   self._task(3, 5))
         assert code == 0
         # one result frame per task: its sub-jobs' columns in block order,
         # each block's in rep order, then the values as float64 bytes
@@ -277,7 +291,7 @@ class TestWorkerLoop:
         assert len(result["time_ms"]) == 4
         assert all(isinstance(t, float) for t in result["time_ms"])
         assert result["errors"] == result["warnings"] == []
-        assert result["seeds"] == [seed_for(SeedSpec.seq(), rep).to_hex() for rep in (1, 2, 3, 4)]
+        assert result["seeds"] == [seed_for(SeedSpec.seq(), rep).to_hex() for rep in (3, 4, 1, 2)]
         assert read_frame(stdout) is None  # 1 frame
 
     def test_result_frame_keeps_errors_and_warnings_by_offset(self):
@@ -285,9 +299,8 @@ class TestWorkerLoop:
         # and warnings count from the frame's first sub-job, and an errored
         # sub-job has a null shape and no bytes
         vl = VarList([VarSpec("n.sim", "N", 4), VarSpec("x", "grid", (3, 4, 5))])
-        code, stdout = self._serve(self._setup(vl, "conftest:coin_study"),
-                                   self._task(Block(row=1, rep_start=1, size=2),
-                                              Block(row=1, rep_start=3, size=2)))
+        code, stdout = self._serve(self._setup(vl, "conftest:coin_study", block_size=2),
+                                   self._task(2, 4))  # reps 1-2 and 3-4 of row 1
         assert code == 0
         result = read_frame(stdout)
         u = [RngStream.from_state(seed_for(SeedSpec.seq(), rep)).uniform() for rep in (1, 4)]
@@ -300,9 +313,8 @@ class TestWorkerLoop:
 
     def test_worker_main_frame_loop(self):
         vl = scalar_varlist(n_sim=1)
-        code, stdout = self._serve(self._setup(vl, "square"),
-                                   self._task(Block(0, 1, 1), Block(1, 1, 1)),
-                                   self._task(Block(2, 1, 1)))
+        code, stdout = self._serve(self._setup(vl, "square"), self._task(0, 2),
+                                   self._task(2, 3))
         assert code == 0  # end of input ends the worker
         for want in ([9.0, 16.0], [25.0]):  # one result frame per task
             result = read_frame(stdout)
@@ -314,7 +326,7 @@ class TestWorkerLoop:
     def test_shutdown_frame_is_protocol_error(self, capsys):
         vl = scalar_varlist(n_sim=1)
         code, stdout = self._serve(self._setup(vl, "square"), {"tag": "shutdown"},
-                                   self._task(Block(1, 1, 1)))
+                                   self._task(1, 2))
         assert code == 1
         assert "unexpected frame tag 'shutdown'" in capsys.readouterr().err
         assert read_frame(stdout) is None
@@ -324,10 +336,20 @@ class TestWorkerLoop:
 
     def test_worker_rejects_unknown_study(self, capsys):
         vl = scalar_varlist(n_sim=1)
-        code, _ = self._serve(self._setup(vl, "no-such-study"),
-                              self._task(Block(0, 1, 1), Block(1, 1, 1)))
+        code, _ = self._serve(self._setup(vl, "no-such-study"), self._task(0, 2))
         assert code != 0
         assert "no-such-study" in capsys.readouterr().err
+
+    def test_malformed_task_blocks_are_a_protocol_error(self, capsys):
+        # of the run's three blocks: a stepped range, a prefix, an empty or
+        # reversed range, a range past the run, and anything but two ints
+        setup = self._setup(scalar_varlist(n_sim=1), "square")
+        for bad in ([0, 3, 2], [2], [], [1, 1], [2, 1], [0, 4], [-1, 1], [True, 2],
+                    [0, 2.0], [[0], [2]], "02", {"0": 2}, None):
+            code, stdout = self._serve(setup, {"tag": "task", "blocks": bad})
+            assert code == 1 and stdout.getvalue() == b""
+            assert f"task blocks {bad!r} are not [start, stop] of 3 blocks" in \
+                capsys.readouterr().err
 
     def test_worker_garbage_frame_is_protocol_error(self, capsys):
         code = worker_main(io.BytesIO(b"\x00\x00"), io.BytesIO())
@@ -335,25 +357,19 @@ class TestWorkerLoop:
         assert "protocol" in capsys.readouterr().err.lower()
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(*[st.integers(0, 2**40)] * 3), min_size=1, max_size=TASK_SUBJOBS))
-def test_task_frame_is_the_plain_documents_canonical_text(blocks):
-    text = canonical_json({"tag": "task", "blocks": [list(b) for b in blocks]}).encode()
-    assert executor._task_frame([Block(*b) for b in blocks]) == \
-        struct.pack(">I", len(text)) + text
-
-
 class TestTaskFrames:
     # a task of five 2-rep blocks on rows x=3, 4, 5; under coin_study rep 1
     # succeeds, reps 2 and 3 fail, rep 4 warns, so errors and warnings fall
     # at every block offset of the task
     VL = VarList([VarSpec("n.sim", "N", 4), VarSpec("x", "grid", (3, 4, 5))])
-    TASK = [Block(0, 1, 2), Block(0, 3, 2), Block(1, 1, 2), Block(1, 3, 2), Block(2, 1, 2)]
+    CTX = executor._RunContext(VL, True, 2, SeedSpec.seq(), True, coin_study)
+    TASK = range(5)
 
-    def _serve(self, *blocks):
+    def _serve(self, task, block_size=2):
         loop = TestWorkerLoop()
-        return loop._serve(loop._setup(self.VL, "conftest:coin_study", keep_seed=True),
-                           loop._task(*blocks))
+        return loop._serve(loop._setup(self.VL, "conftest:coin_study", keep_seed=True,
+                                       block_size=block_size),
+                           loop._task(task.start, task.stop))
 
     def _frames(self, stdout) -> list[dict]:
         frames = []
@@ -362,11 +378,12 @@ class TestTaskFrames:
         stdout.seek(0)
         return frames
 
-    def _expected(self, blocks: list[Block]) -> Columns:
+    def _expected(self, blocks: range) -> Columns:
         spec, records = SeedSpec.seq(), []
-        for block in blocks:
-            x = self.VL.specs[1].values[block.row]
-            for rep in range(block.rep_start, block.rep_start + block.size):
+        for b in blocks:
+            row, first = self.CTX.block(b)
+            x = self.VL.specs[1].values[row]
+            for rep in range(first, first + 2):
                 u = RngStream.from_state(seed_for(spec, rep)).uniform()
                 seed = seed_for(spec, rep).to_hex()
                 if u < 0.5:
@@ -380,17 +397,17 @@ class TestTaskFrames:
     def _check(self, got):
         # each frame's blocks, as one set of columns with offsets from the
         # frame's first block
-        assert [block for blocks, _ in got for block in blocks] == self.TASK
+        assert [b for blocks, _ in got for b in blocks] == list(self.TASK)
         for blocks, cols in got:
             want = self._expected(blocks)
-            assert len(cols.time_ms) == sum(block.size for block in blocks)
+            assert len(cols.time_ms) == 2 * len(blocks)
             assert (cols.errors, cols.warnings, cols.seeds) == \
                 (want.errors, want.warnings, want.seeds)
             assert [(r.value, r.error) for r in map(cols.record, range(len(cols.time_ms)))] == \
                 [(r.value, r.error) for r in map(want.record, range(len(cols.time_ms)))]
 
     def test_one_frame_per_task(self):
-        code, stdout = self._serve(*self.TASK)
+        code, stdout = self._serve(self.TASK)
         assert code == 0
         (frame,) = self._frames(stdout)
         tail = frame.pop("tail")
@@ -399,10 +416,10 @@ class TestTaskFrames:
         # errors and warnings by offset from the frame's first sub-job
         assert frame["errors"] == [[k, *low] for k in (1, 2, 5, 6, 9)]
         assert frame["warnings"] == [[k, high] for k in (3, 7)]
-        self._check(list(executor._task_results(stdout, self.TASK, 0, ())))
+        self._check(list(executor._task_results(stdout, self.CTX, self.TASK, 0)))
 
     def test_over_limit_task_is_several_frames_of_whole_blocks(self, monkeypatch):
-        code, stdout = self._serve(*self.TASK)
+        code, stdout = self._serve(self.TASK)
         whole = len(stdout.getvalue())
         monkeypatch.setattr(executor, "MAX_FRAME", whole // 2)
         encodes, encode = [], executor.encode_frame
@@ -410,27 +427,28 @@ class TestTaskFrames:
                             lambda *args: encodes.append(args) or encode(*args))
         counts = []
         for _ in range(2):
-            code, stdout = self._serve(*self.TASK)
+            code, stdout = self._serve(self.TASK)
             assert code == 0
             frames = self._frames(stdout)
             counts.append([f["blocks"] for f in frames])
             # consecutive whole blocks, each frame within the limit and encoded once
             assert len(frames) > 1 and len(encodes) == len(frames)
             assert all(len(encode(f, [f.pop("tail")])) <= whole // 2 + 4 for f in frames)
-            self._check(list(executor._task_results(stdout, self.TASK, 0, ())))
+            self._check(list(executor._task_results(stdout, self.CTX, self.TASK, 0)))
             encodes.clear()
         assert counts[0] == counts[1]  # the split depends on the outcomes, not the times
 
     def test_over_limit_block_is_a_protocol_error(self, monkeypatch, capsys):
-        code, stdout = self._serve(Block(1, 1, 4))
+        code, stdout = self._serve(range(1, 2), block_size=4)  # row 1, reps 1-4
         monkeypatch.setattr(executor, "MAX_FRAME", len(stdout.getvalue()) // 2)
-        code, stdout = self._serve(Block(1, 1, 4))
+        code, stdout = self._serve(range(1, 2), block_size=4)
         assert code == 1 and stdout.getvalue() == b""
         assert "exceeds" in capsys.readouterr().err
 
         def frames_of(blocks: int) -> bytes:  # a task of blocks of 8 sub-jobs
             cols = Columns([1.0] * 8 * blocks, [0.5] * 8 * blocks, {}, {}, None)
-            return b"".join(executor._result_frames([Block(0, 1, 8)] * blocks, cols))
+            return b"".join(executor._result_frames(types.SimpleNamespace(block_size=8),
+                                                    range(blocks), cols))
 
         monkeypatch.setattr(executor, "MAX_FRAME", 64 * 1024 * 1024)
         one = frames_of(1)
@@ -460,35 +478,35 @@ class TestTaskFrames:
     TWO = (1, [[]] * 2, [1.0, 2.0])  # a frame answering one block of two scalars
 
     def test_frame_ending_inside_a_block_is_a_protocol_error(self):
-        task = [Block(0, 1, 2), Block(1, 1, 2)]
+        task = range(2)
         # a column of another length than the sub-jobs of the blocks answered:
         # shapes, times or seeds
         for bad in ((1, [[]] * 3, [1.0] * 3), (1, [[]] * 2, [1.0] * 2, {"time_ms": [0.5]}),
                     (1, [[]] * 2, [1.0] * 2, {"seeds": ["00"]}),
                     (1, [[]] * 2, [1.0] * 2, {"seeds": []}), (2, [[]] * 2, [1.0] * 2)):
             # the frame is checked as a whole before any of it is taken
-            got = executor._task_results(self._answer(bad), task, 0, ())
+            got = executor._task_results(self._answer(bad), self.CTX, task, 0)
             with pytest.raises(ProtocolError, match="worker 0: a frame of [24] sub-jobs "
                                                     "answered with columns of other lengths"):
                 next(got)
         # a frame that answers no block
         with pytest.raises(ProtocolError, match="worker 0: a result frame answers 0 blocks"):
-            list(executor._task_results(self._answer((0, [], [])), task, 0, ()))
+            list(executor._task_results(self._answer((0, [], [])), self.CTX, task, 0))
         # end of input before the task is covered: the worker is gone
-        got = executor._task_results(self._answer(self.TWO), task, 1, ())
+        got = executor._task_results(self._answer(self.TWO), self.CTX, task, 1)
         assert next(got)[0] == task[:1]
         with pytest.raises(ExecutionError, match="worker 1 died mid-run"):
             next(got)
 
     def test_offset_outside_its_block_is_a_protocol_error(self):
         # an offset past the frame would write a cell of a block it does not answer
-        task = [Block(0, 1, 2), Block(1, 1, 2)]
+        task = range(2)
         for errors, warnings in (([[2, "m", "E"]], []), ([], [[2, ["w"]]]),
                                  ([[-1, "m", "E"]], []), ([], [[True, ["w"]]]),
                                  ([[1.0, "m", "E"]], [])):
             bad = (1, [[], None], [1.0], {"errors": errors, "warnings": warnings})
             for frames in ((bad, self.TWO), (self.TWO, bad)):
-                got = executor._task_results(self._answer(*frames), task, 3, ())
+                got = executor._task_results(self._answer(*frames), self.CTX, task, 3)
                 if frames[0] is not bad:
                     next(got)
                 with pytest.raises(ProtocolError, match="worker 3: an error or warning offset "
@@ -496,37 +514,38 @@ class TestTaskFrames:
                     next(got)
 
     def test_values_that_do_not_fill_the_shapes_are_a_protocol_error(self):
-        task = [Block(0, 1, 2)]
+        task = range(1)
         for bad in ((1, [[], []], [1.0]), (1, [[], []], [1.0] * 3), (1, [[2], []], [1.0] * 2),
                     (1, [[-1], [4]], [1.0] * 3), (1, [["2"], []], [1.0] * 3),
                     (1, [[[2]], []], [1.0] * 3), (1, [{"2": 1}, []], [1.0] * 2)):
             with pytest.raises(ProtocolError, match="worker 0: a result frame's values do not "
                                                     "fill its shapes"):
-                next(executor._task_results(self._answer(bad), task, 0, ()))
+                next(executor._task_results(self._answer(bad), self.CTX, task, 0))
         doc = {"tag": "result", "blocks": 1, "shapes": [[], []], "time_ms": [0.5] * 2,
                "errors": [], "warnings": [], "seeds": None}
         with pytest.raises(ProtocolError, match="do not fill its shapes"):  # 17 value bytes
-            next(executor._task_results(io.BytesIO(encode_frame(doc, [bytes(17)])), task, 0, ()))
+            next(executor._task_results(io.BytesIO(encode_frame(doc, [bytes(17)])),
+                                        self.CTX, task, 0))
 
     def test_values_at_errored_sub_jobs_are_a_protocol_error(self):
         # a value where an error is, or a null shape where none is
-        task = [Block(0, 1, 2)]
+        task = range(1)
         error = {"errors": [[1, "m", "E"]]}
         for bad in ((1, [[], []], [1.0, 2.0], error), (1, [None, []], [1.0]),
                     (1, [None, []], [1.0], error),
                     (1, [[], None], [1.0], {"errors": [[1, "m", "E"], [1, "m", "E"]]})):
             with pytest.raises(ProtocolError, match="worker 0: a frame's errors are not exactly "
                                                     "at its null shapes"):
-                next(executor._task_results(self._answer(bad), task, 0, ()))
-        ((_, cols),) = executor._task_results(self._answer((1, [[], None], [1.0], error)), task,
-                                              0, ())
+                next(executor._task_results(self._answer(bad), self.CTX, task, 0))
+        ((_, cols),) = executor._task_results(self._answer((1, [[], None], [1.0], error)),
+                                              self.CTX, task, 0)
         assert (cols.record(0).value, cols.record(1).value) == (1.0, None)
         assert cols.errors == {1: ErrorInfo("m", "E")}
 
     def test_frame_answering_more_blocks_than_outstanding_is_a_protocol_error(self):
-        task = [Block(0, 1, 2), Block(1, 1, 2)]
+        task = range(2)
         stream = self._answer(self.TWO, (2, [[]] * 4, [1.0] * 4))
-        got = executor._task_results(stream, task, 0, ())
+        got = executor._task_results(stream, self.CTX, task, 0)
         assert next(got)[0] == task[:1]
         with pytest.raises(ProtocolError, match="answers 2 blocks, 1 outstanding"):
             next(got)
@@ -546,9 +565,11 @@ def _result_frames(draw):
     shapes = draw(st.lists(st.sampled_from([(), (2,), (2, 3), (0,), (1, 2)]),
                            min_size=1, max_size=2))  # two shapes: ragged values
     kept, slots = draw(st.booleans()), draw(st.integers(1, 3))
-    blocks = partition_blocks(n_G, n_sim, size, rep_first)
+    ctx = _context(n_G, n_sim, size, rep_first, kept)
+    ctx.inner = shapes[0]
+    blocks = partition_blocks(n_G, n_sim, size)
     columns, streams = {}, {}
-    for task in partition_tasks(blocks, slots):
+    for task in partition_tasks(blocks, size, slots):
         cuts = set(draw(st.sets(st.integers(1, len(task) - 1), max_size=3))) \
             if len(task) > 1 else set()
         for block in task:
@@ -569,7 +590,7 @@ def _result_frames(draw):
                      for _ in range(size)] if kept else None
             times = draw(st.lists(_SCALARS, min_size=size, max_size=size))
             columns[block] = Columns(value, times, errors, warns, seeds)
-        streams[tuple(task)] = b""
+        streams[task] = b""
         for i, j in zip([0, *sorted(cuts)], [*sorted(cuts), len(task)]):
             part = [columns[block] for block in task[i:j]]  # as one task's columns
             cols = Columns([v for c in part for v in c.value],
@@ -579,8 +600,8 @@ def _result_frames(draw):
                            {size * b + k: w for b, c in enumerate(part)
                             for k, w in c.warnings.items()},
                            [x for c in part for x in c.seeds] if kept else None)
-            streams[tuple(task)] += b"".join(executor._result_frames(task[i:j], cols))
-    return n_G, n_sim, rep_first, kept, slots, blocks, columns, streams, shapes[0]
+            streams[task] += b"".join(executor._result_frames(ctx, task[i:j], cols))
+    return ctx, slots, blocks, columns, streams
 
 
 @given(_result_frames())
@@ -588,12 +609,14 @@ def _result_frames(draw):
 def test_frames_decode_as_block_by_block_reads(frames):
     # reference: each block's columns written at the block's store cells
     # value by value, with no frame in between
-    n_G, n_sim, rep_first, kept, slots, blocks, columns, streams, inner = frames
-    n = n_G * n_sim
+    ctx, slots, blocks, columns, streams = frames
+    n_G, kept, inner = ctx.n_G, ctx.keep_seed, ctx.inner
+    n = n_G * ctx.n_sim
     want = Columns([None] * n, [0.0] * n, {}, {}, [None] * n if kept else None)
-    for block in blocks:
-        cols, start = columns[block], block.row + n_G * (block.rep_start - 1)
-        at = slice(start, start + n_G * block.size, n_G)
+    for b in blocks:
+        row, first = ctx.block(b)
+        cols, start = columns[b], row + n_G * (first - 1)
+        at = slice(start, start + n_G * ctx.block_size, n_G)
         want.value[at] = cols.value
         want.time_ms[at] = cols.time_ms
         if cols.seeds is not None:
@@ -603,10 +626,8 @@ def test_frames_decode_as_block_by_block_reads(frames):
 
     def slot(take, stopped):
         while (task := take()) is not None:
-            yield from executor._task_results(io.BytesIO(streams[tuple(task)]), task, 0, inner)
+            yield from executor._task_results(io.BytesIO(streams[task]), ctx, task, 0)
 
-    ctx = types.SimpleNamespace(n_G=n_G, n_sim=n_sim, rep_first=rep_first, keep_seed=kept,
-                                seed=SeedSpec.seq(), inner=inner)
     got = executor._run_pool(ctx, blocks, True, [slot] * slots)
     # one array while every value has the inner shape, else each cell's value
     assert (type(got.value) is list) == \
@@ -1216,8 +1237,7 @@ def _failed_slot_stops_the_pool(kind: str) -> None:
 def test_no_monitor_call_follows_a_failure():
     # a task yielded after another slot failed goes unmonitored, even when
     # it was taken before: the monitor loop, not only the slot, checks
-    ctx = types.SimpleNamespace(n_G=1, n_sim=128, rep_first=True, keep_seed=False,
-                                seed=SeedSpec.seq(), inner=())
+    ctx = _context(1, 128, 1)
     taken, seen = threading.Event(), []
 
     def failing(take, stopped):
@@ -1235,7 +1255,7 @@ def test_no_monitor_call_follows_a_failure():
         yield task, Columns([1.0] * len(task), [0.5] * len(task), {}, {}, None)
 
     with pytest.raises(ExecutionError, match="slot broke"):
-        executor._run_pool(ctx, partition_blocks(1, 128, 1, True), True, [failing, late],
+        executor._run_pool(ctx, partition_blocks(1, 128, 1), True, [failing, late],
                            monitor=lambda vidx, rec: seen.append(vidx))
     assert taken.is_set() and seen == []
 
@@ -1249,9 +1269,9 @@ def test_in_process_slot_stops_between_the_blocks_of_its_task():
         calls.append(params["x"])
         return 1.0
 
-    ctx = executor._RunContext(scalar_varlist(n_sim=64), True, SeedSpec.seq(), False,
+    ctx = executor._RunContext(scalar_varlist(n_sim=64), True, 1, SeedSpec.seq(), False,
                                counting_study)
-    tasks = iter([partition_blocks(ctx.n_G, 64, 1, True)[:64]])
+    tasks = iter([partition_blocks(ctx.n_G, 64, 1)[:64]])
     slot = executor._run_tasks(ctx, lambda: next(tasks, None), lambda: len(calls) >= 3)
     assert list(slot) == [] and len(calls) == 3
 
@@ -1331,9 +1351,9 @@ class TestOneStreamPerSlot:
 
     def test_worker(self, built):
         loop = TestWorkerLoop()
-        code, stdout = loop._serve(loop._setup(self.VL, "probe-first-uniform"),
-                                   loop._task(Block(0, 1, 8), Block(1, 1, 8)),
-                                   loop._task(Block(2, 1, 4), Block(2, 5, 4)))
+        # blocks of 4: reps 1-8 of rows 0 and 1, then reps 1-8 of row 2
+        code, stdout = loop._serve(loop._setup(self.VL, "probe-first-uniform", block_size=4),
+                                   loop._task(0, 4), loop._task(4, 6))
         assert code == 0
         assert len(built) == 1
         for task in ((range(1, 9), range(1, 9)), (range(1, 5), range(5, 9))):  # a frame each
@@ -1433,9 +1453,10 @@ def test_first_value_of_another_shape_anywhere_gives_one_raw_fallback(pair, tmp_
     assert len(texts) == 1
 
 
-def test_scalar_run_peaks_below_140_bytes_per_subjob():
+def test_scalar_run_peaks_below_50_bytes_per_subjob():
     # values and times go into float64 columns as each task ends, not into
-    # lists of Python floats that the store stacks again
+    # lists of Python floats that the store stacks again, and blocks and
+    # tasks are ranges of block numbers, not an object per block
     vl = VarList([VarSpec("n.sim", "N", 100), VarSpec("x", "grid", tuple(range(200)))])
     run_study(scalar_varlist(n_sim=2), probe_first_uniform)  # imports and caches
     tracemalloc.start()
@@ -1444,7 +1465,7 @@ def test_scalar_run_peaks_below_140_bytes_per_subjob():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / 20_000 < 140
+    assert peak / 20_000 < 50
 
 
 @pytest.mark.parametrize("backend", EVERY_BACKEND + [ProcessPool(2, block_size=2)])
@@ -1462,9 +1483,10 @@ def test_monitor_records_equal_the_stored_ones(backend):
     assert type(res) is ResultStore and res.error_count() and res.warning_count()
     # errors and warnings also fall in the later blocks of multi-block tasks,
     # where a process worker's result frame holds them at an offset
-    blocks = partition_blocks(3, 8, backend.block_size, False)
-    later = {v.linear for task in partition_tasks(blocks, backend.workers)
-             for b in task[1:] for v in b.indices(3, 8, False)}
+    ctx = _context(3, 8, backend.block_size, rep_first=False)
+    later = {k for task in partition_tasks(partition_blocks(3, 8, ctx.block_size),
+                                           ctx.block_size, backend.workers)
+             for b in task[1:] for k in _linears(ctx, b)}
     assert any(rec.error for v, rec in seen if v.linear in later)
     assert any(rec.warnings for v, rec in seen if v.linear in later)
     cmp = do_res_equal(run_study(vl, coin_study, keep_seed=True, rep_first=False), res)
@@ -1476,6 +1498,44 @@ def test_monitor_records_equal_the_stored_ones(backend):
         assert (rec.error, rec.warnings, rec.seed, rec.time_ms) == \
             (stored.error, stored.warnings, stored.seed, stored.time_ms)
         assert rec.value == stored.value
+
+
+@st.composite
+def _declarations(draw):
+    """A declaration of 1-2 grid variables and 1-12 replications, and how to
+    run it: a block size that divides them, the virtual order, ``keep_seed``,
+    load balancing and 1-3 workers."""
+    levels = st.lists(st.integers(-9, 9), min_size=1, max_size=3, unique=True)
+    grid = [VarSpec(name, "grid", tuple(draw(levels)))
+            for name in ("x", "y")[:draw(st.integers(1, 2))]]
+    n_sim = draw(st.integers(1, 12))
+    block_size = draw(st.sampled_from([d for d in range(1, n_sim + 1) if n_sim % d == 0]))
+    return (VarList([VarSpec("n.sim", "N", n_sim), *grid]), block_size, draw(st.booleans()),
+            draw(st.booleans()), draw(st.booleans()), draw(st.integers(1, 3)))
+
+
+@given(_declarations())
+@settings(max_examples=100, deadline=None)
+def test_drawn_declarations_give_the_sequential_bytes_on_every_backend(declaration):
+    # errors on half the sub-jobs and warnings on a quarter fall at every
+    # offset of blocks and tasks, and each row has values of its own
+    vl, block_size, rep_first, keep_seed, load_balancing, workers = declaration
+    n_G, n_sim = math.prod(len(spec.values) for spec in vl.specs[1:]), vl.n_sim
+    texts = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for backend in (Sequential(), ThreadPool(workers, block_size, load_balancing),
+                        ProcessPool(workers, block_size, load_balancing)):
+            seen = []
+            res = run_study(vl, levels_coin_study, keep_seed=keep_seed, rep_first=rep_first,
+                            backend=backend, monitor=lambda vidx, rec: seen.append(vidx))
+            assert sorted(v.linear for v in seen) == list(range(n_G * n_sim))
+            assert all(v == virtual_index(v.linear, n_G, n_sim, rep_first) for v in seen)
+            save(res, os.path.join(tmp, "results.json"))
+            with open(os.path.join(tmp, "results.json"), encoding="utf-8") as fh:
+                doc = json.load(fh)
+            doc["meta"]["created"] = doc["time_ms"] = None
+            texts.append(canonical_json(doc))
+    assert texts[1] == texts[0] and texts[2] == texts[0]
 
 
 def test_common_arguments_are_read_only_on_every_backend():

@@ -8,6 +8,7 @@ import os
 import random
 import shutil
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -88,9 +89,9 @@ class TestCanonicalJson:
                         if v is None},
                        {k: tuple(w) for k, (*_, w, _) in enumerate(entries) if w},
                        [s for *_, s in entries] if seeded else None)
-        task = [executor.Block(0, 1, len(entries))]
-        out = io.BytesIO(b"".join(executor._result_frames(task, cols)))
-        ((_, back),) = executor._task_results(out, task, 0, ())
+        ctx = types.SimpleNamespace(block_size=len(entries), inner=())  # one block of them all
+        out = io.BytesIO(b"".join(executor._result_frames(ctx, range(1), cols)))
+        ((_, back),) = executor._task_results(out, ctx, range(1), 0)
         assert len(back.time_ms) == len(cols.value)
         for k, v in enumerate(cols.value):
             w = back.record(k).value
