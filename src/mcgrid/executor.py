@@ -19,18 +19,20 @@ main thread runs the same slot behind a frame protocol on its task and result
 pipes.  With load balancing (default) tasks are pulled from a shared queue as
 slots become free; without it they are pre-assigned round-robin.  Either way
 the assembled results are identical for deterministic studies; only timing
-fields may differ.  Once any slot fails, or the calling thread is
-interrupted, no slot starts another block.
+fields may differ.  The slot and the scheduler each compute a task's grid
+rows and replications once, with numpy.  Once any slot fails, or the calling
+thread is interrupted, no slot starts another block.
 
 A slot that runs sub-jobs owns one random stream: under a seeded discipline
 it resets it to the replication's state before each call, under ``none``/
 ``unseeded`` it carries on its thread's ambient stream.  A study's ``rng`` is
-valid only during its call.  A task's outcomes are columns (values, times,
-sparse errors and warnings, seeds), which a slot hands over once per task and
-the scheduler writes into the run's store-order columns with one put: values
-into one float64 array, inner dimensions first, until the first value of
-another shape turns it into the per-cell list of a raw fallback.  Records are
-built only for a monitor.
+valid only during its call; a value is copied when it returns.  A task's
+outcomes are columns (values, times, sparse errors and warnings, seeds),
+which a slot hands over once per task and the scheduler writes into the
+run's store-order columns with one put: values into one float64 array, inner
+dimensions first, until the first value of another shape turns it into the
+per-cell list of a raw fallback.  Records are built only for a monitor, whose
+calls never overlap: one that raises is the last.
 
 Frame protocol: 4-byte big-endian payload length, then a canonical-JSON
 payload (the result files' text family), followed in a result frame by a
@@ -112,7 +114,7 @@ from .results import (Columns, ErrorInfo, ResultStore, SubJobRecord, _Encoded, _
                       _inner_shape, assemble, canonical_json, maybe_read, save,
                       study_fingerprint)
 from .seeding import RngStream, SeedSpec, ambient_stream, seed_for
-from .varlist import VarList, linear_of, mk_grid, non_grid_args, unravel
+from .varlist import VarList, mk_grid, non_grid_args, unravel
 
 MAX_FRAME = 64 * 1024 * 1024
 WORKER_FLAG = "--worker"
@@ -186,14 +188,15 @@ def do_call_we(study_fn, params: dict, rng):
 
     Nothing escapes: exceptions become error records, warnings emitted through
     the sink are collected in order, and the timing covers exactly the call.
+    A value is a plain float or a float64 array copied at return, so a study
+    may refill and return the same buffer.
     """
     warnings_list: list[str] = []
 
     def warn(message):
         warnings_list.append(str(message))
 
-    value = None
-    error = None
+    value = error = None
     t0 = time.perf_counter_ns()
     try:
         value = study_fn(params, rng, warn)
@@ -201,19 +204,16 @@ def do_call_we(study_fn, params: dict, rng):
         error = ErrorInfo(str(exc) or type(exc).__name__, type(exc).__name__)
     time_ms = (time.perf_counter_ns() - t0) / 1e6
 
-    if error is None:
+    if error is None and type(value) is not float:
         try:
-            value = _normalize_value(value)
+            if value is None:
+                raise ValueError("study function returned no value")
+            value = np.array(value, dtype=float)
+            if value.ndim == 0:
+                value = float(value)
         except Exception as exc:
             value, error = None, ErrorInfo(f"unusable study value: {exc}", "invalid-return")
     return value, error, tuple(warnings_list), time_ms
-
-
-def _normalize_value(value):
-    if value is None:
-        raise ValueError("study function returned no value")
-    arr = np.asarray(value, dtype=float)
-    return float(arr) if arr.ndim == 0 else arr
 
 
 def _freeze(arg):
@@ -266,13 +266,18 @@ class _RunContext:
         self.seeds = ([s.to_hex() for s in self.states]
                       if self.keep_seed and self.states[0] else None)
 
-    def block(self, b: int) -> tuple[int, int]:
-        """Block ``b``'s grid row and first replication (1-based)."""
-        if self.rep_first:
-            row, chunk = divmod(b, self.n_sim // self.block_size)
+    def subjobs(self, blocks: range) -> tuple[np.ndarray, np.ndarray]:
+        """The grid rows and replications (1-based) of the sub-jobs of
+        consecutive ``blocks``, in task order: sub-job ``t`` of the block
+        order is at offset ``t % block_size`` in block ``t // block_size``."""
+        size = self.block_size
+        t = np.arange(blocks.start * size, blocks.stop * size)
+        if self.rep_first:  # a row's blocks are consecutive: t is the linear index
+            rows, reps = np.divmod(t, self.n_sim)
         else:
-            chunk, row = divmod(b, self.n_G)
-        return row, 1 + chunk * self.block_size
+            chunks, rows = np.divmod(t // size, self.n_G)
+            reps = chunks * size + t % size
+        return rows, reps + 1
 
 
 def subjob(ctx: _RunContext, rng: RngStream, rep: int, params: dict) -> tuple:
@@ -293,28 +298,24 @@ def _run_tasks(ctx: _RunContext, take, stopped=lambda: False):
     rng = RngStream.from_state(ctx.states[0]) if ctx.states[0] else ambient_stream()
     ambient = ctx.keep_seed and ctx.seed.kind == "none"
     while (task := take()) is not None:
-        values, times, errors, warns, seeds = [], [], {}, {}, []
-        row = None  # a row's arguments are built once per run of its blocks in a task
-        for b in task:
-            if stopped():
+        rows, reps = map(np.ndarray.tolist, ctx.subjobs(task))
+        values, times, errors, warns = [], [], {}, {}
+        seeds = [ctx.seeds[rep - 1] for rep in reps] if ctx.seeds else []
+        params = {}  # each row's arguments, built once per task
+        for k, (row, rep) in enumerate(zip(rows, reps)):
+            if k % ctx.block_size == 0 and stopped():
                 return
-            block_row, first = ctx.block(b)
-            if block_row != row:
-                row, params = block_row, ctx.grid.row_params(block_row)
-                params.update(ctx.args)
-            reps = range(first, first + ctx.block_size)
-            if ctx.seeds:
-                seeds += ctx.seeds[reps.start - 1:reps.stop - 1]
-            for rep in reps:
-                if ambient:  # the state the sub-job starts from
-                    seeds.append(rng.state.to_hex())
-                value, error, warnings, time_ms = subjob(ctx, rng, rep, params)
-                if error is not None:
-                    errors[len(times)] = error
-                if warnings:
-                    warns[len(times)] = warnings
-                values.append(value)
-                times.append(time_ms)
+            if row not in params:
+                params[row] = ctx.grid.row_params(row) | ctx.args
+            if ambient:  # the state the sub-job starts from
+                seeds.append(rng.state.to_hex())
+            value, error, warnings, time_ms = subjob(ctx, rng, rep, params[row])
+            if error is not None:
+                errors[k] = error
+            if warnings:
+                warns[k] = warnings
+            values.append(value)
+            times.append(time_ms)
         yield task, Columns(values, times, errors, warns, seeds if seeds else None)
 
 
@@ -374,8 +375,9 @@ def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
     process on every backend, after each task and from the thread that
     drives its slot (so from several threads on the pools).  On the process
     backend a task's results come in one result frame (in several past the
-    frame limit), and reach the monitor frame by frame.  A monitor that
-    raises stops the run with ``ExecutionError``.
+    frame limit), and reach the monitor frame by frame.  Calls never overlap.
+    A monitor that raises stops the run with ``ExecutionError``, and no call
+    follows the one that raised.
     """
     seed = seed if seed is not None else SeedSpec.seq()
     backend = backend if backend is not None else Sequential()
@@ -422,7 +424,7 @@ def _run_pool(ctx: _RunContext, blocks: range, load_balancing: bool,
     ``(blocks, columns)``, a range of consecutive blocks of a task and their
     sub-jobs' columns, for the tasks ``take()`` hands out until it returns
     None.  Each yield's columns go into the run's columns with one put, then
-    its sub-jobs to ``monitor`` (if given).
+    its sub-jobs to ``monitor`` (if given), one call at a time.
 
     A single slot runs on the calling thread, more run on one thread each.
     ``take()`` pulls from a shared task queue with load balancing and from the
@@ -438,7 +440,7 @@ def _run_pool(ctx: _RunContext, blocks: range, load_balancing: bool,
     out = Columns(np.full(ctx.inner + (n,), math.nan), np.zeros(n), {}, {},
                   np.full(n, None, dtype=object) if kept else None)
     failures: list[BaseException] = []
-    lock = threading.Lock()
+    lock, monitor_lock = threading.Lock(), threading.Lock()
     tasks = partition_tasks(blocks, ctx.block_size, len(slots))
     if load_balancing:
         shared = iter(tasks)
@@ -460,20 +462,21 @@ def _run_pool(ctx: _RunContext, blocks: range, load_balancing: bool,
 
         try:
             for blocks, cols in slots[slot](take, lambda: bool(failures)):
-                # store cells row + n_G * (rep - 1), whatever the virtual order
-                starts = np.array([row + n_G * (rep - 1) for row, rep in map(ctx.block, blocks)])
-                cells = (starts[:, None] + n_G * np.arange(ctx.block_size)).ravel()
+                rows, reps = ctx.subjobs(blocks)
                 with lock:  # the first value of another shape changes the value column
-                    out.put(cells, cols)
+                    out.put(rows + n_G * (reps - 1), cols)  # whatever the virtual order
                 if monitor is not None:
-                    vidxs = (VirtualIndex(linear_of(row, rep, n_G, ctx.n_sim, ctx.rep_first),
-                                          row, rep)
-                             for row, first in map(ctx.block, blocks)
-                             for rep in range(first, first + ctx.block_size))
-                    for k, vidx in enumerate(vidxs):
-                        if failures:
-                            break
-                        monitor(vidx, cols.record(k))
+                    linears = rows * ctx.n_sim + reps - 1 if ctx.rep_first else \
+                        (reps - 1) * n_G + rows
+                    with monitor_lock:
+                        try:  # a failure is recorded before another call can start
+                            for k, vidx in enumerate(map(VirtualIndex, linears.tolist(),
+                                                         rows.tolist(), reps.tolist())):
+                                if failures:
+                                    break
+                                monitor(vidx, cols.record(k))
+                        except BaseException as exc:
+                            fail(exc)
                 if failures:
                     break
         except BaseException as exc:  # re-raised below, once every slot stopped

@@ -9,7 +9,8 @@ import random
 import numpy as np
 import pytest
 
-from conftest import float_bits, poly_study, random_store, tiny_varlist
+from conftest import float_bits, random_store, tiny_varlist
+from light_studies import poly_study
 
 from mcgrid import (LabeledArray, array2df, collapse, ftable, get_array,
                     latex_escape, run_study, to_csv, to_latex_table,

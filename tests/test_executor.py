@@ -23,13 +23,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (SPECIAL_DOUBLES, appending_level_study, appending_study, chatty_study,
-                      cheap_style_study, coin_study, dying_study, float_bits, float_type_study,
-                      interrupting_study, legacy_random_study, matmul_study, mid_buffer_study,
-                      params_probe_study, poly_noisy, poly_study, ragged_study, scalar_varlist,
-                      shape_switch_study, special_doubles_study, square_study, tiny_varlist,
-                      wide_study)
-from light_studies import levels_coin_study
+from conftest import float_bits, scalar_varlist, tiny_varlist
+from light_studies import (SPECIAL_DOUBLES, appending_level_study, appending_study,
+                           buffer_study, chatty_study, cheap_style_study, coin_study,
+                           dying_study, float_type_study, fresh_buffer_study, interrupting_study,
+                           legacy_random_study, levels_coin_study, matmul_study,
+                           mid_buffer_study, params_probe_study, poly_noisy, poly_study,
+                           ragged_study, shape_switch_study, special_doubles_study,
+                           square_study, wide_study)
 
 from mcgrid import (ErrorInfo, ExecutionError, ProcessPool, ProtocolError,
                     RawFallback, ResultStore, RngStream, SeedSpec, Sequential,
@@ -162,11 +163,17 @@ def _context(n_G: int, n_sim: int, block_size: int, rep_first: bool = True,
     return executor._RunContext(vl, rep_first, block_size, SeedSpec.seq(), keep_seed, None)
 
 
+def _block(ctx, b: int) -> tuple[int, int]:
+    """Block ``b``'s grid row and first replication (1-based)."""
+    rows, reps = ctx.subjobs(range(b, b + 1))
+    return int(rows[0]), int(reps[0])
+
+
 def _linears(ctx, b: int) -> list[int]:
     """The linear indices of block ``b``'s sub-jobs, in replication order."""
-    row, first = ctx.block(b)
+    rows, reps = ctx.subjobs(range(b, b + 1))
     return [linear_of(row, rep, ctx.n_G, ctx.n_sim, ctx.rep_first)
-            for rep in range(first, first + ctx.block_size)]
+            for row, rep in zip(rows.tolist(), reps.tolist())]
 
 
 class TestBlocks:
@@ -194,6 +201,23 @@ class TestBlocks:
     def test_nondividing_block_size_rejected(self):
         with pytest.raises(ValueError):
             partition_blocks(2, 6, 4)
+
+    @given(st.integers(1, 6), st.sampled_from([(1, 1), (4, 1), (4, 2), (6, 3), (8, 8)]),
+           st.booleans(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_task_coordinates_are_its_blocks_sub_jobs(self, n_G, sizes, rep_first, data):
+        # block b is sub-job b of the virtual grid of n_sim / block_size
+        # replications, widened to block_size consecutive replications
+        n_sim, size = sizes
+        ctx = _context(n_G, n_sim, size, rep_first)
+        n_blocks = n_G * n_sim // size
+        start = data.draw(st.integers(0, n_blocks - 1))
+        task = range(start, data.draw(st.integers(start + 1, n_blocks)))
+        want = [(v.row, (v.rep - 1) * size + 1 + i)
+                for v in (virtual_index(b, n_G, n_sim // size, rep_first) for b in task)
+                for i in range(size)]
+        rows, reps = ctx.subjobs(task)
+        assert list(zip(rows.tolist(), reps.tolist())) == want
 
 
 class TestTasks:
@@ -299,7 +323,7 @@ class TestWorkerLoop:
         # and warnings count from the frame's first sub-job, and an errored
         # sub-job has a null shape and no bytes
         vl = VarList([VarSpec("n.sim", "N", 4), VarSpec("x", "grid", (3, 4, 5))])
-        code, stdout = self._serve(self._setup(vl, "conftest:coin_study", block_size=2),
+        code, stdout = self._serve(self._setup(vl, "light_studies:coin_study", block_size=2),
                                    self._task(2, 4))  # reps 1-2 and 3-4 of row 1
         assert code == 0
         result = read_frame(stdout)
@@ -367,7 +391,7 @@ class TestTaskFrames:
 
     def _serve(self, task, block_size=2):
         loop = TestWorkerLoop()
-        return loop._serve(loop._setup(self.VL, "conftest:coin_study", keep_seed=True,
+        return loop._serve(loop._setup(self.VL, "light_studies:coin_study", keep_seed=True,
                                        block_size=block_size),
                            loop._task(task.start, task.stop))
 
@@ -381,7 +405,7 @@ class TestTaskFrames:
     def _expected(self, blocks: range) -> Columns:
         spec, records = SeedSpec.seq(), []
         for b in blocks:
-            row, first = self.CTX.block(b)
+            row, first = _block(self.CTX, b)
             x = self.VL.specs[1].values[row]
             for rep in range(first, first + 2):
                 u = RngStream.from_state(seed_for(spec, rep)).uniform()
@@ -614,7 +638,7 @@ def test_frames_decode_as_block_by_block_reads(frames):
     n = n_G * ctx.n_sim
     want = Columns([None] * n, [0.0] * n, {}, {}, [None] * n if kept else None)
     for b in blocks:
-        row, first = ctx.block(b)
+        row, first = _block(ctx, b)
         cols, start = columns[b], row + n_G * (first - 1)
         at = slice(start, start + n_G * ctx.block_size, n_G)
         want.value[at] = cols.value
@@ -990,7 +1014,7 @@ class TestZygote:
             pytest.skip("needs /proc to tell a running process from a zombie")
         log = tmp_path / "pids.log"
         code = "\n".join([
-            "from conftest import pid_study",
+            "from light_studies import pid_study",
             "from mcgrid import ProcessPool, VarList, VarSpec, run_study",
             "vl = VarList([VarSpec('n.sim', 'N', 100), VarSpec('x', 'grid', (3, 4)),",
             f"              VarSpec('ctl', 'frozen', {{'log': {str(log)!r}, 'sleep': 5}})])",
@@ -1229,9 +1253,34 @@ def _failed_slot_stops_the_pool(kind: str) -> None:
     vl = scalar_varlist(n_sim=200)
     with pytest.raises(ExecutionError, match="monitor broke"):
         run_study(vl, square_study, backend=executor.BackendSpec(kind, 2), monitor=monitor)
-    assert len(calls) < 60  # of 600 sub-jobs
+    assert len(calls) == 1  # of 600 sub-jobs: no call follows the one that raised
     assert len(forked) == (2 if kind == "processes" else 0)
     assert all(w.returncode == -signal.SIGKILL for w in forked)  # killed, exit codes read
+
+
+def test_monitor_calls_never_overlap():
+    _in_child("_monitor_calls_never_overlap")
+
+
+def _monitor_calls_never_overlap() -> None:
+    # four slots on fewer cores and a short switch interval: a call that
+    # started while another ran would find it still inside
+    inside, overlaps = [], []
+
+    def monitor(vidx, rec):
+        inside.append(vidx.linear)
+        time.sleep(0.0001)  # lets another slot's thread run
+        overlaps.append(inside != [vidx.linear])
+        inside.remove(vidx.linear)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run_study(scalar_varlist(n_sim=100), square_study, backend=ThreadPool(4),
+                  monitor=monitor)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(overlaps) == 300 and not any(overlaps)
 
 
 def test_no_monitor_call_follows_a_failure():
@@ -1530,6 +1579,25 @@ def test_drawn_declarations_give_the_sequential_bytes_on_every_backend(declarati
                             backend=backend, monitor=lambda vidx, rec: seen.append(vidx))
             assert sorted(v.linear for v in seen) == list(range(n_G * n_sim))
             assert all(v == virtual_index(v.linear, n_G, n_sim, rep_first) for v in seen)
+            save(res, os.path.join(tmp, "results.json"))
+            with open(os.path.join(tmp, "results.json"), encoding="utf-8") as fh:
+                doc = json.load(fh)
+            doc["meta"]["created"] = doc["time_ms"] = None
+            texts.append(canonical_json(doc))
+    assert texts[1] == texts[0] and texts[2] == texts[0]
+
+
+def test_a_returned_buffer_is_copied_on_every_backend():
+    # a study that refills and returns one buffer gets each sub-job's own
+    # values stored, whatever a task holds before its put
+    vl = VarList([VarSpec("n.sim", "N", 4), VarSpec("a", "grid", (1, 2)),
+                  VarSpec("k", "inner", (1, 2))])
+    want = run_study(vl, fresh_buffer_study)
+    texts = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for backend in (Sequential(), ThreadPool(2), ProcessPool(2)):
+            res = run_study(vl, buffer_study, backend=backend)
+            assert res.value.tobytes() == want.value.tobytes()
             save(res, os.path.join(tmp, "results.json"))
             with open(os.path.join(tmp, "results.json"), encoding="utf-8") as fh:
                 doc = json.load(fh)

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import (boxplot_stats_cell, float_bits, poly_study, report_matrices,
-                      tiny_varlist)
+from conftest import boxplot_stats_cell, float_bits, report_matrices, tiny_varlist
+from light_studies import poly_study
 
 from mcgrid import (LabeledArray, PlotSpec, boxplot_stats, get_array,
                     mayplot_svg, run_study)

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (float_bits, random_store, scalar_varlist, square_study, tiny_varlist,
-                      v1_stores)
+from conftest import float_bits, random_store, scalar_varlist, tiny_varlist, v1_stores
+from light_studies import square_study
 
 from mcgrid import (CacheInvalidError, RawFallback, ResultStore, SeedSpec,
                     SubJobRecord, VarList, VarSpec, assemble, canonical_json,

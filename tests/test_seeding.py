@@ -60,6 +60,56 @@ class TestStreamState:
             assert new.state == old.state
 
 
+_WORD = st.integers(0, 2**64 - 1)
+
+
+@st.composite
+def _stream_states(draw) -> StreamState:
+    """Any Philox state: counter, key and buffer words up to 2**64 - 1, any
+    buffer position, with or without a 32-bit leftover."""
+    def words(n):
+        return tuple(draw(st.lists(_WORD, min_size=n, max_size=n)))
+
+    return StreamState(counter=words(4), key=words(2), buffer=words(4),
+                       buffer_pos=draw(st.integers(0, 4)), has_uint32=draw(st.integers(0, 1)),
+                       uinteger=draw(st.integers(0, 2**32 - 1)))
+
+
+def _array_document(state: StreamState) -> dict:
+    """``state`` as numpy's own ``Philox.state`` document, uint64 arrays."""
+    return {"bit_generator": "Philox",
+            "state": {"counter": np.array(state.counter, dtype=np.uint64),
+                      "key": np.array(state.key, dtype=np.uint64)},
+            "buffer": np.array(state.buffer, dtype=np.uint64), "buffer_pos": state.buffer_pos,
+            "has_uint32": state.has_uint32, "uinteger": state.uinteger}
+
+
+class TestPhiloxDocument:
+    DRAWS = {"random_raw": lambda s: s._bg.random_raw(3),
+             "uniform": lambda s: np.array(s.uniform()),
+             "uniforms": lambda s: s.uniforms(5),
+             "standard_gamma": lambda s: s.standard_gamma(0.5, 4)}
+
+    @given(_stream_states(), st.sampled_from(sorted(DRAWS)))
+    @settings(max_examples=200, deadline=None)
+    def test_int_words_reset_as_the_array_document_does(self, state, kind):
+        ints, arrays = RngStream.from_entropy(), RngStream.from_entropy()
+        ints.reset(state.philox_state())
+        arrays.reset(_array_document(state))
+        assert ints.state == arrays.state == state
+        draw = self.DRAWS[kind]
+        assert draw(ints).tobytes() == draw(arrays).tobytes()
+        assert ints.state == arrays.state
+
+    @given(_stream_states())
+    @settings(max_examples=200, deadline=None)
+    def test_uniform_is_the_top_53_bits_of_a_raw_word(self, state):
+        raw = np.array([RngStream.from_state(state)._bg.random_raw()], dtype=np.uint64)
+        want = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+        u = RngStream.from_state(state).uniform()
+        assert type(u) is float and np.array(u).tobytes() == want.tobytes()
+
+
 class TestDerivation:
     @given(st.integers(min_value=0, max_value=2**64 - 1))
     @settings(max_examples=1000, deadline=None)
