@@ -47,30 +47,21 @@ so ~318k at most) fails the run before any worker starts.  A ``task`` frame
 carries only ``[start, stop]`` block numbers, at most ``IN_FLIGHT`` unread
 per worker, which never fill a pipe: the parent never waits to write a task
 while its worker waits to write results.  The worker answers a task with
-result frames of its consecutive blocks' sub-jobs, in order: ``{"tag":
-"result", "blocks": n, "shapes": [...], "time_ms": [...], "errors": [[k,
-message, kind], ...], "warnings": [[k, [messages]], ...], "seeds": [...] or
-null}``, each sub-job's value shape (null where it errored, ``[]`` for a
-scalar), times as ``%.17g`` text, and errors and warnings by offset ``k``
-from the frame's first sub-job, errors in order; the tail holds the non-null
-values' elements as little-endian float64, value after value, each in C
-order.  The worker runs a whole task, then writes its results, each frame
-encoded once: one frame, or, where the task might take it over the limit (by
-a bound on its text that depends only on the outcomes), several frames of
-whole blocks, so only a single block over the limit is an error.  The parent
-reads a frame with one ``json.loads`` and one ``np.frombuffer``, checks it as
-a whole against the ``n`` blocks it answers, and writes it into the run's
-columns with one put; when each value has the inner shape, the values go in
-as a view of the frame's bytes, not one by one.  End of input ends the
-worker; an unexpected frame tag, task blocks other than two ints ``0 <= start
-< stop <=`` the number of blocks, a result frame that answers no block or more
-blocks than are outstanding, a column that is not of the frame's sub-job
-count, an error or warning offset outside the frame, errors not exactly at
-the null shapes, or shapes that do not fill the tail exactly, is a protocol
-error, so a malformed answer never lands in a cell that the frame does not
-answer.  A worker dying mid-run aborts the run (no retry), and on any
-failure or interrupt the parent kills every worker at once.  The monitor
-runs in the calling process.
+``result`` frames, ``{"tag": "result", "blocks": n, ...}`` and the fields
+and tail of ``results.frame_parts`` for the sub-jobs of the task's next
+``n`` blocks, in order.  It runs a whole task, then encodes it as one frame;
+if ``encode_frame`` refuses that as over the limit, it sends one frame per
+block, so only a single block over the limit is an error.  Each frame sent
+is encoded once.  The parent checks a frame's tag and block count, reads
+its columns as a whole with ``results.frame_columns``, and writes them into
+the run's columns with one put.  End of input ends the worker; an
+unexpected frame tag, task blocks other than two ints ``0 <= start < stop
+<=`` the number of blocks, a result frame that answers no block or more
+blocks than are outstanding, or one whose columns do not read, is a
+protocol error naming the worker, so a malformed answer never lands in a
+cell that the frame does not answer.  A worker dying mid-run aborts the run
+(no retry), and on any failure or interrupt the parent kills every worker at
+once.  The monitor runs in the calling process.
 
 Workers are forked, per run, from a zygote, a fork server that a process's
 first process-backend run spawns as ``python -m mcgrid --worker``.  It
@@ -110,9 +101,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import registry
-from .results import (Columns, ErrorInfo, ResultStore, SubJobRecord, _Encoded, _fmt_floats,
-                      _inner_shape, assemble, canonical_json, maybe_read, save,
-                      study_fingerprint)
+from .results import (CacheInvalidError, Columns, ErrorInfo, ResultStore, SubJobRecord,
+                      _inner_shape, assemble, canonical_json, frame_columns, frame_parts,
+                      maybe_read, save, study_fingerprint)
 from .seeding import RngStream, SeedSpec, ambient_stream, seed_for
 from .varlist import VarList, mk_grid, non_grid_args, unravel
 
@@ -366,10 +357,11 @@ def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
     When ``cache_path`` names an existing file whose fingerprint matches this
     study declaration and study, the persisted results are returned without
     running anything (``from_cache`` is set on the returned object); a
-    mismatching fingerprint raises CacheInvalidError.  Fresh results are
-    saved to ``cache_path`` when given.  A cache needs a study with a name
-    (``registry.study_name``).  Nested calls are rejected: one live backend
-    per process.
+    mismatching fingerprint raises CacheInvalidError, and so does a file
+    saved without ``keep_seed`` when ``keep_seed`` is asked for (it holds no
+    seeds).  Fresh results are saved to ``cache_path`` when given.  A cache
+    needs a study with a name (``registry.study_name``).  Nested calls are
+    rejected: one live backend per process.
 
     ``monitor(vidx, record)`` is called once per sub-job, in the calling
     process on every backend, after each task and from the thread that
@@ -393,6 +385,9 @@ def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
             raise ValueError(f"a cache needs {_NAMED_STUDY}")
         cached = maybe_read(cache_path, study_fingerprint(vl, rep_first, seed, study))
         if cached is not None:
+            if keep_seed and not cached.meta.keep_seed:
+                raise CacheInvalidError(f"{cache_path}: saved without keep_seed, so it holds "
+                                        "no seeds; delete the file or point the run elsewhere")
             return cached
 
     if not _run_active.acquire(blocking=False):
@@ -553,123 +548,44 @@ def _worker_context(setup: dict) -> _RunContext:
                        setup["keep_seed"], registry.get_study(setup["study"]))
 
 
-# a bound on the text of a result frame's document without its sub-jobs,
-# newline included, and on a sub-job's in it: a shape of null or [] (and at
-# most 21 bytes per dimension), a time ("%.17g", 24 bytes at most) and a seed
-# of null, each with its comma; a kept seed and any error or warning add theirs
-_RESULT_TEXT = 1 + len(canonical_json({"tag": "result", "blocks": 2 ** 64, "shapes": [],
-                                       "time_ms": [], "errors": [], "warnings": [],
-                                       "seeds": None}))
-_SUBJOB_TEXT = 5 + 25 + 5
-
-
 def _result_frames(ctx: _RunContext, blocks: range, cols: Columns):
     """The result frames, each encoded once, that answer a task's ``blocks``,
-    whose sub-jobs' outcomes are ``cols``: one frame, or as many frames of
-    whole blocks as keep each within the frame limit by a bound on its text
-    that depends only on the outcomes.  A single block over the limit is a
-    ProtocolError, from ``encode_frame``."""
-    shapes = [None if v is None else [] if type(v) is float else list(np.shape(v))
-              for v in cols.value]
-    seeds = cols.seeds or [None] * len(shapes)
-    width = ctx.block_size
-    texts = collections.defaultdict(lambda: ([], []))  # each block's errors and warnings
-    for k, e in cols.errors.items():
-        texts[k // width][0].append([k % width, e.message, e.kind])
-    for k, w in cols.warnings.items():
-        texts[k // width][1].append([k % width, list(w)])
-    # their text, with 20 bytes more per offset, from the frame's start
-    extra = {i: len(canonical_json([e, w]).encode()) + 20 * len(e + w)
-             for i, (e, w) in texts.items()}
+    whose sub-jobs' outcomes are ``cols``: one frame, or, when
+    ``encode_frame`` refuses that one as over the limit, one frame per block.
+    A single block over the limit is a ProtocolError."""
+    def frame(i: int, j: int) -> bytes:  # of blocks i to j
+        doc, tail = frame_parts(cols, i * ctx.block_size, j * ctx.block_size)
+        return encode_frame({"tag": "result", "blocks": j - i, **doc}, tail)
 
-    def bound(i: int, j: int) -> int:  # of blocks i to j
-        a, b = i * width, j * width
-        return (_SUBJOB_TEXT * (b - a) + sum(t for k, t in extra.items() if i <= k < j)
-                + sum(8 * math.prod(s) + 21 * len(s) for s in shapes[a:b] if s is not None)
-                + sum(len(seed) + 3 for seed in seeds[a:b] if seed is not None))
-
-    cuts = [0]  # each frame's first block
-    if _RESULT_TEXT + bound(0, len(blocks)) > MAX_FRAME:
-        for i in range(1, len(blocks)):
-            if _RESULT_TEXT + bound(cuts[-1], i + 1) > MAX_FRAME:
-                cuts.append(i)
-    for i, j in zip(cuts, cuts[1:] + [len(blocks)]):
-        a, b = i * width, j * width
-        values = [v for v in cols.value[a:b] if v is not None]
-        # the canonical text of ints and nulls is json's own compact text
-        doc = {"tag": "result", "blocks": j - i,
-               "shapes": _Encoded(json.dumps(shapes[a:b], separators=(",", ":"))),
-               "time_ms": _Encoded(f"[{_fmt_floats(np.array(cols.time_ms[a:b], dtype=float))}]"),
-               "errors": [[k - a, e.message, e.kind]
-                          for k, e in cols.errors.items() if a <= k < b],
-               "warnings": [[k - a, list(w)] for k, w in cols.warnings.items() if a <= k < b],
-               "seeds": None if seeds[a:b].count(None) == b - a else seeds[a:b]}
-        # little-endian float64, value after value, each in C order: floats
-        # as one array, arrays as their own bytes, never a copy of them all
-        yield encode_frame(doc, [np.array(values, dtype="<f8")] if not any(shapes[a:b]) else
-                           [np.ascontiguousarray(v, dtype="<f8").ravel() for v in values])
+    try:
+        frames = [frame(0, len(blocks))]
+    except ProtocolError:
+        if len(blocks) == 1:
+            raise
+        frames = (frame(i, i + 1) for i in range(len(blocks)))
+    yield from frames
 
 
 def _task_results(stream, ctx: _RunContext, task: range, worker: int):
     """``(blocks, columns)`` for each result frame that answers ``task``, in
-    order: the blocks of the task it answers, and its columns, whose values
-    are one array when each has the run's inner shape.  A frame is checked as
-    a whole: each column's length, offsets inside the frame, errors exactly at
-    the null shapes, and shapes that fill the value bytes exactly."""
+    order: the blocks of the task it answers, and its columns, read and
+    checked as a whole by ``frame_columns`` before any of it is yielded."""
     while task:
         frame = read_frame(stream)
         if frame is None:
             raise _died(worker)
-        if frame.get("tag") != "result":
-            raise ProtocolError(f"worker {worker}: expected result frame, "
-                                f"got {frame.get('tag')!r}")
+        if (tag := frame.get("tag") if isinstance(frame, dict) else None) != "result":
+            raise ProtocolError(f"worker {worker}: expected result frame, got {tag!r}")
         n = frame.get("blocks")
         if type(n) is not int or not 0 < n <= len(task):
             raise ProtocolError(f"worker {worker}: a result frame answers {n} "
                                 f"blocks, {len(task)} outstanding")
         blocks, task = task[:n], task[n:]
-        size = n * ctx.block_size
-        shapes, times, seeds = frame["shapes"], frame["time_ms"], frame["seeds"]
-        errors, warnings = frame["errors"], frame["warnings"]
-        if len(shapes) != size or len(times) != size or seeds is not None and len(seeds) != size:
-            raise ProtocolError(f"worker {worker}: a frame of {size} sub-jobs "
-                                "answered with columns of other lengths")
-        if not all(type(k) is int and 0 <= k < size for k, *_ in [*errors, *warnings]):
-            raise ProtocolError(f"worker {worker}: an error or warning offset outside "
-                                f"a frame of {size} sub-jobs")
-        if [k for k, *_ in errors] != [k for k, shape in enumerate(shapes) if shape is None]:
-            raise ProtocolError(f"worker {worker}: a frame's errors are not exactly at its "
-                                "null shapes")
-        yield blocks, Columns(_frame_values(shapes, frame["tail"], worker, ctx.inner), times,
-                              {k: ErrorInfo(message, kind) for k, message, kind in errors},
-                              {k: tuple(messages) for k, messages in warnings}, seeds)
-
-
-def _frame_values(shapes: list, tail, worker: int, inner: tuple) -> np.ndarray | list:
-    """A result frame's values, the float64 ``tail`` at its non-null shapes:
-    when each has the ``inner`` shape, one array, sub-job last, NaN where a
-    shape is null (a view of ``tail`` where none is); else a list of each,
-    None where null, a float for the shape [] and an array otherwise."""
-    try:
-        kinds = collections.Counter(tuple(shape) for shape in shapes if shape is not None)
-        fits = all(type(d) is int and d >= 0 for kind in kinds for d in kind) and \
-            len(tail) == 8 * sum(math.prod(kind) * n for kind, n in kinds.items())
-    except TypeError:  # a shape that is not a list of numbers
-        fits = False
-    if not fits:
-        raise ProtocolError(f"worker {worker}: a result frame's values do not fill its shapes")
-    flat = np.frombuffer(tail, dtype="<f8")
-    if set(kinds) <= {inner}:
-        value = flat.reshape(sum(kinds.values()), *inner)
-        if len(value) < len(shapes):  # NaN where a sub-job errored
-            value, ok = np.full((len(shapes), *inner), math.nan), value
-            value[[k for k, shape in enumerate(shapes) if shape is not None]] = ok
-        return np.moveaxis(value, 0, -1)
-    # a value of another shape: each a float, or a view of a writable copy
-    sizes = [0 if shape is None else math.prod(shape) for shape in shapes]
-    parts = np.split(flat.astype(float), np.cumsum(sizes)[:-1])
-    return [shape if shape is None else part.reshape(shape) if shape else float(part[0])
-            for shape, part in zip(shapes, parts)]
+        try:
+            cols = frame_columns(frame, n * ctx.block_size, ctx.inner)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ProtocolError(f"worker {worker}: malformed result frame ({exc!r})") from exc
+        yield blocks, cols
 
 
 def _died(worker: int) -> ExecutionError:

@@ -26,10 +26,19 @@ warned) and ``seeds`` (one hex string or null per cell, or null when no
 sub-job kept its seed); cells count in store order from 0.  A raw fallback
 file adds ``diagnostic``; its ``value`` has one entry per cell, null exactly
 at the errored cells.  File bytes are a pure function of the logical content.
-Files tagged ``mcgrid-result-v2`` (whose raw files list one record document
-per sub-job in virtual order) and ``mcgrid-result-v1`` (one record document
-per cell, whole numbers written without ``.0``) are still read, never
-written; as they name no study, they read with the fingerprint of no study.
+A worker's result frame holds the same ``time_ms``, ``errors``, ``warnings``
+and ``seeds`` for its own sub-jobs, indexed from its first, after
+``shapes``, each sub-job's value shape (null where it errored, ``[]`` for a
+scalar); its tail holds the non-null values' elements as little-endian
+float64, value after value, each in C order.  One encoder writes these
+fields for a file and a frame, and one reader checks them: each column of
+one entry per sub-job, error and warning indices strictly increasing ints
+inside it, and the errors exactly at the null values of a raw file or the
+null shapes of a frame, whose shapes fill its tail exactly.  Files tagged
+``mcgrid-result-v2`` (whose raw files list one record document per sub-job
+in virtual order) and ``mcgrid-result-v1`` (one record document per cell,
+whole numbers written without ``.0``) are still read, never written; as they
+name no study, they read with the fingerprint of no study.
 
 The study fingerprint is the first 8 bytes (16 hex characters) of SHA-256 over
 the canonical JSON of {"varlist": ..., "n_sim": ..., "rep_first": ...,
@@ -39,6 +48,7 @@ function or null; independent implementations following this note will agree.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import json
 import math
@@ -465,6 +475,91 @@ def assemble(vl: VarList, outcomes: Columns, rep_first: bool, seed_spec: SeedSpe
 
 
 # ---------------------------------------------------------------------------
+# the binary form of columns: store files and result frames
+
+def _shared_doc(cols, a: int, b: int) -> dict:
+    """The fields that a store file and a result frame share, of sub-jobs
+    ``[a, b)`` of ``cols`` (a store or :class:`Columns`), indexed from ``a``."""
+    return {
+        "time_ms": _Encoded(f"[{_fmt_floats(np.asarray(cols.time_ms[a:b], dtype=float))}]"),
+        "errors": [[k - a, e.message, e.kind] for k, e in sorted(cols.errors.items())
+                   if a <= k < b],
+        "warnings": [[k - a, list(w)] for k, w in sorted(cols.warnings.items()) if a <= k < b],
+        "seeds": None if cols.seeds is None else list(cols.seeds[a:b]),
+    }
+
+
+def _columns(doc: dict, n: int, value, nulls: list[int] | None = None) -> Columns:
+    """:class:`Columns` of ``n`` sub-jobs from a document's shared fields and
+    a value column: a list, or an array (sub-job last) null at ``nulls``.
+    Raises ValueError unless each column holds ``n`` entries, error and
+    warning indices are ints strictly increasing in ``[0, n)``, and the
+    errors sit exactly at the nulls."""
+    time_ms, seeds = np.asarray(doc["time_ms"], dtype=float), doc["seeds"]
+    errors = [(k, ErrorInfo(message, kind)) for k, message, kind in doc["errors"]]
+    warnings = [(k, tuple(messages)) for k, messages in doc["warnings"]]
+    if nulls is None and type(value) is list:
+        nulls = [k for k, v in enumerate(value) if v is None]
+    if time_ms.shape != (n,) or (len(value) if type(value) is list else value.shape[-1]) != n \
+            or seeds is not None and (type(seeds) is not list or len(seeds) != n):
+        raise ValueError(f"a time, value or seed column not of {n} entries")
+    for ks in ([k for k, _ in errors], [k for k, _ in warnings]):
+        if not all(type(k) is int for k in ks) or \
+                not all(i < j for i, j in zip([-1, *ks], [*ks, n])):
+            raise ValueError(f"error or warning indices not increasing ints in [0, {n})")
+    if nulls is not None and [k for k, _ in errors] != nulls:
+        raise ValueError("errors not exactly at the null values")
+    return Columns(value, time_ms, dict(errors), dict(warnings), seeds)
+
+
+def frame_parts(cols: Columns, a: int, b: int) -> tuple[dict, list]:
+    """The fields of a result frame of sub-jobs ``[a, b)`` of a task's
+    columns ``cols``, and its tail, a list of float64 arrays."""
+    values = cols.value[a:b]
+    shapes = [None if v is None else [] if type(v) is float else list(np.shape(v))
+              for v in values]
+    values = [v for v in values if v is not None]
+    # value after value, each in C order: floats as one array, arrays as
+    # their own bytes, never a copy of them all
+    tail = [np.array(values, dtype="<f8")] if not any(shapes) else \
+        [np.ascontiguousarray(v, dtype="<f8").ravel() for v in values]
+    # the canonical text of ints and nulls is json's own compact text
+    return {"shapes": _Encoded(json.dumps(shapes, separators=(",", ":"))),
+            **_shared_doc(cols, a, b)}, tail
+
+
+def frame_columns(frame: dict, n: int, inner: tuple[int, ...]) -> Columns:
+    """The columns of a result frame of ``n`` sub-jobs, its tail under
+    ``"tail"``, checked as a whole.  Its values are the float64 tail at the
+    non-null shapes: when each has the ``inner`` shape, one array, sub-job
+    last, NaN where a shape is null (a view of the tail where none is); else
+    a list of each, None where null, a float for the shape [] and an array
+    otherwise.  Raises ValueError, KeyError or TypeError."""
+    shapes, tail = frame["shapes"], frame["tail"]
+    try:
+        kinds = collections.Counter(tuple(shape) for shape in shapes if shape is not None)
+        fits = all(type(d) is int and d >= 0 for kind in kinds for d in kind) and \
+            len(tail) == 8 * sum(math.prod(kind) * count for kind, count in kinds.items())
+    except TypeError:  # a shape that is not a list of numbers
+        fits = False
+    if not fits:
+        raise ValueError("values that do not fill their shapes")
+    flat = np.frombuffer(tail, dtype="<f8")
+    nulls = [k for k, shape in enumerate(shapes) if shape is None]
+    if set(kinds) <= {inner}:
+        value = flat.reshape(len(shapes) - len(nulls), *inner)
+        if nulls:  # NaN where a sub-job errored
+            value, ok = np.full((len(shapes), *inner), math.nan), value
+            value[[k for k, shape in enumerate(shapes) if shape is not None]] = ok
+        return _columns(frame, n, np.moveaxis(value, 0, -1), nulls)
+    # a value of another shape: each a float, or a view of a writable copy
+    sizes = [0 if shape is None else math.prod(shape) for shape in shapes]
+    parts = np.split(flat.astype(float), np.cumsum(sizes)[:-1])
+    return _columns(frame, n, [shape if shape is None else part.reshape(shape) if shape
+                               else float(part[0]) for shape, part in zip(shapes, parts)])
+
+
+# ---------------------------------------------------------------------------
 # persistence
 
 def _store_doc(res: ResultStore) -> dict:
@@ -476,10 +571,7 @@ def _store_doc(res: ResultStore) -> dict:
         "dims": [[name, list(labels)] for name, labels in res.dims],
         "value": ([_value_doc(v) for v in res.value] if raw else
                   _Encoded(f"[{_fmt_floats(res.value.ravel(order='F'))}]")),
-        "time_ms": _Encoded(f"[{_fmt_floats(res.time_ms)}]"),
-        "errors": [[cell, e.message, e.kind] for cell, e in sorted(res.errors.items())],
-        "warnings": [[cell, list(w)] for cell, w in sorted(res.warnings.items())],
-        "seeds": res.seeds,
+        **_shared_doc(res, 0, res.n_subjobs),
     }
     if raw:
         doc["diagnostic"] = res.diagnostic
@@ -534,24 +626,13 @@ def load(path: str | os.PathLike) -> ResultStore:
                 meta.varlist, meta.rep_first, meta.seed_spec, None))
         dims = tuple((name, tuple(labels)) for name, labels in doc["dims"])
         n = math.prod(len(labels) for _, labels in dims)
-        # a store's values are read below, as one array
-        cols = Columns(_parse_values(doc["value"]) if raw else [], doc["time_ms"],
-                       {k: ErrorInfo(message, kind) for k, message, kind in doc["errors"]},
-                       {k: tuple(w) for k, w in doc["warnings"]}, doc["seeds"])
-        # the sparse entries only: a check per cell would cost as much as the load
-        if not all(type(cell) is int and 0 <= cell < n for cell in [*cols.errors, *cols.warnings]):
-            raise ValueError(f"an error or warning cell outside [0, {n})")
-        seeds = cols.time_ms if cols.seeds is None else cols.seeds
-        if {len(cols.time_ms), len(seeds), len(cols.value) if raw else n} != {n}:
-            raise ValueError(f"a time, value or seed column not of {n} cells")
-        if raw and any((v is None) != (c in cols.errors) for c, v in enumerate(cols.value)):
-            raise ValueError("a raw value null at a cell without an error, or set at one with")
         if raw:
+            cols = _columns(doc, n, _parse_values(doc["value"]))
             return RawFallback(value=cols.value, diagnostic=doc["diagnostic"],
                                **_fields(meta, cols, dims))
         value = np.array(doc["value"], dtype=float)
-        return ResultStore(value=value.reshape(_inner_shape(meta.varlist) + (n,), order="F"),
-                           **_fields(meta, cols, dims))
+        cols = _columns(doc, n, value.reshape(_inner_shape(meta.varlist) + (n,), order="F"))
+        return ResultStore(value=cols.value, **_fields(meta, cols, dims))
     except (KeyError, TypeError, IndexError, AttributeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed result file ({exc!r})") from exc
 

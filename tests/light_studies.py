@@ -26,6 +26,20 @@ def levels_coin_study(params, rng, warn):
     return 100 * params["x"] + params.get("y", 0) + u
 
 
+def shaped_coin_study(params, rng, warn):
+    """``levels_coin_study``'s value in the form that the frozen ``form``
+    picks: "scalar"; "inner", the value times each level of the inner
+    variable ``k`` (a scalar without one); or "ragged", the pair ``[value,
+    x]`` where ``x`` is even and the value elsewhere.  A scalar or ragged
+    value under an inner variable makes the store a raw fallback."""
+    value = levels_coin_study(params, rng, warn)
+    if params["form"] == "inner":
+        return value * np.asarray(params.get("k", 1.0), dtype=float)
+    if params["form"] == "ragged" and params["x"] % 2 == 0:
+        return [value, params["x"]]
+    return value
+
+
 _buffers = threading.local()
 
 

@@ -152,6 +152,17 @@ class TestRun:
         assert main(["run", str(p2), "--out", str(out)]) == 1
         assert capsys.readouterr().err.count("delete the file") == 1
 
+    def test_keep_seed_on_a_cache_without_seeds_exits_1(self, capsys, tmp_path):
+        p = write_config(tmp_path / "c.json")
+        out = tmp_path / "res.json"
+        assert main(["run", str(p), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(p), "--out", str(out), "--keep-seed"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "saved without keep_seed" in captured.err
+        assert main(["run", str(p), "--out", str(out)]) == 0  # still a hit without it
+        assert "cache hit" in capsys.readouterr().out
+
     def test_other_study_invalidates_cache(self, capsys, tmp_path):
         out = tmp_path / "res.json"
         assert main(["run", str(write_config(tmp_path / "c.json")), "--out", str(out)]) == 0

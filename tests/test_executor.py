@@ -27,9 +27,9 @@ from conftest import float_bits, scalar_varlist, tiny_varlist
 from light_studies import (SPECIAL_DOUBLES, appending_level_study, appending_study,
                            buffer_study, chatty_study, cheap_style_study, coin_study,
                            dying_study, float_type_study, fresh_buffer_study, interrupting_study,
-                           legacy_random_study, levels_coin_study, matmul_study,
-                           mid_buffer_study, params_probe_study, poly_noisy, poly_study,
-                           ragged_study, shape_switch_study, special_doubles_study,
+                           legacy_random_study, matmul_study, mid_buffer_study,
+                           params_probe_study, poly_noisy, poly_study, ragged_study,
+                           shape_switch_study, shaped_coin_study, special_doubles_study,
                            square_study, wide_study)
 
 from mcgrid import (ErrorInfo, ExecutionError, ProcessPool, ProtocolError,
@@ -455,8 +455,10 @@ class TestTaskFrames:
             assert code == 0
             frames = self._frames(stdout)
             counts.append([f["blocks"] for f in frames])
-            # consecutive whole blocks, each frame within the limit and encoded once
-            assert len(frames) > 1 and len(encodes) == len(frames)
+            # one frame per block, each within the limit and encoded once,
+            # after the one refused encode of the whole task
+            assert [f["blocks"] for f in frames] == [1] * len(self.TASK)
+            assert len(encodes) == len(frames) + 1
             assert all(len(encode(f, [f.pop("tail")])) <= whole // 2 + 4 for f in frames)
             self._check(list(executor._task_results(stdout, self.CTX, self.TASK, 0)))
             encodes.clear()
@@ -510,8 +512,9 @@ class TestTaskFrames:
                     (1, [[]] * 2, [1.0] * 2, {"seeds": []}), (2, [[]] * 2, [1.0] * 2)):
             # the frame is checked as a whole before any of it is taken
             got = executor._task_results(self._answer(bad), self.CTX, task, 0)
-            with pytest.raises(ProtocolError, match="worker 0: a frame of [24] sub-jobs "
-                                                    "answered with columns of other lengths"):
+            with pytest.raises(ProtocolError, match=r"worker 0: malformed result frame \(Value"
+                                                    r"Error\('a time, value or seed column not "
+                                                    r"of [24] entries'\)\)"):
                 next(got)
         # a frame that answers no block
         with pytest.raises(ProtocolError, match="worker 0: a result frame answers 0 blocks"):
@@ -523,18 +526,21 @@ class TestTaskFrames:
             next(got)
 
     def test_offset_outside_its_block_is_a_protocol_error(self):
-        # an offset past the frame would write a cell of a block it does not answer
+        # an offset past the frame would write a cell of a block it does not
+        # answer, and a repeated one would drop an entry
         task = range(2)
         for errors, warnings in (([[2, "m", "E"]], []), ([], [[2, ["w"]]]),
                                  ([[-1, "m", "E"]], []), ([], [[True, ["w"]]]),
-                                 ([[1.0, "m", "E"]], [])):
+                                 ([[1.0, "m", "E"]], []), ([[1, "m", "E"], [1, "m", "E"]], []),
+                                 ([[1, "m", "E"]], [[0, ["a"]], [0, ["b"]]])):
             bad = (1, [[], None], [1.0], {"errors": errors, "warnings": warnings})
             for frames in ((bad, self.TWO), (self.TWO, bad)):
                 got = executor._task_results(self._answer(*frames), self.CTX, task, 3)
                 if frames[0] is not bad:
                     next(got)
-                with pytest.raises(ProtocolError, match="worker 3: an error or warning offset "
-                                                        "outside a frame of 2 sub-jobs"):
+                with pytest.raises(ProtocolError, match=r"worker 3: malformed result frame "
+                                                        r"\(ValueError\('error or warning indices "
+                                                        r"not increasing ints in \[0, 2\)'\)\)"):
                     next(got)
 
     def test_values_that_do_not_fill_the_shapes_are_a_protocol_error(self):
@@ -542,12 +548,13 @@ class TestTaskFrames:
         for bad in ((1, [[], []], [1.0]), (1, [[], []], [1.0] * 3), (1, [[2], []], [1.0] * 2),
                     (1, [[-1], [4]], [1.0] * 3), (1, [["2"], []], [1.0] * 3),
                     (1, [[[2]], []], [1.0] * 3), (1, [{"2": 1}, []], [1.0] * 2)):
-            with pytest.raises(ProtocolError, match="worker 0: a result frame's values do not "
-                                                    "fill its shapes"):
+            with pytest.raises(ProtocolError, match=r"worker 0: malformed result frame \(Value"
+                                                    r"Error\('values that do not fill their "
+                                                    r"shapes'\)\)"):
                 next(executor._task_results(self._answer(bad), self.CTX, task, 0))
         doc = {"tag": "result", "blocks": 1, "shapes": [[], []], "time_ms": [0.5] * 2,
                "errors": [], "warnings": [], "seeds": None}
-        with pytest.raises(ProtocolError, match="do not fill its shapes"):  # 17 value bytes
+        with pytest.raises(ProtocolError, match="do not fill their shapes"):  # 17 value bytes
             next(executor._task_results(io.BytesIO(encode_frame(doc, [bytes(17)])),
                                         self.CTX, task, 0))
 
@@ -556,15 +563,37 @@ class TestTaskFrames:
         task = range(1)
         error = {"errors": [[1, "m", "E"]]}
         for bad in ((1, [[], []], [1.0, 2.0], error), (1, [None, []], [1.0]),
-                    (1, [None, []], [1.0], error),
-                    (1, [[], None], [1.0], {"errors": [[1, "m", "E"], [1, "m", "E"]]})):
-            with pytest.raises(ProtocolError, match="worker 0: a frame's errors are not exactly "
-                                                    "at its null shapes"):
+                    (1, [None, []], [1.0], error)):
+            with pytest.raises(ProtocolError, match=r"worker 0: malformed result frame \(Value"
+                                                    r"Error\('errors not exactly at the null "
+                                                    r"values'\)\)"):
                 next(executor._task_results(self._answer(bad), self.CTX, task, 0))
         ((_, cols),) = executor._task_results(self._answer((1, [[], None], [1.0], error)),
                                               self.CTX, task, 0)
         assert (cols.record(0).value, cols.record(1).value) == (1.0, None)
         assert cols.errors == {1: ErrorInfo("m", "E")}
+
+    def test_malformed_fields_are_a_protocol_error_that_names_the_worker(self):
+        # a missing column, times that are not a column, an error entry that
+        # is not a triple, and warning messages that are not a list: never a
+        # bare KeyError, TypeError or ValueError from inside the read
+        doc = {"tag": "result", "blocks": 1, "shapes": [[], None], "time_ms": [0.5, 0.5],
+               "errors": [[1, "m", "E"]], "warnings": [], "seeds": None}
+        for edit, cause in ((lambda d: d.pop("seeds"), KeyError),
+                            (lambda d: d.update(time_ms=5), ValueError),
+                            (lambda d: d.update(errors=[[1, "m"]]), ValueError),
+                            (lambda d: d.update(errors=[1]), TypeError),
+                            (lambda d: d.update(warnings=[[0, 5]]), TypeError)):
+            bad = dict(doc)
+            edit(bad)
+            stream = io.BytesIO(encode_frame(bad, [np.ones(1)]))
+            with pytest.raises(ProtocolError, match=r"^worker 2: malformed result frame \(") \
+                    as info:
+                next(executor._task_results(stream, self.CTX, range(1), 2))
+            assert type(info.value.__cause__) is cause
+        # a frame that is not a document
+        with pytest.raises(ProtocolError, match="worker 2: expected result frame, got None"):
+            next(executor._task_results(io.BytesIO(encode_frame([1])), self.CTX, range(1), 2))
 
     def test_frame_answering_more_blocks_than_outstanding_is_a_protocol_error(self):
         task = range(2)
@@ -583,7 +612,9 @@ def _result_frames(draw):
     """A run's blocks, each block's columns (scalar, multi-dimensional or
     ragged values, errors with null values, warnings, kept seeds or none),
     and for each task its result frames as a worker writes them, the task
-    split into frames at random.  The first shape drawn is the inner shape."""
+    split into frames at random, under a frame limit of 64 MiB or of one or
+    two times the largest single block's payload, so that a frame over it
+    goes one per block.  The first shape drawn is the inner shape."""
     n_G, size = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     n_sim, rep_first = size * draw(st.integers(1, 4)), draw(st.booleans())
     shapes = draw(st.lists(st.sampled_from([(), (2,), (2, 3), (0,), (1, 2)]),
@@ -614,17 +645,28 @@ def _result_frames(draw):
                      for _ in range(size)] if kept else None
             times = draw(st.lists(_SCALARS, min_size=size, max_size=size))
             columns[block] = Columns(value, times, errors, warns, seeds)
-        streams[task] = b""
-        for i, j in zip([0, *sorted(cuts)], [*sorted(cuts), len(task)]):
-            part = [columns[block] for block in task[i:j]]  # as one task's columns
-            cols = Columns([v for c in part for v in c.value],
-                           [t for c in part for t in c.time_ms],
-                           {size * b + k: e for b, c in enumerate(part)
-                            for k, e in c.errors.items()},
-                           {size * b + k: w for b, c in enumerate(part)
-                            for k, w in c.warnings.items()},
-                           [x for c in part for x in c.seeds] if kept else None)
-            streams[task] += b"".join(executor._result_frames(ctx, task[i:j], cols))
+        streams[task] = [task[i:j] for i, j in zip([0, *sorted(cuts)],
+                                                   [*sorted(cuts), len(task)])]
+    # the payload of the largest frame of a single block
+    largest = max(len(b"".join(executor._result_frames(ctx, range(1), columns[b]))) - 4
+                  for b in blocks)
+    limit = draw(st.sampled_from([executor.MAX_FRAME, largest, 2 * largest]))
+    default, executor.MAX_FRAME = executor.MAX_FRAME, limit
+    try:
+        for task, parts in streams.items():
+            streams[task] = b""
+            for part in parts:
+                each = [columns[block] for block in part]  # as one task's columns
+                cols = Columns([v for c in each for v in c.value],
+                               [t for c in each for t in c.time_ms],
+                               {size * b + k: e for b, c in enumerate(each)
+                                for k, e in c.errors.items()},
+                               {size * b + k: w for b, c in enumerate(each)
+                                for k, w in c.warnings.items()},
+                               [x for c in each for x in c.seeds] if kept else None)
+                streams[task] += b"".join(executor._result_frames(ctx, part, cols))
+    finally:
+        executor.MAX_FRAME = default
     return ctx, slots, blocks, columns, streams
 
 
@@ -1517,6 +1559,35 @@ def test_scalar_run_peaks_below_50_bytes_per_subjob():
     assert peak / 20_000 < 50
 
 
+def test_over_limit_task_peaks_below_130_mib_in_the_worker_and_the_parent(tmp_path):
+    # 64 blocks of one 200,000-element value each, 97.7 MiB in all, are past
+    # the frame limit: the worker holds the task's values and one block's
+    # frame at a time, and the parent the run's values and one frame
+    vl = VarList([VarSpec("n.sim", "N", 1), VarSpec("x", "grid", tuple(range(64)))])
+    loop = TestWorkerLoop()
+    stdin = io.BytesIO(encode_frame(loop._setup(vl, "light_studies:wide_study")) +
+                       encode_frame(loop._task(0, 64)))
+    with open(tmp_path / "frames", "wb") as stdout:
+        tracemalloc.start()
+        try:
+            assert worker_main(stdin, stdout) == 0
+            worker = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    ctx = executor._RunContext(vl, True, 1, SeedSpec.seq(), False, wide_study)
+    with open(tmp_path / "frames", "rb") as stream:
+        tracemalloc.start()
+        try:
+            out = Columns(np.full(ctx.inner + (64,), math.nan), np.zeros(64), {}, {}, None)
+            for blocks, cols in executor._task_results(stream, ctx, range(64), 0):
+                out.put(np.arange(blocks.start, blocks.stop), cols)  # cell = block = row
+            parent = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert [out.record(k).value[1] for k in (0, 63)] == [1.5, 1.5]
+    assert worker < 130 * 2**20 and parent < 130 * 2**20, (worker / 2**20, parent / 2**20)
+
+
 @pytest.mark.parametrize("backend", EVERY_BACKEND + [ProcessPool(2, block_size=2)])
 def test_monitor_records_equal_the_stored_ones(backend):
     vl = VarList([VarSpec("n.sim", "N", 8), VarSpec("x", "grid", (3, 4, 5))])
@@ -1551,32 +1622,42 @@ def test_monitor_records_equal_the_stored_ones(backend):
 
 @st.composite
 def _declarations(draw):
-    """A declaration of 1-2 grid variables and 1-12 replications, and how to
-    run it: a block size that divides them, the virtual order, ``keep_seed``,
-    load balancing and 1-3 workers."""
+    """A declaration of 1-2 grid variables, 0-1 inner variable, the frozen
+    ``form`` of ``shaped_coin_study``'s values and 1-12 replications, and how
+    to run it: a block size that divides them, the seeding (``seq`` or
+    ``per-rep-integer``), the virtual order, ``keep_seed``, load balancing
+    and 1-3 workers."""
     levels = st.lists(st.integers(-9, 9), min_size=1, max_size=3, unique=True)
     grid = [VarSpec(name, "grid", tuple(draw(levels)))
             for name in ("x", "y")[:draw(st.integers(1, 2))]]
+    inner = [VarSpec("k", "inner", tuple(draw(levels)))] if draw(st.booleans()) else []
+    form = VarSpec("form", "frozen", draw(st.sampled_from(["scalar", "inner", "ragged"])))
     n_sim = draw(st.integers(1, 12))
     block_size = draw(st.sampled_from([d for d in range(1, n_sim + 1) if n_sim % d == 0]))
-    return (VarList([VarSpec("n.sim", "N", n_sim), *grid]), block_size, draw(st.booleans()),
-            draw(st.booleans()), draw(st.booleans()), draw(st.integers(1, 3)))
+    seed = draw(st.just(SeedSpec.seq()) | st.lists(st.integers(0, 2**32), min_size=n_sim,
+                                                    max_size=n_sim).map(SeedSpec.per_rep_integer))
+    return (VarList([VarSpec("n.sim", "N", n_sim), *grid, *inner, form]), block_size, seed,
+            draw(st.booleans()), draw(st.booleans()), draw(st.booleans()),
+            draw(st.integers(1, 3)))
 
 
 @given(_declarations())
 @settings(max_examples=100, deadline=None)
 def test_drawn_declarations_give_the_sequential_bytes_on_every_backend(declaration):
     # errors on half the sub-jobs and warnings on a quarter fall at every
-    # offset of blocks and tasks, and each row has values of its own
-    vl, block_size, rep_first, keep_seed, load_balancing, workers = declaration
-    n_G, n_sim = math.prod(len(spec.values) for spec in vl.specs[1:]), vl.n_sim
+    # offset of blocks and tasks, each row has values of its own, and the
+    # values are scalars, inner-shaped or ragged, so result frames carry
+    # tails of every kind
+    vl, block_size, seed, rep_first, keep_seed, load_balancing, workers = declaration
+    n_G, n_sim = math.prod(len(s.values) for s in vl.specs if s.vtype == "grid"), vl.n_sim
     texts = []
     with tempfile.TemporaryDirectory() as tmp:
         for backend in (Sequential(), ThreadPool(workers, block_size, load_balancing),
                         ProcessPool(workers, block_size, load_balancing)):
             seen = []
-            res = run_study(vl, levels_coin_study, keep_seed=keep_seed, rep_first=rep_first,
-                            backend=backend, monitor=lambda vidx, rec: seen.append(vidx))
+            res = run_study(vl, shaped_coin_study, seed=seed, keep_seed=keep_seed,
+                            rep_first=rep_first, backend=backend,
+                            monitor=lambda vidx, rec: seen.append(vidx))
             assert sorted(v.linear for v in seen) == list(range(n_G * n_sim))
             assert all(v == virtual_index(v.linear, n_G, n_sim, rep_first) for v in seen)
             save(res, os.path.join(tmp, "results.json"))

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import float_bits, random_store, scalar_varlist, tiny_varlist, v1_stores
-from light_studies import square_study
+from light_studies import coin_study, square_study
 
 from mcgrid import (CacheInvalidError, RawFallback, ResultStore, SeedSpec,
                     SubJobRecord, VarList, VarSpec, assemble, canonical_json,
@@ -377,6 +377,21 @@ class TestPersistence:
         cmp = do_res_equal(first, load(path))
         assert cmp, cmp.report
 
+    def test_a_cache_without_seeds_never_serves_a_run_that_keeps_them(self, tmp_path):
+        # a file saved without keep_seed holds no seeds, so it cannot serve
+        # a run that asks for them; a file with seeds serves either run
+        vl = VarList([VarSpec("n.sim", "N", 3), VarSpec("x", "grid", (1, 2))])
+        plain, kept = tmp_path / "plain.json", tmp_path / "kept.json"
+        run_study(vl, probe_first_uniform, cache_path=plain)
+        saved = plain.read_bytes()
+        with pytest.raises(CacheInvalidError, match="saved without keep_seed"):
+            run_study(vl, probe_first_uniform, keep_seed=True, cache_path=plain)
+        assert plain.read_bytes() == saved
+        first = run_study(vl, probe_first_uniform, keep_seed=True, cache_path=kept)
+        for keep_seed in (True, False):
+            hit = run_study(vl, probe_first_uniform, keep_seed=keep_seed, cache_path=kept)
+            assert hit.from_cache and hit.seeds == first.seeds is not None
+
     def test_a_cache_needs_a_named_study(self, tmp_path):
         path = tmp_path / "cache.json"
         ran = []
@@ -389,6 +404,25 @@ class TestPersistence:
             run_study(scalar_varlist(2), nameless, cache_path=path)
         assert ran == [] and not path.exists()
         assert run_study(scalar_varlist(2), nameless).n_subjobs == 6  # without a cache it runs
+
+
+def test_repeated_error_or_warning_cells_are_malformed(tmp_path):
+    # a second entry for a cell would replace the first on load
+    res = run_study(VarList([VarSpec("n.sim", "N", 4), VarSpec("x", "grid", (3, 4, 5))]),
+                    coin_study)
+    assert res.error_count() and res.warning_count()
+    path = tmp_path / "coin.json"
+    save(res, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    for field, later in (("errors", lambda e: [e[0], "later", e[2]]),
+                         ("warnings", lambda w: [w[0], ["later"]])):
+        entries = doc[field]
+        path.write_text(json.dumps(dict(doc, **{field: [entries[0], later(entries[0]),
+                                                        *entries[1:]]})))
+        with pytest.raises(ValueError, match="malformed result file .*error or warning "
+                                             "indices not increasing") as info:
+            load(path)
+        assert isinstance(info.value.__cause__, ValueError)
 
 
 class TestFormatV1:
