@@ -28,11 +28,13 @@ it resets it to the replication's state before each call, under ``none``/
 ``unseeded`` it carries on its thread's ambient stream.  A study's ``rng`` is
 valid only during its call; a value is copied when it returns.  A task's
 outcomes are columns (values, times, sparse errors and warnings, seeds),
-which a slot hands over once per task and the scheduler writes into the
-run's store-order columns with one put: values into one float64 array, inner
-dimensions first, until the first value of another shape turns it into the
-per-cell list of a raw fallback.  Records are built only for a monitor, whose
-calls never overlap: one that raises is the last.
+which a slot hands over once per task (kept seeds only under ``none``: the
+scheduler fills in other kept seeds from its table of the replications'
+states) and the scheduler writes into the run's store-order columns with
+one put: values into one float64 array, inner dimensions first, until the
+first value of another shape turns it into the per-cell list of a raw
+fallback.  Records are built only for a monitor, whose calls never overlap:
+one that raises is the last.
 
 Frame protocol: 4-byte big-endian payload length, then a canonical-JSON
 payload (the result files' text family), followed in a result frame by a
@@ -40,10 +42,10 @@ newline and a tail of raw bytes; a frame above 64 MiB is a protocol error.
 The parent sends each worker one ``setup`` frame (study name, the
 declaration's canonical form, the canonical seeding spec, ``keep_seed``, the
 virtual order and the block size), from which the worker builds its run
-context as the parent does.  A declaration that this form cannot carry
-faithfully (a payload that is not JSON, a non-finite float) or a setup frame
-over the limit (a ``per-rep-stream`` spec takes ~211 bytes per replication,
-so ~318k at most) fails the run before any worker starts.  A ``task`` frame
+context as the parent does (``run_study`` has refused a declaration that
+this form does not carry faithfully, ``VarList.lossy``).  A setup frame over
+the limit (a ``per-rep-stream`` spec takes ~211 bytes per replication, so
+~318k at most) fails the run before any worker starts.  A ``task`` frame
 carries only ``[start, stop]`` block numbers, at most ``IN_FLIGHT`` unread
 per worker, which never fill a pipe: the parent never waits to write a task
 while its worker waits to write results.  The worker answers a task with
@@ -118,7 +120,7 @@ class ProtocolError(RuntimeError):
 
 
 class ExecutionError(RuntimeError):
-    """A backend failed (worker death, unusable study for the backend, ...)."""
+    """A backend failed at run time (a worker died, a slot or a monitor raised)."""
 
 
 def stderr_monitor(vidx: "VirtualIndex", record: SubJobRecord) -> None:
@@ -241,7 +243,6 @@ class _RunContext:
     args: dict = field(init=False)    # non_grid_args(vl), each one read-only
     states: list = field(init=False)  # seed_for(seed, rep) at index rep - 1
     philox: list = field(init=False)  # their Philox states; None: never reset
-    seeds: list | None = field(init=False)  # their hex texts, kept under keep_seed
     inner: tuple = field(init=False)  # the shape of a value that stacks
 
     def __post_init__(self):
@@ -254,8 +255,6 @@ class _RunContext:
         # seed_for depends only on (seed, rep): derive each replication once
         self.states = [seed_for(self.seed, rep) for rep in range(1, self.n_sim + 1)]
         self.philox = [s and s.philox_state() for s in self.states]
-        self.seeds = ([s.to_hex() for s in self.states]
-                      if self.keep_seed and self.states[0] else None)
 
     def subjobs(self, blocks: range) -> tuple[np.ndarray, np.ndarray]:
         """The grid rows and replications (1-based) of the sub-jobs of
@@ -290,8 +289,7 @@ def _run_tasks(ctx: _RunContext, take, stopped=lambda: False):
     ambient = ctx.keep_seed and ctx.seed.kind == "none"
     while (task := take()) is not None:
         rows, reps = map(np.ndarray.tolist, ctx.subjobs(task))
-        values, times, errors, warns = [], [], {}, {}
-        seeds = [ctx.seeds[rep - 1] for rep in reps] if ctx.seeds else []
+        values, times, errors, warns, seeds = [], [], {}, {}, []
         params = {}  # each row's arguments, built once per task
         for k, (row, rep) in enumerate(zip(rows, reps)):
             if k % ctx.block_size == 0 and stopped():
@@ -307,7 +305,7 @@ def _run_tasks(ctx: _RunContext, take, stopped=lambda: False):
                 warns[k] = warnings
             values.append(value)
             times.append(time_ms)
-        yield task, Columns(values, times, errors, warns, seeds if seeds else None)
+        yield task, Columns(values, times, errors, warns, seeds if ambient else None)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +342,6 @@ def ProcessPool(workers: int, block_size: int = 1, load_balancing: bool = True) 
 
 
 _run_active = threading.Lock()
-_NAMED_STUDY = ("a registered or module-level study function (register_study, or a plain "
-                "function addressable as module:name)")
 
 
 def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
@@ -360,8 +356,9 @@ def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
     mismatching fingerprint raises CacheInvalidError, and so does a file
     saved without ``keep_seed`` when ``keep_seed`` is asked for (it holds no
     seeds).  Fresh results are saved to ``cache_path`` when given.  A cache
-    needs a study with a name (``registry.study_name``).  Nested calls are
-    rejected: one live backend per process.
+    and the process backend need a named study (``registry.study_name``) and
+    a declaration not ``VarList.lossy``: ``ValueError`` before anything runs.
+    Nested calls are rejected: one live backend per process.
 
     ``monitor(vidx, record)`` is called once per sub-job, in the calling
     process on every backend, after each task and from the thread that
@@ -376,13 +373,17 @@ def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
     problems = vl.validate()
     problems += seed.validate(vl.n_sim)
     problems += backend.validate(vl.n_sim)
+    study = registry.study_name(study_fn)
+    if cache_path is not None or backend.kind == "processes":  # the declaration leaves
+        user = "a cache" if cache_path is not None else "the process backend"
+        if study is None:
+            problems.append(f"{user} needs a registered or module-level study function "
+                            "(register_study, or a plain function addressable as module:name)")
+        problems += [f"{user} needs JSON-serializable variables: {p}" for p in vl.lossy()]
     if problems:
         raise ValueError("; ".join(problems))
 
-    study = registry.study_name(study_fn)
     if cache_path is not None:
-        if study is None:
-            raise ValueError(f"a cache needs {_NAMED_STUDY}")
         cached = maybe_read(cache_path, study_fingerprint(vl, rep_first, seed, study))
         if cached is not None:
             if keep_seed and not cached.meta.keep_seed:
@@ -418,8 +419,8 @@ def _run_pool(ctx: _RunContext, blocks: range, load_balancing: bool,
     callables that take functions ``take`` and ``stopped`` and yield
     ``(blocks, columns)``, a range of consecutive blocks of a task and their
     sub-jobs' columns, for the tasks ``take()`` hands out until it returns
-    None.  Each yield's columns go into the run's columns with one put, then
-    its sub-jobs to ``monitor`` (if given), one call at a time.
+    None.  Each yield's columns, kept seeds filled in, go into the run's
+    columns with one put, then its sub-jobs to ``monitor`` (if given).
 
     A single slot runs on the calling thread, more run on one thread each.
     ``take()`` pulls from a shared task queue with load balancing and from the
@@ -432,6 +433,8 @@ def _run_pool(ctx: _RunContext, blocks: range, load_balancing: bool,
     """
     n_G, n = ctx.n_G, ctx.n_G * ctx.n_sim
     kept = ctx.keep_seed and ctx.seed.kind != "unseeded"
+    table = np.array([s.to_hex() for s in ctx.states], dtype=object) \
+        if kept and ctx.states[0] else None
     out = Columns(np.full(ctx.inner + (n,), math.nan), np.zeros(n), {}, {},
                   np.full(n, None, dtype=object) if kept else None)
     failures: list[BaseException] = []
@@ -458,6 +461,8 @@ def _run_pool(ctx: _RunContext, blocks: range, load_balancing: bool,
         try:
             for blocks, cols in slots[slot](take, lambda: bool(failures)):
                 rows, reps = ctx.subjobs(blocks)
+                if table is not None:
+                    cols.seeds = table[reps - 1]
                 with lock:  # the first value of another shape changes the value column
                     out.put(rows + n_G * (reps - 1), cols)  # whatever the virtual order
                 if monitor is not None:
@@ -541,13 +546,6 @@ def read_frame(stream) -> dict | None:
     return doc
 
 
-def _worker_context(setup: dict) -> _RunContext:
-    """The run context a setup frame describes, built as the parent built its own."""
-    return _RunContext(VarList.from_canonical(setup["varlist"]), setup["rep_first"],
-                       setup["block_size"], SeedSpec.from_canonical(setup["seed"]),
-                       setup["keep_seed"], registry.get_study(setup["study"]))
-
-
 def _result_frames(ctx: _RunContext, blocks: range, cols: Columns):
     """The result frames, each encoded once, that answer a task's ``blocks``,
     whose sub-jobs' outcomes are ``cols``: one frame, or, when
@@ -614,7 +612,10 @@ def worker_main(stdin, stdout) -> int:
         setup = next_frame("setup")
         if setup is None:
             return 0
-        ctx = _worker_context(setup)
+        # the run context, built as the parent built its own
+        ctx = _RunContext(VarList.from_canonical(setup["varlist"]), setup["rep_first"],
+                          setup["block_size"], SeedSpec.from_canonical(setup["seed"]),
+                          setup["keep_seed"], registry.get_study(setup["study"]))
         blocks = partition_blocks(ctx.n_G, ctx.n_sim, ctx.block_size)
         for task, cols in _run_tasks(ctx, take):
             stdout.writelines(_result_frames(ctx, task, cols))  # holds one frame at a time
@@ -816,18 +817,7 @@ class _Worker:
 
 
 def _run_processes(ctx: _RunContext, blocks: range, backend: BackendSpec,
-                   study: str | None, monitor) -> Columns:
-    if study is None:
-        raise ExecutionError(f"the process backend needs {_NAMED_STUDY}")
-    for spec in ctx.vl:
-        # the canonical form writes an unencodable payload as its display text
-        # and a non-finite float as a tagged string: a worker would get both
-        try:
-            json.dumps(spec.values, allow_nan=False)  # also refuses cycles
-            canonical_json(spec.values)  # also refuses non-string keys
-        except (TypeError, ValueError) as exc:
-            raise ExecutionError("the process backend needs JSON-serializable "
-                                 f"variables: {spec.name}: {exc}") from exc
+                   study: str, monitor) -> Columns:
     setup = encode_frame({"tag": "setup", "study": study, "varlist": ctx.vl.canonical(),
                           "seed": ctx.seed.canonical(), "keep_seed": ctx.keep_seed,
                           "rep_first": ctx.rep_first, "block_size": ctx.block_size})

@@ -43,7 +43,9 @@ name no study, they read with the fingerprint of no study.
 The study fingerprint is the first 8 bytes (16 hex characters) of SHA-256 over
 the canonical JSON of {"varlist": ..., "n_sim": ..., "rep_first": ...,
 "seed": ..., "study": ...}, "study" being ``registry.study_name`` of the study
-function or null; independent implementations following this note will agree.
+function or null, then ``"lossy": true`` if ``VarList.lossy`` names a
+variable, so no faithful declaration shares a lossy one's fingerprint;
+independent implementations following this note will agree.
 """
 
 from __future__ import annotations
@@ -178,14 +180,6 @@ def _parse_values(values: list) -> list:
     return [None if v is None else next(parsed) for v in values]
 
 
-def _value_doc(v):
-    if v is None:
-        return None
-    if isinstance(v, np.ndarray):
-        return v.astype(float).tolist()
-    return float(v)
-
-
 # ---------------------------------------------------------------------------
 # records
 
@@ -290,8 +284,7 @@ class ResultStore:
 
     @property
     def n_grid_rows(self) -> int:
-        n_sim = self.meta.varlist.n_sim
-        return self.n_subjobs // n_sim if n_sim else self.n_subjobs
+        return self.n_subjobs // self.meta.varlist.n_sim
 
     def record(self, row: int, rep: int) -> SubJobRecord:
         """Record of grid row ``row`` (0-based) and replication ``rep`` (1-based)."""
@@ -343,6 +336,7 @@ def study_fingerprint(vl: VarList, rep_first: bool, seed_spec: SeedSpec, study: 
         "rep_first": bool(rep_first),
         "seed": seed_spec.canonical(),
         "study": study,
+        **({"lossy": True} if vl.lossy() else {}),
     }
     digest = hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
     return digest[:16]
@@ -569,7 +563,8 @@ def _store_doc(res: ResultStore) -> dict:
         "kind": "raw" if raw else "store",
         "meta": res.meta.doc(),
         "dims": [[name, list(labels)] for name, labels in res.dims],
-        "value": ([_value_doc(v) for v in res.value] if raw else
+        "value": ([None if v is None else np.asarray(v, dtype=float).tolist()
+                   for v in res.value] if raw else
                   _Encoded(f"[{_fmt_floats(res.value.ravel(order='F'))}]")),
         **_shared_doc(res, 0, res.n_subjobs),
     }
@@ -625,6 +620,14 @@ def load(path: str | os.PathLike) -> ResultStore:
             meta = replace(meta, fingerprint=study_fingerprint(
                 meta.varlist, meta.rep_first, meta.seed_spec, None))
         dims = tuple((name, tuple(labels)) for name, labels in doc["dims"])
+        want = store_dims(meta.varlist)
+        # a level written as a tag string may be a non-finite float, labelled otherwise
+        tagged = {s.name for s in meta.varlist
+                  if any(v in ("NaN", "Inf", "-Inf") for v in s.values)}
+        if [name for name, _ in dims] != [name for name, _ in want] or any(
+                d != w and (d[0] not in tagged or len(d[1]) != len(w[1]))
+                for d, w in zip(dims, want)):
+            raise ValueError("dims are not those of the declaration")
         n = math.prod(len(labels) for _, labels in dims)
         if raw:
             cols = _columns(doc, n, _parse_values(doc["value"]))

@@ -19,6 +19,7 @@ the first-declared grid variable varying fastest.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -193,6 +194,10 @@ class VarList:
             problems.append("more than one replication-count variable")
         return problems
 
+    def lossy(self) -> list[str]:
+        """Each variable that ``canonical()`` does not carry faithfully, with why."""
+        return [f"{s.name}: {why}" for s in self.specs if (why := _lossy(s.values))]
+
     def with_n_sim(self, n_sim: int) -> "VarList":
         """Copy of this list with the replication count replaced (or added)."""
         specs = []
@@ -212,7 +217,7 @@ class VarList:
         variables = []
         for s in self.specs:
             if s.vtype == "frozen":
-                value = s.values[0] if _jsonable(s.values[0]) else payload_display(s.values[0])
+                value = payload_display(s.values[0]) if _lossy(s.values) else s.values[0]
             elif s.vtype == "N":
                 value = int(s.values[0])
             else:
@@ -232,16 +237,18 @@ class VarList:
         return vl
 
 
-def _jsonable(obj) -> bool:
-    """Whether ``canonical_json`` (stricter than ``json.dumps``: string keys
-    only) can encode ``obj``."""
+def _lossy(value) -> str | None:
+    """Why the canonical form does not carry ``value`` faithfully, or None:
+    it carries JSON with string keys and no non-finite float, but writes any
+    other frozen payload as its display text and a non-finite float as a tag."""
     from .results import canonical_json  # results imports this module
 
     try:
-        canonical_json(obj)
-        return True
-    except (TypeError, RecursionError):  # RecursionError: a payload that contains itself
-        return False
+        json.dumps(value, allow_nan=False)  # also refuses cycles
+        canonical_json(value)  # also refuses non-string keys
+    except (TypeError, ValueError, RecursionError) as exc:
+        return str(exc)
+    return None
 
 
 def unravel(i: int, sizes) -> tuple[int, ...]:

@@ -163,6 +163,26 @@ class TestRun:
         assert main(["run", str(p), "--out", str(out)]) == 0  # still a hit without it
         assert "cache hit" in capsys.readouterr().out
 
+    def test_a_non_finite_level_is_refused_by_a_cache_and_by_workers(self, capsys, tmp_path):
+        # the canonical form writes Infinity as "Inf": a cache or a worker
+        # would see the string level of another declaration
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"study": "test_cli:cli_probe_study", "variables": [
+            {"name": "n.sim", "type": "N", "label": None, "value": 2},
+            {"name": "x", "type": "grid", "label": "$x$", "value": [1.0, math.inf]}]}))
+        assert "Infinity" in p.read_text()
+        out = tmp_path / "res.json"
+        for flags, user in ((["--out", str(out)], "a cache"),
+                            (["--backend", "procs", "--workers", "2"], "the process backend")):
+            assert main(["run", str(p), *flags]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert captured.err.startswith(f"mcgrid: {user} needs JSON-serializable "
+                                           "variables: x: ")
+        assert list(tmp_path.iterdir()) == [p]  # no result file, no temporary one
+        assert main(["run", str(p)]) == 0
+        assert "ran 4 sub-jobs" in capsys.readouterr().out
+
     def test_other_study_invalidates_cache(self, capsys, tmp_path):
         out = tmp_path / "res.json"
         assert main(["run", str(write_config(tmp_path / "c.json")), "--out", str(out)]) == 0

@@ -157,10 +157,10 @@ class TestVirtualIndex:
 
 
 def _context(n_G: int, n_sim: int, block_size: int, rep_first: bool = True,
-             keep_seed: bool = False) -> executor._RunContext:
+             keep_seed: bool = False, seed: SeedSpec = SeedSpec.seq()) -> executor._RunContext:
     """The run context of a grid of rows x=0, 1, ..., n_G - 1, with no study."""
     vl = VarList([VarSpec("n.sim", "N", n_sim), VarSpec("x", "grid", tuple(range(n_G)))])
-    return executor._RunContext(vl, rep_first, block_size, SeedSpec.seq(), keep_seed, None)
+    return executor._RunContext(vl, rep_first, block_size, seed, keep_seed, None)
 
 
 def _block(ctx, b: int) -> tuple[int, int]:
@@ -315,8 +315,15 @@ class TestWorkerLoop:
         assert len(result["time_ms"]) == 4
         assert all(isinstance(t, float) for t in result["time_ms"])
         assert result["errors"] == result["warnings"] == []
-        assert result["seeds"] == [seed_for(SeedSpec.seq(), rep).to_hex() for rep in (3, 4, 1, 2)]
+        # a seeded discipline's kept seeds come from the parent's table, so
+        # the worker sends none; under none they are the states it started from
+        assert result["seeds"] is None
         assert read_frame(stdout) is None  # 1 frame
+        setup = self._setup(vl, "light_studies:coin_study", keep_seed=True, block_size=2)
+        code, stdout = self._serve(dict(setup, seed={"kind": "none"}), self._task(3, 5))
+        seeds = read_frame(stdout)["seeds"]
+        assert code == 0 and len(set(seeds)) == 4
+        assert all(StreamState.from_hex(seed).to_hex() == seed for seed in seeds)
 
     def test_result_frame_keeps_errors_and_warnings_by_offset(self):
         # coin_study: rep 1 succeeds, reps 2 and 3 fail, rep 4 warns; errors
@@ -389,11 +396,11 @@ class TestTaskFrames:
     CTX = executor._RunContext(VL, True, 2, SeedSpec.seq(), True, coin_study)
     TASK = range(5)
 
-    def _serve(self, task, block_size=2):
+    def _serve(self, task, block_size=2, seed=SeedSpec.seq()):
         loop = TestWorkerLoop()
-        return loop._serve(loop._setup(self.VL, "light_studies:coin_study", keep_seed=True,
-                                       block_size=block_size),
-                           loop._task(task.start, task.stop))
+        setup = loop._setup(self.VL, "light_studies:coin_study", keep_seed=True,
+                            block_size=block_size)
+        return loop._serve(dict(setup, seed=seed.canonical()), loop._task(task.start, task.stop))
 
     def _frames(self, stdout) -> list[dict]:
         frames = []
@@ -409,24 +416,21 @@ class TestTaskFrames:
             x = self.VL.specs[1].values[row]
             for rep in range(first, first + 2):
                 u = RngStream.from_state(seed_for(spec, rep)).uniform()
-                seed = seed_for(spec, rep).to_hex()
                 if u < 0.5:
-                    error = ErrorInfo("low draw", "RuntimeError")
-                    records.append(SubJobRecord(error=error, seed=seed))
+                    records.append(SubJobRecord(error=ErrorInfo("low draw", "RuntimeError")))
                 else:
                     warned = ("high draw",) if u > 0.75 else ()
-                    records.append(SubJobRecord(value=x + u, warnings=warned, seed=seed))
+                    records.append(SubJobRecord(value=x + u, warnings=warned))
         return Columns.from_records(records)
 
     def _check(self, got):
         # each frame's blocks, as one set of columns with offsets from the
-        # frame's first block
+        # frame's first block; kept seq seeds come from the parent's table
         assert [b for blocks, _ in got for b in blocks] == list(self.TASK)
         for blocks, cols in got:
             want = self._expected(blocks)
             assert len(cols.time_ms) == 2 * len(blocks)
-            assert (cols.errors, cols.warnings, cols.seeds) == \
-                (want.errors, want.warnings, want.seeds)
+            assert (cols.errors, cols.warnings, cols.seeds) == (want.errors, want.warnings, None)
             assert [(r.value, r.error) for r in map(cols.record, range(len(cols.time_ms)))] == \
                 [(r.value, r.error) for r in map(want.record, range(len(cols.time_ms)))]
 
@@ -444,8 +448,9 @@ class TestTaskFrames:
 
     def test_over_limit_task_is_several_frames_of_whole_blocks(self, monkeypatch):
         code, stdout = self._serve(self.TASK)
-        whole = len(stdout.getvalue())
-        monkeypatch.setattr(executor, "MAX_FRAME", whole // 2)
+        # under the task's one frame, over its setup frame (which ships no seeds)
+        limit = 3 * len(stdout.getvalue()) // 4
+        monkeypatch.setattr(executor, "MAX_FRAME", limit)
         encodes, encode = [], executor.encode_frame
         monkeypatch.setattr(executor, "encode_frame",
                             lambda *args: encodes.append(args) or encode(*args))
@@ -459,15 +464,16 @@ class TestTaskFrames:
             # after the one refused encode of the whole task
             assert [f["blocks"] for f in frames] == [1] * len(self.TASK)
             assert len(encodes) == len(frames) + 1
-            assert all(len(encode(f, [f.pop("tail")])) <= whole // 2 + 4 for f in frames)
+            assert all(len(encode(f, [f.pop("tail")])) <= limit + 4 for f in frames)
             self._check(list(executor._task_results(stdout, self.CTX, self.TASK, 0)))
             encodes.clear()
         assert counts[0] == counts[1]  # the split depends on the outcomes, not the times
 
     def test_over_limit_block_is_a_protocol_error(self, monkeypatch, capsys):
-        code, stdout = self._serve(range(1, 2), block_size=4)  # row 1, reps 1-4
+        # row 1, reps 1-4, under none: a worker ships the four kept seeds
+        code, stdout = self._serve(range(1, 2), block_size=4, seed=SeedSpec.none_reseed())
         monkeypatch.setattr(executor, "MAX_FRAME", len(stdout.getvalue()) // 2)
-        code, stdout = self._serve(range(1, 2), block_size=4)
+        code, stdout = self._serve(range(1, 2), block_size=4, seed=SeedSpec.none_reseed())
         assert code == 1 and stdout.getvalue() == b""
         assert "exceeds" in capsys.readouterr().err
 
@@ -610,7 +616,8 @@ _SCALARS = st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5
 @st.composite
 def _result_frames(draw):
     """A run's blocks, each block's columns (scalar, multi-dimensional or
-    ragged values, errors with null values, warnings, kept seeds or none),
+    ragged values, errors with null values, warnings, and under ``none``
+    kept seeds or none; a seeded run that keeps seeds ships none),
     and for each task its result frames as a worker writes them, the task
     split into frames at random, under a frame limit of 64 MiB or of one or
     two times the largest single block's payload, so that a frame over it
@@ -620,7 +627,9 @@ def _result_frames(draw):
     shapes = draw(st.lists(st.sampled_from([(), (2,), (2, 3), (0,), (1, 2)]),
                            min_size=1, max_size=2))  # two shapes: ragged values
     kept, slots = draw(st.booleans()), draw(st.integers(1, 3))
-    ctx = _context(n_G, n_sim, size, rep_first, kept)
+    seed = draw(st.sampled_from([SeedSpec.seq(), SeedSpec.none_reseed()]))
+    ctx = _context(n_G, n_sim, size, rep_first, kept, seed)
+    shipped = kept and seed.kind == "none"  # the seeds a result frame carries
     ctx.inner = shapes[0]
     blocks = partition_blocks(n_G, n_sim, size)
     columns, streams = {}, {}
@@ -642,7 +651,7 @@ def _result_frames(draw):
                 if draw(st.booleans()):
                     warns[j] = tuple(draw(st.lists(st.text(max_size=3), min_size=1, max_size=2)))
             seeds = [draw(st.none() | st.text("0123456789abcdef", max_size=4))
-                     for _ in range(size)] if kept else None
+                     for _ in range(size)] if shipped else None
             times = draw(st.lists(_SCALARS, min_size=size, max_size=size))
             columns[block] = Columns(value, times, errors, warns, seeds)
         streams[task] = [task[i:j] for i, j in zip([0, *sorted(cuts)],
@@ -663,7 +672,7 @@ def _result_frames(draw):
                                 for k, e in c.errors.items()},
                                {size * b + k: w for b, c in enumerate(each)
                                 for k, w in c.warnings.items()},
-                               [x for c in each for x in c.seeds] if kept else None)
+                               [x for c in each for x in c.seeds] if shipped else None)
                 streams[task] += b"".join(executor._result_frames(ctx, part, cols))
     finally:
         executor.MAX_FRAME = default
@@ -687,6 +696,9 @@ def test_frames_decode_as_block_by_block_reads(frames):
         want.time_ms[at] = cols.time_ms
         if cols.seeds is not None:
             want.seeds[at] = cols.seeds
+        elif kept and ctx.seed.kind == "seq":  # filled in from the parent's table
+            want.seeds[at] = [seed_for(ctx.seed, rep).to_hex()
+                              for rep in range(first, first + ctx.block_size)]
         want.errors.update({start + n_G * k: e for k, e in cols.errors.items()})
         want.warnings.update({start + n_G * k: w for k, w in cols.warnings.items()})
 
@@ -760,29 +772,36 @@ class TestRunStudySequential:
         assert "no four" in res.record(1, 2).error.message
         assert res.record(0, 1).value == 3.0
 
-    def test_unserializable_variables_rejected_up_front(self):
+    def test_unserializable_variables_rejected_up_front(self, monkeypatch, tmp_path):
         vl = VarList([VarSpec("n.sim", "N", 1), VarSpec("x", "grid", (3, np.int64(4)))])
         with pytest.raises(ValueError, match="x: levels are not JSON-serializable"):
             run_study(vl, square_study)
-        # frozen payloads may be any object in-process, but not in a worker;
-        # JSON objects need string keys
-        for payload in ({"fn": len}, {1: 2}):
-            vl = VarList([VarSpec("n.sim", "N", 1), VarSpec("x", "grid", (3, 4)),
-                          VarSpec("f", "frozen", payload)])
-            assert run_study(vl, square_study).error_count() == 0
-            with pytest.raises(ExecutionError, match="needs JSON-serializable variables"):
-                run_study(vl, square_study, backend=ProcessPool(2))
-        # the canonical form writes non-finite floats as the strings "NaN",
-        # "Inf" and "-Inf", so a worker would receive strings
+        # frozen payloads may be any object in-process, but not in a worker
+        # or a cache; JSON objects need string keys.  The canonical form
+        # writes non-finite floats as the strings "NaN", "Inf" and "-Inf", so
+        # a worker would receive strings.  Both are refused before the run
+        # lock is taken or a seed state derived.
         x = VarSpec("x", "grid", (3, 4))
-        for name, specs in (("x", [VarSpec("x", "grid", (3, math.inf))]),
-                            ("p", [x, VarSpec("p", "inner", (0.5, math.nan))]),
-                            ("f", [x, VarSpec("f", "frozen", {"a": {"b": [1.0, math.nan]}})])):
+        cases = [("f", [x, VarSpec("f", "frozen", {"fn": len})]),
+                 ("f", [x, VarSpec("f", "frozen", {1: 2})]),
+                 ("x", [VarSpec("x", "grid", (3, math.inf))]),
+                 ("p", [x, VarSpec("p", "inner", (0.5, math.nan))]),
+                 ("f", [x, VarSpec("f", "frozen", {"a": {"b": [1.0, math.nan]}})])]
+        for name, specs in cases:
             vl = VarList([VarSpec("n.sim", "N", 1), *specs])
             assert run_study(vl, square_study).error_count() == 0
-            with pytest.raises(ExecutionError,
-                               match=f"needs JSON-serializable variables: {name}: "):
-                run_study(vl, square_study, backend=ProcessPool(2))
+            assert run_study(vl, square_study, backend=ThreadPool(2)).error_count() == 0
+            calls = []
+            monkeypatch.setattr(executor, "seed_for", lambda *args: calls.append(args))
+            with executor._run_active:  # a check after the lock would see a nested run
+                for user, kwargs in (("the process backend", {"backend": ProcessPool(2)}),
+                                     ("a cache", {"cache_path": tmp_path / "c.json"})):
+                    with pytest.raises(ValueError,
+                                       match=f"{user} needs JSON-serializable variables: "
+                                             f"{name}: "):
+                        run_study(vl, square_study, **kwargs)
+            monkeypatch.undo()
+            assert calls == [] and not (tmp_path / "c.json").exists()
 
     def test_whole_float_values_stay_floats_on_every_backend(self):
         vl = VarList([VarSpec("n.sim", "N", 2), VarSpec("x", "grid", (1.0, 2.5)),
@@ -923,10 +942,14 @@ class TestProcessBackend:
         assert len(shrunk) == 12 and len(set(shrunk)) == 1 and len(forked) == 4
         assert all(w.returncode == 0 for w in forked)  # ended, exit codes read
 
-    def test_unregistered_lambda_rejected(self):
+    def test_unregistered_lambda_rejected(self, monkeypatch):
         vl = scalar_varlist(n_sim=1)
-        with pytest.raises(ExecutionError):
+        calls = []
+        monkeypatch.setattr(executor, "seed_for", lambda *args: calls.append(args))
+        with executor._run_active, pytest.raises(
+                ValueError, match="the process backend needs a registered or module-level"):
             run_study(vl, lambda p, r, w: 1.0, backend=ProcessPool(2))
+        assert calls == []
 
     def test_dead_worker_stops_the_pool(self, tmp_path):
         _in_child("_dead_worker_stops_the_pool", str(tmp_path))
@@ -1624,21 +1647,39 @@ def test_monitor_records_equal_the_stored_ones(backend):
 def _declarations(draw):
     """A declaration of 1-2 grid variables, 0-1 inner variable, the frozen
     ``form`` of ``shaped_coin_study``'s values and 1-12 replications, and how
-    to run it: a block size that divides them, the seeding (``seq`` or
-    ``per-rep-integer``), the virtual order, ``keep_seed``, load balancing
-    and 1-3 workers."""
+    to run it: a block size that divides them, the seeding (``seq``,
+    ``per-rep-integer`` or ``per-rep-stream``), the virtual order,
+    ``keep_seed``, load balancing and 1-3 workers.  One in three is lossy:
+    its canonical form does not carry a non-finite grid level or a frozen
+    payload (``junk``, unread) that is not JSON."""
     levels = st.lists(st.integers(-9, 9), min_size=1, max_size=3, unique=True)
     grid = [VarSpec(name, "grid", tuple(draw(levels)))
             for name in ("x", "y")[:draw(st.integers(1, 2))]]
     inner = [VarSpec("k", "inner", tuple(draw(levels)))] if draw(st.booleans()) else []
     form = VarSpec("form", "frozen", draw(st.sampled_from(["scalar", "inner", "ragged"])))
+    lossy = draw(st.sampled_from(["", "", "level", "frozen"]))
+    if lossy == "level":
+        last = grid[-1]
+        grid[-1] = VarSpec(last.name, "grid", last.values + (
+            draw(st.sampled_from([math.inf, -math.inf, math.nan])),))
+    junk = [VarSpec("junk", "frozen", draw(st.sampled_from(
+        [math.nan, {"w": [1.0, -math.inf]}, np.arange(2.0), {1: 2}, {"f": len}])))] \
+        if lossy == "frozen" else []
     n_sim = draw(st.integers(1, 12))
     block_size = draw(st.sampled_from([d for d in range(1, n_sim + 1) if n_sim % d == 0]))
-    seed = draw(st.just(SeedSpec.seq()) | st.lists(st.integers(0, 2**32), min_size=n_sim,
-                                                    max_size=n_sim).map(SeedSpec.per_rep_integer))
-    return (VarList([VarSpec("n.sim", "N", n_sim), *grid, *inner, form]), block_size, seed,
-            draw(st.booleans()), draw(st.booleans()), draw(st.booleans()),
+    keys = st.lists(st.integers(0, 2**32), min_size=n_sim, max_size=n_sim)
+    seed = draw(st.just(SeedSpec.seq()) | keys.map(SeedSpec.per_rep_integer) |
+                keys.map(lambda key: SeedSpec.per_rep_stream(derive_streams(n_sim, key))))
+    return (VarList([VarSpec("n.sim", "N", n_sim), *grid, *inner, form, *junk]), block_size,
+            seed, draw(st.booleans()), draw(st.booleans()), draw(st.booleans()),
             draw(st.integers(1, 3)))
+
+
+def _monitored(rec) -> tuple:
+    """What a monitor record says of a sub-job, but its time; values by bits."""
+    value = None if rec.value is None else (np.shape(rec.value),
+                                            np.asarray(rec.value, dtype=float).tobytes())
+    return value, rec.error, rec.warnings, rec.seed
 
 
 @given(_declarations())
@@ -1647,25 +1688,43 @@ def test_drawn_declarations_give_the_sequential_bytes_on_every_backend(declarati
     # errors on half the sub-jobs and warnings on a quarter fall at every
     # offset of blocks and tasks, each row has values of its own, and the
     # values are scalars, inner-shaped or ragged, so result frames carry
-    # tails of every kind
+    # tails of every kind; a lossy declaration runs in-process only
     vl, block_size, seed, rep_first, keep_seed, load_balancing, workers = declaration
     n_G, n_sim = math.prod(len(s.values) for s in vl.specs if s.vtype == "grid"), vl.n_sim
-    texts = []
+    texts, records, seen = [], [], []
+
+    def run(**kwargs):
+        seen.clear()
+        return run_study(vl, shaped_coin_study, seed=seed, keep_seed=keep_seed,
+                         rep_first=rep_first, monitor=lambda *call: seen.append(call), **kwargs)
+
     with tempfile.TemporaryDirectory() as tmp:
-        for backend in (Sequential(), ThreadPool(workers, block_size, load_balancing),
-                        ProcessPool(workers, block_size, load_balancing)):
-            seen = []
-            res = run_study(vl, shaped_coin_study, seed=seed, keep_seed=keep_seed,
-                            rep_first=rep_first, backend=backend,
-                            monitor=lambda vidx, rec: seen.append(vidx))
-            assert sorted(v.linear for v in seen) == list(range(n_G * n_sim))
-            assert all(v == virtual_index(v.linear, n_G, n_sim, rep_first) for v in seen)
-            save(res, os.path.join(tmp, "results.json"))
-            with open(os.path.join(tmp, "results.json"), encoding="utf-8") as fh:
+        path = os.path.join(tmp, "results.json")
+        backends = [Sequential(), ThreadPool(workers, block_size, load_balancing)]
+        process = ProcessPool(workers, block_size, load_balancing)
+        if vl.lossy():
+            for kwargs in ({"backend": process}, {"cache_path": path}):
+                with pytest.raises(ValueError, match="needs JSON-serializable variables"):
+                    run(**kwargs)
+                assert seen == [] and not os.path.exists(path)
+        else:
+            backends.append(process)
+        for backend in backends:
+            res = run(backend=backend)
+            assert sorted(v.linear for v, _ in seen) == list(range(n_G * n_sim))
+            assert all(v == virtual_index(v.linear, n_G, n_sim, rep_first) for v, _ in seen)
+            if keep_seed:  # each sub-job's replication's state, on every backend
+                assert all(rec.seed == seed_for(seed, v.rep).to_hex() for v, rec in seen)
+            records.append(sorted((v.linear, _monitored(rec)) for v, rec in seen))
+            save(res, path)
+            cmp = do_res_equal(res, load(path))
+            assert cmp, cmp.report
+            with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
             doc["meta"]["created"] = doc["time_ms"] = None
             texts.append(canonical_json(doc))
-    assert texts[1] == texts[0] and texts[2] == texts[0]
+    assert all(text == texts[0] for text in texts)
+    assert all(each == records[0] for each in records)
 
 
 def test_a_returned_buffer_is_copied_on_every_backend():

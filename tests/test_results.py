@@ -406,6 +406,60 @@ class TestPersistence:
         assert run_study(scalar_varlist(2), nameless).n_subjobs == 6  # without a cache it runs
 
 
+    def test_a_cache_refuses_a_declaration_its_canonical_form_does_not_carry(self, tmp_path):
+        # two frozen arrays that differ in one element print alike, so their
+        # canonical forms, and fingerprints, are equal
+        path = tmp_path / "cache.json"
+        first, second = np.arange(10_000.0), np.arange(10_000.0)
+        second[5_000] = -1e9
+        for payload in (first, second):
+            vl = VarList([VarSpec("n.sim", "N", 2), VarSpec("x", "grid", (1, 2)),
+                          VarSpec("a", "frozen", payload)])
+            with pytest.raises(ValueError, match="a cache needs JSON-serializable variables: "
+                                                 "a: Object of type ndarray"):
+                run_study(vl, never_study, cache_path=path)
+            assert not path.exists()
+
+    def test_a_lossy_store_is_never_a_cache_hit_for_a_faithful_declaration(self, tmp_path):
+        # the canonical form writes math.inf as "Inf": the two declarations
+        # would share a canonical form but for the fingerprint's lossy mark
+        lossy = VarList([VarSpec("n.sim", "N", 2), VarSpec("x", "grid", (1.0, math.inf))])
+        faithful = VarList([VarSpec("n.sim", "N", 2), VarSpec("x", "grid", (1.0, "Inf"))])
+        assert canonical_json(lossy.canonical()) == canonical_json(faithful.canonical())
+        path = tmp_path / "lossy.json"
+        with pytest.raises(ValueError, match="a cache needs JSON-serializable variables: x: "
+                                             "Out of range float values"):
+            run_study(lossy, never_study, cache_path=path)
+        res = run_study(lossy, square_study)
+        save(res, path)
+        cmp = do_res_equal(res, load(path))  # the lossy level's labels load as saved
+        assert cmp, cmp.report
+        with pytest.raises(CacheInvalidError):  # the same study: only the mark differs
+            run_study(faithful, square_study, cache_path=path)
+        fresh = tmp_path / "faithful.json"
+        ran = run_study(faithful, square_study, cache_path=fresh)
+        assert not ran.from_cache and ran.dims[0] == ("x", ("1", "Inf"))
+        hit = run_study(faithful, square_study, cache_path=fresh)
+        assert hit.from_cache and do_res_equal(ran, hit)
+
+    def test_dims_other_than_the_declarations_are_malformed(self, tmp_path):
+        # a 3 x 2 declaration whose file says 2 rows x 3 replications, or
+        # relabels its replications, loads as neither
+        vl = VarList([VarSpec("n.sim", "N", 2), VarSpec("x", "grid", (3, 4, 5))])
+        path = tmp_path / "cache.json"
+        run_study(vl, square_study, cache_path=path)
+        doc = json.loads(path.read_text())
+        assert doc["dims"] == [["x", ["3", "4", "5"]], ["n.sim", ["1", "2"]]]
+        for dims in ([["x", ["3", "4"]], ["n.sim", ["1", "2", "3"]]],
+                     [["x", ["3", "4", "5"]], ["n.sim", ["2", "1"]]],
+                     [["x", ["3", "4", "6"]], ["n.sim", ["1", "2"]]],
+                     [["x", ["3", "4", "5"]]]):
+            path.write_text(json.dumps(dict(doc, dims=dims)))
+            with pytest.raises(ValueError, match="malformed result file .*dims are not those "
+                                                 "of the declaration"):
+                run_study(vl, never_study, cache_path=path)
+
+
 def test_repeated_error_or_warning_cells_are_malformed(tmp_path):
     # a second entry for a cell would replace the first on load
     res = run_study(VarList([VarSpec("n.sim", "N", 4), VarSpec("x", "grid", (3, 4, 5))]),
