@@ -59,11 +59,12 @@ its columns as a whole with ``results.frame_columns``, and writes them into
 the run's columns with one put.  End of input ends the worker; an
 unexpected frame tag, task blocks other than two ints ``0 <= start < stop
 <=`` the number of blocks, a result frame that answers no block or more
-blocks than are outstanding, or one whose columns do not read, is a
-protocol error naming the worker, so a malformed answer never lands in a
-cell that the frame does not answer.  A worker dying mid-run aborts the run
-(no retry), and on any failure or interrupt the parent kills every worker at
-once.  The monitor runs in the calling process.
+blocks than are outstanding, or one whose columns do not read or whose
+seeds are not what the run ships (a list under ``none`` with ``keep_seed``,
+else null), is a protocol error naming the worker, so a malformed answer
+never lands in a cell that the frame does not answer.  A worker dying
+mid-run aborts the run (no retry), and on any failure or interrupt the
+parent kills every worker at once.  The monitor runs in the calling process.
 
 Workers are forked, per run, from a zygote, a fork server that a process's
 first process-backend run spawns as ``python -m mcgrid --worker``.  It
@@ -244,13 +245,15 @@ class _RunContext:
     states: list = field(init=False)  # seed_for(seed, rep) at index rep - 1
     philox: list = field(init=False)  # their Philox states; None: never reset
     inner: tuple = field(init=False)  # the shape of a value that stacks
+    ships_seeds: bool = field(init=False)  # a slot's columns carry seeds: kept under none
 
     def __post_init__(self):
-        grid = mk_grid(self.vl)  # its labels, so the store dims, stay the declared ones
+        grid = mk_grid(self.vl)
         self.grid = replace(grid, level_values=_freeze(grid.level_values))
         self.n_G = self.grid.n_rows
         self.n_sim = self.vl.n_sim
         self.inner = _inner_shape(self.vl)
+        self.ships_seeds = self.keep_seed and self.seed.kind == "none"
         self.args = {name: _freeze(arg) for name, arg in non_grid_args(self.vl).items()}
         # seed_for depends only on (seed, rep): derive each replication once
         self.states = [seed_for(self.seed, rep) for rep in range(1, self.n_sim + 1)]
@@ -286,7 +289,6 @@ def _run_tasks(ctx: _RunContext, take, stopped=lambda: False):
     stream: reset before every sub-job, or under ``none``/``unseeded`` its
     thread's ambient stream, carried on between sub-jobs."""
     rng = RngStream.from_state(ctx.states[0]) if ctx.states[0] else ambient_stream()
-    ambient = ctx.keep_seed and ctx.seed.kind == "none"
     while (task := take()) is not None:
         rows, reps = map(np.ndarray.tolist, ctx.subjobs(task))
         values, times, errors, warns, seeds = [], [], {}, {}, []
@@ -296,7 +298,7 @@ def _run_tasks(ctx: _RunContext, take, stopped=lambda: False):
                 return
             if row not in params:
                 params[row] = ctx.grid.row_params(row) | ctx.args
-            if ambient:  # the state the sub-job starts from
+            if ctx.ships_seeds:  # the state the sub-job starts from
                 seeds.append(rng.state.to_hex())
             value, error, warnings, time_ms = subjob(ctx, rng, rep, params[row])
             if error is not None:
@@ -305,7 +307,7 @@ def _run_tasks(ctx: _RunContext, take, stopped=lambda: False):
                 warns[k] = warnings
             values.append(value)
             times.append(time_ms)
-        yield task, Columns(values, times, errors, warns, seeds if ambient else None)
+        yield task, Columns(values, times, errors, warns, seeds if ctx.ships_seeds else None)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +569,8 @@ def _result_frames(ctx: _RunContext, blocks: range, cols: Columns):
 def _task_results(stream, ctx: _RunContext, task: range, worker: int):
     """``(blocks, columns)`` for each result frame that answers ``task``, in
     order: the blocks of the task it answers, and its columns, read and
-    checked as a whole by ``frame_columns`` before any of it is yielded."""
+    checked as a whole by ``frame_columns`` before any of it is yielded.
+    Its seeds are a list exactly when the run ships them."""
     while task:
         frame = read_frame(stream)
         if frame is None:
@@ -581,6 +584,8 @@ def _task_results(stream, ctx: _RunContext, task: range, worker: int):
         blocks, task = task[:n], task[n:]
         try:
             cols = frame_columns(frame, n * ctx.block_size, ctx.inner)
+            if (cols.seeds is not None) != ctx.ships_seeds:
+                raise ValueError(f"seeds not {'a list' if ctx.ships_seeds else 'null'}")
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"worker {worker}: malformed result frame ({exc!r})") from exc
         yield blocks, cols

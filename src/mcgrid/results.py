@@ -344,8 +344,7 @@ def study_fingerprint(vl: VarList, rep_first: bool, seed_spec: SeedSpec, study: 
 
 def store_dims(vl: VarList) -> tuple[tuple[str, tuple[str, ...]], ...]:
     """Grid dims in declaration order, plus the replication dim when n_sim > 1."""
-    grid = mk_grid(vl)
-    dims = [(name, labels) for name, labels in zip(grid.var_names, grid.level_labels)]
+    dims = [(s.name, s.level_labels()) for s in vl.specs if s.vtype == "grid"]
     if vl.n_sim > 1:
         dims.append((vl.n_sim_name, tuple(str(i) for i in range(1, vl.n_sim + 1))))
     return tuple(dims)
@@ -620,13 +619,7 @@ def load(path: str | os.PathLike) -> ResultStore:
             meta = replace(meta, fingerprint=study_fingerprint(
                 meta.varlist, meta.rep_first, meta.seed_spec, None))
         dims = tuple((name, tuple(labels)) for name, labels in doc["dims"])
-        want = store_dims(meta.varlist)
-        # a level written as a tag string may be a non-finite float, labelled otherwise
-        tagged = {s.name for s in meta.varlist
-                  if any(v in ("NaN", "Inf", "-Inf") for v in s.values)}
-        if [name for name, _ in dims] != [name for name, _ in want] or any(
-                d != w and (d[0] not in tagged or len(d[1]) != len(w[1]))
-                for d, w in zip(dims, want)):
+        if dims != store_dims(meta.varlist):
             raise ValueError("dims are not those of the declaration")
         n = math.prod(len(labels) for _, labels in dims)
         if raw:

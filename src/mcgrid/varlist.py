@@ -24,35 +24,52 @@ import math
 from dataclasses import dataclass, field
 
 VTYPES = ("N", "frozen", "grid", "inner")
+_NATIVE = {int, float, str, bool, type(None), list, dict}  # JSON's own types
+_STRICT_JSON = json.JSONEncoder(allow_nan=False)  # also refuses cycles
 
 
 def format_levels(values) -> tuple[str, ...]:
-    """Render levels as display strings.
-
-    Numeric level sets are formatted with a common number of decimals (the
-    maximum needed by any level's shortest round-trip form), e.g.
+    """Render levels as display strings, as the canonical form carries them:
+    a level set that is not JSON-native (ints, finite floats, strings, bools,
+    None, lists and string-keyed dicts of these) is read back through
+    ``canonical_json`` first, so a tuple is labelled as a list and a
+    non-finite float as its tag "NaN", "Inf" or "-Inf"; one it cannot write
+    raises TypeError.  Numeric level sets are formatted with a common number
+    of decimals (the most any level's shortest round-trip form needs), e.g.
     ``[0.25, 0.5] -> "0.25", "0.50"`` and ``[64, 256] -> "64", "256"``.
     String levels pass through unchanged.
     """
-    if all(isinstance(v, str) for v in values):
-        return tuple(values)
+    if not _json_native(values):
+        from .results import canonical_json  # results imports this module
+        values = json.loads(canonical_json(list(values)))
     if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-        if all(float(v).is_integer() and math.isfinite(v) for v in values):
+        if all(float(v).is_integer() for v in values):
             return tuple(str(int(v)) for v in values)
         reprs = [repr(float(v)) for v in values]
-        if any(("e" in r or "E" in r or not math.isfinite(v)) for r, v in zip(reprs, values)):
+        if any("e" in r for r in reprs):
             return tuple(reprs)
         ndec = max(len(r.split(".")[1]) for r in reprs)
         return tuple(f"{float(v):.{ndec}f}" for v in values)
-    # mixed types: format each level on its own
+    # strings, or mixed types: format each level on its own
     return tuple(_scalar_label(v) for v in values)
+
+
+def _json_native(values) -> bool:
+    """Whether ``canonical_json`` reads each of ``values`` back as it is."""
+    for v in values:
+        t = type(v)
+        if t not in _NATIVE or t is float and not math.isfinite(v) or \
+                t is list and not _json_native(v) or \
+                t is dict and not (all(type(k) is str for k in v) and _json_native(v.values())):
+            return False
+    return True
 
 
 def _scalar_label(v) -> str:
     if isinstance(v, bool):
         return str(v)
     if isinstance(v, (int, float)):
-        if float(v).is_integer() and math.isfinite(v):
+        if float(v).is_integer():
             return str(int(v))
         return repr(float(v))
     if callable(v):
@@ -142,25 +159,17 @@ class VarList:
     @property
     def n_sim(self) -> int:
         """Replication count: the N variable's value, 1 when absent."""
-        for s in self.specs:
-            if s.vtype == "N":
-                return int(s.values[0])
-        return 1
+        return next((int(s.values[0]) for s in self.specs if s.vtype == "N"), 1)
 
     @property
     def n_sim_name(self) -> str:
-        for s in self.specs:
-            if s.vtype == "N":
-                return s.name
-        return "n.sim"
+        return next((s.name for s in self.specs if s.vtype == "N"), "n.sim")
 
     def names(self, vtype: str | None = None) -> list[str]:
         return [s.name for s in self.specs if vtype is None or s.vtype == vtype]
 
     def validate(self) -> list[str]:
         """Return a list of problems; empty means the list is well formed."""
-        from .results import canonical_json  # results imports this module
-
         problems = []
         seen = set()
         n_count = 0
@@ -180,16 +189,15 @@ class VarList:
                         or isinstance(s.values[0], bool) or s.values[0] < 1:
                     problems.append(f"{s.name}: replication count must be one positive integer")
             elif s.vtype in ("grid", "inner"):
-                if len(s.values) < 1:
-                    problems.append(f"{s.name}: needs at least one level")
-                else:
+                try:
                     labels = s.level_labels()
-                    if len(set(labels)) != len(labels):
-                        problems.append(f"{s.name}: level display strings not distinct: {labels}")
-                    try:
-                        canonical_json(list(s.values))
-                    except TypeError as exc:
-                        problems.append(f"{s.name}: levels are not JSON-serializable ({exc})")
+                except (TypeError, RecursionError) as exc:
+                    problems.append(f"{s.name}: levels are not JSON-serializable ({exc})")
+                    continue
+                if not labels:
+                    problems.append(f"{s.name}: needs at least one level")
+                elif len(set(labels)) != len(labels):
+                    problems.append(f"{s.name}: level display strings not distinct: {labels}")
         if n_count > 1:
             problems.append("more than one replication-count variable")
         return problems
@@ -227,10 +235,8 @@ class VarList:
 
     @classmethod
     def from_canonical(cls, doc: dict) -> "VarList":
-        specs = []
-        for v in doc["variables"]:
-            specs.append(VarSpec(v["name"], v["type"], v["value"], label=v.get("label")))
-        vl = cls(specs)
+        vl = cls(VarSpec(v["name"], v["type"], v["value"], label=v.get("label"))
+                 for v in doc["variables"])
         problems = vl.validate()
         if problems:
             raise ValueError("invalid variable list: " + "; ".join(problems))
@@ -244,7 +250,7 @@ def _lossy(value) -> str | None:
     from .results import canonical_json  # results imports this module
 
     try:
-        json.dumps(value, allow_nan=False)  # also refuses cycles
+        _STRICT_JSON.encode(value)
         canonical_json(value)  # also refuses non-string keys
     except (TypeError, ValueError, RecursionError) as exc:
         return str(exc)
@@ -291,7 +297,6 @@ class PhysicalGrid:
 
     var_names: tuple[str, ...]
     level_values: tuple[tuple, ...]   # per variable
-    level_labels: tuple[tuple[str, ...], ...]
     sizes: tuple[int, ...] = field(init=False)
     n_rows: int = field(init=False)
 
@@ -321,12 +326,8 @@ class PhysicalGrid:
 
 def mk_grid(vl: VarList) -> PhysicalGrid:
     """Build the physical grid of a variable list."""
-    grid_specs = [s for s in vl.specs if s.vtype == "grid"]
-    return PhysicalGrid(
-        var_names=tuple(s.name for s in grid_specs),
-        level_values=tuple(s.values for s in grid_specs),
-        level_labels=tuple(s.level_labels() for s in grid_specs),
-    )
+    grid = [s for s in vl.specs if s.vtype == "grid"]
+    return PhysicalGrid(tuple(s.name for s in grid), tuple(s.values for s in grid))
 
 
 def non_grid_args(vl: VarList) -> dict:

@@ -7,11 +7,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from mcgrid import (RngStream, SeedSpec, StreamState, SubJobRecord, VarList,
                     VarSpec, assemble, linear_of, seed_for)
 from mcgrid.results import Columns, ErrorInfo
+
+# a wider search, the same on every run: pytest --hypothesis-profile=ci; a
+# test that sets its own max_examples keeps them
+settings.register_profile("ci", max_examples=500, deadline=None, derandomize=True)
 
 
 def tiny_varlist(n_sim: int = 3) -> VarList:

@@ -27,12 +27,16 @@ def levels_coin_study(params, rng, warn):
 
 
 def shaped_coin_study(params, rng, warn):
-    """``levels_coin_study``'s value in the form that the frozen ``form``
-    picks: "scalar"; "inner", the value times each level of the inner
-    variable ``k`` (a scalar without one); or "ragged", the pair ``[value,
-    x]`` where ``x`` is even and the value elsewhere.  A scalar or ragged
-    value under an inner variable makes the store a raw fallback."""
+    """``levels_coin_study``'s value, plus a whole number of 0-999 that the
+    text of the level of a grid variable ``z`` of any kind decides (when
+    there is one), in the form that the frozen ``form`` picks: "scalar";
+    "inner", the value times each level of the inner variable ``k`` (a
+    scalar without one); or "ragged", the pair ``[value, x]`` where ``x`` is
+    even and the value elsewhere.  A scalar or ragged value under an inner
+    variable makes the store a raw fallback."""
     value = levels_coin_study(params, rng, warn)
+    if "z" in params:
+        value += zlib.crc32(repr(params["z"]).encode()) % 1000
     if params["form"] == "inner":
         return value * np.asarray(params.get("k", 1.0), dtype=float)
     if params["form"] == "ragged" and params["x"] % 2 == 0:

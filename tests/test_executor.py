@@ -34,8 +34,8 @@ from light_studies import (SPECIAL_DOUBLES, appending_level_study, appending_stu
 
 from mcgrid import (ErrorInfo, ExecutionError, ProcessPool, ProtocolError,
                     RawFallback, ResultStore, RngStream, SeedSpec, Sequential,
-                    ThreadPool, VarList, VarSpec, do_call_we, do_res_equal, linear_of,
-                    partition_blocks, run_study, seed_for, virtual_index)
+                    ThreadPool, VarList, VarSpec, do_call_we, do_res_equal, get_array,
+                    linear_of, partition_blocks, run_study, seed_for, virtual_index)
 from mcgrid import executor
 from mcgrid.executor import (TASK_SUBJOBS, WORKER_FLAG, encode_frame, partition_tasks,
                              read_frame, worker_main)
@@ -597,6 +597,14 @@ class TestTaskFrames:
                     as info:
                 next(executor._task_results(stream, self.CTX, range(1), 2))
             assert type(info.value.__cause__) is cause
+        # seeds where the run ships none, and none where it does (under none
+        # with keep_seed): either would leave the run's kept seeds wrong
+        ships = executor._RunContext(self.VL, True, 2, SeedSpec.none_reseed(), True, coin_study)
+        for ctx, seeds, want in ((self.CTX, ["00", "01"], "null"), (ships, None, "a list")):
+            stream = io.BytesIO(encode_frame(dict(doc, seeds=seeds), [np.ones(1)]))
+            with pytest.raises(ProtocolError, match=r"^worker 2: malformed result frame \(Value"
+                                                    rf"Error\('seeds not {want}'\)\)"):
+                next(executor._task_results(stream, ctx, range(1), 2))
         # a frame that is not a document
         with pytest.raises(ProtocolError, match="worker 2: expected result frame, got None"):
             next(executor._task_results(io.BytesIO(encode_frame([1])), self.CTX, range(1), 2))
@@ -1643,25 +1651,43 @@ def test_monitor_records_equal_the_stored_ones(backend):
         assert rec.value == stored.value
 
 
+_Z_LEVELS = {  # the level kinds of the third grid variable, z
+    "int": st.integers(-9, 9),
+    "float": st.sampled_from([0.5, 0.25, -1.5, 2.0, 1e-07, 0.1, 1e20]),
+    "str": st.sampled_from(["a", "b", "Inf", "NaN", "\u00e9", ""]),
+    "tuple": st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    "nested": st.lists(st.integers(0, 2) | st.tuples(st.integers(0, 2)), min_size=1,
+                       max_size=2),  # list levels, some with a tuple in them
+}
+
+
 @st.composite
 def _declarations(draw):
-    """A declaration of 1-2 grid variables, 0-1 inner variable, the frozen
-    ``form`` of ``shaped_coin_study``'s values and 1-12 replications, and how
-    to run it: a block size that divides them, the seeding (``seq``,
+    """A declaration of 1-3 grid variables (``x`` and ``y`` of integer
+    levels, ``z`` of integer, float, string, tuple or list-with-a-tuple
+    levels), 0-1 inner variable, the frozen ``form`` of
+    ``shaped_coin_study``'s values and 1-12 replications, and how to run it:
+    a block size that divides them, the seeding (``seq``,
     ``per-rep-integer`` or ``per-rep-stream``), the virtual order,
-    ``keep_seed``, load balancing and 1-3 workers.  One in three is lossy:
-    its canonical form does not carry a non-finite grid level or a frozen
-    payload (``junk``, unread) that is not JSON."""
+    ``keep_seed``, load balancing and 1-3 workers.  Half are lossy: the
+    canonical form does not carry a non-finite grid or inner level or a
+    frozen payload (``junk``, unread) that is not JSON."""
     levels = st.lists(st.integers(-9, 9), min_size=1, max_size=3, unique=True)
     grid = [VarSpec(name, "grid", tuple(draw(levels)))
             for name in ("x", "y")[:draw(st.integers(1, 2))]]
     inner = [VarSpec("k", "inner", tuple(draw(levels)))] if draw(st.booleans()) else []
     form = VarSpec("form", "frozen", draw(st.sampled_from(["scalar", "inner", "ragged"])))
-    lossy = draw(st.sampled_from(["", "", "level", "frozen"]))
+    lossy = draw(st.sampled_from(["", "", "", "level", "inner", "frozen"]))
+    non_finite = st.sampled_from([math.inf, -math.inf, math.nan])
     if lossy == "level":
         last = grid[-1]
-        grid[-1] = VarSpec(last.name, "grid", last.values + (
-            draw(st.sampled_from([math.inf, -math.inf, math.nan])),))
+        grid[-1] = VarSpec(last.name, "grid", last.values + (draw(non_finite),))
+    if lossy == "inner":
+        inner = [VarSpec("k", "inner", (inner[0].values if inner else ()) + (draw(non_finite),))]
+    if draw(st.booleans()):
+        kind = _Z_LEVELS[draw(st.sampled_from(sorted(_Z_LEVELS)))]
+        grid.append(VarSpec("z", "grid", tuple(draw(st.lists(kind, min_size=1, max_size=3,
+                                                             unique_by=repr)))))
     junk = [VarSpec("junk", "frozen", draw(st.sampled_from(
         [math.nan, {"w": [1.0, -math.inf]}, np.arange(2.0), {1: 2}, {"f": len}])))] \
         if lossy == "frozen" else []
@@ -1683,7 +1709,7 @@ def _monitored(rec) -> tuple:
 
 
 @given(_declarations())
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)  # the profile's examples: 100 by default, 500 under "ci"
 def test_drawn_declarations_give_the_sequential_bytes_on_every_backend(declaration):
     # errors on half the sub-jobs and warnings on a quarter fall at every
     # offset of blocks and tasks, each row has values of its own, and the
@@ -1717,8 +1743,11 @@ def test_drawn_declarations_give_the_sequential_bytes_on_every_backend(declarati
                 assert all(rec.seed == seed_for(seed, v.rep).to_hex() for v, rec in seen)
             records.append(sorted((v.linear, _monitored(rec)) for v, rec in seen))
             save(res, path)
-            cmp = do_res_equal(res, load(path))
+            back = load(path)
+            cmp = do_res_equal(res, back)
             assert cmp, cmp.report
+            if type(res) is ResultStore:  # labelled alike, inner dims too
+                assert get_array(res).dims == get_array(back).dims
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
             doc["meta"]["created"] = doc["time_ms"] = None

@@ -17,12 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import float_bits, random_store, scalar_varlist, tiny_varlist, v1_stores
-from light_studies import coin_study, square_study
+from light_studies import coin_study, fresh_buffer_study, params_probe_study, square_study
 
-from mcgrid import (CacheInvalidError, RawFallback, ResultStore, SeedSpec,
-                    SubJobRecord, VarList, VarSpec, assemble, canonical_json,
-                    do_res_equal, load, maybe_read, run_study, save,
-                    study_fingerprint)
+from mcgrid import (CacheInvalidError, ProcessPool, RawFallback, ResultStore, SeedSpec,
+                    Sequential, SubJobRecord, ThreadPool, VarList, VarSpec, assemble,
+                    canonical_json, do_res_equal, get_array, load, maybe_read, run_study,
+                    save, study_fingerprint)
 from mcgrid import executor, results
 from mcgrid.results import Columns, ErrorInfo, _fmt_floats, _parse_value
 from mcgrid.var_copula import probe_first_uniform
@@ -89,7 +89,8 @@ class TestCanonicalJson:
                         if v is None},
                        {k: tuple(w) for k, (*_, w, _) in enumerate(entries) if w},
                        [s for *_, s in entries] if seeded else None)
-        ctx = types.SimpleNamespace(block_size=len(entries), inner=())  # one block of them all
+        # one block of them all; a frame ships seeds exactly when the run does
+        ctx = types.SimpleNamespace(block_size=len(entries), inner=(), ships_seeds=seeded)
         out = io.BytesIO(b"".join(executor._result_frames(ctx, range(1), cols)))
         ((_, back),) = executor._task_results(out, ctx, range(1), 0)
         assert len(back.time_ms) == len(cols.value)
@@ -458,6 +459,53 @@ class TestPersistence:
             with pytest.raises(ValueError, match="malformed result file .*dims are not those "
                                                  "of the declaration"):
                 run_study(vl, never_study, cache_path=path)
+
+
+    @pytest.mark.parametrize("backend", [Sequential(), ThreadPool(2), ProcessPool(2)],
+                             ids=["seq", "threads", "procs"])
+    def test_tuple_level_stores_save_load_and_serve_their_cache(self, tmp_path, backend):
+        # a tuple level is labelled as the list the file holds, so the file's
+        # dims are those of the declaration it reads back
+        for levels, labels in ((((1, 2), (3, 4)), ("[1, 2]", "[3, 4]")),
+                               (([1, (2, 3)], [4]), ("[1, [2, 3]]", "[4]"))):
+            vl = VarList([VarSpec("n.sim", "N", 2), VarSpec("x", "grid", levels)])
+            path = tmp_path / f"{len(labels[0])}.json"
+            ran = run_study(vl, params_probe_study, backend=backend, cache_path=path)
+            assert not ran.from_cache and ran.dims[0] == ("x", labels)
+            cmp = do_res_equal(ran, load(path))
+            assert cmp, cmp.report
+            hit = run_study(vl, params_probe_study, backend=backend, cache_path=path)
+            assert hit.from_cache and do_res_equal(ran, hit)
+
+    def test_a_non_finite_inner_level_is_labelled_by_its_tag_fresh_and_reloaded(self, tmp_path):
+        vl = VarList([VarSpec("n.sim", "N", 2), VarSpec("a", "grid", (1, 2)),
+                      VarSpec("k", "inner", (0.5, math.inf, -math.inf, math.nan))])
+        res = run_study(vl, fresh_buffer_study)
+        save(res, tmp_path / "inner.json")
+        back = load(tmp_path / "inner.json")
+        assert get_array(res).dims[0] == ("k", ("0.5", "Inf", "-Inf", "NaN"))
+        assert get_array(back).dims == get_array(res).dims
+        cmp = do_res_equal(res, back)
+        assert cmp, cmp.report
+
+    def test_a_file_of_a_non_finite_level_saved_before_the_lossy_mark_is_refused(
+            self, tmp_path):
+        # saved from grid levels (1.0, math.inf) by a release before the
+        # fingerprint's lossy mark: dims "1.0", "inf", and the fingerprint of
+        # the faithful (1.0, "Inf"), which labels its levels "1", "Inf"
+        faithful = VarList([VarSpec("n.sim", "N", 2), VarSpec("x", "grid", (1.0, "Inf"))])
+        path = tmp_path / "old.json"
+        shutil.copy(DATA / "pre-mark-inf-level.json", path)
+        doc = json.loads(path.read_text())
+        assert doc["dims"][0] == ["x", ["1.0", "inf"]]
+        assert doc["meta"]["fingerprint"] == study_fingerprint(faithful, True, SeedSpec.seq(),
+                                                               "square")
+        for read in (lambda: load(path),
+                     lambda: run_study(faithful, square_study, cache_path=path)):
+            with pytest.raises(ValueError, match="malformed result file .*dims are not those "
+                                                 "of the declaration"):
+                read()
+        assert path.read_bytes() == (DATA / "pre-mark-inf-level.json").read_bytes()
 
 
 def test_repeated_error_or_warning_cells_are_malformed(tmp_path):

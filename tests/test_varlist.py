@@ -1,10 +1,13 @@
 """Variable lists, level formatting, and physical grid order."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
 from mcgrid import (ErrorInfo, SeedSpec, SubJobRecord, VarList, VarSpec, assemble,
-                    format_levels, get_array, mk_grid, non_grid_args)
+                    canonical_json, format_levels, get_array, mk_grid, non_grid_args)
 from mcgrid.results import Columns, store_dims
 from mcgrid.var_copula import example_varlist
 
@@ -28,6 +31,17 @@ class TestFormatLevels:
 
     def test_mixed_precision_pads_to_widest(self):
         assert format_levels((0.1, 0.125)) == ("0.100", "0.125")
+
+    def test_levels_are_labelled_as_the_canonical_form_reads_them_back(self):
+        # a tuple reads back as a list, a non-finite float as its tag
+        for levels, labels in ((((1, 2), (3, 4)), ("[1, 2]", "[3, 4]")),
+                               (([1, (2, 3)], [4]), ("[1, [2, 3]]", "[4]")),
+                               ((0.5, math.inf, -math.inf, math.nan),
+                                ("0.5", "Inf", "-Inf", "NaN"))):
+            assert format_levels(levels) == labels
+            assert format_levels(json.loads(canonical_json(list(levels)))) == labels
+        with pytest.raises(TypeError, match="cannot serialize"):
+            format_levels((1, len))
 
 
 class TestVarSpec:
