@@ -119,7 +119,7 @@ def _load_config(path: str) -> tuple[str, VarList]:
             doc = json.load(fh)
     except OSError as exc:
         raise _UsageError(f"cannot read config: {exc}") from exc  # exc names the path
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, not UTF-8, or an int past Python's digit limit
         raise _UsageError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "study" not in doc or "variables" not in doc:
         raise _UsageError(f"config {path!r} must be an object with 'study' and "
@@ -182,9 +182,7 @@ def cmd_run(args) -> int:
                            cache_path=args.out, keep_seed=args.keep_seed,
                            monitor=monitor,
                            rep_first=args.virtual_order == "rep-first")
-    except CacheInvalidError as exc:
-        raise _UsageError(f"--out {args.out!r}: {exc}") from exc
-    except ValueError as exc:
+    except (CacheInvalidError, ValueError) as exc:  # a file's problem names its path
         raise _UsageError(str(exc)) from exc
 
     n = result.n_subjobs

@@ -72,11 +72,15 @@ imports numpy, ``numpy.random`` and this module, no study or report module,
 and draws from no stream, so each worker draws its own entropy under
 ``none``/``unseeded``; each worker also reseeds numpy's legacy global
 generator from its own entropy.  A worker takes the parent's working
-directory, import path, environment and standard error (also as its standard
-output) as they are at the fork; BLAS thread settings are read once, at the
-zygote's start.  The parent kills a
-worker through the zygote, which signals only a child it has not reaped, so
-never a process that took a reaped worker's pid.  The zygote ends at end of
+directory, import path, environment, numpy error state, warning filters and
+standard error (also as its standard output) as they are at the fork; it
+imports its study's module first, and drops a filter on a category whose
+module neither that nor the zygote has loaded (pytest's, say), as importing
+it would cost each worker more than its start.  BLAS thread settings are
+read once, at the zygote's start.  A slot thread runs in a copy of the
+calling thread's context, so under its numpy error state too.  The parent
+kills a worker through the zygote, which signals only a child it has not
+reaped, so never a process that took a reaped worker's pid.  The zygote ends at end of
 input on its control socket, killing any worker left (its parent was
 killed); an ``atexit`` hook closes the socket and waits for the zygote, and
 a zygote that is gone is respawned.  A child forked from the parent drops
@@ -88,6 +92,7 @@ from __future__ import annotations
 import atexit
 import collections
 import contextlib
+import contextvars
 import functools
 import importlib
 import json
@@ -99,14 +104,15 @@ import sys
 import threading
 import time
 import types
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import registry
 from .results import (CacheInvalidError, Columns, ErrorInfo, ResultStore, SubJobRecord,
-                      _inner_shape, assemble, canonical_json, frame_columns, frame_parts,
-                      maybe_read, save, study_fingerprint)
+                      _fingerprint, _inner_shape, assemble, canonical_json, frame_columns,
+                      frame_parts, maybe_read, save)
 from .seeding import RngStream, SeedSpec, ambient_stream, seed_for
 from .varlist import VarList, mk_grid, non_grid_args, unravel
 
@@ -385,8 +391,8 @@ def run_study(vl: VarList, study_fn, *, seed: SeedSpec | None = None,
     if problems:
         raise ValueError("; ".join(problems))
 
-    if cache_path is not None:
-        cached = maybe_read(cache_path, study_fingerprint(vl, rep_first, seed, study))
+    if cache_path is not None:  # a faithful declaration, as lossy() found above
+        cached = maybe_read(cache_path, _fingerprint(vl, rep_first, seed, study, False))
         if cached is not None:
             if keep_seed and not cached.meta.keep_seed:
                 raise CacheInvalidError(f"{cache_path}: saved without keep_seed, so it holds "
@@ -487,8 +493,8 @@ def _run_pool(ctx: _RunContext, blocks: range, load_balancing: bool,
     if len(slots) == 1:
         drive(0)
     else:
-        threads = [threading.Thread(target=drive, args=(i,), name=f"mcgrid-slot-{i}")
-                   for i in range(len(slots))]
+        threads = [threading.Thread(target=contextvars.copy_context().run, args=(drive, i),
+                                    name=f"mcgrid-slot-{i}") for i in range(len(slots))]
         for t in threads:
             t.start()
         try:
@@ -718,7 +724,17 @@ def _forked_worker(request: dict, fds: list[int], inherited: list[int]) -> None:
         os.environ.clear()
         os.environ.update(request["env"])
         importlib.invalidate_caches()  # see modules written since the zygote started
+        np.seterr(**request["errstate"])
         np.random.seed()  # the legacy global generator: the worker's own entropy
+        with contextlib.suppress(Exception):  # else worker_main reports it
+            registry.get_study(request["study"])  # first: its warning categories too
+        warnings.resetwarnings()
+        for action, category, lineno, message, module in request["filters"]:
+            module_name, _, qualname = category.partition(":")
+            with contextlib.suppress(AttributeError):  # a category not loaded here is dropped
+                category = functools.reduce(getattr, qualname.split("."),
+                                            sys.modules.get(module_name))
+                warnings.filterwarnings(action, message, category, module, lineno, append=True)
         with open(task, "rb") as stdin, open(result, "wb") as stdout:
             code = worker_main(stdin, stdout)
     finally:
@@ -779,7 +795,8 @@ class _Worker:
     """A worker forked by the zygote: ``stdin`` and ``stdout`` are its task
     and result pipes; its pid, then its exit code, come on a status pipe."""
 
-    def __init__(self):
+    def __init__(self, study: str | None = None):
+        self.study = study  # imported at the fork, before the warning filters
         task, result, status = os.pipe(), os.pipe(), os.pipe()
         self.stdin, self.stdout = open(task[1], "wb"), open(result[0], "rb")
         self._status, self.pid, self.returncode = open(status[0], "rb"), None, None
@@ -790,8 +807,13 @@ class _Worker:
         """Have the zygote fork the worker; its pid comes on the status pipe."""
         import socket
         self._control = control
-        request = json.dumps({"cwd": os.getcwd(), "path": sys.path,
-                              "env": _worker_env()}).encode()
+        request = json.dumps({
+            "cwd": os.getcwd(), "path": sys.path, "env": _worker_env(), "study": self.study,
+            "errstate": np.geterr(),
+            # a filter's message and module are None, a compiled pattern or a string
+            "filters": [[action, f"{c.__module__}:{c.__qualname__}", lineno,
+                         *(getattr(p, "pattern", p) or "" for p in (message, module))]
+                        for action, message, c, module, lineno in warnings.filters]}).encode()
         try:  # the worker's ends, and this process's standard error as it is now
             socket.send_fds(control, [b"F"], [*self._theirs, 2])
             control.sendall(struct.pack(">I", len(request)) + request)
@@ -847,7 +869,7 @@ def _run_processes(ctx: _RunContext, blocks: range, backend: BackendSpec,
                 yield from _task_results(worker.stdout, ctx, sent.popleft(), i)
         return execute
 
-    workers = [_Worker() for _ in range(backend.workers)]
+    workers = [_Worker(study) for _ in range(backend.workers)]
 
     def kill_all() -> None:
         for worker in workers:

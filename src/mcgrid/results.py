@@ -18,8 +18,9 @@ Persistence is a single self-describing text file (JSON family), tagged
 round-trip), and always as JSON fractions: a whole number keeps a ``.0``
 (``1.0``, ``-0.0``, ``1e+20`` stays as is), so it reads back as a double with
 its sign; NaN and infinities are written as the tagged strings "NaN", "Inf",
-"-Inf".  A store file holds ``meta`` and ``dims``, then ``value`` (the value
-array flattened in odometer order over the inner dims followed by the store
+"-Inf", which ``float`` reads back; an int (a subclass too) as its digits.  A
+store file holds ``meta`` and ``dims``, then ``value`` (the value array
+flattened in odometer order over the inner dims followed by the store
 dims), ``time_ms`` (one number per cell), ``errors`` (``[cell, message,
 kind]`` per errored cell), ``warnings`` (``[cell, [messages]]`` per cell that
 warned) and ``seeds`` (one hex string or null per cell, or null when no
@@ -34,11 +35,9 @@ float64, value after value, each in C order.  One encoder writes these
 fields for a file and a frame, and one reader checks them: each column of
 one entry per sub-job, error and warning indices strictly increasing ints
 inside it, and the errors exactly at the null values of a raw file or the
-null shapes of a frame, whose shapes fill its tail exactly.  Files tagged
-``mcgrid-result-v2`` (whose raw files list one record document per sub-job
-in virtual order) and ``mcgrid-result-v1`` (one record document per cell,
-whole numbers written without ``.0``) are still read, never written; as they
-name no study, they read with the fingerprint of no study.
+null shapes of a frame, whose shapes fill its tail exactly.  Only v3 files
+load: one tagged ``mcgrid-result-v1`` or ``-v2`` is refused in one line that
+names its tag (mcgrid at commit d3eef42 still loads it, and saves it as v3).
 
 The study fingerprint is the first 8 bytes (16 hex characters) of SHA-256 over
 the canonical JSON of {"varlist": ..., "n_sim": ..., "rep_first": ...,
@@ -65,8 +64,7 @@ from .seeding import SeedSpec
 from .varlist import VarList, linear_of, mk_grid, unravel
 
 FORMAT_TAG = "mcgrid-result-v3"
-_V2_TAG = "mcgrid-result-v2"
-_V1_TAG = "mcgrid-result-v1"
+_RETIRED = ("mcgrid-result-v1", "mcgrid-result-v2")  # read up to commit d3eef42
 
 
 class CacheInvalidError(RuntimeError):
@@ -112,8 +110,8 @@ def _emit(obj, out: list):
         out.append("true")
     elif obj is False:
         out.append("false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
+    elif isinstance(obj, int):  # its digits, whatever a subclass's str() says
+        out.append(int.__repr__(obj))
     elif isinstance(obj, float):
         out.append(_fmt_float(obj))
     elif isinstance(obj, str):
@@ -149,35 +147,10 @@ def canonical_json(obj) -> str:
     return "".join(out)
 
 
-def _parse_number(v) -> float:
-    if isinstance(v, str):
-        return {"NaN": math.nan, "Inf": math.inf, "-Inf": -math.inf}[v]
-    return float(v)
-
-
 def _parse_value(v):
-    """Nested lists / scalar from file -> float or float ndarray."""
-    if v is None:
-        return None
-    if isinstance(v, list):
-        def conv(node):
-            if isinstance(node, list):
-                return [conv(x) for x in node]
-            return _parse_number(node)
-        return np.asarray(conv(v), dtype=float)
-    return _parse_number(v)
-
-
-def _parse_values(values: list) -> list:
-    """``_parse_value`` of each entry, the non-null ones converted through
-    one array when they stack (as a store's value column is), else each on
-    its own."""
-    try:
-        stacked = np.array([v for v in values if v is not None], dtype=float)
-    except (TypeError, ValueError):  # ragged, or not numbers: each on its own
-        return [_parse_value(v) for v in values]
-    parsed = iter(stacked.tolist() if stacked.ndim == 1 else stacked)
-    return [None if v is None else next(parsed) for v in values]
+    """A number or nested lists of them, tags too -> float or float ndarray."""
+    value = np.asarray(v, dtype=float)
+    return float(value) if value.ndim == 0 else value
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +174,12 @@ class SubJobRecord:
 
     @classmethod
     def from_doc(cls, d: dict) -> "SubJobRecord":
-        err = d.get("error")
+        err, value = d.get("error"), d.get("value")
         return cls(
-            value=_parse_value(d.get("value")),
+            value=None if value is None else _parse_value(value),
             error=None if err is None else ErrorInfo(err["message"], err["kind"]),
             warnings=tuple(d.get("warnings", ())),
-            time_ms=_parse_number(d.get("time_ms", 0.0)),
+            time_ms=float(d.get("time_ms", 0.0)),
             seed=d.get("seed"),
         )
 
@@ -329,6 +302,11 @@ class RawFallback(ResultStore):
 
 def study_fingerprint(vl: VarList, rep_first: bool, seed_spec: SeedSpec, study: str | None) -> str:
     """The fingerprint of a declaration run by the study named ``study``."""
+    return _fingerprint(vl, rep_first, seed_spec, study, bool(vl.lossy()))
+
+
+def _fingerprint(vl, rep_first, seed_spec, study, lossy: bool) -> str:
+    """``study_fingerprint``, told whether ``VarList.lossy`` names a variable."""
     import hashlib  # here: a process worker never fingerprints
     doc = {
         "varlist": vl.canonical(),
@@ -336,7 +314,7 @@ def study_fingerprint(vl: VarList, rep_first: bool, seed_spec: SeedSpec, study: 
         "rep_first": bool(rep_first),
         "seed": seed_spec.canonical(),
         "study": study,
-        **({"lossy": True} if vl.lossy() else {}),
+        **({"lossy": True} if lossy else {}),
     }
     digest = hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
     return digest[:16]
@@ -588,42 +566,27 @@ def save(res: ResultStore, path: str | os.PathLike) -> None:
         raise
 
 
-def _from_records(doc: dict, meta: StoreMeta) -> ResultStore:
-    """A v1 file or a v2 raw file, assembled from its record documents: one
-    per cell, in store order in a v1 store, in virtual order in a raw file."""
-    records = [SubJobRecord.from_doc(d) for d in doc["records"]]
-    n_G, n_sim = mk_grid(meta.varlist).n_rows, meta.varlist.n_sim
-    if len(records) != n_G * n_sim:
-        raise ValueError(f"{len(records)} records for {n_G * n_sim} cells")
-    if doc["kind"] == "raw":
-        records = [records[linear_of(cell % n_G, cell // n_G + 1, n_G, n_sim, meta.rep_first)]
-                   for cell in range(len(records))]
-    return assemble(meta.varlist, Columns.from_records(records), meta.rep_first,
-                    meta.seed_spec, meta.keep_seed, meta.created)
-
-
 def load(path: str | os.PathLike) -> ResultStore:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:  # not JSON, or not UTF-8
             raise ValueError(f"{path}: not a result file ({exc})") from exc
-    if not isinstance(doc, dict) or doc.get("format") not in (FORMAT_TAG, _V2_TAG, _V1_TAG):
+    tag = doc.get("format") if isinstance(doc, dict) else None
+    if tag in _RETIRED:
+        raise ValueError(f"{path}: {tag} files are no longer read; mcgrid at commit d3eef42 "
+                         f"loads one and saves it again as {FORMAT_TAG}")
+    if tag != FORMAT_TAG:
         raise ValueError(f"{path}: not a result file (format tag missing)")
     try:
         meta = StoreMeta.from_doc(doc["meta"])
-        raw = doc["kind"] == "raw"
-        if doc["format"] == _V1_TAG or raw and doc["format"] == _V2_TAG:
-            return _from_records(doc, meta)
-        if doc["format"] == _V2_TAG:  # names no study
-            meta = replace(meta, fingerprint=study_fingerprint(
-                meta.varlist, meta.rep_first, meta.seed_spec, None))
         dims = tuple((name, tuple(labels)) for name, labels in doc["dims"])
         if dims != store_dims(meta.varlist):
             raise ValueError("dims are not those of the declaration")
         n = math.prod(len(labels) for _, labels in dims)
-        if raw:
-            cols = _columns(doc, n, _parse_values(doc["value"]))
+        if doc["kind"] == "raw":
+            cols = _columns(doc, n, [None if v is None else _parse_value(v)
+                                     for v in doc["value"]])
             return RawFallback(value=cols.value, diagnostic=doc["diagnostic"],
                                **_fields(meta, cols, dims))
         value = np.array(doc["value"], dtype=float)

@@ -19,6 +19,7 @@ the first-declared grid variable varying fastest.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -36,20 +37,22 @@ def format_levels(values) -> tuple[str, ...]:
     non-finite float as its tag "NaN", "Inf" or "-Inf"; one it cannot write
     raises TypeError.  Numeric level sets are formatted with a common number
     of decimals (the most any level's shortest round-trip form needs), e.g.
-    ``[0.25, 0.5] -> "0.25", "0.50"`` and ``[64, 256] -> "64", "256"``.
-    String levels pass through unchanged.
+    ``[0.25, 0.5] -> "0.25", "0.50"`` and ``[64, 256] -> "64", "256"``; an
+    int is never passed through a float that cannot hold it, so it keeps its
+    digits.  String levels pass through unchanged.
     """
     if not _json_native(values):
         from .results import canonical_json  # results imports this module
         values = json.loads(canonical_json(list(values)))
     if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-        if all(float(v).is_integer() for v in values):
+        if all(isinstance(v, int) or v.is_integer() for v in values):
             return tuple(str(int(v)) for v in values)
-        reprs = [repr(float(v)) for v in values]
+        reprs = [_shortest(v) for v in values]
         if any("e" in r for r in reprs):
             return tuple(reprs)
-        ndec = max(len(r.split(".")[1]) for r in reprs)
-        return tuple(f"{float(v):.{ndec}f}" for v in values)
+        ndec = max(len(r.partition(".")[2]) for r in reprs)
+        return tuple(f"{v:.{ndec}f}" if isinstance(v, float) else f"{v}.{'0' * ndec}"
+                     for v in values)
     # strings, or mixed types: format each level on its own
     return tuple(_scalar_label(v) for v in values)
 
@@ -65,11 +68,20 @@ def _json_native(values) -> bool:
     return True
 
 
+def _shortest(v) -> str:
+    """The shortest text that reads back as the number ``v``: its float's,
+    or the digits of an int that no float holds."""
+    with contextlib.suppress(OverflowError):
+        if float(v) == v:
+            return repr(float(v))
+    return str(v)
+
+
 def _scalar_label(v) -> str:
     if isinstance(v, bool):
         return str(v)
     if isinstance(v, (int, float)):
-        if float(v).is_integer():
+        if isinstance(v, int) or v.is_integer():
             return str(int(v))
         return repr(float(v))
     if callable(v):

@@ -8,6 +8,7 @@ import os
 import signal
 import threading
 import time
+import warnings
 import zlib
 
 import numpy as np
@@ -82,6 +83,22 @@ def poly_noisy(params, rng, warn):
 @register_study("square")
 def square_study(params, rng, warn):
     return float(params["x"]) ** 2
+
+
+def dividing_study(params, rng, warn):
+    """``x / 0.0`` in numpy doubles: inf, unless numpy's error state or the
+    warning filters make the division by zero raise."""
+    return np.float64(params["x"]) / 0.0
+
+
+class StudyWarning(UserWarning):
+    """A warning category of this module's own."""
+
+
+def warning_study(params, rng, warn):
+    """Issues a ``StudyWarning`` through the warnings module, then returns 1."""
+    warnings.warn(f"x={params['x']}", StudyWarning)
+    return 1.0
 
 
 def chatty_study(params, rng, warn):

@@ -3,6 +3,8 @@
 import json
 import math
 import re
+import os
+import shutil
 import socket
 import subprocess
 import sys
@@ -13,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import huber_mean_cell, mad_cell, report_matrices
-from mcgrid import load, save
+from mcgrid import load
 from mcgrid.cli import _hub_mad, main
-from mcgrid.executor import encode_frame, read_frame
+from mcgrid.executor import WORKER_FLAG, encode_frame, read_frame
 
 DATA = Path(__file__).parent / "data"
 
@@ -86,6 +88,21 @@ def write_report_config(path):
     return path
 
 
+def cli_ragged_study(params, rng, warn):
+    return [1.0, 2.0] if params["x"] == 4 else float(params["x"])
+
+
+def cli_digits_study(params, rng, warn):
+    return float(len(str(params["x"])))
+
+
+def cli_worker_killing_study(params, rng, warn):
+    """Kills the process worker that runs it, never the calling process."""
+    if WORKER_FLAG in sys.argv:  # a worker forked from the zygote
+        os._exit(3)
+    return 0.0
+
+
 CALLS = []
 
 
@@ -126,6 +143,13 @@ class TestUsageErrors:
         p = write_config(tmp_path / "c.json")
         assert main(["run", str(p), "--seed", "bogus-mode"]) == 1
 
+    @pytest.mark.parametrize("cap, why", [("two", "is not an integer"), ("0", "must be >= 1")])
+    def test_a_bad_worker_cap_exits_1(self, capsys, tmp_path, monkeypatch, cap, why):
+        monkeypatch.setenv("MCGRID_MAX_WORKERS", cap)
+        p = write_config(tmp_path / "c.json")
+        assert main(["run", str(p), "--backend", "threads", "--workers", "2"]) == 1
+        assert capsys.readouterr().err == f"mcgrid: MCGRID_MAX_WORKERS={cap!r} {why}\n"
+
 
 class TestRun:
     def test_clean_run_exit_0(self, capsys, tmp_path):
@@ -159,7 +183,9 @@ class TestRun:
         capsys.readouterr()
         assert main(["run", str(p), "--out", str(out), "--keep-seed"]) == 1
         captured = capsys.readouterr()
-        assert captured.out == "" and "saved without keep_seed" in captured.err
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"mcgrid: {out}: saved without keep_seed")
+        assert captured.err.count(str(out)) == 1
         assert main(["run", str(p), "--out", str(out)]) == 0  # still a hit without it
         assert "cache hit" in capsys.readouterr().out
 
@@ -192,7 +218,8 @@ class TestRun:
         assert main(["run", str(other), "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"mcgrid: --out {str(out)!r}: {out}: fingerprint ")
+        assert captured.err.startswith(f"mcgrid: {out}: fingerprint ")
+        assert captured.err.count(str(out)) == 1
         assert captured.err.count("\n") == 1 and "delete the file" in captured.err
         assert out.read_bytes() == saved
 
@@ -202,6 +229,59 @@ class TestRun:
         assert main(["run", str(p), "--out", str(out)]) == 2
         text = capsys.readouterr().out
         assert "errors: 2" in text and "warnings: 2" in text
+
+    def test_a_raw_fallback_exits_2_and_is_not_analyzed(self, capsys, tmp_path):
+        p = write_config(tmp_path / "c.json", study="test_cli:cli_ragged_study")
+        out = tmp_path / "res.json"
+        assert main(["run", str(p), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "errors: 0, warnings: 0" in captured.out
+        assert captured.err == ("dense assembly not possible: virtual record 2: value shape "
+                                "(2,) does not match the inner-dimension signature ()\n")
+        assert main(["analyze", str(out), "--rows", "x", "--cols", "n.sim"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"mcgrid: results {str(out)!r} hold a raw fallback (virtual ")
+        assert err.endswith("); no dense analysis available\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed", ["none", "unseeded"])
+    def test_unseeded_disciplines_run(self, capsys, tmp_path, seed):
+        p = write_config(tmp_path / "c.json")
+        out = tmp_path / "res.json"
+        assert main(["run", str(p), "--seed", seed, "--keep-seed", "--out", str(out)]) == 0
+        assert "ran 6 sub-jobs" in capsys.readouterr().out
+        res = load(out)
+        assert res.meta.seed_spec.kind == seed
+        # under none each sub-job keeps the state it started from; unseeded keeps none
+        assert (res.seeds is not None) == (seed == "none")
+
+    def test_a_400_digit_level_runs_and_reloads(self, capsys, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"study": "test_cli:cli_digits_study", "variables": [
+            {"name": "x", "type": "grid", "label": None, "value": [10**400, 1]}]}))
+        out = tmp_path / "res.json"
+        assert main(["run", str(p), "--out", str(out)]) == 0
+        res = load(out)
+        assert res.dims == (("x", (str(10**400), "1")),)
+        assert res.value.tolist() == [401.0, 1.0]
+        assert main(["run", str(p), "--out", str(out)]) == 0
+        assert "cache hit" in capsys.readouterr().out
+        # past Python's limit on the digits of an int that text converts to
+        p.write_text(p.read_text().replace(str(10**400), "1" * 5000))
+        assert main(["run", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"mcgrid: config {str(p)!r} is not valid JSON: ")
+        assert err.count("\n") == 1
+
+    def test_a_dead_worker_aborts_the_run_in_one_line(self, capsys, tmp_path):
+        p = write_config(tmp_path / "c.json", study="test_cli:cli_worker_killing_study")
+        out = tmp_path / "res.json"
+        assert main(["run", str(p), "--backend", "procs", "--workers", "2",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert re.fullmatch(r"mcgrid: run aborted: worker \d died mid-run; aborting, no retry\n",
+                            captured.err)
+        assert not out.exists()
 
     def test_threads_backend_and_worker_cap(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("MCGRID_MAX_WORKERS", "2")
@@ -365,18 +445,6 @@ class TestAnalyze:
         text = dest.read_text()
         assert "\\caption{C}" in text and "\\label{t}" in text
 
-    def test_v1_file_and_its_v2_resave_give_identical_tables(self, capsys, tmp_path):
-        v1, v2 = DATA / "v1-store.json", tmp_path / "v2.json"
-        save(load(v1), v2)
-        for argv in (["--rows", "a,b", "--cols", "q", "--format", "latex"],
-                     ["--component", "time", "--rows", "a", "--cols", "b,n.sim",
-                      "--format", "csv"]):
-            texts = []
-            for path in (v1, v2):
-                assert main(["analyze", str(path), *argv]) == 0
-                texts.append(capsys.readouterr().out)
-            assert texts[0] == texts[1] and texts[0].count("\n") > 4
-
     def test_output_in_missing_directory_exits_1(self, results, tmp_path, capsys):
         dest = tmp_path / "absent" / "table.tex"
         assert main(["analyze", str(results), "--rows", "x", "--cols", "n.sim",
@@ -394,7 +462,7 @@ class TestAnalyze:
     def test_malformed_result_file_is_one_line(self, capsys, tmp_path):
         p = write_config(tmp_path / "c.json")
         bad = tmp_path / "bad.json"
-        for text, why in (('{"format": "mcgrid-result-v2", "meta": 5}', "malformed result file"),
+        for text, why in (('{"format": "mcgrid-result-v3", "meta": 5}', "malformed result file"),
                           ("garbage", "not a result file")):
             bad.write_text(text)
             for argv in (["run", str(p), "--out", str(bad)],
@@ -403,6 +471,24 @@ class TestAnalyze:
                 err = capsys.readouterr().err
                 assert err.startswith(f"mcgrid: {bad}: {why} (") and err.count("\n") == 1
                 assert err.count(str(bad)) == 1
+
+    @pytest.mark.parametrize("name", ["v1-store", "v2-store"])
+    def test_a_retired_format_file_is_one_line_and_left_as_it_was(self, capsys, tmp_path,
+                                                                    name):
+        p = write_config(tmp_path / "c.json")
+        old = tmp_path / f"{name}.json"
+        shutil.copy(DATA / f"{name}.json", old)
+        for argv in (["analyze", str(old), "--rows", "a,b", "--cols", "q"],
+                     ["plot", str(old), "--x", "a", "--out", str(tmp_path / "fig.svg")],
+                     ["run", str(p), "--out", str(old)]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"mcgrid: {old}: mcgrid-result-{name[:2]} files are no longer "
+                                    "read; mcgrid at commit d3eef42 loads one and saves it again "
+                                    "as mcgrid-result-v3\n")
+        assert old.read_bytes() == (DATA / f"{name}.json").read_bytes()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["c.json", f"{name}.json"]
 
     @given(report_matrices())
     @settings(max_examples=200, deadline=None)

@@ -24,13 +24,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import float_bits, scalar_varlist, tiny_varlist
-from light_studies import (SPECIAL_DOUBLES, appending_level_study, appending_study,
+from light_studies import (SPECIAL_DOUBLES, StudyWarning, appending_level_study, appending_study,
                            buffer_study, chatty_study, cheap_style_study, coin_study,
-                           dying_study, float_type_study, fresh_buffer_study, interrupting_study,
-                           legacy_random_study, matmul_study, mid_buffer_study,
+                           dividing_study, dying_study, float_type_study, fresh_buffer_study,
+                           interrupting_study, legacy_random_study, matmul_study, mid_buffer_study,
                            params_probe_study, poly_noisy, poly_study, ragged_study,
                            shape_switch_study, shaped_coin_study, special_doubles_study,
-                           square_study, wide_study)
+                           square_study, warning_study, wide_study)
 
 from mcgrid import (ErrorInfo, ExecutionError, ProcessPool, ProtocolError,
                     RawFallback, ResultStore, RngStream, SeedSpec, Sequential,
@@ -1823,3 +1823,43 @@ def test_thread_slots_fill_every_cell_under_frequent_switches():
     assert want.error_count() and want.warning_count()
     cmp = do_res_equal(want, got)
     assert cmp, cmp.report
+
+
+@pytest.mark.parametrize("environment", ["default", "errstate", "filters", "study-category"])
+def test_a_subjob_runs_under_the_callers_error_state_and_warning_filters(environment):
+    # numpy's error state and the warning filters of the calling thread hold
+    # in slot threads and process workers too, a filter on a category of the
+    # study's module included; one whose category a worker has not loaded
+    # is dropped there
+    vl = VarList([VarSpec("n.sim", "N", 2), VarSpec("x", "grid", (1.0, 2.0))])
+    unreachable = type("Unreachable", (Warning,), {"__module__": "no_such_module_anywhere"})
+    study = warning_study if environment == "study-category" else dividing_study
+    with warnings.catch_warnings(record=True), \
+            np.errstate(**({"divide": "raise"} if environment == "errstate" else {})):
+        if environment in ("filters", "study-category"):
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("error", StudyWarning)
+            warnings.simplefilter("ignore", unreachable)
+        seq, *others = [run_study(vl, study, backend=backend)
+                        for backend in (Sequential(), ThreadPool(2), ProcessPool(2))]
+    kind = {"default": None, "errstate": "FloatingPointError", "filters": "RuntimeWarning",
+            "study-category": "StudyWarning"}
+    assert {e.kind for e in seq.errors.values()} == ({kind[environment]} - {None})
+    assert seq.error_count() == (0 if environment == "default" else 4)
+    for res in others:
+        cmp = do_res_equal(seq, res)
+        assert cmp, cmp.report
+
+
+@pytest.mark.parametrize("backend", [Sequential(), ThreadPool(2)], ids=["seq", "threads"])
+def test_a_nested_run_is_each_subjobs_error(backend):
+    inner = VarList([VarSpec("x", "grid", (1,))])
+
+    def nesting_study(params, rng, warn):
+        return run_study(inner, square_study).value[0]
+
+    res = run_study(tiny_varlist(), nesting_study, backend=backend)
+    assert res.error_count() == res.n_subjobs > 0
+    assert set(res.errors.values()) == {ErrorInfo(
+        "nested run_study calls are not supported (one live backend per process)",
+        "RuntimeError")}

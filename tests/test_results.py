@@ -1,6 +1,7 @@
 """Canonical JSON, dense stores, persistence, and result comparison."""
 
 import dataclasses
+import enum
 import io
 import json
 import math
@@ -32,6 +33,14 @@ DATA = Path(__file__).parent / "data"
 
 def never_study(params, rng, warn):
     raise AssertionError("a cache hit or a refused cache runs nothing")
+
+
+class Tagged(int):
+    """An int whose ``str()`` is not its digits (as an IntEnum's is on
+    Python 3.10)."""
+
+    def __str__(self):
+        return f"level-{int(self)}"
 
 
 class TestCanonicalJson:
@@ -103,6 +112,12 @@ class TestCanonicalJson:
         assert float_bits(back.time_ms) == float_bits(cols.time_ms)
         assert (back.errors, back.warnings, back.seeds) == (cols.errors, cols.warnings,
                                                             cols.seeds)
+
+    def test_an_int_subclass_is_written_as_its_digits(self):
+        level = enum.IntEnum("Level", "A B")
+        assert canonical_json([level.B, Tagged(3), True]) == canonical_json([2, 3, True]) \
+            == json.dumps([2, 3, True], separators=(",", ":"))
+        assert canonical_json(level.A) == canonical_json(level.A.value)
 
     def test_seventeen_digit_floats_roundtrip(self):
         for x in (0.1, 1/3, 2**-52, 1e300, -1.2345678901234567e-8):
@@ -310,14 +325,13 @@ class TestPersistence:
         null_without_error = dict(raw, value=[None if c == ok else v
                                               for c, v in enumerate(raw["value"])])
         set_at_error = dict(raw, errors=raw["errors"] + [[ok, "boom", "E"]])
-        v2_raw = json.loads((DATA / "v2-raw.json").read_text())
-        v2_raw["records"][0] = 5
+        error_not_a_list = dict(raw, errors=[5] + raw["errors"])
         for doc, cause in (({"format": "mcgrid-result-v3"}, KeyError),
-                           ({"format": "mcgrid-result-v2", "meta": 5}, TypeError),
+                           ({"format": "mcgrid-result-v3", "meta": 5}, TypeError),
                            (bad_value, TypeError), (short, ValueError), (long, ValueError),
                            (error_outside, ValueError), (warning_outside, ValueError),
                            (no_diagnostic, KeyError), (null_without_error, ValueError),
-                           (set_at_error, ValueError), (v2_raw, AttributeError)):
+                           (set_at_error, ValueError), (error_not_a_list, TypeError)):
             path.write_text(json.dumps(doc))
             with pytest.raises(ValueError, match="malformed result file") as info:
                 load(path)
@@ -477,6 +491,32 @@ class TestPersistence:
             hit = run_study(vl, params_probe_study, backend=backend, cache_path=path)
             assert hit.from_cache and do_res_equal(ran, hit)
 
+    @pytest.mark.parametrize("backend", [Sequential(), ProcessPool(2)], ids=["seq", "procs"])
+    def test_an_int_subclass_level_and_payload_save_load_and_serve_their_cache(self, tmp_path,
+                                                                                backend):
+        # written as their digits, they read back as the ints they are
+        vl = VarList([VarSpec("n.sim", "N", 2), VarSpec("x", "grid", (Tagged(1), Tagged(2))),
+                      VarSpec("f", "frozen", Tagged(3))])
+        assert vl.validate() == [] and vl.lossy() == []
+        assert vl["x"].level_labels() == ("1", "2")
+        path = tmp_path / "r.json"
+        ran = run_study(vl, params_probe_study, backend=backend, cache_path=path)
+        assert not ran.from_cache and ran.dims[0] == ("x", ("1", "2"))
+        cmp = do_res_equal(run_study(vl, params_probe_study), ran)
+        assert cmp, cmp.report
+        hit = run_study(vl, params_probe_study, backend=backend, cache_path=path)
+        cmp = do_res_equal(ran, hit)
+        assert hit.from_cache and cmp, cmp.report
+
+    def test_a_cache_hit_asks_lossy_once(self, tmp_path, monkeypatch):
+        vl = VarList([VarSpec("n.sim", "N", 2), VarSpec("x", "grid", (1, 2))])
+        path = tmp_path / "r.json"
+        run_study(vl, square_study, cache_path=path)
+        calls, lossy = [], VarList.lossy
+        monkeypatch.setattr(VarList, "lossy", lambda self: calls.append(self) or lossy(self))
+        assert run_study(vl, square_study, cache_path=path).from_cache
+        assert calls == [vl]
+
     def test_a_non_finite_inner_level_is_labelled_by_its_tag_fresh_and_reloaded(self, tmp_path):
         vl = VarList([VarSpec("n.sim", "N", 2), VarSpec("a", "grid", (1, 2)),
                       VarSpec("k", "inner", (0.5, math.inf, -math.inf, math.nan))])
@@ -528,42 +568,25 @@ def test_repeated_error_or_warning_cells_are_malformed(tmp_path):
 
 
 class TestFormatV1:
-    """Files written by the v1 writer still load, and never serve as a cache."""
-
-    @pytest.mark.parametrize("name", ["store", "scalar", "raw"])
-    def test_v1_file_equals_store_and_resaves_as_v2(self, name, tmp_path):
-        want = v1_stores()[name]
-        back = load(DATA / f"v1-{name}.json")
-        assert type(back) is type(want)
-        cmp = do_res_equal(want, back)
-        assert cmp, cmp.report
-        assert [r.time_ms for r in back.records] == [r.time_ms for r in want.records]
-        assert (back.meta.created, back.meta.fingerprint) == (want.meta.created,
-                                                              want.meta.fingerprint)
-        if isinstance(want, RawFallback):
-            assert back.diagnostic == want.diagnostic
-        save(back, tmp_path / "v3.json")
-        assert json.loads((tmp_path / "v3.json").read_text())["format"] == "mcgrid-result-v3"
-        cmp = do_res_equal(want, load(tmp_path / "v3.json"))
-        assert cmp, cmp.report
+    """Files written by the v1 and v2 writers are refused, so never serve as a cache."""
 
     def test_matching_v1_file_is_not_a_cache_hit(self, tmp_path):
-        # a file written before v3 names no study, so it matches no run's cache
+        # a v1 or v2 file is refused in one line that names its tag and the
+        # last commit that reads it, and is left as it was
         want = v1_stores()["store"]
         for name in ("v1-store", "v2-store"):
             path = tmp_path / f"{name}.json"
             shutil.copy(DATA / f"{name}.json", path)
-            with pytest.raises(CacheInvalidError):
-                run_study(want.meta.varlist, never_study, cache_path=path, keep_seed=True)
-            cmp = do_res_equal(want, load(path))
-            assert cmp, cmp.report
-
-    def test_whole_float_levels_invalidate_a_v1_cache(self):
-        # v1 wrote the level 1.0 as 1, so its fingerprint hashed other text
-        want = v1_stores()["float_levels"]
-        with pytest.raises(CacheInvalidError):
-            maybe_read(DATA / "v1-float_levels.json", want.meta.fingerprint)
-        assert load(DATA / "v1-float_levels.json").value.tolist() == want.value.tolist()
+            tag = f"mcgrid-result-{name[:2]}"
+            message = (f"{path}: {tag} files are no longer read; mcgrid at commit d3eef42 "
+                       "loads one and saves it again as mcgrid-result-v3")
+            for read in (lambda: load(path), lambda: maybe_read(path, want.meta.fingerprint),
+                         lambda: run_study(want.meta.varlist, never_study, cache_path=path,
+                                           keep_seed=True)):
+                with pytest.raises(ValueError) as info:
+                    read()
+                assert str(info.value) == message
+            assert path.read_bytes() == (DATA / f"{name}.json").read_bytes()
 
 
 def masked(path) -> str:
@@ -576,18 +599,14 @@ def masked(path) -> str:
 
 class TestFormatV2:
     """``tests/data/v2-<name>.json`` were saved from ``v1_stores()`` by the v2
-    writer while ``assemble`` still took records in virtual order."""
+    writer while ``assemble`` still took records in virtual order.  v2 store
+    files hold the columns that v3 files keep."""
 
-    @pytest.mark.parametrize("name", ["store", "scalar", "raw", "float_levels"])
+    @pytest.mark.parametrize("name", ["store", "scalar", "float_levels"])
     def test_stores_built_from_columns_save_the_golden_bytes(self, name, tmp_path):
-        # a v2 file loads as its store, which saves the v2 document again but
-        # for the tag and the fingerprint; a raw file now keeps columns
-        want = v1_stores()[name]
-        cmp = do_res_equal(want, load(DATA / f"v2-{name}.json"))
-        assert cmp, cmp.report
-        save(want, tmp_path / "v3.json")
-        if name != "raw":
-            assert masked(tmp_path / "v3.json") == masked(DATA / f"v2-{name}.json")
+        # a store saves the v2 document again but for the tag and the fingerprint
+        save(v1_stores()[name], tmp_path / "v3.json")
+        assert masked(tmp_path / "v3.json") == masked(DATA / f"v2-{name}.json")
 
     EDITS = {
         "error-cell-99": lambda doc: doc["errors"].append([99, "boom", "E"]),
@@ -603,7 +622,7 @@ class TestFormatV2:
     @pytest.mark.parametrize("edit", EDITS.values(), ids=EDITS)
     def test_cells_outside_the_store_are_malformed(self, tmp_path, edit):
         # a 4-cell store: each edit names a cell it lacks, or sizes a column wrongly
-        doc = json.loads((DATA / "v2-float_levels.json").read_text())
+        doc = json.loads((DATA / "v3-float_levels.json").read_text())
         edit(doc)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -642,27 +661,6 @@ class TestFormatV3:
         assert doc["value"] == [0.0, [1.0, 2.0], None, 1.5, 4.5, 7.5]
         assert doc["errors"] == [[2, "boom", "RuntimeError"]]
         assert doc["warnings"] == [[1, ["odd shape"]]]
-
-
-@pytest.mark.parametrize("name", ["v1-scalar", "v2-raw"])
-@pytest.mark.parametrize("edit", ["drop", "add"])
-def test_record_files_with_other_than_one_record_per_cell_are_malformed(tmp_path, capsys,
-                                                                        name, edit):
-    # both golden files hold 6 cells, one record each
-    doc = json.loads((DATA / f"{name}.json").read_text())
-    if edit == "drop":
-        doc["records"].pop()
-    else:
-        doc["records"].append(doc["records"][0])
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError) as info:
-        load(path)
-    assert str(info.value) == (f"{path}: malformed result file "
-                               f"(ValueError('{5 if edit == 'drop' else 7} records for 6 cells'))")
-    from mcgrid.cli import main
-    assert main(["analyze", str(path), "--rows", "x", "--cols", "n.sim"]) == 1
-    assert capsys.readouterr().err == f"mcgrid: {info.value}\n"  # one line, no traceback
 
 
 def first_difference_by_records(a, b):

@@ -43,6 +43,15 @@ class TestFormatLevels:
         with pytest.raises(TypeError, match="cannot serialize"):
             format_levels((1, len))
 
+    def test_an_int_that_no_float_holds_keeps_its_digits(self):
+        # 10**400 overflows a float, and 2**53 + 1 would read as 2**53
+        assert format_levels((10**400, 1)) == (str(10**400), "1")
+        assert format_levels((2**53, 2**53 + 1, 0.5)) == \
+            ("9007199254740992.0", "9007199254740993.0", "0.5")
+        assert format_levels((10**16, 10**16 + 1, 0.5)) == ("1e+16", "10000000000000001", "0.5")
+        for levels in ((10**400, 1), (2**53, 2**53 + 1, 0.5)):
+            assert VarList([VarSpec("x", "grid", levels)]).validate() == []
+
 
 class TestVarSpec:
     def test_frozen_payload_is_wrapped_once(self):
