@@ -2,7 +2,7 @@
 
 Exit codes: 0 for a clean run, 2 when the run completed but some sub-jobs
 errored (or the values fell back to a raw store), 1 for usage or
-configuration problems.
+configuration problems, 130 when interrupted (Ctrl-C).
 
 ``python -m mcgrid --worker`` starts the process backend's zygote, which
 forks its workers (see ``executor``); ``mcgrid --worker`` is refused.
@@ -349,6 +349,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"mcgrid: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # the run's workers are killed on the way out
+        print("mcgrid: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -42,29 +42,29 @@ newline and a tail of raw bytes; a frame above 64 MiB is a protocol error.
 The parent sends each worker one ``setup`` frame (study name, the
 declaration's canonical form, the canonical seeding spec, ``keep_seed``, the
 virtual order and the block size), from which the worker builds its run
-context as the parent does (``run_study`` has refused a declaration that
-this form does not carry faithfully, ``VarList.lossy``).  A setup frame over
-the limit (a ``per-rep-stream`` spec takes ~211 bytes per replication, so
-~318k at most) fails the run before any worker starts.  A ``task`` frame
-carries only ``[start, stop]`` block numbers, at most ``IN_FLIGHT`` unread
-per worker, which never fill a pipe: the parent never waits to write a task
-while its worker waits to write results.  The worker answers a task with
-``result`` frames, ``{"tag": "result", "blocks": n, ...}`` and the fields
-and tail of ``results.frame_parts`` for the sub-jobs of the task's next
-``n`` blocks, in order.  It runs a whole task, then encodes it as one frame;
-if ``encode_frame`` refuses that as over the limit, it sends one frame per
-block, so only a single block over the limit is an error.  Each frame sent
-is encoded once.  The parent checks a frame's tag and block count, reads
-its columns as a whole with ``results.frame_columns``, and writes them into
-the run's columns with one put.  End of input ends the worker; an
-unexpected frame tag, task blocks other than two ints ``0 <= start < stop
-<=`` the number of blocks, a result frame that answers no block or more
-blocks than are outstanding, or one whose columns do not read or whose
+context as the parent does (``run_study`` has refused a declaration that this
+form does not carry faithfully, ``VarList.lossy``).  A setup frame over the
+limit (a ``per-rep-stream`` spec takes ~211 bytes per replication, so ~318k
+at most) fails the run before any worker starts.  A ``task`` frame carries
+only ``[start, stop]`` block numbers, at most ``IN_FLIGHT`` unread per
+worker, which never fill a pipe: the parent never waits to write a task while
+its worker waits to write results.  The worker answers a task with ``result``
+frames, ``{"tag": "result", "blocks": n, ...}`` and the fields and tail of
+``results.frame_parts`` (no ``shapes`` when each value has the inner shape)
+for the task's next ``n`` blocks, in order.  It runs a whole task, then
+encodes it as one frame; if ``encode_frame`` refuses that as over the limit,
+it sends one frame per block, so only a single block over the limit is an
+error.  Each frame sent is encoded once.  The parent checks a frame's tag and
+block count, reads its columns as a whole with ``results.frame_columns``, and
+writes them into the run's columns with one put.  End of input ends the
+worker; an unexpected frame tag, task blocks other than two ints ``0 <= start
+< stop <=`` the number of blocks, a result frame that answers no block or
+more blocks than are outstanding, or one whose columns do not read or whose
 seeds are not what the run ships (a list under ``none`` with ``keep_seed``,
 else null), is a protocol error naming the worker, so a malformed answer
-never lands in a cell that the frame does not answer.  A worker dying
-mid-run aborts the run (no retry), and on any failure or interrupt the
-parent kills every worker at once.  The monitor runs in the calling process.
+never lands in a cell that the frame does not answer.  A worker dying mid-run
+aborts the run (no retry), and on any failure or interrupt the parent kills
+every worker at once.  The monitor runs in the calling process.
 
 Workers are forked, per run, from a zygote, a fork server that a process's
 first process-backend run spawns as ``python -m mcgrid --worker``.  It
@@ -560,7 +560,7 @@ def _result_frames(ctx: _RunContext, blocks: range, cols: Columns):
     ``encode_frame`` refuses that one as over the limit, one frame per block.
     A single block over the limit is a ProtocolError."""
     def frame(i: int, j: int) -> bytes:  # of blocks i to j
-        doc, tail = frame_parts(cols, i * ctx.block_size, j * ctx.block_size)
+        doc, tail = frame_parts(cols, i * ctx.block_size, j * ctx.block_size, ctx.inner)
         return encode_frame({"tag": "result", "blocks": j - i, **doc}, tail)
 
     try:

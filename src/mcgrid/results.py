@@ -13,31 +13,29 @@ sparsely by cell; seeds only when a sub-job kept one.  A
 study's return shapes are inconsistent the store is a :class:`RawFallback`,
 whose ``value`` lists each cell's value instead, so results are never lost.
 
-Persistence is a single self-describing text file (JSON family), tagged
-``mcgrid-result-v3``.  Doubles are written with 17 significant digits (exact
-round-trip), and always as JSON fractions: a whole number keeps a ``.0``
-(``1.0``, ``-0.0``, ``1e+20`` stays as is), so it reads back as a double with
-its sign; NaN and infinities are written as the tagged strings "NaN", "Inf",
-"-Inf", which ``float`` reads back; an int (a subclass too) as its digits.  A
-store file holds ``meta`` and ``dims``, then ``value`` (the value array
-flattened in odometer order over the inner dims followed by the store
-dims), ``time_ms`` (one number per cell), ``errors`` (``[cell, message,
-kind]`` per errored cell), ``warnings`` (``[cell, [messages]]`` per cell that
-warned) and ``seeds`` (one hex string or null per cell, or null when no
-sub-job kept its seed); cells count in store order from 0.  A raw fallback
-file adds ``diagnostic``; its ``value`` has one entry per cell, null exactly
-at the errored cells.  File bytes are a pure function of the logical content.
-A worker's result frame holds the same ``time_ms``, ``errors``, ``warnings``
-and ``seeds`` for its own sub-jobs, indexed from its first, after
+Persistence is a single self-describing file tagged ``mcgrid-result-v4``: a
+worker's result frame of all the store's cells.  Its header, one line of
+canonical JSON text (JSON family), holds ``format``, ``meta``, ``dims``, a raw
+fallback's ``diagnostic``, then the fields a file and a frame share:
 ``shapes``, each sub-job's value shape (null where it errored, ``[]`` for a
-scalar); its tail holds the non-null values' elements as little-endian
-float64, value after value, each in C order.  One encoder writes these
-fields for a file and a frame, and one reader checks them: each column of
-one entry per sub-job, error and warning indices strictly increasing ints
-inside it, and the errors exactly at the null values of a raw file or the
-null shapes of a frame, whose shapes fill its tail exactly.  Only v3 files
-load: one tagged ``mcgrid-result-v1`` or ``-v2`` is refused in one line that
-names its tag (mcgrid at commit d3eef42 still loads it, and saves it as v3).
+scalar), unless every non-null value has the declaration's inner shape (the
+nulls then follow from the errors); ``time_ms``, one number per cell;
+``errors``, ``[cell, message, kind]`` per errored cell; ``warnings``,
+``[cell, [messages]]`` per cell that warned; and ``seeds``, one hex string or
+null per cell, or null when no sub-job kept its seed; cells count from the
+first.  After a newline, the tail holds the non-null values' elements as
+little-endian float64, value after value, each in C order.  Text doubles
+have 17 significant digits (exact round-trip) and are always JSON fractions:
+a whole number keeps a ``.0`` (``1.0``, ``-0.0``, ``1e+20`` stays as is), so
+it reads back as a double with its sign; NaN and infinities are the tagged
+strings "NaN", "Inf", "-Inf", which ``float`` reads back; an int (a subclass
+too) is its digits.  File bytes are a pure function of the logical content.
+One encoder, ``frame_parts``, writes files and frames, and one reader,
+``frame_columns``, checks them: columns of one entry per sub-job, error and
+warning indices strictly increasing ints inside them, errors exactly at the
+null shapes, which fill the tail exactly.  A ``mcgrid-result-v3`` file (all
+text, ``value`` a JSON column) still loads; a ``mcgrid-result-v1`` or ``-v2``
+one is refused in one line naming its tag (commit d3eef42 loads it).
 
 The study fingerprint is the first 8 bytes (16 hex characters) of SHA-256 over
 the canonical JSON of {"varlist": ..., "n_sim": ..., "rep_first": ...,
@@ -63,7 +61,8 @@ import numpy as np
 from .seeding import SeedSpec
 from .varlist import VarList, linear_of, mk_grid, unravel
 
-FORMAT_TAG = "mcgrid-result-v3"
+FORMAT_TAG = "mcgrid-result-v4"
+_V3 = "mcgrid-result-v3"  # values as text; read, no longer written
 _RETIRED = ("mcgrid-result-v1", "mcgrid-result-v2")  # read up to commit d3eef42
 
 
@@ -147,12 +146,6 @@ def canonical_json(obj) -> str:
     return "".join(out)
 
 
-def _parse_value(v):
-    """A number or nested lists of them, tags too -> float or float ndarray."""
-    value = np.asarray(v, dtype=float)
-    return float(value) if value.ndim == 0 else value
-
-
 # ---------------------------------------------------------------------------
 # records
 
@@ -175,8 +168,11 @@ class SubJobRecord:
     @classmethod
     def from_doc(cls, d: dict) -> "SubJobRecord":
         err, value = d.get("error"), d.get("value")
+        if value is not None:  # a number or nested lists of them, tags too
+            value = np.asarray(value, dtype=float)
+            value = float(value) if value.ndim == 0 else value
         return cls(
-            value=None if value is None else _parse_value(value),
+            value=value,
             error=None if err is None else ErrorInfo(err["message"], err["kind"]),
             warnings=tuple(d.get("warnings", ())),
             time_ms=float(d.get("time_ms", 0.0)),
@@ -448,67 +444,67 @@ def assemble(vl: VarList, outcomes: Columns, rep_first: bool, seed_spec: SeedSpe
 # ---------------------------------------------------------------------------
 # the binary form of columns: store files and result frames
 
-def _shared_doc(cols, a: int, b: int) -> dict:
-    """The fields that a store file and a result frame share, of sub-jobs
-    ``[a, b)`` of ``cols`` (a store or :class:`Columns`), indexed from ``a``."""
-    return {
+def _columns(doc: dict, n: int) -> Columns:
+    """:class:`Columns` of ``n`` sub-jobs, ``value`` None, from a document's
+    shared fields.  Raises ValueError unless the time and seed columns hold
+    ``n`` entries, and error and warning indices are ints strictly
+    increasing in ``[0, n)``."""
+    time_ms, seeds = np.asarray(doc["time_ms"], dtype=float), doc["seeds"]
+    errors = [(k, ErrorInfo(message, kind)) for k, message, kind in doc["errors"]]
+    warnings = [(k, tuple(messages)) for k, messages in doc["warnings"]]
+    if time_ms.shape != (n,) or seeds is not None and (type(seeds) is not list or len(seeds) != n):
+        raise ValueError(f"a time, value or seed column not of {n} entries")
+    for ks in ([k for k, _ in errors], [k for k, _ in warnings]):
+        if not all(type(k) is int for k in ks) or \
+                not all(i < j for i, j in zip([-1, *ks], [*ks, n])):
+            raise ValueError(f"error or warning indices not increasing ints in [0, {n})")
+    return Columns(None, time_ms, dict(errors), dict(warnings), seeds)
+
+
+def frame_parts(cols, a: int, b: int, inner: tuple[int, ...]) -> tuple[dict, list]:
+    """The fields of a result frame of sub-jobs ``[a, b)`` of ``cols`` (a
+    store or :class:`Columns`), with ``shapes`` only where some value's shape
+    is not ``inner``, and its tail, a list of float64 arrays."""
+    doc = {
         "time_ms": _Encoded(f"[{_fmt_floats(np.asarray(cols.time_ms[a:b], dtype=float))}]"),
         "errors": [[k - a, e.message, e.kind] for k, e in sorted(cols.errors.items())
                    if a <= k < b],
         "warnings": [[k - a, list(w)] for k, w in sorted(cols.warnings.items()) if a <= k < b],
         "seeds": None if cols.seeds is None else list(cols.seeds[a:b]),
     }
-
-
-def _columns(doc: dict, n: int, value, nulls: list[int] | None = None) -> Columns:
-    """:class:`Columns` of ``n`` sub-jobs from a document's shared fields and
-    a value column: a list, or an array (sub-job last) null at ``nulls``.
-    Raises ValueError unless each column holds ``n`` entries, error and
-    warning indices are ints strictly increasing in ``[0, n)``, and the
-    errors sit exactly at the nulls."""
-    time_ms, seeds = np.asarray(doc["time_ms"], dtype=float), doc["seeds"]
-    errors = [(k, ErrorInfo(message, kind)) for k, message, kind in doc["errors"]]
-    warnings = [(k, tuple(messages)) for k, messages in doc["warnings"]]
-    if nulls is None and type(value) is list:
-        nulls = [k for k, v in enumerate(value) if v is None]
-    if time_ms.shape != (n,) or (len(value) if type(value) is list else value.shape[-1]) != n \
-            or seeds is not None and (type(seeds) is not list or len(seeds) != n):
-        raise ValueError(f"a time, value or seed column not of {n} entries")
-    for ks in ([k for k, _ in errors], [k for k, _ in warnings]):
-        if not all(type(k) is int for k in ks) or \
-                not all(i < j for i, j in zip([-1, *ks], [*ks, n])):
-            raise ValueError(f"error or warning indices not increasing ints in [0, {n})")
-    if nulls is not None and [k for k, _ in errors] != nulls:
-        raise ValueError("errors not exactly at the null values")
-    return Columns(value, time_ms, dict(errors), dict(warnings), seeds)
-
-
-def frame_parts(cols: Columns, a: int, b: int) -> tuple[dict, list]:
-    """The fields of a result frame of sub-jobs ``[a, b)`` of a task's
-    columns ``cols``, and its tail, a list of float64 arrays."""
+    if type(cols.value) is not list:  # every value has the inner shape
+        rows = np.moveaxis(cols.value[..., a:b], -1, 0)
+        if doc["errors"]:
+            rows = np.delete(rows, [k for k, *_ in doc["errors"]], axis=0)
+        return doc, [np.ascontiguousarray(rows, dtype="<f8")]
     values = cols.value[a:b]
-    shapes = [None if v is None else [] if type(v) is float else list(np.shape(v))
-              for v in values]
+    shapes = [None if v is None else () if type(v) is float else np.shape(v) for v in values]
     values = [v for v in values if v is not None]
-    # value after value, each in C order: floats as one array, arrays as
-    # their own bytes, never a copy of them all
+    # floats as one array, arrays as their own bytes, never a copy of them all
     tail = [np.array(values, dtype="<f8")] if not any(shapes) else \
         [np.ascontiguousarray(v, dtype="<f8").ravel() for v in values]
-    # the canonical text of ints and nulls is json's own compact text
-    return {"shapes": _Encoded(json.dumps(shapes, separators=(",", ":"))),
-            **_shared_doc(cols, a, b)}, tail
+    if any(shape is not None and shape != inner for shape in shapes):
+        doc = {"shapes": shapes, **doc}
+    return doc, tail
 
 
 def frame_columns(frame: dict, n: int, inner: tuple[int, ...]) -> Columns:
     """The columns of a result frame of ``n`` sub-jobs, its tail under
     ``"tail"``, checked as a whole.  Its values are the float64 tail at the
-    non-null shapes: when each has the ``inner`` shape, one array, sub-job
-    last, NaN where a shape is null (a view of the tail where none is); else
-    a list of each, None where null, a float for the shape [] and an array
-    otherwise.  Raises ValueError, KeyError or TypeError."""
-    shapes, tail = frame["shapes"], frame["tail"]
+    non-null shapes (without ``shapes``, ``inner`` but at the errors): when
+    each is ``inner``, one array, sub-job last, NaN where a shape is null (a
+    view of the tail where none is); else a list of each, None where null, a
+    float for the shape [] and an array otherwise.  Raises ValueError,
+    KeyError or TypeError."""
+    cols, shapes, tail = _columns(frame, n), frame.get("shapes"), frame["tail"]
+    nulls = list(cols.errors)
+    if shapes is not None and (type(shapes) is not list or len(shapes) != n):
+        raise ValueError(f"a time, value or seed column not of {n} entries")
+    if shapes is not None and nulls != [k for k, shape in enumerate(shapes) if shape is None]:
+        raise ValueError("errors not exactly at the null values")
     try:
-        kinds = collections.Counter(tuple(shape) for shape in shapes if shape is not None)
+        kinds = {inner: n - len(nulls)} if shapes is None else \
+            collections.Counter(tuple(shape) for shape in shapes if shape is not None)
         fits = all(type(d) is int and d >= 0 for kind in kinds for d in kind) and \
             len(tail) == 8 * sum(math.prod(kind) * count for kind, count in kinds.items())
     except TypeError:  # a shape that is not a list of numbers
@@ -516,49 +512,36 @@ def frame_columns(frame: dict, n: int, inner: tuple[int, ...]) -> Columns:
     if not fits:
         raise ValueError("values that do not fill their shapes")
     flat = np.frombuffer(tail, dtype="<f8")
-    nulls = [k for k, shape in enumerate(shapes) if shape is None]
     if set(kinds) <= {inner}:
-        value = flat.reshape(len(shapes) - len(nulls), *inner)
+        value = flat.reshape(n - len(nulls), *inner)
         if nulls:  # NaN where a sub-job errored
-            value, ok = np.full((len(shapes), *inner), math.nan), value
-            value[[k for k, shape in enumerate(shapes) if shape is not None]] = ok
-        return _columns(frame, n, np.moveaxis(value, 0, -1), nulls)
+            value, ok = np.full((n, *inner), math.nan), value
+            value[np.isin(np.arange(n), nulls, invert=True)] = ok
+        cols.value = np.moveaxis(value, 0, -1)
+        return cols
     # a value of another shape: each a float, or a view of a writable copy
     sizes = [0 if shape is None else math.prod(shape) for shape in shapes]
-    parts = np.split(flat.astype(float), np.cumsum(sizes)[:-1])
-    return _columns(frame, n, [shape if shape is None else part.reshape(shape) if shape
-                               else float(part[0]) for shape, part in zip(shapes, parts)])
+    flat, ends = flat.astype(float), np.cumsum(sizes).tolist()
+    cols.value = [shape if shape is None else flat[end - size:end].reshape(shape) if shape
+                  else float(flat[end - 1]) for shape, size, end in zip(shapes, sizes, ends)]
+    return cols
 
 
 # ---------------------------------------------------------------------------
 # persistence
 
-def _store_doc(res: ResultStore) -> dict:
-    raw = isinstance(res, RawFallback)
-    doc = {
-        "format": FORMAT_TAG,
-        "kind": "raw" if raw else "store",
-        "meta": res.meta.doc(),
-        "dims": [[name, list(labels)] for name, labels in res.dims],
-        "value": ([None if v is None else np.asarray(v, dtype=float).tolist()
-                   for v in res.value] if raw else
-                  _Encoded(f"[{_fmt_floats(res.value.ravel(order='F'))}]")),
-        **_shared_doc(res, 0, res.n_subjobs),
-    }
-    if raw:
-        doc["diagnostic"] = res.diagnostic
-    return doc
-
-
 def save(res: ResultStore, path: str | os.PathLike) -> None:
     """Write ``res`` to ``path`` through ``<path>.tmp``, which a write that
     raises or is interrupted removes."""
-    text = canonical_json(_store_doc(res))
+    doc, tail = frame_parts(res, 0, res.n_subjobs, _inner_shape(res.meta.varlist))
+    head = {"format": FORMAT_TAG, "meta": res.meta.doc(),
+            "dims": [[name, list(labels)] for name, labels in res.dims],
+            **({"diagnostic": res.diagnostic} if isinstance(res, RawFallback) else {}), **doc}
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
+        with open(tmp, "wb") as fh:
+            for chunk in (canonical_json(head).encode("utf-8"), b"\n", *tail):
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -567,31 +550,45 @@ def save(res: ResultStore, path: str | os.PathLike) -> None:
 
 
 def load(path: str | os.PathLike) -> ResultStore:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ValueError(f"{path}: not a result file ({exc})") from exc
+    with open(path, "rb") as fh:
+        # canonical text has no newline byte, so a v3 file is all header
+        head, newline, tail = fh.read().partition(b"\n")
+    try:
+        doc = json.loads(head.decode("utf-8"))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: not a result file ({exc})") from exc
     tag = doc.get("format") if isinstance(doc, dict) else None
     if tag in _RETIRED:
         raise ValueError(f"{path}: {tag} files are no longer read; mcgrid at commit d3eef42 "
-                         f"loads one and saves it again as {FORMAT_TAG}")
-    if tag != FORMAT_TAG:
+                         f"loads one and saves it again as {_V3}")
+    if tag not in (FORMAT_TAG, _V3) and (isinstance(doc, dict) or not tail):
         raise ValueError(f"{path}: not a result file (format tag missing)")
     try:
         meta = StoreMeta.from_doc(doc["meta"])
         dims = tuple((name, tuple(labels)) for name, labels in doc["dims"])
         if dims != store_dims(meta.varlist):
             raise ValueError("dims are not those of the declaration")
-        n = math.prod(len(labels) for _, labels in dims)
-        if doc["kind"] == "raw":
-            cols = _columns(doc, n, [None if v is None else _parse_value(v)
-                                     for v in doc["value"]])
+        n, inner = math.prod(len(labels) for _, labels in dims), _inner_shape(meta.varlist)
+        if tag == FORMAT_TAG and newline:
+            cols = frame_columns(dict(doc, tail=tail), n, inner)
+        elif tag == FORMAT_TAG or tail:
+            raise ValueError("a v4 header without its newline, or a v3 one with a tail")
+        elif doc["kind"] == "raw":  # v3: values as text, read as a frame's shapes and tail
+            values = [None if v is None else np.asarray(v, dtype="<f8") for v in doc["value"]]
+            cols = frame_columns(dict(doc, shapes=[v if v is None else v.shape for v in values],
+                                      tail=b"".join(v.tobytes() for v in values if v is not None)),
+                                 n, inner)
+        else:
+            cols = _columns(doc, n)
+            cols.value = np.array(doc["value"], dtype=float).reshape(inner + (n,), order="F")
+        if type(cols.value) is list:
             return RawFallback(value=cols.value, diagnostic=doc["diagnostic"],
                                **_fields(meta, cols, dims))
-        value = np.array(doc["value"], dtype=float)
-        cols = _columns(doc, n, value.reshape(_inner_shape(meta.varlist) + (n,), order="F"))
-        return ResultStore(value=cols.value, **_fields(meta, cols, dims))
+        if "diagnostic" in doc:
+            raise ValueError("a diagnostic with values that stack")
+        # a view of the file's bytes is read-only: a loaded store owns its values
+        value = cols.value if cols.value.flags.writeable else np.array(cols.value)
+        return ResultStore(value=value, **_fields(meta, cols, dims))
     except (KeyError, TypeError, IndexError, AttributeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed result file ({exc!r})") from exc
 

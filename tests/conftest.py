@@ -163,12 +163,13 @@ def v1_stores() -> dict:
     """Small fixed stores whose format-v1 file ``tests/data/v1-store.json``
     was written by the last v1 ``save`` (commit 0e812d0), whose v2 files
     ``tests/data/v2-<name>.json`` (but ``raw``) by the v2 ``save`` before
-    ``assemble`` took columns only, and whose v3 files
-    ``tests/data/v3-<name>.json`` by the v3 ``save``; the tests load the v3
-    files and compare them with these stores, save these stores to the v3
-    bytes, and check that ``load`` refuses the v1 and v2 files.  Each store's
-    records are listed in virtual order and assembled as columns in store
-    order.
+    ``assemble`` took columns only, whose v3 files
+    ``tests/data/v3-<name>.json`` by the last v3 ``save``, and whose v4 files
+    ``tests/data/v4-<name>.json`` by the v4 ``save``; the tests load the v3
+    and v4 files and compare them with these stores, save these stores to
+    the v4 bytes, and check that ``load`` refuses the v1 and v2 files.  Each
+    store's records are listed in virtual order and assembled as columns in
+    store order.
 
     * ``store``: inner dim, rep-first, errors, ordered warnings, NaN/±Inf and
       whole-number values, kept seeds;

@@ -3,6 +3,7 @@ can import them.  A worker imports its study's module: this one needs only
 the standard library, numpy and mcgrid, which a worker has loaded already,
 where ``conftest`` brings in pytest and hypothesis, ~0.3 s in each worker."""
 
+import json
 import math
 import os
 import signal
@@ -13,7 +14,18 @@ import zlib
 
 import numpy as np
 
-from mcgrid import register_study
+from mcgrid import canonical_json, register_study
+
+
+def masked(path) -> tuple[str, bytes]:
+    """A result file's header with its format tag, creation stamp,
+    fingerprint and times masked, as canonical JSON text (which keeps -0.0
+    apart from 0.0), and the bytes of its value tail (empty in a v3 file)."""
+    with open(path, "rb") as fh:
+        head, _, tail = fh.read().partition(b"\n")
+    doc = json.loads(head)
+    doc["format"] = doc["meta"]["created"] = doc["meta"]["fingerprint"] = doc["time_ms"] = None
+    return canonical_json(doc), tail
 
 
 def levels_coin_study(params, rng, warn):
@@ -32,12 +44,17 @@ def shaped_coin_study(params, rng, warn):
     text of the level of a grid variable ``z`` of any kind decides (when
     there is one), in the form that the frozen ``form`` picks: "scalar";
     "inner", the value times each level of the inner variable ``k`` (a
-    scalar without one); or "ragged", the pair ``[value, x]`` where ``x`` is
-    even and the value elsewhere.  A scalar or ragged value under an inner
-    variable makes the store a raw fallback."""
+    scalar without one); "ragged", the pair ``[value, x]`` where ``x`` is
+    even and the value elsewhere; or "special", a NaN with a payload, -0.0,
+    +inf, -inf or the value, as the value's first decimal picks, in the
+    shape of ``k`` (a scalar without one).  A scalar or ragged value under
+    an inner variable makes the store a raw fallback."""
     value = levels_coin_study(params, rng, warn)
     if "z" in params:
         value += zlib.crc32(repr(params["z"]).encode()) % 1000
+    if params["form"] == "special":
+        value = (SPECIAL_DOUBLES[0], -0.0, math.inf, -math.inf, value)[int(value * 10) % 5]
+        return np.full(len(params["k"]), value) if "k" in params else value
     if params["form"] == "inner":
         return value * np.asarray(params.get("k", 1.0), dtype=float)
     if params["form"] == "ragged" and params["x"] % 2 == 0:

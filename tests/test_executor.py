@@ -3,7 +3,6 @@
 import contextlib
 import gc
 import io
-import json
 import math
 import os
 import signal
@@ -27,8 +26,8 @@ from conftest import float_bits, scalar_varlist, tiny_varlist
 from light_studies import (SPECIAL_DOUBLES, StudyWarning, appending_level_study, appending_study,
                            buffer_study, chatty_study, cheap_style_study, coin_study,
                            dividing_study, dying_study, float_type_study, fresh_buffer_study,
-                           interrupting_study, legacy_random_study, matmul_study, mid_buffer_study,
-                           params_probe_study, poly_noisy, poly_study, ragged_study,
+                           interrupting_study, legacy_random_study, masked, matmul_study,
+                           mid_buffer_study, params_probe_study, poly_noisy, poly_study, ragged_study,
                            shape_switch_study, shaped_coin_study, special_doubles_study,
                            square_study, warning_study, wide_study)
 
@@ -39,7 +38,7 @@ from mcgrid import (ErrorInfo, ExecutionError, ProcessPool, ProtocolError,
 from mcgrid import executor
 from mcgrid.executor import (TASK_SUBJOBS, WORKER_FLAG, encode_frame, partition_tasks,
                              read_frame, worker_main)
-from mcgrid.results import Columns, SubJobRecord, canonical_json, load, save
+from mcgrid.results import Columns, SubJobRecord, load, save
 from mcgrid.seeding import StreamState, derive_streams
 from mcgrid.var_copula import probe_first_uniform
 
@@ -308,9 +307,10 @@ class TestWorkerLoop:
         # one result frame per task: its sub-jobs' columns in block order,
         # each block's in rep order, then the values as float64 bytes
         result = read_frame(stdout)
-        assert set(result) == {"tag", "blocks", "shapes", "time_ms", "errors", "warnings",
-                               "seeds", "tail"}
-        assert (result["tag"], result["blocks"], result["shapes"]) == ("result", 2, [[]] * 4)
+        # (no shapes: every value is a scalar, the declaration's inner shape)
+        assert set(result) == {"tag", "blocks", "time_ms", "errors", "warnings", "seeds",
+                               "tail"}
+        assert (result["tag"], result["blocks"]) == ("result", 2)
         assert np.frombuffer(result["tail"], "<f8").tolist() == [16.0, 16.0, 25.0, 25.0]
         assert len(result["time_ms"]) == 4
         assert all(isinstance(t, float) for t in result["time_ms"])
@@ -328,14 +328,14 @@ class TestWorkerLoop:
     def test_result_frame_keeps_errors_and_warnings_by_offset(self):
         # coin_study: rep 1 succeeds, reps 2 and 3 fail, rep 4 warns; errors
         # and warnings count from the frame's first sub-job, and an errored
-        # sub-job has a null shape and no bytes
+        # sub-job has no bytes (and no shape listed: the others are scalars)
         vl = VarList([VarSpec("n.sim", "N", 4), VarSpec("x", "grid", (3, 4, 5))])
         code, stdout = self._serve(self._setup(vl, "light_studies:coin_study", block_size=2),
                                    self._task(2, 4))  # reps 1-2 and 3-4 of row 1
         assert code == 0
         result = read_frame(stdout)
         u = [RngStream.from_state(seed_for(SeedSpec.seq(), rep)).uniform() for rep in (1, 4)]
-        assert result["shapes"] == [[], None, None, []]
+        assert "shapes" not in result
         assert np.frombuffer(result["tail"], "<f8").tolist() == [4 + u[0], 4 + u[1]]
         assert result["errors"] == [[k, "low draw", "RuntimeError"] for k in (1, 2)]
         assert result["warnings"] == [[3, ["high draw"]]]
@@ -479,14 +479,14 @@ class TestTaskFrames:
 
         def frames_of(blocks: int) -> bytes:  # a task of blocks of 8 sub-jobs
             cols = Columns([1.0] * 8 * blocks, [0.5] * 8 * blocks, {}, {}, None)
-            return b"".join(executor._result_frames(types.SimpleNamespace(block_size=8),
-                                                    range(blocks), cols))
+            ctx = types.SimpleNamespace(block_size=8, inner=())
+            return b"".join(executor._result_frames(ctx, range(blocks), cols))
 
         monkeypatch.setattr(executor, "MAX_FRAME", 64 * 1024 * 1024)
         one = frames_of(1)
-        assert frames_of(2) == encode_frame(  # one frame of both
-            {"tag": "result", "blocks": 2, "shapes": [[]] * 16, "time_ms": [0.5] * 16,
-             "errors": [], "warnings": [], "seeds": None}, [np.ones(16)])
+        assert frames_of(2) == encode_frame(  # one frame of both, no shapes: all scalars
+            {"tag": "result", "blocks": 2, "time_ms": [0.5] * 16, "errors": [], "warnings": [],
+             "seeds": None}, [np.ones(16)])
         monkeypatch.setattr(executor, "MAX_FRAME", len(one) - 4)  # its payload
         assert frames_of(2) == one + one
         monkeypatch.setattr(executor, "MAX_FRAME", len(one) - 5)
@@ -1569,9 +1569,7 @@ def test_first_value_of_another_shape_anywhere_gives_one_raw_fallback(pair, tmp_
             assert np.array_equal(rec.value, stored.value) or rec.value is stored.value is None
         save(res, tmp_path / "raw.json")
         assert do_res_equal(load(tmp_path / "raw.json"), res)  # null exactly at the errors
-        doc = json.loads((tmp_path / "raw.json").read_text(encoding="utf-8"))
-        doc["meta"]["created"] = doc["time_ms"] = None
-        texts.add(canonical_json(doc))
+        texts.add(masked(tmp_path / "raw.json"))
     assert len(texts) == 1
 
 
@@ -1676,7 +1674,8 @@ def _declarations(draw):
     grid = [VarSpec(name, "grid", tuple(draw(levels)))
             for name in ("x", "y")[:draw(st.integers(1, 2))]]
     inner = [VarSpec("k", "inner", tuple(draw(levels)))] if draw(st.booleans()) else []
-    form = VarSpec("form", "frozen", draw(st.sampled_from(["scalar", "inner", "ragged"])))
+    form = VarSpec("form", "frozen", draw(st.sampled_from(["scalar", "inner", "ragged",
+                                                           "special"])))
     lossy = draw(st.sampled_from(["", "", "", "level", "inner", "frozen"]))
     non_finite = st.sampled_from([math.inf, -math.inf, math.nan])
     if lossy == "level":
@@ -1746,12 +1745,10 @@ def test_drawn_declarations_give_the_sequential_bytes_on_every_backend(declarati
             back = load(path)
             cmp = do_res_equal(res, back)
             assert cmp, cmp.report
-            if type(res) is ResultStore:  # labelled alike, inner dims too
+            if type(res) is ResultStore:  # labelled alike, inner dims too, and bit for bit
                 assert get_array(res).dims == get_array(back).dims
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-            doc["meta"]["created"] = doc["time_ms"] = None
-            texts.append(canonical_json(doc))
+                assert back.value.tobytes() == res.value.tobytes()
+            texts.append(masked(path))
     assert all(text == texts[0] for text in texts)
     assert all(each == records[0] for each in records)
 
@@ -1768,10 +1765,7 @@ def test_a_returned_buffer_is_copied_on_every_backend():
             res = run_study(vl, buffer_study, backend=backend)
             assert res.value.tobytes() == want.value.tobytes()
             save(res, os.path.join(tmp, "results.json"))
-            with open(os.path.join(tmp, "results.json"), encoding="utf-8") as fh:
-                doc = json.load(fh)
-            doc["meta"]["created"] = doc["time_ms"] = None
-            texts.append(canonical_json(doc))
+            texts.append(masked(os.path.join(tmp, "results.json")))
     assert texts[1] == texts[0] and texts[2] == texts[0]
 
 

@@ -18,17 +18,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import float_bits, random_store, scalar_varlist, tiny_varlist, v1_stores
-from light_studies import coin_study, fresh_buffer_study, params_probe_study, square_study
+from light_studies import coin_study, fresh_buffer_study, masked, params_probe_study, square_study
 
 from mcgrid import (CacheInvalidError, ProcessPool, RawFallback, ResultStore, SeedSpec,
                     Sequential, SubJobRecord, ThreadPool, VarList, VarSpec, assemble,
                     canonical_json, do_res_equal, get_array, load, maybe_read, run_study,
                     save, study_fingerprint)
 from mcgrid import executor, results
-from mcgrid.results import Columns, ErrorInfo, _fmt_floats, _parse_value
+from mcgrid.results import Columns, ErrorInfo, _fmt_floats
 from mcgrid.var_copula import probe_first_uniform
 
 DATA = Path(__file__).parent / "data"
+
+
+def header(path) -> tuple:
+    """A result file's header document, and its tail."""
+    head, _, tail = Path(path).read_bytes().partition(b"\n")
+    return json.loads(head), tail
+
+
+def write(path, doc: dict, tail: bytes) -> None:
+    """A result file of header ``doc`` (written by ``json``) and ``tail``."""
+    Path(path).write_bytes(json.dumps(doc).encode("utf-8") + b"\n" + tail)
 
 
 def never_study(params, rng, warn):
@@ -124,7 +135,7 @@ class TestCanonicalJson:
             assert json.loads(canonical_json(x)) == x
 
     def test_parse_value_restores_nonfinite(self):
-        vals = _parse_value(["NaN", "Inf", "-Inf", 1.5])
+        vals = SubJobRecord.from_doc({"value": ["NaN", "Inf", "-Inf", 1.5]}).value
         assert math.isnan(vals[0]) and vals[1] == math.inf and vals[2] == -math.inf
 
 
@@ -284,21 +295,20 @@ class TestPersistence:
 
     @given(st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_v3_roundtrip_random_store(self, seed, raw):
+    def test_v4_roundtrip_random_store(self, seed, raw):
         res = random_store(random.Random(seed), force_kind="raw" if raw else None)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "s.json")
             save(res, path)
-            with open(path, encoding="utf-8") as fh:
-                assert json.load(fh)["format"] == "mcgrid-result-v3"
+            assert header(path)[0]["format"] == "mcgrid-result-v4"
             back = load(path)
         assert type(back) is type(res) and back.dims == res.dims
         cmp = do_res_equal(res, back)
         assert cmp, cmp.report
+        assert float_bits(back.time_ms) == float_bits(res.time_ms)
         for a, b in zip(res.records, back.records):
-            assert a.time_ms == b.time_ms
             if a.value is not None:
-                assert np.array_equal(np.signbit(a.value), np.signbit(b.value))
+                assert np.asarray(a.value).tobytes() == np.asarray(b.value).tobytes()
 
     def test_negative_zero_and_whole_values_survive(self, tmp_path):
         vl = scalar_varlist(1)
@@ -311,9 +321,9 @@ class TestPersistence:
         assert back.value.tolist() == [0.0, 0.0, 2.0]
 
     def test_malformed_tagged_documents_are_value_errors(self, tmp_path):
+        # the v3 reader: a raw file's values are a JSON list
         path = tmp_path / "raw.json"
-        save(random_store(random.Random(7), force_kind="raw"), path)
-        raw = json.loads(path.read_text())
+        raw = json.loads((DATA / "v3-raw.json").read_text(encoding="utf-8"))
         n = len(raw["value"])
         bad_value = dict(raw, value=[{}] + raw["value"][1:])
         short = dict(raw, value=raw["value"][1:])
@@ -352,7 +362,10 @@ class TestPersistence:
         save(res, p1)
         save(res, p2)
         assert p1.read_bytes() == p2.read_bytes()
-        assert p1.read_bytes().endswith(b"\n")
+        # a header line, then float64 values
+        _, newline, tail = p1.read_bytes().partition(b"\n")
+        assert newline and len(tail) == 8 * (res.n_subjobs - res.error_count()) * \
+            math.prod(res.value.shape[:-1])
 
     def test_maybe_read_absent_returns_none(self, tmp_path):
         assert maybe_read(tmp_path / "missing.json", "0" * 16) is None
@@ -463,13 +476,13 @@ class TestPersistence:
         vl = VarList([VarSpec("n.sim", "N", 2), VarSpec("x", "grid", (3, 4, 5))])
         path = tmp_path / "cache.json"
         run_study(vl, square_study, cache_path=path)
-        doc = json.loads(path.read_text())
+        doc, tail = header(path)
         assert doc["dims"] == [["x", ["3", "4", "5"]], ["n.sim", ["1", "2"]]]
         for dims in ([["x", ["3", "4"]], ["n.sim", ["1", "2", "3"]]],
                      [["x", ["3", "4", "5"]], ["n.sim", ["2", "1"]]],
                      [["x", ["3", "4", "6"]], ["n.sim", ["1", "2"]]],
                      [["x", ["3", "4", "5"]]]):
-            path.write_text(json.dumps(dict(doc, dims=dims)))
+            write(path, dict(doc, dims=dims), tail)
             with pytest.raises(ValueError, match="malformed result file .*dims are not those "
                                                  "of the declaration"):
                 run_study(vl, never_study, cache_path=path)
@@ -555,12 +568,11 @@ def test_repeated_error_or_warning_cells_are_malformed(tmp_path):
     assert res.error_count() and res.warning_count()
     path = tmp_path / "coin.json"
     save(res, path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc, tail = header(path)
     for field, later in (("errors", lambda e: [e[0], "later", e[2]]),
                          ("warnings", lambda w: [w[0], ["later"]])):
         entries = doc[field]
-        path.write_text(json.dumps(dict(doc, **{field: [entries[0], later(entries[0]),
-                                                        *entries[1:]]})))
+        write(path, dict(doc, **{field: [entries[0], later(entries[0]), *entries[1:]]}), tail)
         with pytest.raises(ValueError, match="malformed result file .*error or warning "
                                              "indices not increasing") as info:
             load(path)
@@ -589,14 +601,6 @@ class TestFormatV1:
             assert path.read_bytes() == (DATA / f"{name}.json").read_bytes()
 
 
-def masked(path) -> str:
-    """A result file's document without its format tag and fingerprint,
-    re-encoded canonically (which keeps -0.0 apart from 0.0)."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    doc["format"] = doc["meta"]["fingerprint"] = None
-    return canonical_json(doc)
-
-
 class TestFormatV2:
     """``tests/data/v2-<name>.json`` were saved from ``v1_stores()`` by the v2
     writer while ``assemble`` still took records in virtual order.  v2 store
@@ -604,9 +608,17 @@ class TestFormatV2:
 
     @pytest.mark.parametrize("name", ["store", "scalar", "float_levels"])
     def test_stores_built_from_columns_save_the_golden_bytes(self, name, tmp_path):
-        # a store saves the v2 document again but for the tag and the fingerprint
-        save(v1_stores()[name], tmp_path / "v3.json")
-        assert masked(tmp_path / "v3.json") == masked(DATA / f"v2-{name}.json")
+        # a store saves the v2 document's content again: its header holds the
+        # v2 fields but kind and value, and its tail the values of the cells
+        # that did not err, cell after cell (the v2 column is inner dims first)
+        save(v1_stores()[name], tmp_path / "v4.json")
+        v2 = json.loads((DATA / f"v2-{name}.json").read_text(encoding="utf-8"))
+        value, n = np.array(v2.pop("value"), dtype=float), len(v2["time_ms"])
+        values = np.delete(value.reshape(n, -1), [k for k, *_ in v2["errors"]], axis=0)
+        del v2["kind"]
+        assert header(tmp_path / "v4.json")[0]["time_ms"] == v2["time_ms"]
+        write(tmp_path / "v2.json", v2, values.astype("<f8").tobytes())
+        assert masked(tmp_path / "v4.json") == masked(tmp_path / "v2.json")
 
     EDITS = {
         "error-cell-99": lambda doc: doc["errors"].append([99, "boom", "E"]),
@@ -633,21 +645,24 @@ class TestFormatV2:
 
 class TestFormatV3:
     """``tests/data/v3-<name>.json`` were saved from ``v1_stores()`` by the v3
-    writer."""
+    writer, the last that wrote values as text."""
 
     @pytest.mark.parametrize("name", ["store", "scalar", "raw", "float_levels"])
     def test_save_reproduces_the_golden_bytes(self, name, tmp_path):
+        # a v3 file loads as its store, times too, and saves as its v4 file
         want = v1_stores()[name]
-        save(want, tmp_path / "v3.json")
-        assert (tmp_path / "v3.json").read_bytes() == (DATA / f"v3-{name}.json").read_bytes()
         back = load(DATA / f"v3-{name}.json")
         cmp = do_res_equal(want, back)
         assert cmp, cmp.report
-        assert [r.time_ms for r in back.records] == [r.time_ms for r in want.records]
+        assert float_bits(back.time_ms) == float_bits(want.time_ms)
+        save(back, tmp_path / "v4.json")
+        assert (tmp_path / "v4.json").read_bytes() == (DATA / f"v4-{name}.json").read_bytes()
 
     @pytest.mark.parametrize("name", ["store", "scalar", "float_levels"])
     def test_store_files_differ_from_v2_only_in_tag_and_fingerprint(self, name):
         assert masked(DATA / f"v3-{name}.json") == masked(DATA / f"v2-{name}.json")
+        assert header(DATA / f"v3-{name}.json")[0]["time_ms"] == \
+            header(DATA / f"v2-{name}.json")[0]["time_ms"]
         # v3 hashes the study (here none) into the fingerprint
         assert load(DATA / f"v3-{name}.json").meta.fingerprint != \
             json.loads((DATA / f"v2-{name}.json").read_text())["meta"]["fingerprint"]
@@ -661,6 +676,72 @@ class TestFormatV3:
         assert doc["value"] == [0.0, [1.0, 2.0], None, 1.5, 4.5, 7.5]
         assert doc["errors"] == [[2, "boom", "RuntimeError"]]
         assert doc["warnings"] == [[1, ["odd shape"]]]
+
+
+class TestFormatV4:
+    """``tests/data/v4-<name>.json`` were saved from ``v1_stores()`` by the v4
+    writer: a header line, then the values as float64."""
+
+    @pytest.mark.parametrize("name", ["store", "scalar", "raw", "float_levels"])
+    def test_save_reproduces_the_golden_bytes(self, name, tmp_path):
+        want = v1_stores()[name]
+        save(want, tmp_path / "v4.json")
+        assert (tmp_path / "v4.json").read_bytes() == (DATA / f"v4-{name}.json").read_bytes()
+        back = load(DATA / f"v4-{name}.json")
+        cmp = do_res_equal(want, back)
+        assert cmp, cmp.report
+        assert float_bits(back.time_ms) == float_bits(want.time_ms)
+        if name != "raw":  # bit for bit, and writable: not a view of the file's bytes
+            assert back.value.tobytes() == want.value.tobytes()
+            assert back.value.flags.writeable
+
+    def test_a_dense_file_lists_no_shapes_and_a_raw_file_does(self):
+        # a dense file's nulls follow from its errors: the values of the
+        # cells that did not err, cell after cell, each in C order
+        doc, tail = header(DATA / "v4-store.json")
+        store = v1_stores()["store"]
+        assert list(doc) == ["format", "meta", "dims", "time_ms", "errors", "warnings", "seeds"]
+        assert tail == np.delete(np.moveaxis(store.value, -1, 0), list(store.errors),
+                                 axis=0).tobytes()
+        raw, tail = header(DATA / "v4-raw.json")
+        assert list(raw) == ["format", "meta", "dims", "diagnostic", "shapes", *list(doc)[3:]]
+        assert raw["shapes"] == [[], [2], None, [], [], []]
+        assert np.frombuffer(tail, "<f8").tolist() == [0.0, 1.0, 2.0, 1.5, 4.5, 7.5]
+        assert raw["errors"] == [[2, "boom", "RuntimeError"]]
+
+    EDITS = {  # name: golden file, edit of its header, edit of its tail
+        "tail-1-byte-short": ("store", None, lambda t: t[:-1]),
+        "tail-1-byte-long": ("store", None, lambda t: t + b"\0"),
+        "tail-8-bytes-short": ("store", None, lambda t: t[:-8]),
+        "tail-8-bytes-long": ("store", None, lambda t: t + bytes(8)),
+        "raw-tail-8-bytes-short": ("raw", None, lambda t: t[:-8]),
+        "no-newline": ("store", None, None),
+        "header-not-an-object": ("store", lambda d: [d], None),
+        "shapes-not-filling-the-tail": ("raw", lambda d: dict(
+            d, shapes=[[], [3], None, [], [], []]), None),
+        "short-shapes": ("raw", lambda d: dict(d, shapes=d["shapes"][:-1]), None),
+        "errors-not-at-the-null-shapes": ("raw", lambda d: dict(
+            d, shapes=[[], [2], [], [], [], None]), None),
+        "error-without-a-null-value": ("scalar", lambda d: dict(
+            d, errors=d["errors"] + [[5, "boom", "E"]]), None),
+        "diagnostic-with-dense-values": ("store", lambda d: dict(d, diagnostic="x"), None),
+        "no-diagnostic-with-raw-values": ("raw", lambda d: {
+            k: v for k, v in d.items() if k != "diagnostic"}, None),
+    }
+
+    @pytest.mark.parametrize("edit", EDITS.values(), ids=EDITS)
+    def test_malformed_files_are_value_errors(self, tmp_path, edit):
+        name, edit_header, edit_tail = edit
+        doc, tail = header(DATA / f"v4-{name}.json")
+        doc = edit_header(doc) if edit_header else doc
+        path = tmp_path / "bad.json"
+        if edit_tail is None and edit_header is None:  # the header alone
+            path.write_bytes(json.dumps(doc).encode("utf-8"))
+        else:
+            write(path, doc, edit_tail(tail) if edit_tail else tail)
+        with pytest.raises(ValueError) as info:
+            load(path)
+        assert str(info.value).startswith(f"{path}: malformed result file (")
 
 
 def first_difference_by_records(a, b):
@@ -704,12 +785,6 @@ class TestComparison:
                                for (name, _), lab in zip(a.dims, a.cell_labels(want)))
             assert not cmp and cmp.report.startswith(f"cell ({labels}): ")
 
-
-    def _pair(self):
-        rng = random.Random(11)
-        res = random_store(rng)
-        path_doc = json.loads(canonical_json_of(res))
-        return res, path_doc
 
     def test_time_and_created_ignored(self):
         vl = scalar_varlist(1)
@@ -774,7 +849,3 @@ class TestComparison:
         cmp = do_res_equal(a, b)
         assert not cmp and "fingerprint" in cmp.report
 
-
-def canonical_json_of(res):
-    from mcgrid.results import _store_doc
-    return canonical_json(_store_doc(res))
