@@ -2,7 +2,11 @@
 
 import math
 import random
+import types
+from collections.abc import Mapping
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,12 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import float_bits, huber_mean_cell, mad_cell, report_matrices
+from light_studies import masked
 
-from mcgrid import RngStream, derive_state
+from mcgrid import (RngStream, Sequential, VarList, VarSpec, derive_state, load,
+                    run_study, save)
 from mcgrid import var_copula as vc
-from mcgrid.var_copula import (huber_mean, itau, mad, portfolio_loss,
+from mcgrid.results import ErrorInfo
+from mcgrid.var_copula import (example_varlist, huber_mean, itau, mad, portfolio_loss,
                                quantile_type7, sample_copula,
                                std_normal_quantile, _positive_stable)
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestItau:
@@ -438,3 +447,96 @@ class TestBitIdentity:
         frozen.flags.writeable = False
         portfolio_loss(u, [1.0], lambda x: frozen)
         assert np.all(frozen == 0.25)
+
+
+# ---------------------------------------------------------------------------
+# the sub-job kernel: row blocks against the whole-array reference
+
+def var_out_of_place(params, rng):
+    """``do_one_var`` in one whole (n, d) array with fresh temporaries."""
+    n, d = params["n"], params["d"]
+    w = params["varWgts"]
+    w = np.resize(np.asarray(w[str(d)] if isinstance(w, Mapping) else w, dtype=float), d)
+    u = copula_out_of_place(params["family"], itau(params["family"], params["tau"]),
+                            n, d, OutOfPlaceStream(rng))
+    return quantile_type7(-(np.expm1(ndtri_polyval(u)) * w).sum(axis=1), params["alpha"])
+
+
+@st.composite
+def var_params(draw):
+    family = draw(st.sampled_from(["Clayton", "Gumbel"]))
+    taus = [0.05, 0.25, 0.5, 0.9] + ([0.0] if family == "Gumbel" else [])
+    d = draw(st.integers(1, 600))
+    w = draw(st.one_of(
+        st.floats(0.1, 3.0),
+        st.lists(st.floats(0.1, 3.0), min_size=1, max_size=7),
+        st.lists(st.floats(0.1, 3.0), min_size=1, max_size=7).map(
+            lambda x: types.MappingProxyType({str(d): x}))))
+    return dict(n=draw(st.integers(1, 600)), d=d, family=family,
+                tau=draw(st.sampled_from(taus)), alpha=(0.5, 0.95, 0.99), varWgts=w)
+
+
+class TestBlockedSubJob:
+    @settings(deadline=None)  # the profile's examples: 100 by default, 500 under "ci"
+    @given(params=var_params(), seed=st.integers(0, 2**32),
+           block=st.sampled_from([1, 97, 4096, vc._BLOCK_ELEMS]))
+    def test_blocked_sub_job_matches_the_whole_array_reference(self, params, seed, block):
+        # blocks of one row, a short last block and one whole block all occur
+        rows = []
+
+        def recorded(*args):  # all positional: the benchmark's trace reads n and d
+            assert len(args) == 6 and args[3] == params["d"]
+            rows.append(args[2])
+            return sample_copula(*args)
+
+        with mock.patch.object(vc, "_BLOCK_ELEMS", block), \
+                mock.patch.object(vc, "sample_copula", recorded):
+            got = vc.do_one_var(params, RngStream.from_integer(seed), None)
+        want = var_out_of_place(params, RngStream.from_integer(seed))
+        assert float_bits(got) == float_bits(want)
+        assert sum(rows) == params["n"]
+        assert len(rows) == -(-params["n"] // max(1, block // params["d"]))
+
+    def test_given_frailties_are_the_drawn_ones(self):
+        for family, theta in (("Clayton", 2.0), ("Gumbel", 1.5), ("Gumbel", 1.0)):
+            want = sample_copula(family, theta, 9, 4, RngStream.from_integer(35))
+            rng = RngStream.from_integer(35)
+            v = vc._frailty(family, theta, 9, rng)
+            got = np.vstack([sample_copula(family, theta, 5, 4, rng, v[:5]),
+                             sample_copula(family, theta, 4, 4, rng, v[5:])])
+            assert np.array_equal(got, want)
+        with pytest.raises(ValueError, match="3 frailties for 4 rows"):
+            sample_copula("Clayton", 2.0, 4, 2, RngStream.from_integer(35), np.ones(3))
+
+
+def _one_cell(extra):
+    return VarList([VarSpec("n.sim", "N", 2), VarSpec("n", "grid", (8,)),
+                    VarSpec("d", "grid", (3,)), VarSpec("family", "frozen", "Clayton"),
+                    VarSpec("tau", "frozen", 0.5), VarSpec("alpha", "frozen", 0.99), extra])
+
+
+class TestBadSpecs:
+    def test_empty_weights_are_an_error_not_a_var_of_zero(self):
+        with pytest.raises(ValueError, match="weights are empty"):
+            portfolio_loss(np.full((2, 3), 0.5), [], std_normal_quantile)
+        res = run_study(_one_cell(VarSpec("varWgts", "frozen", ())), vc.do_one_var)
+        assert res.errors == {i: ErrorInfo("portfolio weights are empty", "ValueError")
+                              for i in range(2)}
+
+    def test_an_empty_margin_spec_is_named(self):
+        with pytest.raises(ValueError, match=r"margin quantile spec \{\} is empty"):
+            vc._resolve_margin({})
+        res = run_study(_one_cell(VarSpec("qF", "frozen", {})), vc.do_one_var)
+        assert res.errors == {i: ErrorInfo("margin quantile spec {} is empty", "ValueError")
+                              for i in range(2)}
+
+
+class TestExampleStore:
+    def test_a_fresh_run_saves_the_golden_bytes(self, tmp_path):
+        # tests/data/example-n2.json: the example with 2 replications, saved
+        # before the kernels ran in row blocks
+        res = run_study(example_varlist().with_n_sim(2), vc.do_one_var, backend=Sequential())
+        save(res, tmp_path / "example.json")
+        golden = DATA / "example-n2.json"
+        assert masked(tmp_path / "example.json") == masked(golden)
+        assert res.value.tobytes() == load(golden).value.tobytes()
