@@ -566,7 +566,12 @@ def load(path: str | os.PathLike) -> ResultStore:
     try:
         meta = StoreMeta.from_doc(doc["meta"])
         dims = tuple((name, tuple(labels)) for name, labels in doc["dims"])
-        if dims != store_dims(meta.varlist):
+        # lengths first: a declaration's labels are built only as many as the
+        # file holds, however many replications it declares
+        vl = meta.varlist
+        lengths = [len(s.values) for s in vl.specs if s.vtype == "grid"]
+        lengths += [vl.n_sim] if vl.n_sim > 1 else []
+        if [len(labels) for _, labels in dims] != lengths or dims != store_dims(vl):
             raise ValueError("dims are not those of the declaration")
         n, inner = math.prod(len(labels) for _, labels in dims), _inner_shape(meta.varlist)
         if tag == FORMAT_TAG and newline:

@@ -106,7 +106,8 @@ class RngStream:
     """A live stream: scalar/vector draws plus byte-exact state snapshots.
 
     Uniform draws are ``((raw64 >> 11) + 0.5) * 2**-53`` and therefore lie
-    strictly inside (0, 1).
+    strictly inside (0, 1); vector draws add ``2**-54`` to numpy's ``random()``
+    of the same words, ``(raw64 >> 11) * 2**-53``, which rounds identically.
     """
 
     def __init__(self, bitgen: np.random.Philox):
@@ -145,20 +146,16 @@ class RngStream:
         return ((self._bg.random_raw() >> 11) + 0.5) * 2.0 ** -53
 
     def uniforms(self, size) -> np.ndarray:
-        n = int(np.prod(size)) if not np.isscalar(size) else int(size)
-        raw = self._bg.random_raw(n)
-        raw >>= np.uint64(11)
-        u = raw.astype(np.float64)
-        u += 0.5
-        u *= 2.0 ** -53
-        return u.reshape(size)
+        u = self._gen.random(size)
+        u += 2.0 ** -54
+        return u
 
     def exponentials(self, size) -> np.ndarray:
-        # -log1p(-u) maps the strict-open uniforms to strictly positive values
-        u = self.uniforms(size)
-        np.negative(u, out=u)
-        np.log1p(u, out=u)
-        return np.negative(u, out=u)
+        # -log1p(-u) > 0, where -u = -2**-54 - r exactly (rounding is symmetric)
+        r = self._gen.random(size)
+        np.subtract(-2.0 ** -54, r, out=r)
+        np.log1p(r, out=r)
+        return np.negative(r, out=r)
 
     def standard_gamma(self, shape: float, size) -> np.ndarray:
         return self._gen.standard_gamma(shape, size=size)

@@ -19,11 +19,12 @@ strictly inside (0, 1).
 The kernels work in place on the (n, d) arrays and are bit-identical to the
 out-of-place expressions and to the AS 241 reference evaluation order
 (``np.polyval`` over each branch's coefficients, highest degree first).  A
-sub-job draws the frailties of all n vectors first, then runs blocks of rows
-sized to stay in cache through copula, margins and losses; the stream is read
-in the same order, so the losses are those of the whole (n, d) sample, bit for
-bit.  A custom margin quantile ``qF`` is therefore called block by block, and
-must be elementwise, as any quantile function is.
+sub-job recycles its weights to d and draws the frailties of all n vectors
+once, then runs blocks of rows sized to stay in cache through copula, margins
+and losses; the stream is read in the same order, so the losses are those of
+the whole (n, d) sample, bit for bit.  A custom margin quantile ``qF`` is
+therefore called block by block, and must be elementwise, as any quantile
+function is.
 
 The module also provides the small statistics used to summarize such studies:
 type-7 empirical quantiles, the median absolute deviation, and the Huber
@@ -106,7 +107,8 @@ def std_normal_quantile(p):
     pass recomputes only the entries with |p - 0.5| > 0.425, which include
     0 and 1: there they are set to -inf/+inf.  Other entries outside (0, 1)
     come out NaN from the tail pass's logarithm, and NaN inputs from the
-    central pass.
+    central pass.  When all tail entries are on the near branch (p > ~1.4e-11
+    from 0 and 1), it is evaluated in place, the entries not split by branch.
     """
     arr = np.asarray(p, dtype=float)
     pp = arr.reshape(-1)
@@ -126,17 +128,22 @@ def std_normal_quantile(p):
             np.log(r, out=r)
             np.negative(r, out=r)
             np.sqrt(r, out=r)
-            near = r <= 5.0
-            val = np.empty_like(r)
-            i = np.flatnonzero(near)
-            if i.size:
-                rn = r[i] - 1.6
-                val[i] = _horner(_C, rn) / _horner(_D, rn)
-            i = np.flatnonzero(~near)
-            if i.size:
-                rf = r[i] - 5.0
-                val[i] = _horner(_E, rf) / _horner(_F, rf)
-            val[r == np.inf] = np.inf      # p = 0 (or -0) and p = 1
+            if r.max() <= 5.0:    # all near the centre: no NaN, 0 or 1
+                r -= 1.6
+                val = _horner(_C, r)
+                val /= _horner(_D, r)
+            else:
+                near = r <= 5.0
+                val = np.empty_like(r)
+                i = np.flatnonzero(near)
+                if i.size:
+                    rn = r[i] - 1.6
+                    val[i] = _horner(_C, rn) / _horner(_D, rn)
+                i = np.flatnonzero(~near)
+                if i.size:
+                    rf = r[i] - 5.0
+                    val[i] = _horner(_E, rf) / _horner(_F, rf)
+                val[r == np.inf] = np.inf      # p = 0 (or -0) and p = 1
             np.negative(val, out=val, where=lower)
             out[tail] = val
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
@@ -196,9 +203,16 @@ def sample_copula(family: str, theta: float, n: int, d: int, rng: RngStream,
         u **= 1.0 / theta
         np.negative(u, out=u)
         np.exp(u, out=u)
-    lo = np.nextafter(0.0, 1.0)
-    hi = np.nextafter(1.0, 0.0)
-    return np.clip(u, lo, hi, out=u)
+    np.maximum(u, _U_MIN, out=u)
+    return np.minimum(u, _U_MAX, out=u)
+
+
+def _recycled(weights, d: int) -> np.ndarray:
+    """``weights`` raveled and recycled cyclically to ``d`` entries, as ``np.resize``."""
+    w = np.asarray(weights, dtype=float).ravel()
+    if w.size == 0:
+        raise ValueError("portfolio weights are empty")
+    return w if w.size == d else w[np.arange(d) % w.size]
 
 
 def portfolio_loss(u: np.ndarray, weights, margin_quantile) -> np.ndarray:
@@ -209,10 +223,7 @@ def portfolio_loss(u: np.ndarray, weights, margin_quantile) -> np.ndarray:
     that shares memory with ``u`` or is read-only is copied first.
     """
     n, d = u.shape
-    w = np.asarray(weights, dtype=float)
-    if w.size == 0:
-        raise ValueError("portfolio weights are empty")
-    w = np.resize(w, d)
+    w = _recycled(weights, d)
     x = np.asarray(margin_quantile(u), dtype=float)
     if not x.flags.writeable or np.may_share_memory(x, u):
         x = x.copy()
@@ -277,6 +288,7 @@ def huber_mean(sample, k: float = 1.5, tol: float = 1e-6, max_iter: int = 50,
 
 
 _MARGINS = {"std-normal": std_normal_quantile}
+_U_MIN, _U_MAX = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)  # sample_copula's clip
 
 
 def _resolve_margin(spec):
@@ -328,11 +340,12 @@ def do_one_var(params: dict, rng: RngStream, warn) -> np.ndarray | float:
     theta = itau(family, tau)
     v = _frailty(family, theta, n, rng)
     rows = max(1, _BLOCK_ELEMS // d)
+    w = _recycled(wspec, d)
     losses = np.empty(n)
     for i in range(0, n, rows):
         m = min(rows, n - i)
         u = sample_copula(family, theta, m, d, rng, v[i:i + m])
-        losses[i:i + m] = portfolio_loss(u, wspec, margin)
+        losses[i:i + m] = portfolio_loss(u, w, margin)
     return quantile_type7(losses, alpha)
 
 

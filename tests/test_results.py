@@ -8,6 +8,8 @@ import math
 import os
 import random
 import shutil
+import subprocess
+import sys
 import tempfile
 import types
 from pathlib import Path
@@ -487,6 +489,34 @@ class TestPersistence:
                                                  "of the declaration"):
                 run_study(vl, never_study, cache_path=path)
 
+    def test_a_small_file_declaring_a_huge_replication_count_is_refused(self, tmp_path):
+        # the file's dims are compared by length before any label is built:
+        # 10**12 declared replications against the file's 2 are malformed,
+        # not 10**12 labels, in a child whose address space is capped at
+        # 256 MiB above what it maps once mcgrid is imported
+        doc, tail = header(DATA / "v4-store.json")
+        varlist = doc["meta"]["varlist"]
+        doc["meta"]["n_sim"] = varlist["n_sim"] = varlist["variables"][0]["value"] = 10 ** 12
+        path = tmp_path / "huge.json"
+        write(path, doc, tail)
+        code = "\n".join([
+            "import resource, sys",
+            "from mcgrid import load",
+            "with open('/proc/self/statm') as fh:",
+            "    size = int(fh.read().split()[0]) * resource.getpagesize()",
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]",
+            "resource.setrlimit(resource.RLIMIT_AS, (size + 2 ** 28, hard))",
+            "try:",
+            "    load(sys.argv[1])",
+            "except ValueError as exc:",
+            "    assert 'dims are not those of the declaration' in str(exc), exc",
+            "else:",
+            "    sys.exit('loaded')",
+        ])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("backend", [Sequential(), ThreadPool(2), ProcessPool(2)],
                              ids=["seq", "threads", "procs"])

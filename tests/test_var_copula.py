@@ -449,6 +449,100 @@ class TestBitIdentity:
         assert np.all(frozen == 0.25)
 
 
+_DRAW_SIZES = st.one_of(
+    st.integers(0, 40), st.just(()), st.integers(0, 40).map(np.int64),
+    st.lists(st.integers(0, 6), min_size=1, max_size=3).map(tuple),
+    st.lists(st.integers(0, 6), min_size=1, max_size=3))
+
+
+class TestStreamDraws:
+    @settings(deadline=None)  # the profile's examples: 100 by default, 500 under "ci"
+    @given(seed=st.integers(0, 2**64 - 1), draws=st.lists(
+        st.tuples(st.sampled_from(["uniforms", "exponentials"]), _DRAW_SIZES),
+        min_size=1, max_size=4))
+    def test_stream_draws_match_the_raw_word_reference(self, seed, draws):
+        # numpy's fill of (raw >> 11) * 2**-53 plus 2**-54 has the bits of
+        # ((raw >> 11) + 0.5) * 2**-53 of the same words, from any buffer
+        # position, and leaves the stream where the raw words do
+        rng, twin = RngStream.from_integer(seed), RngStream.from_integer(seed)
+        for kind, size in draws:
+            got, want = getattr(rng, kind)(size), getattr(OutOfPlaceStream(twin), kind)(size)
+            assert isinstance(got, np.ndarray) and got.shape == np.shape(want)
+            assert got.tobytes() == np.asarray(want).tobytes()
+            assert rng.state.to_hex() == twin.state.to_hex()
+        assert rng.uniform() == twin.uniform()
+
+
+def _mirrored(p):
+    """``p`` near 0, or as near 1."""
+    return p | p.map(lambda x: 1.0 - x)
+
+
+_P_CENTRAL = st.floats(0.075, 0.925)
+_P_NEAR = _mirrored(st.floats(1.4e-11, 0.07))    # r <= 5: p at least e**-25 from 0 and 1
+_P_FAR = _mirrored(st.floats(5e-324, 1.3e-11))   # r > 5, or exactly 1
+_P_ODD = st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf]) | \
+    st.floats(-2.0, -5e-324) | st.floats(1.0, 3.0, exclude_min=True)   # all in the tail
+
+
+class TestQuantileTailPaths:
+    @settings(deadline=None)  # the profile's examples: 100 by default, 500 under "ci"
+    @given(near=st.lists(_P_CENTRAL | _P_NEAR, max_size=40), one_near=_P_NEAR,
+           mixed=st.lists(_P_CENTRAL | _P_NEAR | _P_FAR | _P_ODD | st.just(math.nan),
+                          max_size=40),
+           one_other=_P_FAR | _P_ODD)
+    def test_quantile_matches_the_reference_on_both_tail_paths(self, near, one_near, mixed,
+                                                                one_other):
+        # a block whose tail is all near the centre is evaluated in place
+        # after one tail selection; one with a far, special or invalid tail
+        # entry is selected again by branch, near and far
+        for p, selections in ((near + [one_near], 1), (mixed + [one_other], 3)):
+            p = np.array(p, dtype=float)
+            with mock.patch.object(np, "flatnonzero", wraps=np.flatnonzero) as spy:
+                got = std_normal_quantile(p)
+            assert spy.call_count == selections
+            assert float_bits(got) == float_bits(ndtri_polyval(p))
+            for x in p.tolist():
+                got = std_normal_quantile(x)
+                assert type(got) is float and float_bits([got]) == float_bits([ndtri_polyval(x)])
+
+
+_WEIGHT = st.floats(0.1, 3.0)
+
+
+@st.composite
+def weight_specs(draw):
+    """(d, weights, varWgts): a scalar, a list shorter or longer than d, a
+    nested list, each as it is or keyed by str(d)."""
+    d = draw(st.integers(1, 60))
+    w = draw(st.one_of(
+        _WEIGHT, st.lists(_WEIGHT, min_size=1, max_size=2 * d + 3),
+        st.integers(1, 4).flatmap(lambda k: st.lists(
+            st.lists(_WEIGHT, min_size=k, max_size=k), min_size=1, max_size=5))))
+    return d, w, {str(d): w} if draw(st.booleans()) else w
+
+
+class TestWeights:
+    @settings(deadline=None)
+    @given(spec=weight_specs(), seed=st.integers(0, 2**32))
+    def test_weights_are_recycled_once_as_np_resize_does(self, spec, seed):
+        d, w, wspec = spec
+        want = np.resize(np.asarray(w, dtype=float), d)
+        seen = []
+
+        def recorded(u, weights, margin):
+            seen.append(weights)
+            return portfolio_loss(u, weights, margin)
+
+        params = dict(n=3, d=d, family="Clayton", tau=0.5, alpha=0.5, varWgts=wspec)
+        with mock.patch.object(vc, "portfolio_loss", recorded):
+            vc.do_one_var(params, RngStream.from_integer(seed), None)
+        assert seen and all(x.dtype == float and x.tobytes() == want.tobytes() for x in seen)
+        u = RngStream.from_integer(seed).uniforms((3, d))
+        assert portfolio_loss(u, w, std_normal_quantile).tobytes() == \
+            portfolio_loss(u, want, std_normal_quantile).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the sub-job kernel: row blocks against the whole-array reference
 
